@@ -44,12 +44,10 @@ from .preparation import (
 from .propagators import (
     EffectiveHamiltonian,
     LambDickeHamiltonian,
-    PulseAreaSample,
     TruncationError,
     ground_population_trajectory,
     propagate_effective,
     propagate_lamb_dicke,
-    sample_pulse_area,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "ParityTimes",
     "PhysicalParams",
     "PreparationModel",
-    "PulseAreaSample",
     "RabiSpectrum",
     "Su2CoherentSpec",
     "TruncationError",
@@ -89,7 +86,6 @@ __all__ = [
     "propagate_effective",
     "propagate_lamb_dicke",
     "rabi_spectrum",
-    "sample_pulse_area",
     "symmetric_binomial_amplitudes",
     "vibrational_entropy",
     "von_neumann_entropy",

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the consistency-check battery")
     p_val.add_argument("--seed", type=int, help="seed for randomized checks")
     p_val.add_argument("--full", action="store_const", const=True,
-                       help="include the slow high-ratio drive comparison")
+                       help="run the drive comparison at higher nu/omega ratios")
     p_val.add_argument("--omega", type=float, help="drive Rabi frequency for the RWA suite")
     p_val.add_argument("--eta-ld", type=float, dest="eta_ld",
                        help="Lamb-Dicke parameter for the RWA suite")
@@ -329,6 +329,11 @@ def cmd_eta_sweep(config: dict) -> SweepResult:
 
 
 def cmd_validate(config: dict) -> tuple[SweepResult, bool]:
+    # the drive checks run last; reject a bad drive before any check runs
+    if not 0.0 < config["omega"] < np.inf:
+        raise ValueError(f"omega must be finite and positive, got {config['omega']}")
+    if not 0.0 < config["eta_ld"] < 1.0:
+        raise ValueError(f"eta_ld must lie strictly between 0 and 1, got {config['eta_ld']}")
     results = checks.run_all(
         seed=config["seed"],
         full=bool(config["full"]),

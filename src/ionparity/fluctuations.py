@@ -76,6 +76,8 @@ def sample_pulse_areas(
     """Gamma draws of the pulse area: shape t/tau, scale g*tau."""
     if t <= 0.0 or tau <= 0.0:
         raise ValueError("Gamma sampling needs t > 0 and tau > 0")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     return rng.gamma(shape=t / tau, scale=g * tau, size=n_samples)
 
 

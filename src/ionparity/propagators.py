@@ -10,7 +10,9 @@ Two Hamiltonians are implemented over the truncated vibronic basis
 
 * the time-dependent drive Hamiltonian of two counter-phased beams along
   the diagonal mode directions, expanded to a configurable total power of
-  the Lamb-Dicke parameter and integrated with a fixed-step RK4 scheme.
+  the Lamb-Dicke parameter and integrated with a fixed-step RK4 scheme
+  over one drive period, whose evolution map is then raised to the number
+  of whole periods elapsed.
 
 The closed-form module's rate parameter g makes each |N-k, k> amplitude
 oscillate at 2 g sqrt((N-k) k), so closed-form runs with rate g correspond
@@ -22,11 +24,8 @@ pair-exchange propagator at that same coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fluctuations import sample_pulse_areas
 from .states import PhysicalParams, TwoModeState, VibronicState
 
 # Maximum tolerated population on plus-component cells whose coupling
@@ -212,15 +211,6 @@ class LambDickeHamiltonian:
 
         self.harmonics = np.array(sorted(terms), dtype=float)
         self._lower_blocks = np.stack([terms[int(m)] for m in self.harmonics])
-        self._raise_blocks = np.conj(np.transpose(self._lower_blocks, (0, 2, 1)))
-        # flattened copies let the integrator hit BLAS with one GEMV per block
-        n_harmonics = len(self.harmonics)
-        self._lower_flat = np.ascontiguousarray(
-            self._lower_blocks.reshape(n_harmonics * self.grid_size, self.grid_size)
-        )
-        self._raise_flat = np.ascontiguousarray(
-            self._raise_blocks.reshape(n_harmonics * self.grid_size, self.grid_size)
-        )
 
     def stability_dt(self) -> float:
         """Largest step resolving the fastest retained oscillation."""
@@ -229,29 +219,28 @@ class LambDickeHamiltonian:
             return math.inf
         return 2.0 * math.pi / (STEPS_PER_CYCLE * fastest)
 
+    def _coupling_block(self, t: float) -> np.ndarray:
+        # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t)
+        phases = np.exp(1j * self.harmonics * self.params.nu * t)
+        return np.einsum("m,mij->ij", phases, self._lower_blocks)
+
     def matrix_at(self, t: float) -> np.ndarray:
         """Full Hermitian matrix at time t over the ``vibronic_basis_labels``
         ordering (minus block first)."""
-        phases = np.exp(1j * self.harmonics * self.params.nu * t)
-        coupling_block = np.einsum("m,mij->ij", phases, self._lower_blocks)
+        coupling_block = self._coupling_block(t)
         dim = self.grid_size
         matrix = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
         matrix[:dim, dim:] = coupling_block
         matrix[dim:, :dim] = coupling_block.conj().T
         return matrix
 
-    def _rhs(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _rhs(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         # d/dt [minus; plus] = -i H(t) [minus; plus] with the block structure
-        # H = [[0, W(t)], [W(t)^dag, 0]] and W(t) = sum_m e^{i m nu t} W_m.
+        # H = [[0, W(t)], [W(t)^dag, 0]]; y is one state or a matrix of states.
         dim = self.grid_size
-        n_harmonics = len(self.harmonics)
-        phases = np.exp(1j * self.harmonics * self.params.nu * t)
-        if out is None:
-            out = np.empty_like(y)
-        lowered = np.dot(self._lower_flat, y[dim:]).reshape(n_harmonics, dim)
-        raised = np.dot(self._raise_flat, y[:dim]).reshape(n_harmonics, dim)
-        np.dot(phases, lowered, out=out[:dim])
-        np.dot(phases.conj(), raised, out=out[dim:])
+        coupling_block = self._coupling_block(t)
+        np.matmul(coupling_block, y[dim:], out=out[:dim])
+        np.matmul(coupling_block.conj().T, y[:dim], out=out[dim:])
         out *= -1j
         return out
 
@@ -263,13 +252,18 @@ def _matrix_powers(matrix: np.ndarray, max_power: int) -> list[np.ndarray]:
     return powers
 
 
-def _rk4_span(h_ld: LambDickeHamiltonian, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
-    span = t1 - t0
-    if span == 0.0:
-        return y
-    steps = max(1, math.ceil(span / dt))
-    h = span / steps
+def _rk4_span(
+    h_ld: LambDickeHamiltonian, y: np.ndarray, t0: float, t1: float, steps: int
+) -> np.ndarray:
+    """Advance y from t0 to t1 in ``steps`` equal RK4 steps.
+
+    y is one flattened state or a matrix whose columns are states; both are
+    stepped by the same arithmetic.
+    """
     y = y.copy()
+    if steps == 0:
+        return y
+    h = (t1 - t0) / steps
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     stage = np.empty_like(y)
     for i in range(steps):
@@ -304,6 +298,54 @@ def _check_dt(h_ld: LambDickeHamiltonian, dt: float) -> None:
         )
 
 
+def _period_grid(h_ld: LambDickeHamiltonian, dt: float) -> tuple[float, int]:
+    """Drive period T = 2 pi / nu and the RK4 steps per period; the step
+    T / steps divides T and does not exceed dt."""
+    period = 2.0 * math.pi / h_ld.params.nu
+    return period, math.ceil(period / dt)
+
+
+def one_period_map(h_ld: LambDickeHamiltonian, dt: float) -> np.ndarray:
+    """RK4 evolution matrix over one drive period [0, 2 pi / nu].
+
+    Every harmonic of the drive is an integer multiple of nu, so this map
+    M advances any state by a whole period from any multiple of the period
+    (Shirley, Phys. Rev. 138, B979, 1965).
+    """
+    period, steps = _period_grid(h_ld, dt)
+    identity = np.eye(2 * h_ld.grid_size, dtype=np.complex128)
+    return _rk4_span(h_ld, identity, 0.0, period, steps)
+
+
+def _states_at(
+    h_ld: LambDickeHamiltonian, y: np.ndarray, times: np.ndarray, dt: float
+) -> list[np.ndarray]:
+    """State at each non-decreasing time t = n T + r, as U(r) M^n y.
+
+    M^n is applied as a product of the squarings M, M^2, M^4, ..., which
+    are computed once and shared by all sample times; U(r) integrates the
+    remainder from phase 0 with steps no longer than the one-period step.
+    """
+    period, steps = _period_grid(h_ld, dt)
+    splits = [divmod(float(t), period) for t in times]
+    last_whole = int(splits[-1][0])
+    squarings = []
+    if last_whole > 0:
+        squarings.append(one_period_map(h_ld, dt))
+        while 2 ** len(squarings) <= last_whole:
+            squarings.append(squarings[-1] @ squarings[-1])
+    states = []
+    done = 0
+    for whole, rest in splits:
+        todo = int(whole) - done
+        done = int(whole)
+        for bit, power in enumerate(squarings):
+            if todo >> bit & 1:
+                y = power @ y
+        states.append(_rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period)))
+    return states
+
+
 def _flatten(state: VibronicState) -> np.ndarray:
     return np.concatenate(
         [state.minus_component.amplitudes.ravel(), state.plus_component.amplitudes.ravel()]
@@ -328,16 +370,21 @@ def propagate_lamb_dicke(
     t: float,
     dt: float,
 ) -> VibronicState:
-    """Integrate the expanded drive Hamiltonian from 0 to t with step dt.
+    """Integrate the expanded drive Hamiltonian from 0 to t with RK4.
 
+    The drive repeats with period T = 2 pi / nu, so the state at
+    t = n T + r is U(r) M^n applied to ``initial``: M is the RK4 map over
+    one period, raised to the n-th power by repeated squaring, and U(r)
+    the remainder integrated from phase 0.  dt is an upper bound on the
+    step: the step actually taken is T / ceil(T / dt), which divides T.
     dt must satisfy dt <= 2 pi / (20 nu max|k - j - 2|); the run is
     rejected as unstable otherwise.  Norm drift beyond 1e-8 raises.
     """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
     h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
     _check_dt(h_ld, dt)
-    y = _rk4_span(h_ld, _flatten(initial), 0.0, t, dt)
+    (y,) = _states_at(h_ld, _flatten(initial), np.array([t]), dt)
     drift = abs(float(np.sum(np.abs(y) ** 2)) - initial.total_squared_norm())
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}; reduce dt")
@@ -351,55 +398,25 @@ def ground_population_trajectory(
     times: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Ground-level population at each requested time, from one RK4 pass.
+    """Ground-level population at each requested time.
 
-    ``times`` must be non-decreasing and non-negative; each segment is
-    subdivided to land exactly on the sample instants.
+    ``times`` must be finite, non-negative and non-decreasing.  Each sample
+    is evolved with the one-period map as in ``propagate_lamb_dicke``; the
+    powers of the map are computed once and reused across the samples.
+    dt is an upper bound on the RK4 step, which is T / ceil(T / dt) with
+    T = 2 pi / nu.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         return np.array([])
-    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be non-negative and non-decreasing")
+    if not np.all(np.isfinite(times)) or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be finite, non-negative and non-decreasing")
     h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
     _check_dt(h_ld, dt)
     dim = h_ld.grid_size
-    y = _flatten(initial)
-    populations = np.empty(times.size)
-    current = 0.0
-    for i, target in enumerate(times):
-        y = _rk4_span(h_ld, y, current, float(target), dt)
-        current = float(target)
-        populations[i] = float(np.sum(np.abs(y[:dim]) ** 2))
-    drift = abs(float(np.sum(np.abs(y) ** 2)) - initial.total_squared_norm())
+    states = _states_at(h_ld, _flatten(initial), times, dt)
+    populations = np.array([float(np.sum(np.abs(y[:dim]) ** 2)) for y in states])
+    drift = abs(float(np.sum(np.abs(states[-1]) ** 2)) - initial.total_squared_norm())
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}; reduce dt")
     return populations
-
-
-@dataclass(frozen=True)
-class PulseAreaSample:
-    """Seeded pulse-area draws with their first two sample moments.
-
-    The draws follow Gamma(shape = t/tau, scale = g_mean * tau), whose mean
-    g_mean * t and variance g_mean^2 * t * tau the sample moments approach.
-    """
-
-    draws: np.ndarray
-    sample_mean: float
-    sample_variance: float
-
-
-def sample_pulse_area(
-    g_mean: float, tau: float, t: float, seed: int, n_samples: int
-) -> PulseAreaSample:
-    if g_mean <= 0.0:
-        raise ValueError("g_mean must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    draws = sample_pulse_areas(g_mean, tau, t, rng, n_samples)
-    variance = float(draws.var(ddof=1)) if n_samples > 1 else 0.0
-    return PulseAreaSample(
-        draws=draws, sample_mean=float(draws.mean()), sample_variance=variance
-    )

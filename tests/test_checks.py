@@ -34,3 +34,10 @@ def test_monte_carlo_check_detects_wrong_kernel():
 
     result = checks.monte_carlo_vs_gamma(seed=0, n_samples=20_000, kernel=sign_flipped)
     assert not result.passed
+
+
+def test_unitarity_check_reports_period_map_defect():
+    result = checks.lamb_dicke_unitarity()
+    assert result.passed
+    assert result.detail.startswith("one-period map max|M^dag M - I| = ")
+    assert 0.0 < float(result.detail.rsplit("= ", 1)[1]) <= 1e-10

@@ -159,6 +159,29 @@ def test_parameter_errors_exit_one(tmp_path, capsys):
     assert run_cli() == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--omega", "0"),
+        ("--omega", "-1"),
+        ("--omega", "nan"),
+        ("--omega", "inf"),
+        ("--eta-ld", "0"),
+        ("--eta-ld", "-0.1"),
+        ("--eta-ld", "1"),
+        ("--eta-ld", "nan"),
+    ],
+)
+def test_validate_rejects_bad_drive_before_any_check(flag, value, monkeypatch, capsys):
+    def no_battery(**kwargs):
+        raise AssertionError("the battery ran on a bad drive")
+
+    monkeypatch.setattr(cli.checks, "run_all", no_battery)
+    assert run_cli("validate", flag, value) == 1
+    name = flag.lstrip("-").replace("-", "_")
+    assert f"error: {name} must" in capsys.readouterr().err
+
+
 def test_io_errors_exit_three(tmp_path):
     assert run_cli("dynamics", "--config", str(tmp_path / "missing.json")) == 3
     assert run_cli("dynamics", "--out", str(tmp_path / "no_dir" / "x.csv")) == 3

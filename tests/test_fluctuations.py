@@ -11,6 +11,7 @@ from ionparity import (
     monte_carlo_cosine,
     parity_delta,
 )
+from ionparity.fluctuations import sample_pulse_areas
 
 # frozen from independent brute-force evaluation at the comparison instant
 DP_IDEAL = 0.46643011580647897
@@ -149,3 +150,24 @@ def test_averaged_probability_modes_consistent():
     )
     assert gauss == pytest.approx(gamma, abs=2e-4)
     assert mc == pytest.approx(gamma, abs=5e-3)
+
+
+def test_sample_pulse_areas_moments_and_determinism():
+    g, tau, t, n = 1.0, 0.01, 1.0, 200_000
+    draws = sample_pulse_areas(g, tau, t, np.random.default_rng(6), n)
+    mean_se = np.sqrt(g * g * t * tau / n)
+    assert abs(draws.mean() - g * t) <= 3.0 * mean_se
+    var_se = g * g * t * tau * np.sqrt(2.0 / (n - 1))
+    assert abs(draws.var(ddof=1) - g * g * t * tau) <= 3.0 * var_se
+    again = sample_pulse_areas(g, tau, t, np.random.default_rng(6), n)
+    assert np.array_equal(draws, again)
+
+
+def test_sample_pulse_areas_validation():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        sample_pulse_areas(1.0, 0.0, 1.0, rng, 10)
+    with pytest.raises(ValueError):
+        sample_pulse_areas(1.0, 0.01, 0.0, rng, 10)
+    with pytest.raises(ValueError):
+        sample_pulse_areas(1.0, 0.01, 1.0, rng, 0)

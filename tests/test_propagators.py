@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,13 @@ from ionparity import (
     make_fock_pair,
     propagate_effective,
     propagate_lamb_dicke,
-    sample_pulse_area,
 )
-from ionparity.propagators import vibronic_basis_labels
+from ionparity.propagators import (
+    _flatten,
+    _rk4_span,
+    one_period_map,
+    vibronic_basis_labels,
+)
 
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
@@ -239,21 +245,46 @@ def test_trajectory_rejects_unordered_times():
         ground_population_trajectory(state, params, 3, np.array([2.0, 1.0]), 1e-3)
 
 
-def test_pulse_area_moments_and_determinism():
-    g, tau, t, n = 1.0, 0.01, 1.0, 200_000
-    sample = sample_pulse_area(g, tau, t, seed=6, n_samples=n)
-    mean_se = np.sqrt(g * g * t * tau / n)
-    assert abs(sample.sample_mean - g * t) <= 3.0 * mean_se
-    var_se = g * g * t * tau * np.sqrt(2.0 / (n - 1))
-    assert abs(sample.sample_variance - g * g * t * tau) <= 3.0 * var_se
-    again = sample_pulse_area(g, tau, t, seed=6, n_samples=n)
-    assert np.array_equal(sample.draws, again.draws)
+def _stepped_ground_populations(state, params, order, times, dt):
+    """Reference for the period map: one state vector stepped through every
+    drive period in turn, on the same aligned RK4 grid."""
+    h = LambDickeHamiltonian(params, order, state.cutoff_a, state.cutoff_b)
+    period = 2.0 * math.pi / params.nu
+    steps = math.ceil(period / dt)
+    y = _flatten(state)
+    done = 0
+    populations = []
+    for t in times:
+        whole, rest = divmod(float(t), period)
+        while done < whole:
+            y = _rk4_span(h, y, done * period, (done + 1) * period, steps)
+            done += 1
+        final = _rk4_span(h, y, whole * period, t, math.ceil(rest * steps / period))
+        populations.append(float(np.sum(np.abs(final[: h.grid_size]) ** 2)))
+    return np.array(populations)
 
 
-def test_pulse_area_validation():
-    with pytest.raises(ValueError):
-        sample_pulse_area(1.0, 0.0, 1.0, seed=0, n_samples=10)
-    with pytest.raises(ValueError):
-        sample_pulse_area(1.0, 0.01, 0.0, seed=0, n_samples=10)
-    with pytest.raises(ValueError):
-        sample_pulse_area(1.0, 0.01, 1.0, seed=0, n_samples=0)
+# nu = 16 pi makes the period exactly 0.125, so 3 periods leave no remainder;
+# dt = 1e-3 does not divide the period 2 pi / 50.
+@pytest.mark.parametrize("nu, dt", [(16.0 * np.pi, 1.25e-3), (50.0, 1e-3)])
+def test_period_map_matches_vector_stepping(nu, dt):
+    params = PhysicalParams(omega=5.0, nu=nu, eta_ld=0.05)
+    state = _initial_binomial(2, 4)
+    period = 2.0 * np.pi / nu
+    # below one period, an exact multiple, and whole periods plus a remainder
+    times = np.array([0.4, 3.0, 4.3, 9.7]) * period
+    expected = _stepped_ground_populations(state, params, 3, times, dt)
+    assert np.ptp(expected) > 1e-4  # the drive moves population over the span
+    traj = ground_population_trajectory(state, params, 3, times, dt)
+    assert np.max(np.abs(traj - expected)) <= 1e-9
+    for t, reference in zip(times, expected):
+        final = propagate_lamb_dicke(state, params, 3, float(t), dt)
+        assert final.ground_population() == pytest.approx(reference, abs=1e-9)
+
+
+def test_period_map_is_unitary_to_integration_error():
+    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    h = LambDickeHamiltonian(params, 3, 4, 4)
+    period_map = one_period_map(h, h.stability_dt())
+    defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
+    assert defect <= 1e-10
