@@ -31,6 +31,7 @@ from .fluctuations import (
     averaged_ground_probability,
     gamma_kernel,
     gaussian_kernel,
+    mixture_ground_probability,
     monte_carlo_cosine,
     parity_delta,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "ground_probability",
     "inner_product",
     "make_fock_pair",
+    "mixture_ground_probability",
     "monte_carlo_cosine",
     "parity_delta",
     "parity_delta_mixed",

@@ -16,8 +16,12 @@ angular rate in rad/s throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
+
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +36,10 @@ DEFAULT_G = 1e5
 
 _PHYSICAL = {"g": None, "nu": None, "omega": None, "eta_ld": None}
 
+# shared by the two parity sweeps
+_SWEEP = {**_PHYSICAL, "n": 9, "mode": "gaussian", "mc_samples": 100_000, "seed": 0,
+          "workers": 4, "format": "csv"}
+
 DEFAULTS: dict[str, dict] = {
     "dynamics": {
         **_PHYSICAL,
@@ -41,31 +49,19 @@ DEFAULTS: dict[str, dict] = {
         "format": "csv",
     },
     "tau-sweep": {
-        **_PHYSICAL,
-        "n": 9,
+        **_SWEEP,
         "tau_min": 1e-9,
         "tau_max": 1e-7,
         "tau_steps": 41,
-        "mode": "gaussian",
         "eta_prep": None,
         "delta": None,
-        "mc_samples": 100_000,
-        "seed": 0,
-        "workers": 4,
-        "format": "csv",
     },
     "eta-sweep": {
-        **_PHYSICAL,
-        "n": 9,
+        **_SWEEP,
         "tau": [1e-9, 1e-8, 1e-7],
         "eta_min": 0.05,
         "eta_max": 1.0,
         "eta_steps": 20,
-        "mode": "gaussian",
-        "mc_samples": 100_000,
-        "seed": 0,
-        "workers": 4,
-        "format": "csv",
     },
     "validate": {
         "seed": 0,
@@ -143,7 +139,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, command: str) -> dict:
+def _fits(kind: type, value: object) -> bool:
+    # bool subclasses int, but a flag that takes a number never takes a bool
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(parser: argparse.ArgumentParser, command: str, file_config: dict,
+                 path: str) -> None:
+    """Hold each config-file value to the type and arity its flag declares;
+    null stands for a flag whose default is unset."""
+    (subcommands,) = (a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in subcommands.choices[command]._actions}
+    for key, value in file_config.items():
+        if value is None and DEFAULTS[command].get(key) is None:
+            continue
+        action = actions[key]
+        kind = action.type or (bool if action.const is True else str)
+        if action.nargs == "+":
+            ok = isinstance(value, list) and value and all(_fits(kind, v) for v in value)
+            expected = f"a non-empty list of {kind.__name__}"
+        else:
+            ok, expected = _fits(kind, value), kind.__name__
+        if not ok:
+            raise ValueError(f"config file {path}: {key} must be {expected}, got {value!r}")
+
+
+def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    command = args.command
     resolved = dict(DEFAULTS[command])
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -159,6 +183,7 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
             raise ValueError(
                 f"config file {config_path} has unknown keys for {command}: {sorted(unknown)}"
             )
+        _check_types(parser, command, file_config, config_path)
         resolved.update(file_config)
     for key in list(resolved) + ["out"]:
         value = getattr(args, key, None)
@@ -170,8 +195,8 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
 
 def _validate_positive(config: dict, *keys: str) -> None:
     for key in keys:
-        if not config[key] > 0:
-            raise ValueError(f"{key} must be positive, got {config[key]}")
+        if not 0 < config[key] < math.inf:
+            raise ValueError(f"{key} must be finite and positive, got {config[key]}")
 
 
 def _echo_config(config: dict, command: str) -> dict:
@@ -192,9 +217,7 @@ def _resolve_coupling(config: dict) -> None:
     Constructing PhysicalParams enforces positivity and, when g, omega and
     eta_ld are all present, the consistency rule relating them.
     """
-    params = PhysicalParams(
-        g=config["g"], nu=config["nu"], omega=config["omega"], eta_ld=config["eta_ld"]
-    )
+    params = PhysicalParams(**{key: config[key] for key in _PHYSICAL})
     if config["g"] is None:
         if config["omega"] is not None and config["eta_ld"] is not None:
             derived = params.effective_coupling()
@@ -210,63 +233,45 @@ def _resolve_coupling(config: dict) -> None:
 def cmd_dynamics(config: dict) -> SweepResult:
     _resolve_coupling(config)
     n, g = config["n"], config["g"]
-    if n < 0 or n != int(n):
+    if n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n}")
     _validate_positive(config, "g", "t_steps")
-    if config["t_max"] < 0:
-        raise ValueError("t-max must be non-negative")
+    if not 0 <= config["t_max"] < math.inf:
+        raise ValueError(f"t_max must be finite and non-negative, got {config['t_max']}")
     gts = np.linspace(0.0, config["t_max"], config["t_steps"])
     times = gts / g
-    probabilities = np.atleast_1d(dynamics.ground_probability(int(n), g, times))
+    probabilities = np.atleast_1d(dynamics.ground_probability(n, g, times))
     entropies = np.atleast_1d(dynamics.binary_entropy(probabilities))
-    rows = [
-        (float(gt), float(t), float(p), float(s))
-        for gt, t, p, s in zip(gts, times, probabilities, entropies)
-    ]
-    return SweepResult(
-        columns=("gt", "t_seconds", "p_ground", "entropy"),
-        rows=rows,
-        config=_echo_config(config, "dynamics"),
-    )
+    rows = list(zip(gts.tolist(), times.tolist(), probabilities.tolist(), entropies.tolist()))
+    return SweepResult(("gt", "t_seconds", "p_ground", "entropy"), rows,
+                       _echo_config(config, "dynamics"))
 
 
-def _sweep_model(config: dict, tau: float, seed: int) -> fluctuations.FluctuationModel:
-    return fluctuations.FluctuationModel(
-        g_mean=config["g"],
-        tau=tau,
-        mode=MODE_FLAGS[config["mode"]],
-        mc_samples=config["mc_samples"],
-        seed=seed,
-    )
-
-
-def _preparation_delta(config: dict) -> float | None:
-    if config["eta_prep"] is not None and config["delta"] is not None:
-        raise ValueError("give either --eta-prep or --delta, not both")
-    if config["delta"] is not None:
-        if config["delta"] <= 0:
-            raise ValueError("delta must be positive")
-        return config["delta"]
-    if config["eta_prep"] is not None:
-        eta = config["eta_prep"]
-        if eta == 1.0:
-            return None
-        return preparation.delta_from_efficiency(eta)
-    return None
-
-
-def cmd_tau_sweep(config: dict) -> SweepResult:
+def _parity_sweep(config: dict, *positive: str) -> tuple[int, float, Callable]:
+    """Checks shared by the parity sweeps.  Returns the odd n, the instant at
+    which n and n + 1 are compared, and model(tau, seed) for one point."""
     _resolve_coupling(config)
     n = config["n"]
     if n % 2 == 0 or n < 3:
         raise ValueError(f"n must be odd and >= 3 for a parity sweep, got {n}")
-    _validate_positive(config, "g", "tau_min", "tau_max", "tau_steps", "mc_samples")
-    if config["tau_max"] < config["tau_min"]:
-        raise ValueError("tau-max must be at least tau-min")
     if config["mode"] not in MODE_FLAGS:
         raise ValueError(f"mode must be one of {sorted(MODE_FLAGS)}")
-    delta = _preparation_delta(config)
-    t_compare = dynamics.parity_times(n, config["g"]).comparison_time
+    _validate_positive(config, "g", "mc_samples", "workers", *positive)
+    model = functools.partial(fluctuations.FluctuationModel, g_mean=config["g"],
+                              mode=MODE_FLAGS[config["mode"]], mc_samples=config["mc_samples"])
+    return n, dynamics.parity_times(n, config["g"]).comparison_time, model
+
+
+def cmd_tau_sweep(config: dict) -> SweepResult:
+    n, t_compare, sweep_model = _parity_sweep(config, "tau_min", "tau_max", "tau_steps")
+    if config["tau_max"] < config["tau_min"]:
+        raise ValueError("tau-max must be at least tau-min")
+    eta, delta = config["eta_prep"], config["delta"]
+    if eta is not None and delta is not None:
+        raise ValueError("give either --eta-prep or --delta, not both")
+    if eta is not None and eta != 1.0:
+        delta = preparation.delta_from_efficiency(eta)
+    odd, even = preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
     taus = np.logspace(
         np.log10(config["tau_min"]), np.log10(config["tau_max"]), config["tau_steps"]
     )
@@ -274,78 +279,48 @@ def cmd_tau_sweep(config: dict) -> SweepResult:
 
     def evaluate(index: int) -> tuple:
         tau = float(taus[index])
-        model = _sweep_model(config, tau, seeds[index])
-        if delta is None:
-            upper = fluctuations.averaged_ground_probability(n, model, t_compare)
-            lower = fluctuations.averaged_ground_probability(n + 1, model, t_compare)
-        else:
-            upper = preparation.averaged_ground_probability_mixed(
-                preparation.PreparationModel(n, delta), model, t_compare
-            )
-            lower = preparation.averaged_ground_probability_mixed(
-                preparation.PreparationModel(n + 1, delta), model, t_compare
-            )
+        model = sweep_model(tau=tau, seed=seeds[index])
+        upper = preparation.averaged_ground_probability_mixed(odd, model, t_compare)
+        lower = preparation.averaged_ground_probability_mixed(even, model, t_compare)
         return (tau, upper - lower, upper, lower)
 
     rows = pool_map(evaluate, range(len(taus)), config["workers"])
-    return SweepResult(
-        columns=("tau_seconds", "delta_p", "p_odd", "p_even"),
-        rows=rows,
-        config=_echo_config(config, "tau-sweep"),
-    )
+    return SweepResult(("tau_seconds", "delta_p", "p_odd", "p_even"), rows,
+                       _echo_config(config, "tau-sweep"))
 
 
 def cmd_eta_sweep(config: dict) -> SweepResult:
-    _resolve_coupling(config)
-    n = config["n"]
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"n must be odd and >= 3 for a parity sweep, got {n}")
-    _validate_positive(config, "g", "eta_steps", "mc_samples")
+    n, t_compare, sweep_model = _parity_sweep(config, "eta_steps")
     taus = [float(tau) for tau in config["tau"]]
-    if not taus or any(tau <= 0 for tau in taus):
-        raise ValueError("every tau must be positive")
+    if not taus or not all(0 < tau < math.inf for tau in taus):
+        raise ValueError(f"every tau must be finite and positive, got {taus}")
     if not (0.0 < config["eta_min"] <= config["eta_max"] <= 1.0):
         raise ValueError("eta grid must satisfy 0 < eta-min <= eta-max <= 1")
-    if config["mode"] not in MODE_FLAGS:
-        raise ValueError(f"mode must be one of {sorted(MODE_FLAGS)}")
-    t_compare = dynamics.parity_times(n, config["g"]).comparison_time
     etas = np.linspace(config["eta_min"], config["eta_max"], config["eta_steps"])
     points = [(tau, float(eta)) for tau in taus for eta in etas]
     seeds = _point_seeds(config["seed"], len(points))
 
     def evaluate(index: int) -> tuple:
         tau, eta = points[index]
-        model = _sweep_model(config, tau, seeds[index])
+        model = sweep_model(tau=tau, seed=seeds[index])
         delta = None if eta >= 1.0 else preparation.delta_from_efficiency(eta)
-        value = preparation.parity_delta_mixed(n, delta, model, t_compare)
-        return (tau, eta, value)
+        return (tau, eta, preparation.parity_delta_mixed(n, delta, model, t_compare))
 
     rows = pool_map(evaluate, range(len(points)), config["workers"])
-    return SweepResult(
-        columns=("tau_seconds", "eta_prep", "delta_p"),
-        rows=rows,
-        config=_echo_config(config, "eta-sweep"),
-    )
+    return SweepResult(("tau_seconds", "eta_prep", "delta_p"), rows,
+                       _echo_config(config, "eta-sweep"))
 
 
 def cmd_validate(config: dict) -> tuple[SweepResult, bool]:
     # the drive checks run last; reject a bad drive before any check runs
-    if not 0.0 < config["omega"] < np.inf:
-        raise ValueError(f"omega must be finite and positive, got {config['omega']}")
+    _validate_positive(config, "omega")
     if not 0.0 < config["eta_ld"] < 1.0:
         raise ValueError(f"eta_ld must lie strictly between 0 and 1, got {config['eta_ld']}")
-    results = checks.run_all(
-        seed=config["seed"],
-        full=bool(config["full"]),
-        drive_omega=config["omega"],
-        drive_eta_ld=config["eta_ld"],
-    )
+    results = checks.run_all(seed=config["seed"], full=bool(config["full"]),
+                             drive_omega=config["omega"], drive_eta_ld=config["eta_ld"])
     rows = [(r.name, r.measured, r.bound, r.passed) for r in results]
-    table = SweepResult(
-        columns=("check", "measured", "bound", "passed"),
-        rows=rows,
-        config=_echo_config(config, "validate"),
-    )
+    table = SweepResult(("check", "measured", "bound", "passed"), rows,
+                        _echo_config(config, "validate"))
     return table, all(r.passed for r in results)
 
 
@@ -359,18 +334,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        config = _resolve_config(args, args.command)
-        if args.command == "dynamics":
-            result = cmd_dynamics(config)
-            ok = True
-        elif args.command == "tau-sweep":
-            result = cmd_tau_sweep(config)
-            ok = True
-        elif args.command == "eta-sweep":
-            result = cmd_eta_sweep(config)
-            ok = True
-        else:
+        config = _resolve_config(args, parser)
+        if args.command == "validate":
             result, ok = cmd_validate(config)
+        else:
+            tables = {"dynamics": cmd_dynamics, "tau-sweep": cmd_tau_sweep,
+                      "eta-sweep": cmd_eta_sweep}
+            result, ok = tables[args.command](config), True
         write_result(result, config["out"], config["format"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,17 +10,30 @@ interchangeable kernels for E[cos(omega A)] are provided:
     monte_carlo     seeded sample mean over explicit Gamma draws
 
 tau = 0 degenerates to the deterministic area A = g t in every mode.
+
+One private dispatch, ``_kernels``, evaluates the chosen kernel over a whole
+array of area frequencies (``gamma_kernel`` and ``gaussian_kernel`` map
+arrays to arrays), and every average is a thin call into it; a Fock mixture
+is one weighted sum over the concatenated spectra of its terms.  In
+monte_carlo mode all frequencies of a call share one set of draws, and the
+cosines are formed at most ``MC_BLOCK_PAIRS`` (frequency, draw) pairs at a
+time, so memory stays bounded however many terms a mixture has.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import rabi_spectrum
 
 MODES = ("gamma_exact", "gaussian_approx", "monte_carlo")
+
+# (frequency, draw) cosines per Monte-Carlo block: 2^20 float64, 8 MiB
+MC_BLOCK_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,10 +51,10 @@ class FluctuationModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.g_mean <= 0.0:
-            raise ValueError("g_mean must be positive")
-        if self.tau < 0.0:
-            raise ValueError("tau must be non-negative")
+        if not 0.0 < self.g_mean < math.inf:
+            raise ValueError(f"g_mean must be finite and positive, got {self.g_mean}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and non-negative, got {self.tau}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mc_samples < 1:
@@ -55,19 +68,23 @@ class MonteCarloEstimate:
     n_samples: int
 
 
-def gamma_kernel(omega: float, g: float, tau: float, t: float) -> float:
-    """Re[(1 - i omega g tau)^(-t/tau)] on the principal branch.
+def gamma_kernel(
+    omega: np.ndarray | float, g: float, tau: float, t: float
+) -> np.ndarray | float:
+    """Re[(1 - i omega g tau)^(-t/tau)] on the principal branch, elementwise.
 
     Evaluated in polar form with log1p so tiny omega*g*tau stays accurate.
     """
     x = omega * g * tau
     magnitude = np.exp(-(t / (2.0 * tau)) * np.log1p(x * x))
-    return float(magnitude * np.cos((t / tau) * np.arctan(x)))
+    return magnitude * np.cos((t / tau) * np.arctan(x))
 
 
-def gaussian_kernel(omega: float, g: float, tau: float, t: float) -> float:
-    decay = np.exp(-(omega**2) * g**2 * t * tau / 2.0)
-    return float(np.cos(omega * g * t) * decay)
+def gaussian_kernel(
+    omega: np.ndarray | float, g: float, tau: float, t: float
+) -> np.ndarray | float:
+    """cos(omega g t) exp(-omega^2 g^2 t tau / 2), elementwise."""
+    return np.cos(omega * g * t) * np.exp(-(omega**2) * g**2 * t * tau / 2.0)
 
 
 def sample_pulse_areas(
@@ -103,22 +120,35 @@ def monte_carlo_cosine(
     return MonteCarloEstimate(float(values.mean()), stderr, model.mc_samples)
 
 
+def _kernels(
+    omegas: np.ndarray, model: FluctuationModel, t: float, rng: np.random.Generator | None
+) -> np.ndarray:
+    """E[cos(omega A)] for every entry of the 1-D array ``omegas``; t must be
+    finite and positive, as the Gamma shape t/tau is."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
+    g, tau = model.g_mean, model.tau
+    if tau == 0.0:
+        return np.cos(omegas * g * t)
+    if model.mode == "gamma_exact":
+        return gamma_kernel(omegas, g, tau, t)
+    if model.mode == "gaussian_approx":
+        return gaussian_kernel(omegas, g, tau, t)
+    if rng is None:
+        rng = np.random.default_rng(model.seed)
+    draws = sample_pulse_areas(g, tau, t, rng, model.mc_samples)
+    rows = max(1, MC_BLOCK_PAIRS // draws.size)
+    return np.concatenate([
+        np.cos(np.multiply.outer(omegas[start:start + rows], draws)).mean(axis=1)
+        for start in range(0, omegas.size, rows)
+    ])
+
+
 def averaged_cosine(
     omega: float, t: float, model: FluctuationModel, rng: np.random.Generator | None = None
 ) -> float:
-    """E[cos(omega A)] under the model's kernel.
-
-    Raises ValueError for t <= 0: the Gamma shape t/tau must be positive.
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if model.tau == 0.0:
-        return float(np.cos(omega * model.g_mean * t))
-    if model.mode == "gamma_exact":
-        return gamma_kernel(omega, model.g_mean, model.tau, t)
-    if model.mode == "gaussian_approx":
-        return gaussian_kernel(omega, model.g_mean, model.tau, t)
-    return monte_carlo_cosine(omega, t, model, rng=rng).mean
+    """E[cos(omega A)] under the model's kernel; t must be finite and positive."""
+    return float(_kernels(np.array([omega], dtype=float), model, t, rng)[0])
 
 
 def _area_frequencies(n_total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,39 +158,36 @@ def _area_frequencies(n_total: int) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * spec.frequencies, spec.weights
 
 
+def mixture_ground_probability(
+    n_totals: Sequence[int],
+    weights: Sequence[float],
+    model: FluctuationModel,
+    t: float,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Fluctuation-averaged ground probability at t > 0 of the mixture of
+    Fock totals N_m with weights p_m (summing to one), one weighted sum:
+
+        P(t) = 1/2 [1 + sum_m p_m sum_k w_k E[cos(4 sqrt((N_m-k)k) A)]]
+    """
+    spectra = [_area_frequencies(int(n)) for n in n_totals]
+    omegas = np.concatenate([omega for omega, _ in spectra])
+    term_weights = np.concatenate([w * spec_w for w, (_, spec_w) in zip(weights, spectra)])
+    return float(0.5 * (1.0 + term_weights @ _kernels(omegas, model, t, rng)))
+
+
 def averaged_ground_probability(
     n_total: int,
     model: FluctuationModel,
     t: float,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Fluctuation-averaged ground-level probability at time t > 0.
-
-    Applies the model's kernel to every oscillating term:
-
-        P(t) = 1/2 [1 + sum_k w_k E[cos(4 sqrt((N-k)k) A)]]
+    """Fluctuation-averaged ground-level probability of N = n_total at t > 0.
 
     In monte_carlo mode a single set of area draws is shared by all
     terms, which is the direct average of the probability itself.
     """
-    if n_total < 0:
-        raise ValueError("n_total must be non-negative")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    omegas, weights = _area_frequencies(n_total)
-    g, tau = model.g_mean, model.tau
-    if tau == 0.0:
-        kernels = np.cos(omegas * g * t)
-    elif model.mode == "gamma_exact":
-        kernels = np.array([gamma_kernel(om, g, tau, t) for om in omegas])
-    elif model.mode == "gaussian_approx":
-        kernels = np.cos(omegas * g * t) * np.exp(-(omegas**2) * g**2 * t * tau / 2.0)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(model.seed)
-        draws = sample_pulse_areas(g, tau, t, rng, model.mc_samples)
-        kernels = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
-    return float(0.5 * (1.0 + weights @ kernels))
+    return mixture_ground_probability((n_total,), (1.0,), model, t, rng)
 
 
 def parity_delta(

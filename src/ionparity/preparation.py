@@ -6,6 +6,11 @@ over m = 0, 1, ..., truncated at m = N + ceil(8 Delta) and renormalized
 (the discarded tail mass is below 1e-14).  The preparation efficiency is
 eta = 1 - w_{N+1}/w_N = 1 - exp(-1 / 2 Delta^2), so Delta -> 0 is the exact
 Fock state with eta = 1.
+
+A mixed observable is no loop over pure runs: the totals m and weights go
+to ``fluctuations.mixture_ground_probability`` as one weighted sum over the
+concatenated spectra, every term averaged over the same Monte-Carlo draws.
+The exact state is the pure run itself.
 """
 
 from __future__ import annotations
@@ -15,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluctuations import FluctuationModel, averaged_ground_probability
+from .fluctuations import FluctuationModel, averaged_ground_probability, mixture_ground_probability
 
 
 def efficiency(delta: float | None) -> float:
     """Preparation efficiency 1 - exp(-1 / 2 Delta^2); None means exact (1.0)."""
     if delta is None:
         return 1.0
-    if delta <= 0.0:
-        raise ValueError("delta must be positive (or None for an exact state)")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive (or None), got {delta}")
     return 1.0 - math.exp(-1.0 / (2.0 * delta * delta))
 
 
@@ -51,8 +56,7 @@ class PreparationModel:
     def __post_init__(self) -> None:
         if self.n_target < 0:
             raise ValueError("n_target must be non-negative")
-        if self.delta is not None and self.delta <= 0.0:
-            raise ValueError("delta must be positive (or None for an exact state)")
+        efficiency(self.delta)  # rejects a delta that is not finite and positive
 
     @property
     def is_exact(self) -> bool:
@@ -82,16 +86,14 @@ def averaged_ground_probability_mixed(
     t: float,
     extra_terms: int = 0,
 ) -> float:
-    """Mixture-averaged ground probability: sum_m w_m P_m(t).
-
-    Each m enters exactly as a pure run with N = m; the m = 0 term is the
-    stationary vacuum and contributes 1.
+    """Mixture-averaged ground probability sum_m w_m P_m(t), as one weighted
+    sum over the concatenated spectra; the m = 0 term is the stationary
+    vacuum and contributes 1.
     """
+    if prep.is_exact:
+        return averaged_ground_probability(prep.n_target, model, t)
     m_values, weights = prep.terms(extra=extra_terms)
-    total = 0.0
-    for m, w in zip(m_values, weights):
-        total += w * averaged_ground_probability(int(m), model, t)
-    return total
+    return mixture_ground_probability(m_values, weights, model, t)
 
 
 def parity_delta_mixed(

@@ -135,7 +135,8 @@ def test_worker_count_does_not_change_rows(tmp_path):
 
 def test_config_file_precedence(tmp_path):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"n": 5, "t_steps": 4}))
+    # an integer stands for a float flag, and null for a flag that is unset
+    config.write_text(json.dumps({"n": 5, "t_steps": 4, "t_max": 2, "g": None}))
     out = tmp_path / "dyn.csv"
     assert run_cli(
         "dynamics", "--config", str(config), "--t-steps", "6", "--out", str(out)
@@ -143,6 +144,9 @@ def test_config_file_precedence(tmp_path):
     header = read(out).splitlines()
     assert any(l.startswith("# n=5") for l in header)        # from the file
     assert any(l.startswith("# t_steps=6") for l in header)  # flag wins
+    config.write_text(json.dumps({"tau": [1e-8], "mc_samples": 10, "workers": 1}))
+    assert run_cli("eta-sweep", "--config", str(config), "--eta-steps", "2",
+                   "--out", str(out)) == 0
 
 
 def test_parameter_errors_exit_one(tmp_path, capsys):
@@ -180,6 +184,42 @@ def test_validate_rejects_bad_drive_before_any_check(flag, value, monkeypatch, c
     assert run_cli("validate", flag, value) == 1
     name = flag.lstrip("-").replace("-", "_")
     assert f"error: {name} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        ("dynamics --g inf", "g"),
+        ("dynamics --t-max nan", "t_max"),
+        ("eta-sweep --tau nan", "tau"),
+        ("tau-sweep --tau-max inf", "tau_max"),
+        ("tau-sweep --delta inf", "delta"),
+        ("tau-sweep --delta nan", "delta"),
+        ("tau-sweep --workers -3", "workers"),
+    ],
+)
+def test_non_finite_or_negative_input_exits_one(argv, key, capsys):
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be finite and " in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("dynamics", "n", "9"),
+        ("eta-sweep", "tau", 1e-8),
+        ("tau-sweep", "mc_samples", 1.5),
+        ("tau-sweep", "workers", "2"),
+        ("dynamics", "t_max", True),
+    ],
+)
+def test_config_value_of_wrong_type_exits_one(command, key, value, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    assert run_cli(command, "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config}: {key} must be ")
 
 
 def test_io_errors_exit_three(tmp_path):

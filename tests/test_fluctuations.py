@@ -11,6 +11,7 @@ from ionparity import (
     monte_carlo_cosine,
     parity_delta,
 )
+from ionparity import fluctuations
 from ionparity.fluctuations import sample_pulse_areas
 
 # frozen from independent brute-force evaluation at the comparison instant
@@ -19,10 +20,12 @@ T_COMPARE = 17.0 * np.pi / 8.0 / 1e5
 
 
 def test_model_validation():
-    with pytest.raises(ValueError, match="g_mean"):
-        FluctuationModel(g_mean=0.0, tau=1e-8)
-    with pytest.raises(ValueError, match="tau"):
-        FluctuationModel(g_mean=1.0, tau=-1e-9)
+    for bad_g in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="g_mean"):
+            FluctuationModel(g_mean=bad_g, tau=1e-8)
+    for bad_tau in (-1e-9, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau"):
+            FluctuationModel(g_mean=1.0, tau=bad_tau)
     with pytest.raises(ValueError, match="mode"):
         FluctuationModel(g_mean=1.0, tau=1e-8, mode="exact")
     with pytest.raises(ValueError, match="mc_samples"):
@@ -76,6 +79,19 @@ def test_monte_carlo_deterministic_for_fixed_seed():
     second = monte_carlo_cosine(3.0, 1.0, model)
     assert first.mean == second.mean
     assert first.standard_error == second.standard_error
+
+
+def test_monte_carlo_blocks_match_one_outer_product():
+    # 31 frequencies x 5e4 draws exceed the block cap; blocks of 20 and 11 rows
+    samples = 50_000
+    omegas, weights = fluctuations._area_frequencies(30)
+    assert omegas.size * samples > fluctuations.MC_BLOCK_PAIRS
+    assert omegas.size % (fluctuations.MC_BLOCK_PAIRS // samples) != 0
+    model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples, seed=5)
+    draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(5), samples)
+    full = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
+    assert np.array_equal(fluctuations._kernels(omegas, model, 1.0, None), full)
+    assert averaged_ground_probability(30, model, 1.0) == float(0.5 * (1.0 + weights @ full))
 
 
 def test_gamma_gaussian_agree_in_regime():

@@ -77,8 +77,9 @@ def test_preparation_model_exact_flag():
     assert m_values.tolist() == [9]
     assert weights.tolist() == [1.0]
     assert prep.efficiency == 1.0
-    with pytest.raises(ValueError):
-        PreparationModel(n_target=9, delta=0.0)
+    for bad_delta in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            PreparationModel(n_target=9, delta=bad_delta)
     with pytest.raises(ValueError):
         PreparationModel(n_target=-1)
 
@@ -90,14 +91,18 @@ def test_exact_mixture_equals_pure_run():
     assert mixed == pure
 
 
-def test_mixture_is_convex_combination():
+@pytest.mark.parametrize("mode", ["gamma_exact", "gaussian_approx", "monte_carlo"])
+def test_mixture_is_convex_combination(mode):
+    # each pure run re-derives its Monte-Carlo draws from the model seed, so
+    # every term sees the draws the mixture shares across its whole spectrum
+    model = FluctuationModel(g_mean=1e5, tau=1e-8, mode=mode, mc_samples=20_000, seed=11)
     prep = PreparationModel(n_target=9, delta=0.8)
     m_values, weights = prep.terms()
     expected = sum(
-        w * averaged_ground_probability(int(m), MODEL, T_COMPARE)
+        w * averaged_ground_probability(int(m), model, T_COMPARE)
         for m, w in zip(m_values, weights)
     )
-    assert averaged_ground_probability_mixed(prep, MODEL, T_COMPARE) == pytest.approx(
+    assert averaged_ground_probability_mixed(prep, model, T_COMPARE) == pytest.approx(
         expected, abs=1e-15
     )
 
