@@ -27,10 +27,10 @@ from .dynamics import (
 from .fluctuations import (
     FluctuationModel,
     MonteCarloEstimate,
-    averaged_cosine,
     averaged_ground_probability,
     gamma_kernel,
     gaussian_kernel,
+    mixture_ground_probabilities,
     mixture_ground_probability,
     monte_carlo_cosine,
     parity_delta,
@@ -40,6 +40,7 @@ from .preparation import (
     averaged_ground_probability_mixed,
     delta_from_efficiency,
     efficiency,
+    ground_probabilities_mixed,
     parity_delta_mixed,
 )
 from .propagators import (
@@ -66,7 +67,6 @@ __all__ = [
     "TruncationError",
     "TwoModeState",
     "VibronicState",
-    "averaged_cosine",
     "averaged_ground_probability",
     "averaged_ground_probability_mixed",
     "binary_entropy",
@@ -77,9 +77,11 @@ __all__ = [
     "gamma_kernel",
     "gaussian_kernel",
     "ground_population_trajectory",
+    "ground_probabilities_mixed",
     "ground_probability",
     "inner_product",
     "make_fock_pair",
+    "mixture_ground_probabilities",
     "mixture_ground_probability",
     "monte_carlo_cosine",
     "parity_delta",

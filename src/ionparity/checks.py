@@ -188,7 +188,7 @@ def monte_carlo_vs_gamma(
 
 
 def mixture_linearity() -> CheckResult:
-    """Mixed probability, one weighted sum over the concatenated spectra,
+    """Mixed probability, one weighted sum over the merged keys of all terms,
     against the convex combination of pure runs taken term by term."""
     model = fluctuations.FluctuationModel(g_mean=1e5, tau=1e-8)
     prep = preparation.PreparationModel(n_target=9, delta=0.7)

@@ -190,6 +190,8 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         if value is not None:
             resolved[key] = value
     resolved.setdefault("out", None)
+    if resolved.get("seed", 0) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {resolved['seed']}")
     return resolved
 
 
@@ -271,7 +273,7 @@ def cmd_tau_sweep(config: dict) -> SweepResult:
         raise ValueError("give either --eta-prep or --delta, not both")
     if eta is not None and eta != 1.0:
         delta = preparation.delta_from_efficiency(eta)
-    odd, even = preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
+    targets = (preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta))
     taus = np.logspace(
         np.log10(config["tau_min"]), np.log10(config["tau_max"]), config["tau_steps"]
     )
@@ -280,8 +282,7 @@ def cmd_tau_sweep(config: dict) -> SweepResult:
     def evaluate(index: int) -> tuple:
         tau = float(taus[index])
         model = sweep_model(tau=tau, seed=seeds[index])
-        upper = preparation.averaged_ground_probability_mixed(odd, model, t_compare)
-        lower = preparation.averaged_ground_probability_mixed(even, model, t_compare)
+        upper, lower = preparation.ground_probabilities_mixed(targets, model, t_compare)
         return (tau, upper - lower, upper, lower)
 
     rows = pool_map(evaluate, range(len(taus)), config["workers"])

@@ -13,15 +13,23 @@ tau = 0 degenerates to the deterministic area A = g t in every mode.
 
 One private dispatch, ``_kernels``, evaluates the chosen kernel over a whole
 array of area frequencies (``gamma_kernel`` and ``gaussian_kernel`` map
-arrays to arrays), and every average is a thin call into it; a Fock mixture
-is one weighted sum over the concatenated spectra of its terms.  In
-monte_carlo mode all frequencies of a call share one set of draws, and the
-cosines are formed at most ``MC_BLOCK_PAIRS`` (frequency, draw) pairs at a
-time, so memory stays bounded however many terms a mixture has.
+arrays to arrays).  The ground probability of N depends on its spectrum only
+through the integer keys p = (N-k)k, whose area frequency is 4 sqrt(p);
+``_area_terms`` caches, per N, the distinct keys and the binomial weights
+merged over k <-> N-k.  Every average is a thin call into
+``mixture_ground_probabilities``: it drops terms of weight exactly 0.0, takes
+the union of the keys of several Fock mixtures, calls ``_kernels`` once over
+the distinct frequencies and returns one weighted sum per mixture, so the odd
+and even targets of a parity comparison share one call.  In monte_carlo mode
+all frequencies of a call share one set of draws, each distinct key gets one
+cosine row, and the cosines are formed at most ``MC_BLOCK_PAIRS`` (frequency,
+draw) pairs at a time, so memory stays bounded however many terms a mixture
+has.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +42,10 @@ MODES = ("gamma_exact", "gaussian_approx", "monte_carlo")
 
 # (frequency, draw) cosines per Monte-Carlo block: 2^20 float64, 8 MiB
 MC_BLOCK_PAIRS = 1 << 20
+
+# totals N whose keyed spectra stay cached; both targets of one sweep point at
+# the default lowest efficiency 0.05 span at most 147 totals of non-zero weight
+AREA_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -144,18 +156,53 @@ def _kernels(
     ])
 
 
-def averaged_cosine(
-    omega: float, t: float, model: FluctuationModel, rng: np.random.Generator | None = None
-) -> float:
-    """E[cos(omega A)] under the model's kernel; t must be finite and positive."""
-    return float(_kernels(np.array([omega], dtype=float), model, t, rng)[0])
-
-
-def _area_frequencies(n_total: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=AREA_CACHE_SIZE)
+def _area_terms(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct keys p = (N-k)k of N = n_total in ascending order, their area
+    frequencies and the binomial weights merged over k <-> N-k, read-only."""
     # Ground-probability phases are 2 f_k t = (4 sqrt((N-k)k)) * (g t), so the
-    # frequency conjugate to the pulse area A = g t is 4 sqrt((N-k)k).
-    spec = rabi_spectrum(n_total, 1.0)
-    return 2.0 * spec.frequencies, spec.weights
+    # frequency conjugate to the pulse area A = g t is 4 sqrt(p).
+    k = np.arange(n_total + 1)
+    keys, inverse = np.unique((n_total - k) * k, return_inverse=True)
+    weights = np.bincount(inverse, weights=rabi_spectrum(n_total, 1.0).weights,
+                          minlength=keys.size)
+    omegas = 2.0 * (2.0 * np.sqrt(keys))
+    for array in (keys, omegas, weights):
+        array.flags.writeable = False
+    return keys, omegas, weights
+
+
+def mixture_ground_probabilities(
+    mixtures: Sequence[tuple[Sequence[int], Sequence[float]]],
+    model: FluctuationModel,
+    t: float,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Fluctuation-averaged ground probabilities at t > 0 of several Fock
+    mixtures, each given as its totals N_m and weights c_m (summing to one):
+
+        P(t) = 1/2 [1 + sum_m c_m sum_p w_p(N_m) E[cos(4 sqrt(p) A)]]
+
+    Terms of weight exactly 0.0 are dropped.  The kernel runs once over the
+    distinct keys p of all mixtures together, so in monte_carlo mode every
+    mixture sees the same draws and each distinct p costs one cosine row.
+    """
+    parts = [(index, weight, _area_terms(int(n)))
+             for index, (n_totals, weights) in enumerate(mixtures)
+             for n, weight in zip(n_totals, weights) if weight != 0.0]
+    if len({index for index, _, _ in parts}) != len(mixtures):
+        raise ValueError("every mixture needs a term of non-zero weight")
+    keys, first, inverse = np.unique(
+        np.concatenate([terms[0] for _, _, terms in parts]),
+        return_index=True, return_inverse=True,
+    )
+    omegas = np.concatenate([terms[1] for _, _, terms in parts])[first]
+    owners = np.concatenate([np.full(terms[0].size, index) for index, _, terms in parts])
+    term_weights = np.concatenate([weight * terms[2] for _, weight, terms in parts])
+    matrix = np.bincount(owners * keys.size + inverse, weights=term_weights,
+                         minlength=len(mixtures) * keys.size).reshape(len(mixtures), keys.size)
+    kernel = _kernels(omegas, model, t, rng)
+    return np.array([0.5 * (1.0 + row @ kernel) for row in matrix])
 
 
 def mixture_ground_probability(
@@ -166,14 +213,8 @@ def mixture_ground_probability(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Fluctuation-averaged ground probability at t > 0 of the mixture of
-    Fock totals N_m with weights p_m (summing to one), one weighted sum:
-
-        P(t) = 1/2 [1 + sum_m p_m sum_k w_k E[cos(4 sqrt((N_m-k)k) A)]]
-    """
-    spectra = [_area_frequencies(int(n)) for n in n_totals]
-    omegas = np.concatenate([omega for omega, _ in spectra])
-    term_weights = np.concatenate([w * spec_w for w, (_, spec_w) in zip(weights, spectra)])
-    return float(0.5 * (1.0 + term_weights @ _kernels(omegas, model, t, rng)))
+    Fock totals N_m with weights c_m (summing to one)."""
+    return float(mixture_ground_probabilities(((n_totals, weights),), model, t, rng)[0])
 
 
 def averaged_ground_probability(
@@ -199,11 +240,13 @@ def parity_delta(
     """Ground-probability difference between N = n_odd and N = n_odd + 1
     at the comparison instant, the visibility figure of the parity effect.
 
-    With rng left as None both runs derive their draws from the model
-    seed, so monte_carlo mode averages both terms over common areas.
+    Both targets come from one kernel call, so in monte_carlo mode they are
+    averaged over one common set of areas, drawn once from rng (or from the
+    model seed when rng is None).
     """
     if n_odd % 2 == 0 or n_odd < 3:
         raise ValueError(f"n_odd must be odd and >= 3, got {n_odd}")
-    upper = averaged_ground_probability(n_odd, model, t_compare, rng=rng)
-    lower = averaged_ground_probability(n_odd + 1, model, t_compare, rng=rng)
-    return upper - lower
+    upper, lower = mixture_ground_probabilities(
+        (((n_odd,), (1.0,)), ((n_odd + 1,), (1.0,))), model, t_compare, rng
+    )
+    return float(upper - lower)

@@ -8,8 +8,11 @@ eta = 1 - w_{N+1}/w_N = 1 - exp(-1 / 2 Delta^2), so Delta -> 0 is the exact
 Fock state with eta = 1.
 
 A mixed observable is no loop over pure runs: the totals m and weights go
-to ``fluctuations.mixture_ground_probability`` as one weighted sum over the
-concatenated spectra, every term averaged over the same Monte-Carlo draws.
+to ``fluctuations.mixture_ground_probabilities`` as one weighted sum over the
+distinct keys p = (N-k)k of all terms, every term averaged over the same
+Monte-Carlo draws; terms whose weight underflows to 0.0 are dropped there.
+The two targets of a parity comparison (``ground_probabilities_mixed``,
+``parity_delta_mixed``) share one such call, so they also share their draws.
 The exact state is the pure run itself.
 """
 
@@ -17,10 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .fluctuations import FluctuationModel, averaged_ground_probability, mixture_ground_probability
+from .fluctuations import (
+    FluctuationModel,
+    averaged_ground_probability,
+    mixture_ground_probabilities,
+    mixture_ground_probability,
+)
 
 
 def efficiency(delta: float | None) -> float:
@@ -86,14 +95,21 @@ def averaged_ground_probability_mixed(
     t: float,
     extra_terms: int = 0,
 ) -> float:
-    """Mixture-averaged ground probability sum_m w_m P_m(t), as one weighted
-    sum over the concatenated spectra; the m = 0 term is the stationary
+    """Mixture-averaged ground probability sum_m w_m P_m(t), one weighted sum
+    over the keyed spectra of the terms; the m = 0 term is the stationary
     vacuum and contributes 1.
     """
     if prep.is_exact:
         return averaged_ground_probability(prep.n_target, model, t)
-    m_values, weights = prep.terms(extra=extra_terms)
-    return mixture_ground_probability(m_values, weights, model, t)
+    return mixture_ground_probability(*prep.terms(extra=extra_terms), model, t)
+
+
+def ground_probabilities_mixed(
+    preps: Sequence[PreparationModel], model: FluctuationModel, t: float
+) -> list[float]:
+    """Mixture-averaged ground probabilities of several preparations from one
+    kernel call, so in monte_carlo mode all of them share one set of draws."""
+    return mixture_ground_probabilities([prep.terms() for prep in preps], model, t).tolist()
 
 
 def parity_delta_mixed(
@@ -106,6 +122,7 @@ def parity_delta_mixed(
     width: targets n_odd and n_odd + 1, compared at t_compare."""
     if n_odd % 2 == 0 or n_odd < 3:
         raise ValueError(f"n_odd must be odd and >= 3, got {n_odd}")
-    upper = averaged_ground_probability_mixed(PreparationModel(n_odd, delta), model, t_compare)
-    lower = averaged_ground_probability_mixed(PreparationModel(n_odd + 1, delta), model, t_compare)
+    upper, lower = ground_probabilities_mixed(
+        (PreparationModel(n_odd, delta), PreparationModel(n_odd + 1, delta)), model, t_compare
+    )
     return upper - lower

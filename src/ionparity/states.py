@@ -8,6 +8,7 @@ concurrent sweep workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +140,9 @@ class PhysicalParams:
     """Physical rates of the driven ion, all angular frequencies in rad/s.
 
     Any subset may be supplied; operations validate that the fields they
-    need are present.  ``g`` and ``nu`` must be strictly positive when
-    given, ``omega``/``eta_ld``/``tau`` admit zero as a degenerate limit.
+    need are present.  Every given field must be finite; ``g`` and ``nu``
+    must be strictly positive, ``omega``/``eta_ld``/``tau`` admit zero as a
+    degenerate limit.
     When ``g``, ``omega`` and ``eta_ld`` are all given, the consistency
     rule g = omega * eta_ld^2 * exp(-eta_ld^2 / 2) is enforced at
     construction.
@@ -155,13 +157,13 @@ class PhysicalParams:
     def __post_init__(self) -> None:
         for name in ("g", "nu"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         # zero drive amplitude / zero Lamb-Dicke parameter are valid limits
         for name in ("omega", "eta_ld", "tau"):
             value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.g is not None and self.omega is not None and self.eta_ld is not None:
             expected = self.effective_coupling()
             if abs(self.g - expected) > COUPLING_CONSISTENCY_RTOL * expected:

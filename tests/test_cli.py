@@ -196,6 +196,10 @@ def test_validate_rejects_bad_drive_before_any_check(flag, value, monkeypatch, c
         ("tau-sweep --delta inf", "delta"),
         ("tau-sweep --delta nan", "delta"),
         ("tau-sweep --workers -3", "workers"),
+        ("tau-sweep --nu inf", "nu"),
+        ("tau-sweep --g nan", "g"),
+        ("eta-sweep --omega inf", "omega"),
+        ("dynamics --eta-ld nan", "eta_ld"),
     ],
 )
 def test_non_finite_or_negative_input_exits_one(argv, key, capsys):
@@ -220,6 +224,18 @@ def test_config_value_of_wrong_type_exits_one(command, key, value, tmp_path, cap
     assert run_cli(command, "--config", str(config)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {config}: {key} must be ")
+
+
+@pytest.mark.parametrize("command", ["tau-sweep", "eta-sweep", "validate"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+def test_negative_seed_exits_one_naming_the_key(command, from_file, tmp_path, capsys):
+    argv = [command, "--seed", "-1"]
+    if from_file:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv = [command, "--config", str(config)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_io_errors_exit_three(tmp_path):

@@ -3,13 +3,15 @@ import pytest
 
 from ionparity import (
     FluctuationModel,
-    averaged_cosine,
     averaged_ground_probability,
     gamma_kernel,
     gaussian_kernel,
     ground_probability,
+    mixture_ground_probabilities,
+    mixture_ground_probability,
     monte_carlo_cosine,
     parity_delta,
+    rabi_spectrum,
 )
 from ionparity import fluctuations
 from ionparity.fluctuations import sample_pulse_areas
@@ -17,6 +19,11 @@ from ionparity.fluctuations import sample_pulse_areas
 # frozen from independent brute-force evaluation at the comparison instant
 DP_IDEAL = 0.46643011580647897
 T_COMPARE = 17.0 * np.pi / 8.0 / 1e5
+
+
+def kernel_at(omega, t, model, rng=None):
+    """E[cos(omega A)] at one frequency through the kernel dispatch."""
+    return float(fluctuations._kernels(np.array([omega], dtype=float), model, t, rng)[0])
 
 
 def test_model_validation():
@@ -36,7 +43,7 @@ def test_zero_fluctuation_limit_every_mode():
     for mode in ("gamma_exact", "gaussian_approx", "monte_carlo"):
         model = FluctuationModel(g_mean=2.0, tau=0.0, mode=mode)
         for t in (0.3, 1.0, 4.7):
-            assert averaged_cosine(1.3, t, model) == pytest.approx(
+            assert kernel_at(1.3, t, model) == pytest.approx(
                 np.cos(1.3 * 2.0 * t), abs=1e-15
             )
 
@@ -44,20 +51,20 @@ def test_zero_fluctuation_limit_every_mode():
 def test_zero_frequency_is_unity():
     for mode in ("gamma_exact", "gaussian_approx", "monte_carlo"):
         model = FluctuationModel(g_mean=2.0, tau=0.01, mode=mode, mc_samples=500)
-        assert averaged_cosine(0.0, 1.0, model) == pytest.approx(1.0, abs=1e-15)
+        assert kernel_at(0.0, 1.0, model) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gaussian_kernel_spot_value():
     model = FluctuationModel(g_mean=1.0, tau=0.01, mode="gaussian_approx")
     expected = np.cos(4.0) * np.exp(-0.08)
-    assert averaged_cosine(4.0, 1.0, model) == pytest.approx(expected, abs=1e-15)
+    assert kernel_at(4.0, 1.0, model) == pytest.approx(expected, abs=1e-15)
 
 
 def test_nonpositive_time_rejected():
     model = FluctuationModel(g_mean=1.0, tau=0.01)
     for bad_t in (0.0, -1.0):
         with pytest.raises(ValueError):
-            averaged_cosine(1.0, bad_t, model)
+            kernel_at(1.0, bad_t, model)
         with pytest.raises(ValueError):
             averaged_ground_probability(5, model, bad_t)
 
@@ -82,16 +89,67 @@ def test_monte_carlo_deterministic_for_fixed_seed():
 
 
 def test_monte_carlo_blocks_match_one_outer_product():
-    # 31 frequencies x 5e4 draws exceed the block cap; blocks of 20 and 11 rows
+    # N = 60 has 31 distinct keys; 31 x 5e4 draws exceed the block cap, in
+    # blocks of 20 and 11 rows
     samples = 50_000
-    omegas, weights = fluctuations._area_frequencies(30)
+    _, omegas, weights = fluctuations._area_terms(60)
     assert omegas.size * samples > fluctuations.MC_BLOCK_PAIRS
     assert omegas.size % (fluctuations.MC_BLOCK_PAIRS // samples) != 0
     model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples, seed=5)
     draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(5), samples)
     full = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
     assert np.array_equal(fluctuations._kernels(omegas, model, 1.0, None), full)
-    assert averaged_ground_probability(30, model, 1.0) == float(0.5 * (1.0 + weights @ full))
+    assert averaged_ground_probability(60, model, 1.0) == float(0.5 * (1.0 + weights @ full))
+
+
+@pytest.mark.parametrize("n_total", [1, 2, 9, 10, 30])
+def test_area_terms_merge_the_plain_k_loop(n_total):
+    spec = rabi_spectrum(n_total, 1.0)
+    merged, omega_of = {}, {}
+    for k in range(n_total + 1):
+        p = (n_total - k) * k
+        merged[p] = merged.get(p, 0.0) + spec.weights[k]
+        omega_of[p] = 2.0 * spec.frequencies[k]
+    keys, omegas, weights = fluctuations._area_terms(n_total)
+    assert keys.tolist() == sorted(merged)  # distinct and ascending
+    assert keys.size == n_total // 2 + 1  # k and N - k share one key
+    assert np.array_equal(omegas, [omega_of[p] for p in sorted(merged)])
+    assert weights == pytest.approx([merged[p] for p in sorted(merged)], abs=1e-15)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert not (keys.flags.writeable or omegas.flags.writeable or weights.flags.writeable)
+
+
+@pytest.mark.parametrize("mode", fluctuations.MODES)
+def test_joint_call_matches_separate_calls(mode):
+    model = FluctuationModel(g_mean=1e5, tau=1e-8, mode=mode, mc_samples=20_000, seed=4)
+    odd = ((8, 9, 10), (0.25, 0.5, 0.25))
+    even = ((9, 10, 11), (0.25, 0.5, 0.25))
+    joint = mixture_ground_probabilities((odd, even), model, T_COMPARE)
+    for mixture, value in zip((odd, even), joint):
+        assert value == pytest.approx(
+            mixture_ground_probability(*mixture, model, T_COMPARE), abs=1e-15
+        )
+
+
+def test_monte_carlo_merged_row_equals_unmerged_row():
+    # every k of N = 9 gets the row of its key p = (N-k)k, bit for bit
+    model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=5000, seed=8)
+    unmerged = fluctuations._kernels(2.0 * rabi_spectrum(9, 1.0).frequencies, model, 1.0, None)
+    keys, omegas, _ = fluctuations._area_terms(9)
+    merged = fluctuations._kernels(omegas, model, 1.0, None)
+    k = np.arange(10)
+    assert np.array_equal(merged[np.searchsorted(keys, (9 - k) * k)], unmerged)
+
+
+def test_zero_weight_term_never_enters_the_cache():
+    model = FluctuationModel(g_mean=1e5, tau=1e-8, mode="gamma_exact")
+    fluctuations._area_terms.cache_clear()
+    with_tail = mixture_ground_probability((9, 10, 2001), (0.5, 0.5, 0.0), model, T_COMPARE)
+    assert fluctuations._area_terms.cache_info().currsize == 2
+    without = mixture_ground_probability((9, 10), (0.5, 0.5), model, T_COMPARE)
+    assert with_tail == pytest.approx(without, abs=1e-15)
+    with pytest.raises(ValueError, match="non-zero weight"):
+        mixture_ground_probability((2001,), (0.0,), model, T_COMPARE)
 
 
 def test_gamma_gaussian_agree_in_regime():
@@ -144,6 +202,19 @@ def test_parity_delta_monotone_in_tau():
         model = FluctuationModel(g_mean=1e5, tau=float(tau))
         values.append(parity_delta(9, model, T_COMPARE))
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+def test_parity_delta_draws_once_from_explicit_rng():
+    # both targets share one set of areas drawn from the given generator
+    model = FluctuationModel(g_mean=1e5, tau=1e-8, mode="monte_carlo", mc_samples=4000)
+    rng = np.random.default_rng(21)
+    value = parity_delta(9, model, T_COMPARE, rng)
+    upper = averaged_ground_probability(9, model, T_COMPARE, np.random.default_rng(21))
+    lower = averaged_ground_probability(10, model, T_COMPARE, np.random.default_rng(21))
+    assert value == pytest.approx(upper - lower, abs=1e-15)
+    once = np.random.default_rng(21)
+    sample_pulse_areas(1e5, 1e-8, T_COMPARE, once, 4000)
+    assert rng.random() == once.random()
 
 
 def test_parity_delta_rejects_even_or_small_n():

@@ -11,8 +11,10 @@ from ionparity import (
     averaged_ground_probability_mixed,
     delta_from_efficiency,
     efficiency,
+    ground_probabilities_mixed,
     parity_delta_mixed,
 )
+from ionparity import fluctuations
 
 T_COMPARE = 17.0 * np.pi / 8.0 / 1e5
 MODEL = FluctuationModel(g_mean=1e5, tau=1e-8)
@@ -102,9 +104,25 @@ def test_mixture_is_convex_combination(mode):
         w * averaged_ground_probability(int(m), model, T_COMPARE)
         for m, w in zip(m_values, weights)
     )
-    assert averaged_ground_probability_mixed(prep, model, T_COMPARE) == pytest.approx(
-        expected, abs=1e-15
+    mixed = averaged_ground_probability_mixed(prep, model, T_COMPARE)
+    assert mixed == pytest.approx(expected, abs=1e-15)
+    # the parity partner joins the same kernel call without moving either value
+    partner = PreparationModel(n_target=10, delta=0.8)
+    joint = ground_probabilities_mixed((prep, partner), model, T_COMPARE)
+    assert joint == pytest.approx(
+        [mixed, averaged_ground_probability_mixed(partner, model, T_COMPARE)], abs=1e-15
     )
+    assert parity_delta_mixed(9, 0.8, model, T_COMPARE) == joint[0] - joint[1]
+
+
+def test_zero_weight_tail_is_dropped():
+    # at N = 2001 and efficiency 0.9 only 22 of the 2006 weights are non-zero
+    prep = PreparationModel(2001, delta_from_efficiency(0.9))
+    _, weights = prep.terms()
+    assert (len(weights), int(np.count_nonzero(weights))) == (2006, 22)
+    fluctuations._area_terms.cache_clear()
+    averaged_ground_probability_mixed(prep, MODEL, T_COMPARE)
+    assert fluctuations._area_terms.cache_info().currsize == 22
 
 
 def test_truncation_is_converged():

@@ -116,6 +116,13 @@ def test_physical_params_positivity():
     PhysicalParams(omega=0.0, nu=10.0, eta_ld=0.0)
 
 
+@pytest.mark.parametrize("name", ["g", "nu", "omega", "eta_ld", "tau"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_physical_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        PhysicalParams(**{name: value})
+
+
 def test_physical_params_consistency_rule():
     omega, eta = 2.0e7, 0.05
     g = omega * eta**2 * np.exp(-(eta**2) / 2.0)
