@@ -6,11 +6,18 @@ Subcommands:
     eta-sweep   parity visibility versus preparation efficiency, one curve per tau
     validate    run the consistency-check battery and report every result
 
-Exit codes: 0 success, 1 parameter error, 2 validation failure, 3 I/O error.
+Exit codes: 0 success, 1 parameter error, 2 validation failure (including a
+probability column that is not finite or leaves [0, 1]), 3 I/O error.
 Flags override an optional JSON config file (--config), which overrides the
 built-in defaults; every output embeds the resolved configuration, so a run
 is reproducible from its own metadata.  The coupling g is interpreted as an
 angular rate in rad/s throughout.
+
+In the analytic modes a parity sweep is one kernel call: both targets of
+every point go into one weight matrix, evaluated at all taus at once.  In
+Monte-Carlo mode every point keeps its own seed, draws and keys, and the
+points run on a pool of --workers threads; the analytic modes accept and
+echo --workers too.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ _PHYSICAL = {"g": None, "nu": None, "omega": None, "eta_ld": None}
 # shared by the two parity sweeps
 _SWEEP = {**_PHYSICAL, "n": 9, "mode": "gaussian", "mc_samples": 100_000, "seed": 0,
           "workers": 4, "format": "csv"}
+
+WORKERS_HELP = ("worker threads for Monte-Carlo points; the analytic modes evaluate a "
+                "sweep in one call, but accept and echo it too")
 
 DEFAULTS: dict[str, dict] = {
     "dynamics": {
@@ -73,7 +83,9 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ionparity",
         description="Parity-dependent vibronic dynamics: tables, sweeps and checks.",
@@ -111,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.add_argument("--delta", type=float, help="preparation width (alternative to --eta-prep)")
     p_tau.add_argument("--mc-samples", type=int, dest="mc_samples", help="draws per Monte-Carlo point")
     p_tau.add_argument("--seed", type=int, help="base seed for Monte-Carlo mode")
-    p_tau.add_argument("--workers", type=int, help="sweep worker threads")
+    p_tau.add_argument("--workers", type=int, help=WORKERS_HELP)
     add_common(p_tau)
 
     p_eta = sub.add_parser("eta-sweep", help="parity visibility vs preparation efficiency")
@@ -124,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eta.add_argument("--mode", choices=sorted(MODE_FLAGS), help="averaging kernel")
     p_eta.add_argument("--mc-samples", type=int, dest="mc_samples", help="draws per Monte-Carlo point")
     p_eta.add_argument("--seed", type=int, help="base seed for Monte-Carlo mode")
-    p_eta.add_argument("--workers", type=int, help="sweep worker threads")
+    p_eta.add_argument("--workers", type=int, help=WORKERS_HELP)
     add_common(p_eta)
 
     p_val = sub.add_parser("validate", help="run the consistency-check battery")
@@ -193,6 +205,28 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if resolved.get("seed", 0) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {resolved['seed']}")
     return resolved
+
+
+# Range of every probability column (delta_p is a difference of two), checked
+# before anything is written.  The slack admits rounding: dynamics --n 8
+# prints p_ground = 1.0000000000000002 at t = 0.
+PROBABILITY_RANGES = {"p_ground": (0.0, 1.0), "p_odd": (0.0, 1.0), "p_even": (0.0, 1.0),
+                      "delta_p": (-1.0, 1.0)}
+PROBABILITY_SLACK = 1e-12
+
+
+def _out_of_range(result: SweepResult) -> str | None:
+    """Why a probability column of the table is not finite or leaves its
+    range, or None when every column holds."""
+    for index, column in enumerate(result.columns):
+        if column in PROBABILITY_RANGES:
+            low, high = PROBABILITY_RANGES[column]
+            values = np.array([row[index] for row in result.rows], dtype=float)
+            bad = ~((values >= low - PROBABILITY_SLACK) & (values <= high + PROBABILITY_SLACK))
+            if bad.any():
+                return (f"{column} = {float(values[bad][0])} is not a number in "
+                        f"[{low}, {high}]; no table written")
+    return None
 
 
 def _validate_positive(config: dict, *keys: str) -> None:
@@ -264,6 +298,33 @@ def _parity_sweep(config: dict, *positive: str) -> tuple[int, float, Callable]:
     return n, dynamics.parity_times(n, config["g"]).comparison_time, model
 
 
+def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: list[float],
+                   pairs: list[tuple]) -> np.ndarray:
+    """(p_odd, p_even) of every pair of target preparations at every tau,
+    shape (taus, pairs, 2).  The analytic modes evaluate the whole grid in one
+    kernel call over the union of the pairs' keys.  In Monte-Carlo mode each
+    (tau, pair) point, tau-major, keeps its own seed and draws and only its
+    own keys, and the points run on the worker pool."""
+    seeds = _point_seeds(config["seed"], len(taus) * len(pairs))
+    model = sweep_model(tau=taus[0], seed=seeds[0])
+    if model.mode != "monte_carlo":
+        preps = [prep for pair in pairs for prep in pair]
+        probabilities = preparation.ground_probabilities_mixed(preps, model, t_compare, taus)
+    else:
+        def evaluate(index: int) -> list[float]:
+            point_model = sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
+            return preparation.ground_probabilities_mixed(pairs[index % len(pairs)],
+                                                          point_model, t_compare)
+
+        probabilities = pool_map(evaluate, range(len(seeds)), config["workers"])
+    return np.reshape(probabilities, (len(taus), len(pairs), 2))
+
+
+def _targets(n: int, delta: float | None) -> tuple:
+    """The preparations of n and n + 1, both of width delta."""
+    return preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
+
+
 def cmd_tau_sweep(config: dict) -> SweepResult:
     n, t_compare, sweep_model = _parity_sweep(config, "tau_min", "tau_max", "tau_steps")
     if config["tau_max"] < config["tau_min"]:
@@ -273,19 +334,12 @@ def cmd_tau_sweep(config: dict) -> SweepResult:
         raise ValueError("give either --eta-prep or --delta, not both")
     if eta is not None and eta != 1.0:
         delta = preparation.delta_from_efficiency(eta)
-    targets = (preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta))
     taus = np.logspace(
         np.log10(config["tau_min"]), np.log10(config["tau_max"]), config["tau_steps"]
-    )
-    seeds = _point_seeds(config["seed"], len(taus))
-
-    def evaluate(index: int) -> tuple:
-        tau = float(taus[index])
-        model = sweep_model(tau=tau, seed=seeds[index])
-        upper, lower = preparation.ground_probabilities_mixed(targets, model, t_compare)
-        return (tau, upper - lower, upper, lower)
-
-    rows = pool_map(evaluate, range(len(taus)), config["workers"])
+    ).tolist()
+    curves = _parity_curves(config, sweep_model, t_compare, taus, [_targets(n, delta)])
+    upper, lower = curves[:, 0, 0], curves[:, 0, 1]
+    rows = list(zip(taus, (upper - lower).tolist(), upper.tolist(), lower.tolist()))
     return SweepResult(("tau_seconds", "delta_p", "p_odd", "p_even"), rows,
                        _echo_config(config, "tau-sweep"))
 
@@ -297,17 +351,13 @@ def cmd_eta_sweep(config: dict) -> SweepResult:
         raise ValueError(f"every tau must be finite and positive, got {taus}")
     if not (0.0 < config["eta_min"] <= config["eta_max"] <= 1.0):
         raise ValueError("eta grid must satisfy 0 < eta-min <= eta-max <= 1")
-    etas = np.linspace(config["eta_min"], config["eta_max"], config["eta_steps"])
-    points = [(tau, float(eta)) for tau in taus for eta in etas]
-    seeds = _point_seeds(config["seed"], len(points))
-
-    def evaluate(index: int) -> tuple:
-        tau, eta = points[index]
-        model = sweep_model(tau=tau, seed=seeds[index])
-        delta = None if eta >= 1.0 else preparation.delta_from_efficiency(eta)
-        return (tau, eta, preparation.parity_delta_mixed(n, delta, model, t_compare))
-
-    rows = pool_map(evaluate, range(len(points)), config["workers"])
+    etas = np.linspace(config["eta_min"], config["eta_max"], config["eta_steps"]).tolist()
+    pairs = [_targets(n, None if eta >= 1.0 else preparation.delta_from_efficiency(eta))
+             for eta in etas]
+    curves = _parity_curves(config, sweep_model, t_compare, taus, pairs)
+    deltas = (curves[..., 0] - curves[..., 1]).tolist()
+    rows = [(tau, eta, value) for tau, curve in zip(taus, deltas)
+            for eta, value in zip(etas, curve)]
     return SweepResult(("tau_seconds", "eta_prep", "delta_p"), rows,
                        _echo_config(config, "eta-sweep"))
 
@@ -342,6 +392,10 @@ def main(argv: list[str] | None = None) -> int:
             tables = {"dynamics": cmd_dynamics, "tau-sweep": cmd_tau_sweep,
                       "eta-sweep": cmd_eta_sweep}
             result, ok = tables[args.command](config), True
+            problem = _out_of_range(result)
+            if problem is not None:
+                print(f"error: {problem}", file=sys.stderr)
+                return 2
         write_result(result, config["out"], config["format"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

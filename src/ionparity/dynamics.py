@@ -19,6 +19,9 @@ its arguments.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +29,31 @@ import numpy as np
 from .states import TwoModeState, VibronicState
 
 
+# Largest N whose first amplitude 2^(-N/2) is a normal float.  Up to it the
+# product from k = 0 keeps its bits and its weights sum to one within 1e-14;
+# past it that start value loses bits (the weights sum to 1 - 1e-12 at
+# N = 2080) and rounds to 0 from N = 2150, so larger N start from the centre.
+EDGE_START_MAX_N = 2044
+
+
 def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
     """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N.
 
-    Built from cumulative products of ratios so no factorial ever
-    overflows, valid far beyond N ~ 170.
+    Built from cumulative products of the ratios P_k / P_(k-1) so no factorial
+    ever overflows.  Up to N = EDGE_START_MAX_N the product starts at P_0;
+    beyond, it runs outward from the central amplitude, where every ratio is
+    at most one, and is normalised, so the weights P_k^2 still sum to one.
     """
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
-    amps = np.empty(n_total + 1)
-    amps[0] = 2.0 ** (-n_total / 2.0)
-    for k in range(1, n_total + 1):
-        amps[k] = amps[k - 1] * np.sqrt((n_total - k + 1) / k)
-    return amps
+    ratios = [math.sqrt((n_total - k + 1) / k) for k in range(1, n_total + 1)]
+    if n_total <= EDGE_START_MAX_N:
+        start = 2.0 ** (-n_total / 2.0)
+        return np.array(list(itertools.accumulate(ratios, operator.mul, initial=start)))
+    centre = n_total // 2
+    upper = np.cumprod([1.0, *ratios[centre:]])
+    amps = np.concatenate((upper[::-1][:centre], upper))
+    return amps / np.sqrt(amps @ amps)
 
 
 @dataclass(frozen=True)

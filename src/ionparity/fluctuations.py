@@ -18,9 +18,12 @@ through the integer keys p = (N-k)k, whose area frequency is 4 sqrt(p);
 ``_area_terms`` caches, per N, the distinct keys and the binomial weights
 merged over k <-> N-k.  Every average is a thin call into
 ``mixture_ground_probabilities``: it drops terms of weight exactly 0.0, takes
-the union of the keys of several Fock mixtures, calls ``_kernels`` once over
-the distinct frequencies and returns one weighted sum per mixture, so the odd
-and even targets of a parity comparison share one call.  In monte_carlo mode
+the union of the keys of several Fock mixtures (``_mixture_matrix``, one
+weight row per mixture), calls ``_kernels`` once over the distinct
+frequencies and returns one weighted sum per mixture, so the odd and even
+targets of a parity comparison share one call.  Given a column of taus, the
+analytic kernels broadcast over (tau, p) in that same call, so a whole sweep
+curve is one matrix product of kernel rows and weight rows.  In monte_carlo mode
 all frequencies of a call share one set of draws, each distinct key gets one
 cosine row, and the cosines are formed at most ``MC_BLOCK_PAIRS`` (frequency,
 draw) pairs at a time, so memory stays bounded however many terms a mixture
@@ -48,6 +51,12 @@ MC_BLOCK_PAIRS = 1 << 20
 AREA_CACHE_SIZE = 256
 
 
+def _check_tau(tau: float) -> float:
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and non-negative, got {tau}")
+    return tau
+
+
 @dataclass(frozen=True)
 class FluctuationModel:
     """Mean coupling, fluctuation strength and averaging mode.
@@ -65,8 +74,7 @@ class FluctuationModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.g_mean < math.inf:
             raise ValueError(f"g_mean must be finite and positive, got {self.g_mean}")
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError(f"tau must be finite and non-negative, got {self.tau}")
+        _check_tau(self.tau)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mc_samples < 1:
@@ -133,14 +141,27 @@ def monte_carlo_cosine(
 
 
 def _kernels(
-    omegas: np.ndarray, model: FluctuationModel, t: float, rng: np.random.Generator | None
+    omegas: np.ndarray,
+    model: FluctuationModel,
+    t: float,
+    rng: np.random.Generator | None = None,
+    taus: Sequence[float] | None = None,
 ) -> np.ndarray:
     """E[cos(omega A)] for every entry of the 1-D array ``omegas``; t must be
-    finite and positive, as the Gamma shape t/tau is."""
+    finite and positive, as the Gamma shape t/tau is.
+
+    ``taus``, positive fluctuation strengths checked as ``FluctuationModel``
+    checks its own, replace ``model.tau`` in the analytic modes: the result
+    then has one row per tau, so a whole sweep curve is one broadcast.
+    """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
     g, tau = model.g_mean, model.tau
-    if tau == 0.0:
+    if taus is not None:
+        tau = np.array([_check_tau(float(value)) for value in taus])[:, np.newaxis]
+        if model.mode == "monte_carlo" or not np.all(tau > 0.0):
+            raise ValueError("a column of taus needs an analytic mode and positive taus")
+    elif tau == 0.0:
         return np.cos(omegas * g * t)
     if model.mode == "gamma_exact":
         return gamma_kernel(omegas, g, tau, t)
@@ -172,11 +193,35 @@ def _area_terms(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return keys, omegas, weights
 
 
+def _mixture_matrix(
+    mixtures: Sequence[tuple[Sequence[int], Sequence[float]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct area frequencies of several Fock mixtures and their weight
+    matrix, one row per mixture and one column per distinct key p.  Terms of
+    weight exactly 0.0 are dropped."""
+    parts = [(index, weight, _area_terms(int(n)))
+             for index, (n_totals, weights) in enumerate(mixtures)
+             for n, weight in zip(n_totals, weights) if weight != 0.0]
+    if len({index for index, _, _ in parts}) != len(mixtures):
+        raise ValueError("every mixture needs a term of non-zero weight")
+    owners, term_weights, terms = zip(*parts)
+    keys, first, inverse = np.unique(np.concatenate([term[0] for term in terms]),
+                                     return_index=True, return_inverse=True)
+    omegas = np.concatenate([term[1] for term in terms])[first]
+    sizes = [term[0].size for term in terms]
+    owners = np.repeat(owners, sizes)
+    term_weights = np.repeat(term_weights, sizes) * np.concatenate([term[2] for term in terms])
+    matrix = np.bincount(owners * keys.size + inverse, weights=term_weights,
+                         minlength=len(mixtures) * keys.size).reshape(len(mixtures), keys.size)
+    return omegas, matrix
+
+
 def mixture_ground_probabilities(
     mixtures: Sequence[tuple[Sequence[int], Sequence[float]]],
     model: FluctuationModel,
     t: float,
     rng: np.random.Generator | None = None,
+    taus: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Fluctuation-averaged ground probabilities at t > 0 of several Fock
     mixtures, each given as its totals N_m and weights c_m (summing to one):
@@ -186,23 +231,11 @@ def mixture_ground_probabilities(
     Terms of weight exactly 0.0 are dropped.  The kernel runs once over the
     distinct keys p of all mixtures together, so in monte_carlo mode every
     mixture sees the same draws and each distinct p costs one cosine row.
+    With ``taus`` (analytic modes only) that one kernel call covers every
+    tau, and the result has one row per tau and one column per mixture.
     """
-    parts = [(index, weight, _area_terms(int(n)))
-             for index, (n_totals, weights) in enumerate(mixtures)
-             for n, weight in zip(n_totals, weights) if weight != 0.0]
-    if len({index for index, _, _ in parts}) != len(mixtures):
-        raise ValueError("every mixture needs a term of non-zero weight")
-    keys, first, inverse = np.unique(
-        np.concatenate([terms[0] for _, _, terms in parts]),
-        return_index=True, return_inverse=True,
-    )
-    omegas = np.concatenate([terms[1] for _, _, terms in parts])[first]
-    owners = np.concatenate([np.full(terms[0].size, index) for index, _, terms in parts])
-    term_weights = np.concatenate([weight * terms[2] for _, weight, terms in parts])
-    matrix = np.bincount(owners * keys.size + inverse, weights=term_weights,
-                         minlength=len(mixtures) * keys.size).reshape(len(mixtures), keys.size)
-    kernel = _kernels(omegas, model, t, rng)
-    return np.array([0.5 * (1.0 + row @ kernel) for row in matrix])
+    omegas, matrix = _mixture_matrix(mixtures)
+    return 0.5 * (1.0 + _kernels(omegas, model, t, rng, taus) @ matrix.T)
 
 
 def mixture_ground_probability(

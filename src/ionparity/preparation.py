@@ -13,7 +13,10 @@ distinct keys p = (N-k)k of all terms, every term averaged over the same
 Monte-Carlo draws; terms whose weight underflows to 0.0 are dropped there.
 The two targets of a parity comparison (``ground_probabilities_mixed``,
 ``parity_delta_mixed``) share one such call, so they also share their draws.
-The exact state is the pure run itself.
+Given a column of taus (analytic modes), ``ground_probabilities_mixed``
+evaluates any number of preparations at every tau in one kernel call: a
+sweep curve over tau or over the efficiency is one call.  The exact state is
+the pure run itself.
 """
 
 from __future__ import annotations
@@ -105,11 +108,17 @@ def averaged_ground_probability_mixed(
 
 
 def ground_probabilities_mixed(
-    preps: Sequence[PreparationModel], model: FluctuationModel, t: float
-) -> list[float]:
+    preps: Sequence[PreparationModel],
+    model: FluctuationModel,
+    t: float,
+    taus: Sequence[float] | None = None,
+) -> list:
     """Mixture-averaged ground probabilities of several preparations from one
-    kernel call, so in monte_carlo mode all of them share one set of draws."""
-    return mixture_ground_probabilities([prep.terms() for prep in preps], model, t).tolist()
+    kernel call, so in monte_carlo mode all of them share one set of draws.
+    With ``taus`` (analytic modes) the call covers every tau and returns one
+    list per tau."""
+    mixtures = [prep.terms() for prep in preps]
+    return mixture_ground_probabilities(mixtures, model, t, taus=taus).tolist()
 
 
 def parity_delta_mixed(

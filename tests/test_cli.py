@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,62 @@ def test_float_cells_carry_seventeen_significant_digits(tmp_path):
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     capsys.readouterr()
+
+
+def test_large_n_starts_in_the_ground_level(tmp_path):
+    # N = 2201 is past the point where 2^(-N/2) underflows to 0
+    out = tmp_path / "dyn.csv"
+    assert run_cli("dynamics", "--n", "2201", "--t-steps", "2", "--out", str(out)) == 0
+    first = [l for l in read(out).splitlines() if not l.startswith("#")][1]
+    assert float(first.split(",")[2]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, kernel_value, column",
+    [
+        (["tau-sweep", "--mode", "gaussian", "--tau-steps", "3"], np.nan, "delta_p"),
+        (["tau-sweep", "--mode", "gaussian", "--tau-steps", "3"], 1.5, "p_odd"),
+        (["eta-sweep", "--mode", "gaussian", "--eta-steps", "3"], np.nan, "delta_p"),
+    ],
+)
+def test_probability_out_of_range_exits_two(argv, kernel_value, column, monkeypatch,
+                                            tmp_path, capsys):
+    monkeypatch.setattr(cli.fluctuations, "gaussian_kernel",
+                        lambda omega, g, tau, t: np.full(np.broadcast(omega, tau).shape,
+                                                         kernel_value))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {column} = ")
+    assert not out.exists()
+
+
+def test_dynamics_probability_out_of_range_exits_two(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli.dynamics, "ground_probability",
+                        lambda n, g, times: np.full(np.shape(times), np.nan))
+    assert run_cli("dynamics", "--t-steps", "3", "--out", str(tmp_path / "d.csv")) == 2
+    assert capsys.readouterr().err.startswith("error: p_ground = nan ")
+
+
+def test_rounding_above_one_is_within_the_slack(tmp_path):
+    out = tmp_path / "dyn.csv"
+    assert run_cli("dynamics", "--n", "8", "--t-steps", "2", "--out", str(out)) == 0
+    first = [l for l in read(out).splitlines() if not l.startswith("#")][1]
+    assert 1.0 < float(first.split(",")[2]) <= 1.0 + cli.PROBABILITY_SLACK
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path):
+    # config-file run, flag run of the same subcommand, then another subcommand
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 11, "mode": "gamma", "tau_steps": 3, "eta_prep": 0.8}))
+    runs = [["tau-sweep", "--config", str(config)],
+            ["tau-sweep", "--tau-steps", "2", "--format", "json"],
+            ["dynamics", "--t-steps", "4"]]
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for index, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{index}", tmp_path / f"fresh{index}"
+        assert run_cli(*argv, "--out", str(here)) == 0
+        subprocess.run([sys.executable, "-m", "ionparity.cli", *argv, "--out", str(fresh)],
+                       env=env, check=True)
+        assert here.read_bytes() == fresh.read_bytes()

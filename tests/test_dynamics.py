@@ -13,6 +13,7 @@ from ionparity import (
     vibrational_entropy,
     von_neumann_entropy,
 )
+from ionparity.dynamics import EDGE_START_MAX_N
 
 LN2 = np.log(2.0)
 
@@ -62,6 +63,35 @@ def test_binomial_amplitudes_large_n_stable():
     amps = symmetric_binomial_amplitudes(400)
     assert np.all(np.isfinite(amps))
     assert np.sum(amps**2) == pytest.approx(1.0, abs=1e-12)
+
+
+def exact_binomial_weights(n_total):
+    """2^-N C(N, k) from exact integers, each quotient correctly rounded."""
+    weights, binomial, scale = [], 1, 2**n_total
+    for k in range(n_total + 1):
+        weights.append(binomial / scale)
+        binomial = binomial * (n_total - k) // (k + 1)
+    return np.array(weights)
+
+
+@pytest.mark.parametrize("n_total", [EDGE_START_MAX_N, EDGE_START_MAX_N + 1, 2148, 3000, 10_000])
+def test_binomial_weights_match_exact_integers(n_total):
+    # past EDGE_START_MAX_N the product from 2^(-N/2) lost bits, then underflowed
+    weights = symmetric_binomial_amplitudes(n_total) ** 2
+    exact = exact_binomial_weights(n_total)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(weights - exact).sum() < 1e-14
+    resolved = exact > 1e-250
+    assert np.max(np.abs(weights[resolved] / exact[resolved] - 1.0)) < 1e-13
+
+
+def test_binomial_amplitudes_keep_the_product_from_the_edge():
+    # up to the switch the amplitudes are the plain running product from P_0
+    for n_total in (0, 1, 9, 10, 400, EDGE_START_MAX_N):
+        amps = [2.0 ** (-n_total / 2.0)]
+        for k in range(1, n_total + 1):
+            amps.append(amps[-1] * np.sqrt((n_total - k + 1) / k))
+        assert np.array_equal(symmetric_binomial_amplitudes(n_total), amps)
 
 
 def test_rabi_spectrum_structure():

@@ -258,3 +258,31 @@ def test_sample_pulse_areas_validation():
         sample_pulse_areas(1.0, 0.01, 0.0, rng, 10)
     with pytest.raises(ValueError):
         sample_pulse_areas(1.0, 0.01, 1.0, rng, 0)
+
+
+@pytest.mark.parametrize("mode", ["gamma_exact", "gaussian_approx"])
+def test_tau_column_rows_equal_scalar_calls(mode):
+    _, omegas, _ = fluctuations._area_terms(30)
+    taus = [1e-10, 3e-9, 1e-8, 1e-7]
+    model = FluctuationModel(g_mean=1e5, tau=taus[0], mode=mode)
+    column = fluctuations._kernels(omegas, model, T_COMPARE, taus=taus)
+    assert column.shape == (len(taus), omegas.size)
+    for tau, row in zip(taus, column):
+        scalar = fluctuations._kernels(omegas, FluctuationModel(1e5, tau, mode), T_COMPARE)
+        assert np.array_equal(row, scalar)
+
+
+def test_tau_column_is_checked_like_the_model():
+    _, omegas, _ = fluctuations._area_terms(9)
+    model = FluctuationModel(g_mean=1e5, tau=1e-8, mode="gamma_exact")
+    for bad_tau in (-1e-9, np.inf, np.nan):
+        with pytest.raises(ValueError) as from_model:
+            FluctuationModel(g_mean=1e5, tau=bad_tau)
+        with pytest.raises(ValueError) as from_column:
+            fluctuations._kernels(omegas, model, T_COMPARE, taus=[1e-8, bad_tau])
+        assert str(from_column.value) == str(from_model.value)
+    with pytest.raises(ValueError, match="analytic mode and positive taus"):
+        fluctuations._kernels(omegas, model, T_COMPARE, taus=[1e-8, 0.0])
+    sampled = FluctuationModel(g_mean=1e5, tau=1e-8, mode="monte_carlo", mc_samples=10)
+    with pytest.raises(ValueError, match="analytic mode and positive taus"):
+        fluctuations._kernels(omegas, sampled, T_COMPARE, taus=[1e-8])
