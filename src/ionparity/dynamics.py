@@ -14,7 +14,8 @@ and the ground-level probability is
 
 The weights |P_k|^2 = 2^-N C(N, k) come from the tau=1 spin-coherent
 construction of the initial state.  Everything here is a pure function of
-its arguments.
+its arguments.  The state is evaluated over a whole array of times at once
+by ``_closed_form_grids``; ``evolve_closed_form`` is its one-time case.
 """
 
 from __future__ import annotations
@@ -74,26 +75,47 @@ class Su2CoherentSpec:
         return int(round(2.0 * self.j))
 
 
+def _su2_coefficients(tau: complex, j: float, n: int) -> np.ndarray:
+    """coefficient_k = (1 + |tau|^2)^(-j) * sqrt(C(n, k)) * tau^k for k = 0..n.
+
+    While the start value (1 + |tau|^2)^(-j) is a normal float the plain
+    running product from k = 0 is kept.  Past that it would underflow, so
+    the magnitudes run outward from the largest one, where every ratio is
+    at most one, and are normalised; the phases are tau^k / |tau|^k.
+    """
+    start = (1.0 + abs(tau) ** 2) ** (-j)
+    if start >= np.finfo(float).tiny:
+        coeffs = np.empty(n + 1, dtype=np.complex128)
+        coeffs[0] = start
+        for k in range(1, n + 1):
+            coeffs[k] = coeffs[k - 1] * tau * np.sqrt((n - k + 1) / k)
+        return coeffs
+    k = np.arange(1, n + 1)
+    ratios = abs(tau) * np.sqrt((n - k + 1) / k)
+    peak = int(np.count_nonzero(ratios >= 1.0))
+    magnitudes = np.concatenate(
+        (np.cumprod(1.0 / ratios[:peak][::-1])[::-1], [1.0], np.cumprod(ratios[peak:]))
+    )
+    magnitudes /= np.sqrt(magnitudes @ magnitudes)
+    return magnitudes * np.exp(1j * np.angle(tau) * np.arange(n + 1))
+
+
 def build_su2_state(spec: Su2CoherentSpec, cutoff_a: int, cutoff_b: int) -> TwoModeState:
     """Normalized spin-coherent state on the |2j-k, k> anti-diagonal.
 
     coefficient_k = (1 + |tau|^2)^(-j) * sqrt(C(2j, k)) * tau^k.  At
     tau_param = 1 this reduces to the symmetric binomial amplitudes; at
-    tau_param = 0 only |2j, 0> survives.
+    tau_param = 0 only |2j, 0> survives.  The coefficients are built so
+    that they cannot underflow at large j.
     """
     n = spec.n_quanta
     if cutoff_a < n or cutoff_b < n:
         raise ValueError(
             f"cutoffs ({cutoff_a}, {cutoff_b}) too small for 2j = {n} quanta"
         )
-    tau = complex(spec.tau_param)
-    coeffs = np.empty(n + 1, dtype=np.complex128)
-    coeffs[0] = (1.0 + abs(tau) ** 2) ** (-spec.j)
-    for k in range(1, n + 1):
-        coeffs[k] = coeffs[k - 1] * tau * np.sqrt((n - k + 1) / k)
+    k = np.arange(n + 1)
     grid = np.zeros((cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
-    for k in range(n + 1):
-        grid[n - k, k] = coeffs[k]
+    grid[n - k, k] = _su2_coefficients(complex(spec.tau_param), spec.j, n)
     return TwoModeState(grid)
 
 
@@ -121,6 +143,27 @@ def rabi_spectrum(n_total: int, g: float) -> RabiSpectrum:
     return RabiSpectrum(n_total=n_total, frequencies=freqs, weights=weights)
 
 
+def _closed_form_grids(
+    n_total: int, g: float, times: np.ndarray, cutoff_a: int, cutoff_b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude grids of the |-> and |+> components at every time in ``times``.
+
+    Returns (minus, plus), each of shape (times, cutoff_a + 1, cutoff_b + 1);
+    the anti-diagonals |N-k, k> and |N-k-1, k-1> are filled for all times
+    at once.  Arguments are not validated here.
+    """
+    amps = symmetric_binomial_amplitudes(n_total)
+    freqs = rabi_spectrum(n_total, g).frequencies
+    phases = np.multiply.outer(times, freqs)
+    k = np.arange(n_total + 1)
+    minus = np.zeros((len(times), cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
+    plus = np.zeros_like(minus)
+    minus[:, n_total - k, k] = amps * np.cos(phases)
+    inner = k[1:n_total]
+    plus[:, n_total - inner - 1, inner - 1] = -1j * amps[inner] * np.sin(phases[:, inner])
+    return minus, plus
+
+
 def evolve_closed_form(
     n_total: int,
     g: float,
@@ -131,7 +174,8 @@ def evolve_closed_form(
     """Exact state at time t >= 0 from the binomial N-quanta initial state.
 
     Defaults the grid to cutoff N in each mode, the smallest grid holding
-    both components.  Total norm is 1 for every (N, t).
+    both components.  Total norm is 1 for every (N, t).  Many times at once
+    are cheaper through ``_closed_form_grids``.
     """
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
@@ -141,15 +185,8 @@ def evolve_closed_form(
     cb = n_total if cutoff_b is None else cutoff_b
     if ca < n_total or cb < n_total:
         raise ValueError("cutoffs must be at least n_total")
-    amps = symmetric_binomial_amplitudes(n_total)
-    spec = rabi_spectrum(n_total, g)
-    minus = np.zeros((ca + 1, cb + 1), dtype=np.complex128)
-    plus = np.zeros_like(minus)
-    for k in range(n_total + 1):
-        minus[n_total - k, k] = amps[k] * np.cos(spec.frequencies[k] * t)
-    for k in range(1, n_total):
-        plus[n_total - k - 1, k - 1] = -1j * amps[k] * np.sin(spec.frequencies[k] * t)
-    return VibronicState(TwoModeState(minus), TwoModeState(plus))
+    minus, plus = _closed_form_grids(n_total, g, np.array([t], dtype=float), ca, cb)
+    return VibronicState(TwoModeState(minus[0]), TwoModeState(plus[0]))
 
 
 def ground_probability(n_total: int, g: float, t):

@@ -41,17 +41,6 @@ class TruncationError(RuntimeError):
     """Raised when population sits on cells whose dynamics needs a larger grid."""
 
 
-def vibronic_basis_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[str, int, int]]:
-    """Basis ordering used by the dense matrices: the full |-> grid
-    (row-major) followed by the full |+> grid."""
-    labels = []
-    for sign in ("-", "+"):
-        for na in range(cutoff_a + 1):
-            for nb in range(cutoff_b + 1):
-                labels.append((sign, na, nb))
-    return labels
-
-
 class EffectiveHamiltonian:
     """Dense matrix of coupling * (a b sigma+ + a^dag b^dag sigma-).
 
@@ -219,28 +208,38 @@ class LambDickeHamiltonian:
             return math.inf
         return 2.0 * math.pi / (STEPS_PER_CYCLE * fastest)
 
-    def _coupling_block(self, t: float) -> np.ndarray:
-        # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t)
+    def _couplings(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t), and W(t)^dag
         phases = np.exp(1j * self.harmonics * self.params.nu * t)
-        return np.einsum("m,mij->ij", phases, self._lower_blocks)
+        coupling_block = np.einsum("m,mij->ij", phases, self._lower_blocks)
+        return coupling_block, coupling_block.conj().T
 
     def matrix_at(self, t: float) -> np.ndarray:
-        """Full Hermitian matrix at time t over the ``vibronic_basis_labels``
-        ordering (minus block first)."""
-        coupling_block = self._coupling_block(t)
+        """Full Hermitian matrix at time t.
+
+        Basis order: the |-> grid, then the |+> grid, each row-major over
+        (n_a, n_b), so |n_a, n_b>|-> has index n_a (cutoff_b + 1) + n_b and
+        |n_a, n_b>|+> that index plus (cutoff_a + 1)(cutoff_b + 1).  States
+        flatten in the same order.
+        """
+        coupling_block, coupling_dag = self._couplings(t)
         dim = self.grid_size
         matrix = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
         matrix[:dim, dim:] = coupling_block
-        matrix[dim:, :dim] = coupling_block.conj().T
+        matrix[dim:, :dim] = coupling_dag
         return matrix
 
-    def _rhs(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _rhs(
+        couplings: tuple[np.ndarray, np.ndarray], y: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
         # d/dt [minus; plus] = -i H(t) [minus; plus] with the block structure
-        # H = [[0, W(t)], [W(t)^dag, 0]]; y is one state or a matrix of states.
-        dim = self.grid_size
-        coupling_block = self._coupling_block(t)
+        # H = [[0, W(t)], [W(t)^dag, 0]] and couplings = (W(t), W(t)^dag);
+        # y is one state or a matrix of states.
+        coupling_block, coupling_dag = couplings
+        dim = len(coupling_block)
         np.matmul(coupling_block, y[dim:], out=out[:dim])
-        np.matmul(coupling_block.conj().T, y[:dim], out=out[dim:])
+        np.matmul(coupling_dag, y[:dim], out=out[dim:])
         out *= -1j
         return out
 
@@ -266,18 +265,25 @@ def _rk4_span(
     h = (t1 - t0) / steps
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     stage = np.empty_like(y)
+    # k2 and k3 share the midpoint coupling; a step's end coupling is reused
+    # as the next step's start wherever t + h rounds to the same time.
+    end_time, end = math.nan, None
     for i in range(steps):
         t = t0 + i * h
-        h_ld._rhs(t, y, out=k1)
+        start = end if t == end_time else h_ld._couplings(t)
+        mid = h_ld._couplings(t + 0.5 * h)
+        end_time = t + h
+        end = h_ld._couplings(end_time)
+        h_ld._rhs(start, y, out=k1)
         np.multiply(k1, 0.5 * h, out=stage)
         stage += y
-        h_ld._rhs(t + 0.5 * h, stage, out=k2)
+        h_ld._rhs(mid, stage, out=k2)
         np.multiply(k2, 0.5 * h, out=stage)
         stage += y
-        h_ld._rhs(t + 0.5 * h, stage, out=k3)
+        h_ld._rhs(mid, stage, out=k3)
         np.multiply(k3, h, out=stage)
         stage += y
-        h_ld._rhs(t + h, stage, out=k4)
+        h_ld._rhs(end, stage, out=k4)
         k2 += k3
         k2 *= 2.0
         k1 += k4

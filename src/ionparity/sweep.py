@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -26,10 +28,11 @@ class SweepResult:
 
 
 def _format_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
+    # numpy scalars format as the Python scalars they hold
+    if isinstance(value, (float, np.floating)):
         return f"{value:.16e}"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     return str(value)
 
 
@@ -45,8 +48,7 @@ def write_csv(result: SweepResult, stream: TextIO) -> None:
         stream.write(f"# {key}={_format_cell(result.config[key])}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(result.columns)
-    for row in result.rows:
-        writer.writerow([_format_cell(_native(cell)) for cell in row])
+    writer.writerows(map(_format_cell, row) for row in result.rows)
 
 
 def write_json(result: SweepResult, stream: TextIO) -> None:

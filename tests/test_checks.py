@@ -1,4 +1,4 @@
-from ionparity import checks
+from ionparity import checks, dynamics
 
 
 def test_default_battery_passes():
@@ -41,3 +41,34 @@ def test_unitarity_check_reports_period_map_defect():
     assert result.passed
     assert result.detail.startswith("one-period map max|M^dag M - I| = ")
     assert 0.0 < float(result.detail.rsplit("= ", 1)[1]) <= 1e-10
+
+
+def test_batched_checks_detect_a_faulted_closed_form(monkeypatch):
+    # one |-> amplitude of the closed form off by 1e-6 at every time
+    original = dynamics._closed_form_grids
+
+    def faulted(n_total, g, times, cutoff_a, cutoff_b):
+        minus, plus = original(n_total, g, times, cutoff_a, cutoff_b)
+        minus[:, n_total, 0] += 1e-6
+        return minus, plus
+
+    monkeypatch.setattr(dynamics, "_closed_form_grids", faulted)
+    state = {r.name: r for r in checks.closed_form_vs_propagator(seed=0)}
+    assert not state["closed_form_vs_propagator_state"].passed
+    assert not checks.norm_conservation(seed=0).passed
+    assert not checks.entropy_matches_reduced_density(seed=0).passed
+
+
+def test_entropy_check_reads_the_off_diagonal_coherence(monkeypatch):
+    # moving a |+> amplitude onto a cell that |-> also occupies keeps both
+    # populations, so only <+|-> can tell the state from the closed form
+    original = dynamics._closed_form_grids
+
+    def coherent(n_total, g, times, cutoff_a, cutoff_b):
+        minus, plus = original(n_total, g, times, cutoff_a, cutoff_b)
+        plus[:, n_total - 1, 1] = plus[:, n_total - 2, 0]
+        plus[:, n_total - 2, 0] = 0.0
+        return minus, plus
+
+    monkeypatch.setattr(dynamics, "_closed_form_grids", coherent)
+    assert not checks.entropy_matches_reduced_density(seed=0).passed

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from ionparity import (
     vibrational_entropy,
     von_neumann_entropy,
 )
-from ionparity.dynamics import EDGE_START_MAX_N
+from ionparity.dynamics import EDGE_START_MAX_N, _closed_form_grids
 
 LN2 = np.log(2.0)
 
@@ -57,6 +59,36 @@ def test_su2_half_integer_spin_validated():
         Su2CoherentSpec(1.0, 0.7)
     with pytest.raises(ValueError):
         Su2CoherentSpec(1.0, -1.0)
+
+
+def test_su2_large_spin_matches_lgamma_binomial_weights():
+    # (1 + |tau|^2)^(-j) = 10^(-400) underflows; |c_k|^2 is binomial with p = 0.9
+    n_total = 800
+    p = 0.9
+    k = np.arange(n_total + 1)
+    log_weights = np.array(
+        [
+            math.lgamma(n_total + 1) - math.lgamma(i + 1) - math.lgamma(n_total - i + 1)
+            + i * math.log(p) + (n_total - i) * math.log1p(-p)
+            for i in k
+        ]
+    )
+    for tau in (3.0, 3.0 * np.exp(0.7j)):
+        state = build_su2_state(Su2CoherentSpec(tau, n_total / 2.0), n_total, n_total)
+        coeffs = state.amplitudes[n_total - k, k]
+        assert state.squared_norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(np.abs(coeffs) ** 2 - np.exp(log_weights))) <= 1e-12
+        # the phase of c_k is k arg(tau)
+        peak = np.argmax(np.abs(coeffs))
+        ratio = coeffs[peak + 1] / coeffs[peak]
+        assert np.angle(ratio) == pytest.approx(np.angle(tau), abs=1e-12)
+
+
+def test_su2_large_spin_at_unit_tau_is_the_binomial_state():
+    state = build_su2_state(Su2CoherentSpec(1.0, 1100.0), 2200, 2200)
+    k = np.arange(2201)
+    amps = symmetric_binomial_amplitudes(2200)
+    assert np.max(np.abs(state.amplitudes[2200 - k, k] - amps)) <= 1e-14
 
 
 def test_binomial_amplitudes_large_n_stable():
@@ -108,6 +140,21 @@ def test_initial_condition():
     assert state.plus_component.squared_norm() == 0.0
     reference = build_su2_state(Su2CoherentSpec(1.0, 4.5), 9, 9)
     assert np.allclose(state.minus_component.amplitudes, reference.amplitudes, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_total", [0, 1, 2, 9, 20])
+@pytest.mark.parametrize("extra", [0, 3])
+def test_stacked_grids_equal_single_time_states(n_total, extra):
+    rng = np.random.default_rng(n_total)
+    times = np.concatenate(([0.0], rng.uniform(0.0, 12.0, size=25)))
+    cut = n_total + extra
+    minus, plus = _closed_form_grids(n_total, 1.3, times, cut, cut + 1)
+    assert minus.shape == plus.shape == (len(times), cut + 1, cut + 2)
+    for t, m, p in zip(times, minus, plus):
+        state = evolve_closed_form(n_total, 1.3, float(t), cut, cut + 1)
+        assert np.array_equal(m, state.minus_component.amplitudes)
+        assert np.array_equal(p, state.plus_component.amplitudes)
+    assert not plus[0].any()
 
 
 def test_two_quanta_ground_population_formula():

@@ -19,12 +19,7 @@ from ionparity import (
     propagate_effective,
     propagate_lamb_dicke,
 )
-from ionparity.propagators import (
-    _flatten,
-    _rk4_span,
-    one_period_map,
-    vibronic_basis_labels,
-)
+from ionparity.propagators import _flatten, _rk4_span, one_period_map
 
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
@@ -49,10 +44,21 @@ def _random_interior_state(rng, cutoff: int) -> VibronicState:
     return VibronicState(TwoModeState(minus / norm), TwoModeState(plus / norm))
 
 
+def _basis_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[str, int, int]]:
+    """The documented basis order of the dense matrices: the |-> grid, then
+    the |+> grid, each row-major over (n_a, n_b)."""
+    return [
+        (sign, na, nb)
+        for sign in ("-", "+")
+        for na in range(cutoff_a + 1)
+        for nb in range(cutoff_b + 1)
+    ]
+
+
 def test_effective_hamiltonian_matrix_structure():
     h = EffectiveHamiltonian(1.3, 3, 3)
     matrix = h.matrix()
-    labels = vibronic_basis_labels(3, 3)
+    labels = _basis_labels(3, 3)
     assert np.array_equal(matrix, matrix.conj().T)
     for i, (sign_i, na_i, nb_i) in enumerate(labels):
         for j, (sign_j, na_j, nb_j) in enumerate(labels):
@@ -186,6 +192,26 @@ def test_drive_matrix_is_hermitian():
         assert np.allclose(matrix, matrix.conj().T, atol=1e-14)
 
 
+def test_drive_matrix_follows_the_documented_basis_order():
+    # on a non-square grid the static order-2 term couples only
+    # |n_a, n_b>|-> and |n_a - 1, n_b - 1>|+>, at the labelled positions
+    params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
+    matrix = LambDickeHamiltonian(params, 2, 2, 3, resonant_only=True).matrix_at(0.4)
+    labels = _basis_labels(2, 3)
+    coupling = params.effective_coupling()
+    for i, (sign_i, na_i, nb_i) in enumerate(labels):
+        for j, (sign_j, na_j, nb_j) in enumerate(labels):
+            if sign_i == "-" and sign_j == "+" and (na_j, nb_j) == (na_i - 1, nb_i - 1):
+                assert matrix[i, j] == pytest.approx(coupling * np.sqrt(na_i * nb_i), abs=1e-15)
+            elif sign_i == "+" and sign_j == "-" and (na_j, nb_j) == (na_i + 1, nb_i + 1):
+                assert matrix[i, j] == pytest.approx(coupling * np.sqrt(na_j * nb_j), abs=1e-15)
+            else:
+                assert abs(matrix[i, j]) <= 1e-15
+    # states flatten in the same order
+    state = VibronicState(make_fock_pair(2, 1, 2, 3), _zero_like(make_fock_pair(0, 0, 2, 3)))
+    assert labels[int(np.flatnonzero(_flatten(state))[0])] == ("-", 2, 1)
+
+
 def test_drive_static_part_equals_pair_exchange():
     params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
     static = LambDickeHamiltonian(params, 2, 4, 4, resonant_only=True)
@@ -288,3 +314,34 @@ def test_period_map_is_unitary_to_integration_error():
     period_map = one_period_map(h, h.stability_dt())
     defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
     assert defect <= 1e-10
+
+
+def _rk4_reference(h, y, t0, t1, steps):
+    """Classic RK4 with the coupling evaluated afresh for each of the four
+    stages of every step."""
+    y = y.copy()
+    dt = (t1 - t0) / steps if steps else 0.0
+    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
+    for i in range(steps):
+        t = t0 + i * dt
+        h._rhs(h._couplings(t), y, out=k1)
+        h._rhs(h._couplings(t + 0.5 * dt), y + 0.5 * dt * k1, out=k2)
+        h._rhs(h._couplings(t + 0.5 * dt), y + 0.5 * dt * k2, out=k3)
+        h._rhs(h._couplings(t + dt), y + dt * k3, out=k4)
+        y += (dt / 6.0) * ((k1 + k4) + 2.0 * (k2 + k3))
+    return y
+
+
+@pytest.mark.parametrize("steps", [0, 1, 101])
+@pytest.mark.parametrize("as_matrix", [False, True])
+def test_rk4_span_reuses_couplings_without_changing_a_bit(steps, as_matrix):
+    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    h = LambDickeHamiltonian(params, 3, 3, 3)
+    rng = np.random.default_rng(steps)
+    shape = (2 * h.grid_size, 5) if as_matrix else (2 * h.grid_size,)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # t0 = 0.3 puts steps whose end time t + h differs from the next start
+    got = _rk4_span(h, y, 0.3, 0.3 + 2.0 * np.pi / 50.0, steps)
+    expected = _rk4_reference(h, y, 0.3, 0.3 + 2.0 * np.pi / 50.0, steps)
+    assert np.array_equal(got, expected)
+    assert not steps or not np.array_equal(got, y)
