@@ -42,8 +42,8 @@ def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
 
     Built from cumulative products of the ratios P_k / P_(k-1) so no factorial
     ever overflows.  Up to N = EDGE_START_MAX_N the product starts at P_0;
-    beyond, it runs outward from the central amplitude, where every ratio is
-    at most one, and is normalised, so the weights P_k^2 still sum to one.
+    beyond, it runs outward from the central amplitude (``_outward_from_peak``)
+    and is normalised, so the weights P_k^2 still sum to one.
     """
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
@@ -51,10 +51,20 @@ def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
     if n_total <= EDGE_START_MAX_N:
         start = 2.0 ** (-n_total / 2.0)
         return np.array(list(itertools.accumulate(ratios, operator.mul, initial=start)))
+    # P_(N-k) = P_k, so the fall below the centre mirrors the fall above it
     centre = n_total // 2
-    upper = np.cumprod([1.0, *ratios[centre:]])
-    amps = np.concatenate((upper[::-1][:centre], upper))
-    return amps / np.sqrt(amps @ amps)
+    return _outward_from_peak(ratios[n_total - centre:], ratios[centre:])
+
+
+def _outward_from_peak(below, above) -> np.ndarray:
+    """Normalised magnitudes m_0..m_n from the largest one, m_p = 1, outward.
+
+    ``below[i]`` = m_(p-i-1) / m_(p-i) and ``above[i]`` = m_(p+i+1) / m_(p+i),
+    every ratio at most one, so no partial product can underflow before the
+    magnitudes it belongs to are themselves below the smallest float.
+    """
+    magnitudes = np.concatenate((np.cumprod(below)[::-1], [1.0], np.cumprod(above)))
+    return magnitudes / np.sqrt(magnitudes @ magnitudes)
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,10 @@ def _su2_coefficients(tau: complex, j: float, n: int) -> np.ndarray:
     """coefficient_k = (1 + |tau|^2)^(-j) * sqrt(C(n, k)) * tau^k for k = 0..n.
 
     While the start value (1 + |tau|^2)^(-j) is a normal float the plain
-    running product from k = 0 is kept.  Past that it would underflow, so
-    the magnitudes run outward from the largest one, where every ratio is
-    at most one, and are normalised; the phases are tau^k / |tau|^k.
+    running product from k = 0 is kept; at tau = 1 that is exactly
+    N <= EDGE_START_MAX_N, the switch of ``symmetric_binomial_amplitudes``.
+    Past it the start would underflow, so the magnitudes run outward from
+    the largest one (``_outward_from_peak``); the phases are tau^k / |tau|^k.
     """
     start = (1.0 + abs(tau) ** 2) ** (-j)
     if start >= np.finfo(float).tiny:
@@ -93,10 +104,7 @@ def _su2_coefficients(tau: complex, j: float, n: int) -> np.ndarray:
     k = np.arange(1, n + 1)
     ratios = abs(tau) * np.sqrt((n - k + 1) / k)
     peak = int(np.count_nonzero(ratios >= 1.0))
-    magnitudes = np.concatenate(
-        (np.cumprod(1.0 / ratios[:peak][::-1])[::-1], [1.0], np.cumprod(ratios[peak:]))
-    )
-    magnitudes /= np.sqrt(magnitudes @ magnitudes)
+    magnitudes = _outward_from_peak(1.0 / ratios[:peak][::-1], ratios[peak:])
     return magnitudes * np.exp(1j * np.angle(tau) * np.arange(n + 1))
 
 
@@ -222,12 +230,15 @@ def vibrational_entropy(n_total: int, g: float, t):
     return binary_entropy(ground_probability(n_total, g, t))
 
 
-def von_neumann_entropy(density: np.ndarray) -> float:
-    """-Tr[rho ln rho] via the eigenvalue spectrum; zeros are skipped."""
-    evals = np.linalg.eigvalsh(np.asarray(density))
-    evals = np.clip(evals.real, 0.0, None)
-    positive = evals[evals > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+def von_neumann_entropy(density: np.ndarray):
+    """-Tr[rho ln rho] via the eigenvalue spectrum; zero eigenvalues add 0.
+
+    Takes one matrix (returns a float) or a (..., d, d) stack of them
+    (returns one entropy per matrix).
+    """
+    evals = np.clip(np.linalg.eigvalsh(np.asarray(density)), 0.0, None)
+    entropy = -np.sum(evals * np.log(np.where(evals > 0.0, evals, 1.0)), axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -28,11 +26,10 @@ class SweepResult:
 
 
 def _format_cell(value: object) -> str:
-    # numpy scalars format as the Python scalars they hold
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.16e}"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.16e}"
     return str(value)
 
 
@@ -48,7 +45,7 @@ def write_csv(result: SweepResult, stream: TextIO) -> None:
         stream.write(f"# {key}={_format_cell(result.config[key])}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(result.columns)
-    writer.writerows(map(_format_cell, row) for row in result.rows)
+    writer.writerows([_format_cell(_native(cell)) for cell in row] for row in result.rows)
 
 
 def write_json(result: SweepResult, stream: TextIO) -> None:

@@ -228,6 +228,21 @@ def test_entropy_matches_reduced_density_matrix():
             )
 
 
+def test_von_neumann_entropy_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(11)
+    vectors = rng.normal(size=(6, 3, 2)) + 1j * rng.normal(size=(6, 3, 2))
+    stack = np.einsum("sia,sja->sij", vectors, vectors.conj())
+    stack /= np.trace(stack, axis1=1, axis2=2)[:, None, None]
+    stack[0] = np.diag([1.0, 0.0, 0.0])  # zero eigenvalues add nothing
+    entropies = von_neumann_entropy(stack)
+    assert entropies.shape == (6,)
+    assert entropies[0] == 0.0
+    for rho, entropy in zip(stack, entropies):
+        single = von_neumann_entropy(rho)
+        assert isinstance(single, float)
+        assert single == entropy
+
+
 def test_parity_times_odd():
     times = parity_times(9, 1.0)
     assert times.revival_time == pytest.approx(2.0 * np.pi, abs=1e-14)
