@@ -7,8 +7,6 @@ from .states import (
     PhysicalParams,
     TwoModeState,
     VibronicState,
-    inner_product,
-    make_fock_pair,
 )
 from .dynamics import (
     ParityTimes,
@@ -31,9 +29,7 @@ from .fluctuations import (
     gamma_kernel,
     gaussian_kernel,
     mixture_ground_probabilities,
-    mixture_ground_probability,
     monte_carlo_cosine,
-    parity_delta,
 )
 from .preparation import (
     PreparationModel,
@@ -79,12 +75,8 @@ __all__ = [
     "ground_population_trajectory",
     "ground_probabilities_mixed",
     "ground_probability",
-    "inner_product",
-    "make_fock_pair",
     "mixture_ground_probabilities",
-    "mixture_ground_probability",
     "monte_carlo_cosine",
-    "parity_delta",
     "parity_delta_mixed",
     "parity_times",
     "propagate_effective",

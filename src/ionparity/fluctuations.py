@@ -238,18 +238,6 @@ def mixture_ground_probabilities(
     return 0.5 * (1.0 + _kernels(omegas, model, t, rng, taus) @ matrix.T)
 
 
-def mixture_ground_probability(
-    n_totals: Sequence[int],
-    weights: Sequence[float],
-    model: FluctuationModel,
-    t: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Fluctuation-averaged ground probability at t > 0 of the mixture of
-    Fock totals N_m with weights c_m (summing to one)."""
-    return float(mixture_ground_probabilities(((n_totals, weights),), model, t, rng)[0])
-
-
 def averaged_ground_probability(
     n_total: int,
     model: FluctuationModel,
@@ -261,25 +249,5 @@ def averaged_ground_probability(
     In monte_carlo mode a single set of area draws is shared by all
     terms, which is the direct average of the probability itself.
     """
-    return mixture_ground_probability((n_total,), (1.0,), model, t, rng)
+    return float(mixture_ground_probabilities((((n_total,), (1.0,)),), model, t, rng)[0])
 
-
-def parity_delta(
-    n_odd: int,
-    model: FluctuationModel,
-    t_compare: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Ground-probability difference between N = n_odd and N = n_odd + 1
-    at the comparison instant, the visibility figure of the parity effect.
-
-    Both targets come from one kernel call, so in monte_carlo mode they are
-    averaged over one common set of areas, drawn once from rng (or from the
-    model seed when rng is None).
-    """
-    if n_odd % 2 == 0 or n_odd < 3:
-        raise ValueError(f"n_odd must be odd and >= 3, got {n_odd}")
-    upper, lower = mixture_ground_probabilities(
-        (((n_odd,), (1.0,)), ((n_odd + 1,), (1.0,))), model, t_compare, rng
-    )
-    return float(upper - lower)

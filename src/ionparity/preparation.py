@@ -31,7 +31,6 @@ from .fluctuations import (
     FluctuationModel,
     averaged_ground_probability,
     mixture_ground_probabilities,
-    mixture_ground_probability,
 )
 
 
@@ -104,7 +103,7 @@ def averaged_ground_probability_mixed(
     """
     if prep.is_exact:
         return averaged_ground_probability(prep.n_target, model, t)
-    return mixture_ground_probability(*prep.terms(extra=extra_terms), model, t)
+    return float(mixture_ground_probabilities((prep.terms(extra=extra_terms),), model, t)[0])
 
 
 def ground_probabilities_mixed(

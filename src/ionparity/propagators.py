@@ -75,23 +75,17 @@ class EffectiveHamiltonian:
         return matrix
 
 
-def propagate_effective(
-    initial: VibronicState, coupling: float, t: float, dt_max: float | None = None
-) -> VibronicState:
+def propagate_effective(initial: VibronicState, coupling: float, t: float) -> VibronicState:
     """Evolve ``initial`` under the pair-exchange Hamiltonian for time t.
 
     Every two-level block is rotated exactly, so the result carries no
-    step-size error; ``dt_max`` merely splits the evolution into exact
-    sub-steps and never changes the outcome.  Raises TruncationError when
-    plus-component population sits on the grid edge where its coupling
-    partner is not representable.
+    step-size error.  Raises TruncationError when plus-component population
+    sits on the grid edge where its coupling partner is not representable.
     """
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    if dt_max is not None and dt_max <= 0.0:
-        raise ValueError("dt_max must be positive")
     minus = initial.minus_component.amplitudes.copy()
     plus = initial.plus_component.amplitudes.copy()
     ca, cb = initial.cutoff_a, initial.cutoff_b
@@ -107,20 +101,17 @@ def propagate_effective(
     if ca == 0 or cb == 0 or t == 0.0:
         return VibronicState(TwoModeState(minus), TwoModeState(plus))
 
-    steps = 1 if dt_max is None else max(1, math.ceil(t / dt_max))
-    step = t / steps
     kappa = coupling * np.sqrt(
         np.multiply.outer(np.arange(1.0, ca + 1.0), np.arange(1.0, cb + 1.0))
     )
-    cos_step = np.cos(kappa * step)
-    sin_step = np.sin(kappa * step)
-    for _ in range(steps):
-        m_block = minus[1:, 1:]
-        p_block = plus[:ca, :cb]
-        new_m = cos_step * m_block - 1j * sin_step * p_block
-        new_p = cos_step * p_block - 1j * sin_step * m_block
-        minus[1:, 1:] = new_m
-        plus[:ca, :cb] = new_p
+    cos_t = np.cos(kappa * t)
+    sin_t = np.sin(kappa * t)
+    m_block = minus[1:, 1:]
+    p_block = plus[:ca, :cb]
+    new_m = cos_t * m_block - 1j * sin_t * p_block
+    new_p = cos_t * p_block - 1j * sin_t * m_block
+    minus[1:, 1:] = new_m
+    plus[:ca, :cb] = new_p
     return VibronicState(TwoModeState(minus), TwoModeState(plus))
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
-
 # Relative slack for the coupling consistency rule g = omega * eta^2 * exp(-eta^2/2).
 COUPLING_CONSISTENCY_RTOL = 1e-6
 
@@ -54,46 +52,6 @@ class TwoModeState:
     def squared_norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.squared_norm()))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def normalized(self) -> "TwoModeState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return TwoModeState(self.amplitudes / n)
-
-
-def make_fock_pair(n_a: int, n_b: int, cutoff_a: int, cutoff_b: int) -> TwoModeState:
-    """Unit-norm basis state |n_a, n_b> on the given grid.
-
-    Raises ValueError if either index lies beyond its cutoff.
-    """
-    if cutoff_a < 0 or cutoff_b < 0:
-        raise ValueError("cutoffs must be non-negative")
-    if not (0 <= n_a <= cutoff_a):
-        raise ValueError(f"n_a={n_a} outside [0, {cutoff_a}]")
-    if not (0 <= n_b <= cutoff_b):
-        raise ValueError(f"n_b={n_b} outside [0, {cutoff_b}]")
-    grid = np.zeros((cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
-    grid[n_a, n_b] = 1.0
-    return TwoModeState(grid)
-
-
-def inner_product(s1: TwoModeState, s2: TwoModeState) -> complex:
-    """<s1|s2>, conjugate-linear in the first argument.
-
-    Both states must share the same cutoffs.
-    """
-    if s1.amplitudes.shape != s2.amplitudes.shape:
-        raise ValueError(
-            f"cutoff mismatch: {s1.amplitudes.shape} vs {s2.amplitudes.shape}"
-        )
-    return complex(np.vdot(s1.amplitudes, s2.amplitudes))
-
 
 @dataclass(frozen=True)
 class VibronicState:
@@ -127,13 +85,6 @@ class VibronicState:
         """Probability of finding the internal system in |->."""
         return self.minus_component.squared_norm()
 
-    def internal_reduced_density(self) -> np.ndarray:
-        """2x2 reduced density matrix of the internal system, basis (|->, |+>)."""
-        mm = self.minus_component.squared_norm()
-        pp = self.plus_component.squared_norm()
-        mp = inner_product(self.plus_component, self.minus_component)
-        return np.array([[mm, mp], [np.conj(mp), pp]], dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -141,7 +92,7 @@ class PhysicalParams:
 
     Any subset may be supplied; operations validate that the fields they
     need are present.  Every given field must be finite; ``g`` and ``nu``
-    must be strictly positive, ``omega``/``eta_ld``/``tau`` admit zero as a
+    must be strictly positive, ``omega`` and ``eta_ld`` admit zero as a
     degenerate limit.
     When ``g``, ``omega`` and ``eta_ld`` are all given, the consistency
     rule g = omega * eta_ld^2 * exp(-eta_ld^2 / 2) is enforced at
@@ -152,7 +103,6 @@ class PhysicalParams:
     nu: float | None = None         # trap frequency
     omega: float | None = None      # Rabi frequency of the drive
     eta_ld: float | None = None     # Lamb-Dicke parameter (dimensionless)
-    tau: float | None = None        # fluctuation strength, seconds
 
     def __post_init__(self) -> None:
         for name in ("g", "nu"):
@@ -160,7 +110,7 @@ class PhysicalParams:
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         # zero drive amplitude / zero Lamb-Dicke parameter are valid limits
-        for name in ("omega", "eta_ld", "tau"):
+        for name in ("omega", "eta_ld"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")

@@ -12,7 +12,6 @@ from ionparity import (
     cli,
     delta_from_efficiency,
     ground_probability,
-    parity_delta,
     parity_delta_mixed,
     parity_times,
     vibrational_entropy,
@@ -56,7 +55,7 @@ def test_criterion_3_parity_effect_ideal_case():
     p10 = ground_probability(10, G, t_compare)
     s9 = vibrational_entropy(9, G, t_compare)
     s10 = vibrational_entropy(10, G, t_compare)
-    delta_p = parity_delta(9, FluctuationModel(g_mean=G, tau=0.0), t_compare)
+    delta_p = parity_delta_mixed(9, None, FluctuationModel(g_mean=G, tau=0.0), t_compare)
 
     # same observables from the independent propagator route
     oracle = checks.closed_form_vs_propagator(
@@ -79,7 +78,7 @@ def _half_contrast_tau(t_compare: float, ideal: float) -> float:
     low, high = 1e-10, 1e-6
     for _ in range(80):
         mid = np.sqrt(low * high)
-        value = parity_delta(9, FluctuationModel(g_mean=G, tau=mid), t_compare)
+        value = parity_delta_mixed(9, None, FluctuationModel(g_mean=G, tau=mid), t_compare)
         if value / ideal > 0.5:
             low = mid
         else:
@@ -89,10 +88,11 @@ def _half_contrast_tau(t_compare: float, ideal: float) -> float:
 
 def test_criterion_4_visibility_vs_fluctuation_strength():
     t_compare = parity_times(9, G).comparison_time
-    ideal = parity_delta(9, FluctuationModel(g_mean=G, tau=0.0), t_compare)
+    ideal = parity_delta_mixed(9, None, FluctuationModel(g_mean=G, tau=0.0), t_compare)
     taus = np.logspace(-9.0, -7.0, 41)
     curve = np.array(
-        [parity_delta(9, FluctuationModel(g_mean=G, tau=float(tau)), t_compare) for tau in taus]
+        [parity_delta_mixed(9, None, FluctuationModel(g_mean=G, tau=float(tau)), t_compare)
+         for tau in taus]
     )
     monotone = bool(np.all(np.diff(curve) <= 1e-12))
     frac_low = curve[0] / ideal
@@ -114,7 +114,7 @@ def test_criterion_4_visibility_vs_fluctuation_strength():
 
 def test_criterion_5_visibility_vs_preparation_efficiency():
     t_compare = parity_times(9, G).comparison_time
-    ideal = parity_delta(9, FluctuationModel(g_mean=G, tau=0.0), t_compare)
+    ideal = parity_delta_mixed(9, None, FluctuationModel(g_mean=G, tau=0.0), t_compare)
     model = FluctuationModel(g_mean=G, tau=1e-8)
     attenuated = parity_delta_mixed(9, delta_from_efficiency(0.9), model, t_compare)
     attenuation = 1.0 - attenuated / ideal

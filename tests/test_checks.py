@@ -1,3 +1,5 @@
+import math
+
 from ionparity import checks, dynamics
 
 
@@ -41,6 +43,21 @@ def test_unitarity_check_reports_period_map_defect():
     assert result.passed
     assert result.detail.startswith("one-period map max|M^dag M - I| = ")
     assert 0.0 < float(result.detail.rsplit("= ", 1)[1]) <= 1e-10
+
+
+def test_drive_checks_fail_when_the_propagator_gives_up(monkeypatch):
+    # at eta_ld = 0.99 the RK4 norm drift exceeds what the propagator accepts
+    result = checks.rwa_deviation_decreases(eta_ld=0.99)
+    assert (result.measured, result.passed) == (math.inf, False)
+    assert result.detail.startswith("norm drift ")
+
+    def drifting(*args, **kwargs):
+        raise RuntimeError("norm drift 2.000e-08 exceeds 1e-08; reduce dt")
+
+    monkeypatch.setattr(checks.propagators, "propagate_lamb_dicke", drifting)
+    result = checks.lamb_dicke_unitarity()
+    assert (result.measured, result.passed) == (math.inf, False)
+    assert result.detail == "norm drift 2.000e-08 exceeds 1e-08; reduce dt"
 
 
 def test_batched_checks_detect_a_faulted_closed_form(monkeypatch):

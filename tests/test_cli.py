@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ionparity import cli
+from ionparity import cli, dynamics
 from ionparity.checks import CheckResult
 
 
@@ -260,6 +264,85 @@ def test_validate_report_and_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.checks, "run_all", lambda **kwargs: failing)
     assert run_cli("validate", "--out", str(out)) == 2
     assert "beta,5.0000000000000000e-01,1.0000000000000000e-08,false" in read(out)
+
+
+def test_validate_with_a_drifting_drive_reports_and_exits_two(tmp_path):
+    # the RK4 norm drift at eta_ld = 0.99 fails the drive check, not the run
+    out = tmp_path / "report.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "ionparity.cli", "validate", "--eta-ld", "0.99", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "validation failed; see report\n"
+    assert "rwa_deviation_decreases,inf,1.0000000000000000e+00,false" in read(out)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(min_value=0, max_value=60),
+       t_max=st.floats(min_value=0.0, max_value=50.0),
+       t_steps=st.integers(min_value=1, max_value=200))
+def test_dynamics_rows_are_probabilities_and_entropies(n, t_max, t_steps):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run_cli("dynamics", "--n", str(n), "--t-max", repr(t_max),
+                       "--t-steps", str(t_steps), "--format", "json")
+    assert code == 0
+    payload = json.loads(stdout.getvalue())
+    records = payload["records"]
+    assert len(records) == t_steps
+    times = np.array([r["t_seconds"] for r in records])
+    p_ground = np.array([r["p_ground"] for r in records])
+    entropy = np.array([r["entropy"] for r in records])
+    assert np.all((p_ground >= -1e-12) & (p_ground <= 1.0 + 1e-12))
+    assert np.all((entropy >= 0.0) & (entropy <= math.log(2.0)))
+    expected = np.atleast_1d(dynamics.ground_probability(n, payload["config"]["g"], times))
+    assert np.array_equal(p_ground, expected)
+
+
+# the type each config key takes, per subcommand
+CONFIG_TYPES = {
+    "dynamics": {"n": int, "t_max": float, "t_steps": int, "g": float, "nu": float,
+                 "omega": float, "eta_ld": float, "format": str},
+    "tau-sweep": {"n": int, "tau_min": float, "tau_max": float, "tau_steps": int,
+                  "eta_prep": float, "delta": float, "mode": str, "mc_samples": int,
+                  "seed": int, "workers": int, "g": float},
+    "eta-sweep": {"tau": list, "eta_min": float, "eta_max": float, "eta_steps": int,
+                  "mode": str, "mc_samples": int, "seed": int, "workers": int},
+    "validate": {"seed": int, "full": bool, "omega": float, "eta_ld": float, "format": str},
+}
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALAR_LISTS = st.lists(st.integers(), max_size=2)
+WRONG_VALUES = {
+    float: st.one_of(st.booleans(), st.text(), _SCALAR_LISTS),
+    int: st.one_of(st.booleans(), _FLOATS, st.text(), _SCALAR_LISTS),
+    str: st.one_of(st.booleans(), st.integers(), _FLOATS, _SCALAR_LISTS),
+    bool: st.one_of(st.integers(), st.text(), _SCALAR_LISTS),
+    list: st.one_of(_FLOATS, st.integers(), st.text(), st.lists(st.text(), max_size=2)),
+}
+
+
+@st.composite
+def wrong_config(draw):
+    command = draw(st.sampled_from(sorted(CONFIG_TYPES)))
+    key = draw(st.sampled_from(sorted(CONFIG_TYPES[command])))
+    return command, key, draw(WRONG_VALUES[CONFIG_TYPES[command][key]])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=wrong_config())
+def test_config_value_of_any_wrong_type_names_the_key(case, tmp_path):
+    command, key, value = case
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run_cli(command, "--config", str(config))
+    assert code == 1
+    assert stderr.getvalue().startswith(f"error: config file {config}: {key} must be ")
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_coupling_derived_from_drive(tmp_path):

@@ -217,17 +217,6 @@ def test_entropy_maximal_near_even_entangle_time():
     assert vibrational_entropy(10, 1.0, times.entangle_time) >= 0.95 * LN2
 
 
-def test_entropy_matches_reduced_density_matrix():
-    rng = np.random.default_rng(5)
-    for n in (2, 7, 10):
-        for t in rng.uniform(0.0, 8.0, size=15):
-            state = evolve_closed_form(n, 1.0, float(t))
-            direct = von_neumann_entropy(state.internal_reduced_density())
-            assert vibrational_entropy(n, 1.0, float(t)) == pytest.approx(
-                direct, abs=1e-10
-            )
-
-
 def test_von_neumann_entropy_of_a_stack_matches_each_matrix():
     rng = np.random.default_rng(11)
     vectors = rng.normal(size=(6, 3, 2)) + 1j * rng.normal(size=(6, 3, 2))

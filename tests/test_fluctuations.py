@@ -8,9 +8,8 @@ from ionparity import (
     gaussian_kernel,
     ground_probability,
     mixture_ground_probabilities,
-    mixture_ground_probability,
     monte_carlo_cosine,
-    parity_delta,
+    parity_delta_mixed,
     rabi_spectrum,
 )
 from ionparity import fluctuations
@@ -127,7 +126,7 @@ def test_joint_call_matches_separate_calls(mode):
     joint = mixture_ground_probabilities((odd, even), model, T_COMPARE)
     for mixture, value in zip((odd, even), joint):
         assert value == pytest.approx(
-            mixture_ground_probability(*mixture, model, T_COMPARE), abs=1e-15
+            mixture_ground_probabilities((mixture,), model, T_COMPARE)[0], abs=1e-15
         )
 
 
@@ -144,12 +143,13 @@ def test_monte_carlo_merged_row_equals_unmerged_row():
 def test_zero_weight_term_never_enters_the_cache():
     model = FluctuationModel(g_mean=1e5, tau=1e-8, mode="gamma_exact")
     fluctuations._area_terms.cache_clear()
-    with_tail = mixture_ground_probability((9, 10, 2001), (0.5, 0.5, 0.0), model, T_COMPARE)
+    (with_tail,) = mixture_ground_probabilities((((9, 10, 2001), (0.5, 0.5, 0.0)),), model,
+                                                T_COMPARE)
     assert fluctuations._area_terms.cache_info().currsize == 2
-    without = mixture_ground_probability((9, 10), (0.5, 0.5), model, T_COMPARE)
+    (without,) = mixture_ground_probabilities((((9, 10), (0.5, 0.5)),), model, T_COMPARE)
     assert with_tail == pytest.approx(without, abs=1e-15)
     with pytest.raises(ValueError, match="non-zero weight"):
-        mixture_ground_probability((2001,), (0.0,), model, T_COMPARE)
+        mixture_ground_probabilities((((2001,), (0.0,)),), model, T_COMPARE)
 
 
 def test_gamma_gaussian_agree_in_regime():
@@ -186,21 +186,23 @@ def test_long_time_limit_only_stationary_terms_survive():
 
 def test_parity_delta_ideal_value():
     model = FluctuationModel(g_mean=1e5, tau=0.0)
-    value = parity_delta(9, model, T_COMPARE)
+    value = parity_delta_mixed(9, None, model, T_COMPARE)
     assert value == pytest.approx(DP_IDEAL, abs=1e-12)
     assert 0.4 <= value <= 0.5
 
 
 def test_parity_delta_decoherent_limit():
     model = FluctuationModel(g_mean=1e5, tau=1.0)
-    assert parity_delta(9, model, T_COMPARE) == pytest.approx(1.0 / 1024.0, abs=1e-9)
+    assert parity_delta_mixed(9, None, model, T_COMPARE) == pytest.approx(
+        1.0 / 1024.0, abs=1e-9
+    )
 
 
 def test_parity_delta_monotone_in_tau():
     values = []
     for tau in np.logspace(-9, -7, 25):
         model = FluctuationModel(g_mean=1e5, tau=float(tau))
-        values.append(parity_delta(9, model, T_COMPARE))
+        values.append(parity_delta_mixed(9, None, model, T_COMPARE))
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -208,7 +210,10 @@ def test_parity_delta_draws_once_from_explicit_rng():
     # both targets share one set of areas drawn from the given generator
     model = FluctuationModel(g_mean=1e5, tau=1e-8, mode="monte_carlo", mc_samples=4000)
     rng = np.random.default_rng(21)
-    value = parity_delta(9, model, T_COMPARE, rng)
+    upper_joint, lower_joint = mixture_ground_probabilities(
+        (((9,), (1.0,)), ((10,), (1.0,))), model, T_COMPARE, rng
+    )
+    value = upper_joint - lower_joint
     upper = averaged_ground_probability(9, model, T_COMPARE, np.random.default_rng(21))
     lower = averaged_ground_probability(10, model, T_COMPARE, np.random.default_rng(21))
     assert value == pytest.approx(upper - lower, abs=1e-15)
@@ -220,9 +225,9 @@ def test_parity_delta_draws_once_from_explicit_rng():
 def test_parity_delta_rejects_even_or_small_n():
     model = FluctuationModel(g_mean=1e5, tau=1e-8)
     with pytest.raises(ValueError):
-        parity_delta(10, model, T_COMPARE)
+        parity_delta_mixed(10, None, model, T_COMPARE)
     with pytest.raises(ValueError):
-        parity_delta(1, model, T_COMPARE)
+        parity_delta_mixed(1, None, model, T_COMPARE)
 
 
 def test_averaged_probability_modes_consistent():

@@ -166,10 +166,9 @@ def test_parity_delta_mixed_frozen_value():
 
 
 def test_parity_delta_mixed_exact_matches_pure():
-    from ionparity import parity_delta
-
-    assert parity_delta_mixed(9, None, MODEL, T_COMPARE) == pytest.approx(
-        parity_delta(9, MODEL, T_COMPARE), abs=1e-15
+    pure = averaged_ground_probability(9, MODEL, T_COMPARE) - averaged_ground_probability(
+        10, MODEL, T_COMPARE
     )
+    assert parity_delta_mixed(9, None, MODEL, T_COMPARE) == pytest.approx(pure, abs=1e-15)
     with pytest.raises(ValueError):
         parity_delta_mixed(8, None, MODEL, T_COMPARE)

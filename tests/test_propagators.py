@@ -15,7 +15,6 @@ from ionparity import (
     evolve_closed_form,
     ground_population_trajectory,
     ground_probability,
-    make_fock_pair,
     propagate_effective,
     propagate_lamb_dicke,
 )
@@ -24,6 +23,13 @@ from ionparity.propagators import _flatten, _rk4_span, one_period_map
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
     return TwoModeState(np.zeros_like(state.amplitudes))
+
+
+def _fock_state(n_a: int, n_b: int, cutoff_a: int, cutoff_b: int) -> VibronicState:
+    """|n_a, n_b>|-> with an empty |+> component."""
+    grid = np.zeros((cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
+    grid[n_a, n_b] = 1.0
+    return VibronicState(TwoModeState(grid), TwoModeState(np.zeros_like(grid)))
 
 
 def _initial_binomial(n_total: int, cutoff: int) -> VibronicState:
@@ -72,7 +78,7 @@ def test_effective_hamiltonian_matrix_structure():
 
 
 def test_full_exchange_flop():
-    initial = VibronicState(make_fock_pair(1, 1, 2, 2), _zero_like(make_fock_pair(1, 1, 2, 2)))
+    initial = _fock_state(1, 1, 2, 2)
     final = propagate_effective(initial, 1.0, np.pi / 2.0)
     # |1,1>|-> flops to |0,0>|+> with phase -i after a quarter rotation period
     assert final.plus_component.amplitudes[0, 0] == pytest.approx(-1j, abs=1e-12)
@@ -81,7 +87,7 @@ def test_full_exchange_flop():
 
 def test_single_mode_occupation_is_stationary():
     for n in (3, 6):
-        initial = VibronicState(make_fock_pair(n, 0, 6, 6), _zero_like(make_fock_pair(n, 0, 6, 6)))
+        initial = _fock_state(n, 0, 6, 6)
         final = propagate_effective(initial, 2.0, 1.234)
         assert np.allclose(
             final.minus_component.amplitudes, initial.minus_component.amplitudes, atol=1e-15
@@ -150,18 +156,6 @@ def test_propagator_conserves_norm_and_sectors():
         assert after.get(sector, 0.0) == pytest.approx(population, abs=1e-12)
 
 
-def test_propagator_substeps_change_nothing():
-    state = _initial_binomial(4, 4)
-    single = propagate_effective(state, 2.0, 2.5)
-    stepped = propagate_effective(state, 2.0, 2.5, dt_max=0.01)
-    assert np.allclose(
-        single.minus_component.amplitudes, stepped.minus_component.amplitudes, atol=1e-10
-    )
-    assert np.allclose(
-        single.plus_component.amplitudes, stepped.plus_component.amplitudes, atol=1e-10
-    )
-
-
 def test_propagator_rejects_boundary_population():
     plus = np.zeros((3, 3), dtype=complex)
     plus[2, 1] = 1.0  # coupling partner |3,2> is outside the grid
@@ -208,7 +202,7 @@ def test_drive_matrix_follows_the_documented_basis_order():
             else:
                 assert abs(matrix[i, j]) <= 1e-15
     # states flatten in the same order
-    state = VibronicState(make_fock_pair(2, 1, 2, 3), _zero_like(make_fock_pair(0, 0, 2, 3)))
+    state = _fock_state(2, 1, 2, 3)
     assert labels[int(np.flatnonzero(_flatten(state))[0])] == ("-", 2, 1)
 
 
