@@ -8,6 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 parameter error, 2 validation failure (including a
 probability column that is not finite or leaves [0, 1]), 3 I/O error.
+A failed validate names each failed check and its reason on stderr.
 Flags override an optional JSON config file (--config), which overrides the
 built-in defaults; every output embeds the resolved configuration, so a run
 is reproducible from its own metadata.  The coupling g is interpreted as an
@@ -362,7 +363,8 @@ def cmd_eta_sweep(config: dict) -> SweepResult:
                        _echo_config(config, "eta-sweep"))
 
 
-def cmd_validate(config: dict) -> tuple[SweepResult, bool]:
+def cmd_validate(config: dict) -> tuple[SweepResult, list[str]]:
+    """The report and one 'name: reason' line per failed check."""
     # the drive checks run last; reject a bad drive before any check runs
     _validate_positive(config, "omega")
     if not 0.0 < config["eta_ld"] < 1.0:
@@ -372,7 +374,8 @@ def cmd_validate(config: dict) -> tuple[SweepResult, bool]:
     rows = [(r.name, r.measured, r.bound, r.passed) for r in results]
     table = SweepResult(("check", "measured", "bound", "passed"), rows,
                         _echo_config(config, "validate"))
-    return table, all(r.passed for r in results)
+    return table, [f"{r.name}: {r.detail or f'measured {r.measured:.3e} > bound {r.bound:.3e}'}"
+                   for r in results if not r.passed]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -387,11 +390,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args, parser)
         if args.command == "validate":
-            result, ok = cmd_validate(config)
+            result, failures = cmd_validate(config)
         else:
             tables = {"dynamics": cmd_dynamics, "tau-sweep": cmd_tau_sweep,
                       "eta-sweep": cmd_eta_sweep}
-            result, ok = tables[args.command](config), True
+            result, failures = tables[args.command](config), []
             problem = _out_of_range(result)
             if problem is not None:
                 print(f"error: {problem}", file=sys.stderr)
@@ -403,8 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    if not ok:
-        print("validation failed; see report", file=sys.stderr)
+    if failures:
+        print(*failures, "validation failed; see report", sep="\n", file=sys.stderr)
         return 2
     return 0
 

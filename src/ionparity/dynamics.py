@@ -20,9 +20,6 @@ by ``_closed_form_grids``; ``evolve_closed_form`` is its one-time case.
 
 from __future__ import annotations
 
-import itertools
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,41 +27,32 @@ import numpy as np
 from .states import TwoModeState, VibronicState
 
 
-# Largest N whose first amplitude 2^(-N/2) is a normal float.  Up to it the
-# product from k = 0 keeps its bits and its weights sum to one within 1e-14;
-# past it that start value loses bits (the weights sum to 1 - 1e-12 at
-# N = 2080) and rounds to 0 from N = 2150, so larger N start from the centre.
-EDGE_START_MAX_N = 2044
+def _su2_magnitudes(r: float, n: int) -> np.ndarray:
+    """Magnitudes (1 + r^2)^(-n/2) sqrt(C(n, k)) r^k for k = 0..n, r = |tau|.
+
+    Built from cumulative products of the ratios m_k / m_(k-1) so no factorial
+    ever overflows.  While the start value m_0 is a normal float (at r = 1 up
+    to N = 2044) the product runs from m_0.  Past that m_0 would lose bits and
+    then round to 0, so the product runs outward from the largest magnitude,
+    set to 1, where every ratio is at most one, and is normalised.
+    """
+    k, rest = np.arange(1, n + 1), np.arange(n, 0, -1)  # rest = n - k + 1
+    ratios = r * np.sqrt(rest / k)
+    start = (1.0 + r**2) ** (-n / 2.0)
+    if start >= np.finfo(float).tiny:
+        return np.cumprod(np.concatenate(([start], ratios)))
+    peak = int(np.count_nonzero(ratios > 1.0))
+    below = np.sqrt(k[:peak] / rest[:peak])[::-1] / r  # m_(k-1) / m_k
+    magnitudes = np.concatenate((np.cumprod(below)[::-1], [1.0], np.cumprod(ratios[peak:])))
+    return magnitudes / np.sqrt(magnitudes @ magnitudes)
 
 
 def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
-    """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N.
-
-    Built from cumulative products of the ratios P_k / P_(k-1) so no factorial
-    ever overflows.  Up to N = EDGE_START_MAX_N the product starts at P_0;
-    beyond, it runs outward from the central amplitude (``_outward_from_peak``)
-    and is normalised, so the weights P_k^2 still sum to one.
-    """
+    """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N: the tau = 1
+    spin-coherent magnitudes, accurate at any N."""
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
-    ratios = [math.sqrt((n_total - k + 1) / k) for k in range(1, n_total + 1)]
-    if n_total <= EDGE_START_MAX_N:
-        start = 2.0 ** (-n_total / 2.0)
-        return np.array(list(itertools.accumulate(ratios, operator.mul, initial=start)))
-    # P_(N-k) = P_k, so the fall below the centre mirrors the fall above it
-    centre = n_total // 2
-    return _outward_from_peak(ratios[n_total - centre:], ratios[centre:])
-
-
-def _outward_from_peak(below, above) -> np.ndarray:
-    """Normalised magnitudes m_0..m_n from the largest one, m_p = 1, outward.
-
-    ``below[i]`` = m_(p-i-1) / m_(p-i) and ``above[i]`` = m_(p+i+1) / m_(p+i),
-    every ratio at most one, so no partial product can underflow before the
-    magnitudes it belongs to are themselves below the smallest float.
-    """
-    magnitudes = np.concatenate((np.cumprod(below)[::-1], [1.0], np.cumprod(above)))
-    return magnitudes / np.sqrt(magnitudes @ magnitudes)
+    return _su2_magnitudes(1.0, n_total)
 
 
 @dataclass(frozen=True)
@@ -85,45 +73,24 @@ class Su2CoherentSpec:
         return int(round(2.0 * self.j))
 
 
-def _su2_coefficients(tau: complex, j: float, n: int) -> np.ndarray:
-    """coefficient_k = (1 + |tau|^2)^(-j) * sqrt(C(n, k)) * tau^k for k = 0..n.
-
-    While the start value (1 + |tau|^2)^(-j) is a normal float the plain
-    running product from k = 0 is kept; at tau = 1 that is exactly
-    N <= EDGE_START_MAX_N, the switch of ``symmetric_binomial_amplitudes``.
-    Past it the start would underflow, so the magnitudes run outward from
-    the largest one (``_outward_from_peak``); the phases are tau^k / |tau|^k.
-    """
-    start = (1.0 + abs(tau) ** 2) ** (-j)
-    if start >= np.finfo(float).tiny:
-        coeffs = np.empty(n + 1, dtype=np.complex128)
-        coeffs[0] = start
-        for k in range(1, n + 1):
-            coeffs[k] = coeffs[k - 1] * tau * np.sqrt((n - k + 1) / k)
-        return coeffs
-    k = np.arange(1, n + 1)
-    ratios = abs(tau) * np.sqrt((n - k + 1) / k)
-    peak = int(np.count_nonzero(ratios >= 1.0))
-    magnitudes = _outward_from_peak(1.0 / ratios[:peak][::-1], ratios[peak:])
-    return magnitudes * np.exp(1j * np.angle(tau) * np.arange(n + 1))
-
-
 def build_su2_state(spec: Su2CoherentSpec, cutoff_a: int, cutoff_b: int) -> TwoModeState:
     """Normalized spin-coherent state on the |2j-k, k> anti-diagonal.
 
     coefficient_k = (1 + |tau|^2)^(-j) * sqrt(C(2j, k)) * tau^k.  At
     tau_param = 1 this reduces to the symmetric binomial amplitudes; at
     tau_param = 0 only |2j, 0> survives.  The coefficients are built so
-    that they cannot underflow at large j.
+    that they cannot underflow at large j: magnitudes from
+    ``_su2_magnitudes``, phases exp(i k arg tau).
     """
     n = spec.n_quanta
     if cutoff_a < n or cutoff_b < n:
         raise ValueError(
             f"cutoffs ({cutoff_a}, {cutoff_b}) too small for 2j = {n} quanta"
         )
+    tau = complex(spec.tau_param)
     k = np.arange(n + 1)
     grid = np.zeros((cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
-    grid[n - k, k] = _su2_coefficients(complex(spec.tau_param), spec.j, n)
+    grid[n - k, k] = _su2_magnitudes(abs(tau), n) * np.exp(1j * np.angle(tau) * k)
     return TwoModeState(grid)
 
 

@@ -284,17 +284,6 @@ def _rk4_span(
     return y
 
 
-def _check_dt(h_ld: LambDickeHamiltonian, dt: float) -> None:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    bound = h_ld.stability_dt()
-    if dt > bound * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={dt:.3e} too coarse for the fastest retained oscillation; "
-            f"need dt <= {bound:.3e}"
-        )
-
-
 def _period_grid(h_ld: LambDickeHamiltonian, dt: float) -> tuple[float, int]:
     """Drive period T = 2 pi / nu and the RK4 steps per period; the step
     T / steps divides T and does not exceed dt."""
@@ -314,35 +303,6 @@ def one_period_map(h_ld: LambDickeHamiltonian, dt: float) -> np.ndarray:
     return _rk4_span(h_ld, identity, 0.0, period, steps)
 
 
-def _states_at(
-    h_ld: LambDickeHamiltonian, y: np.ndarray, times: np.ndarray, dt: float
-) -> list[np.ndarray]:
-    """State at each non-decreasing time t = n T + r, as U(r) M^n y.
-
-    M^n is applied as a product of the squarings M, M^2, M^4, ..., which
-    are computed once and shared by all sample times; U(r) integrates the
-    remainder from phase 0 with steps no longer than the one-period step.
-    """
-    period, steps = _period_grid(h_ld, dt)
-    splits = [divmod(float(t), period) for t in times]
-    last_whole = int(splits[-1][0])
-    squarings = []
-    if last_whole > 0:
-        squarings.append(one_period_map(h_ld, dt))
-        while 2 ** len(squarings) <= last_whole:
-            squarings.append(squarings[-1] @ squarings[-1])
-    states = []
-    done = 0
-    for whole, rest in splits:
-        todo = int(whole) - done
-        done = int(whole)
-        for bit, power in enumerate(squarings):
-            if todo >> bit & 1:
-                y = power @ y
-        states.append(_rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period)))
-    return states
-
-
 def _flatten(state: VibronicState) -> np.ndarray:
     return np.concatenate(
         [state.minus_component.amplitudes.ravel(), state.plus_component.amplitudes.ravel()]
@@ -358,6 +318,49 @@ def _unflatten(y: np.ndarray, cutoff_a: int, cutoff_b: int) -> VibronicState:
 
 
 NORM_DRIFT_TOL = 1e-8
+
+
+def _drive_states(
+    initial: VibronicState,
+    params: PhysicalParams,
+    expansion_order: int,
+    times: np.ndarray,
+    dt: float,
+) -> list[np.ndarray]:
+    """Flattened state at each non-decreasing time t = n T + r, as U(r) M^n y0,
+    from one build of the drive Hamiltonian; M^n is a product of the squarings
+    M, M^2, M^4, ... shared by all the times (see ``propagate_lamb_dicke``)."""
+    h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    bound = h_ld.stability_dt()
+    if dt > bound * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt={dt:.3e} too coarse for the fastest retained oscillation; "
+            f"need dt <= {bound:.3e}"
+        )
+    period, steps = _period_grid(h_ld, dt)
+    splits = [divmod(float(t), period) for t in times]
+    last_whole = int(splits[-1][0])
+    squarings = []
+    if last_whole > 0:
+        squarings.append(one_period_map(h_ld, dt))
+        while 2 ** len(squarings) <= last_whole:
+            squarings.append(squarings[-1] @ squarings[-1])
+    y = _flatten(initial)
+    states = []
+    done = 0
+    for whole, rest in splits:
+        todo = int(whole) - done
+        done = int(whole)
+        for bit, power in enumerate(squarings):
+            if todo >> bit & 1:
+                y = power @ y
+        states.append(_rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period)))
+    drift = abs(float(np.sum(np.abs(states[-1]) ** 2)) - initial.total_squared_norm())
+    if drift > NORM_DRIFT_TOL:
+        raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}; reduce dt")
+    return states
 
 
 def propagate_lamb_dicke(
@@ -379,12 +382,7 @@ def propagate_lamb_dicke(
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and non-negative")
-    h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
-    _check_dt(h_ld, dt)
-    (y,) = _states_at(h_ld, _flatten(initial), np.array([t]), dt)
-    drift = abs(float(np.sum(np.abs(y) ** 2)) - initial.total_squared_norm())
-    if drift > NORM_DRIFT_TOL:
-        raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}; reduce dt")
+    (y,) = _drive_states(initial, params, expansion_order, np.array([t]), dt)
     return _unflatten(y, initial.cutoff_a, initial.cutoff_b)
 
 
@@ -408,12 +406,6 @@ def ground_population_trajectory(
         return np.array([])
     if not np.all(np.isfinite(times)) or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be finite, non-negative and non-decreasing")
-    h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
-    _check_dt(h_ld, dt)
-    dim = h_ld.grid_size
-    states = _states_at(h_ld, _flatten(initial), times, dt)
-    populations = np.array([float(np.sum(np.abs(y[:dim]) ** 2)) for y in states])
-    drift = abs(float(np.sum(np.abs(states[-1]) ** 2)) - initial.total_squared_norm())
-    if drift > NORM_DRIFT_TOL:
-        raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}; reduce dt")
-    return populations
+    dim = initial.minus_component.amplitudes.size
+    states = _drive_states(initial, params, expansion_order, times, dt)
+    return np.array([float(np.sum(np.abs(y[:dim]) ** 2)) for y in states])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +41,14 @@ def _native(value: object) -> object:
     return value
 
 
+def _json_cell(value: object) -> object:
+    # strict JSON has no Infinity or NaN: write the text of the CSV cell
+    value = _native(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return _format_cell(value)
+    return value
+
+
 def write_csv(result: SweepResult, stream: TextIO) -> None:
     for key in sorted(result.config):
         stream.write(f"# {key}={_format_cell(result.config[key])}\n")
@@ -50,14 +59,14 @@ def write_csv(result: SweepResult, stream: TextIO) -> None:
 
 def write_json(result: SweepResult, stream: TextIO) -> None:
     payload = {
-        "config": {key: _native(val) for key, val in result.config.items()},
+        "config": {key: _json_cell(val) for key, val in result.config.items()},
         "columns": list(result.columns),
         "records": [
-            {col: _native(cell) for col, cell in zip(result.columns, row)}
+            {col: _json_cell(cell) for col, cell in zip(result.columns, row)}
             for row in result.rows
         ],
     }
-    json.dump(payload, stream, indent=2, sort_keys=True)
+    json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
     stream.write("\n")
 
 

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ionparity import cli, dynamics
 from ionparity.checks import CheckResult
@@ -275,8 +276,61 @@ def test_validate_with_a_drifting_drive_reports_and_exits_two(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert run.returncode == 2
-    assert run.stderr == "validation failed; see report\n"
+    assert run.stderr == ("rwa_deviation_decreases: norm drift 2.299e-08 exceeds 1e-08; "
+                          "reduce dt\nvalidation failed; see report\n")
     assert "rwa_deviation_decreases,inf,1.0000000000000000e+00,false" in read(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_validate_json_report_of_a_failed_check_is_strict(tmp_path, monkeypatch, capsys):
+    failing = [CheckResult("alpha", 1e-12, 1e-8, True),
+               CheckResult("beta", math.inf, 1e-8, False, "norm drift 2e-08 exceeds 1e-08"),
+               CheckResult("gamma", 0.5, 1e-8, False)]
+    monkeypatch.setattr(cli.checks, "run_all", lambda **kwargs: failing)
+    out = tmp_path / "report.json"
+    assert run_cli("validate", "--format", "json", "--out", str(out)) == 2
+    records = json.loads(read(out), parse_constant=_reject_constant)["records"]
+    assert [r["measured"] for r in records] == [1e-12, "inf", 0.5]
+    assert capsys.readouterr().err == ("beta: norm drift 2e-08 exceeds 1e-08\n"
+                                       "gamma: measured 5.000e-01 > bound 1.000e-08\n"
+                                       "validation failed; see report\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(drive=st.fixed_dictionaries({}, optional={"omega": st.floats(), "eta_ld": st.floats()}))
+# the edges of each range, on both sides
+@example(drive={"omega": 0.0})
+@example(drive={"omega": 5e-324, "eta_ld": 5e-324})
+@example(drive={"omega": 1.7976931348623157e308, "eta_ld": 0.9999999999999999})
+@example(drive={"eta_ld": 0.0})
+@example(drive={"eta_ld": 1.0})
+def test_validate_accepts_exactly_the_good_drives(drive, tmp_path_factory):
+    # a good drive reaches the battery; a bad one exits 1 naming its key
+    omega, eta_ld = drive.get("omega", 1.0), drive.get("eta_ld", 0.05)
+    bad = "omega" if not 0.0 < omega < math.inf else "eta_ld" if not 0.0 < eta_ld < 1.0 else None
+    config = tmp_path_factory.mktemp("drive") / "run.json"
+    config.write_text(json.dumps(drive))
+    flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in drive.items()]
+    for route in (["--config", str(config)], flags):
+        calls = []
+
+        def battery(**kwargs):
+            calls.append(kwargs)
+            return [CheckResult("alpha", 0.0, 1.0, True)]
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli.checks, "run_all", battery), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli("validate", *route)
+        if bad is None:
+            assert (code, stderr.getvalue()) == (0, "")
+            assert [(c["drive_omega"], c["drive_eta_ld"]) for c in calls] == [(omega, eta_ld)]
+        else:
+            assert code == 1 and not calls
+            assert stderr.getvalue().startswith(f"error: {bad} must ")
 
 
 @settings(max_examples=50, deadline=None)

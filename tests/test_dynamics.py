@@ -15,9 +15,13 @@ from ionparity import (
     vibrational_entropy,
     von_neumann_entropy,
 )
-from ionparity.dynamics import EDGE_START_MAX_N, _closed_form_grids
+from ionparity.dynamics import _closed_form_grids
 
 LN2 = np.log(2.0)
+
+# Largest N whose first amplitude 2^(-N/2) is a normal float: up to it the
+# amplitudes are the running product from P_0, past it they run from the centre.
+LAST_EDGE_START_N = max(n for n in range(4096) if 2.0 ** (-n / 2.0) >= np.finfo(float).tiny)
 
 # values frozen from independent brute-force evaluation of the closed forms
 C9_AT_COMPARISON = 0.98359030620125232
@@ -85,10 +89,12 @@ def test_su2_large_spin_matches_lgamma_binomial_weights():
 
 
 def test_su2_large_spin_at_unit_tau_is_the_binomial_state():
-    state = build_su2_state(Su2CoherentSpec(1.0, 1100.0), 2200, 2200)
-    k = np.arange(2201)
-    amps = symmetric_binomial_amplitudes(2200)
-    assert np.max(np.abs(state.amplitudes[2200 - k, k] - amps)) <= 1e-14
+    # one magnitude routine builds both, on either side of the switch
+    for n_total in (LAST_EDGE_START_N, 2200):
+        state = build_su2_state(Su2CoherentSpec(1.0, n_total / 2.0), n_total, n_total)
+        k = np.arange(n_total + 1)
+        amps = symmetric_binomial_amplitudes(n_total)
+        assert np.array_equal(state.amplitudes[n_total - k, k], amps)
 
 
 def test_binomial_amplitudes_large_n_stable():
@@ -106,9 +112,11 @@ def exact_binomial_weights(n_total):
     return np.array(weights)
 
 
-@pytest.mark.parametrize("n_total", [EDGE_START_MAX_N, EDGE_START_MAX_N + 1, 2148, 3000, 10_000])
+@pytest.mark.parametrize(
+    "n_total", [LAST_EDGE_START_N, LAST_EDGE_START_N + 1, 2148, 3000, 10_000]
+)
 def test_binomial_weights_match_exact_integers(n_total):
-    # past EDGE_START_MAX_N the product from 2^(-N/2) lost bits, then underflowed
+    # past LAST_EDGE_START_N the product from 2^(-N/2) lost bits, then underflowed
     weights = symmetric_binomial_amplitudes(n_total) ** 2
     exact = exact_binomial_weights(n_total)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -119,7 +127,8 @@ def test_binomial_weights_match_exact_integers(n_total):
 
 def test_binomial_amplitudes_keep_the_product_from_the_edge():
     # up to the switch the amplitudes are the plain running product from P_0
-    for n_total in (0, 1, 9, 10, 400, EDGE_START_MAX_N):
+    assert LAST_EDGE_START_N == 2044
+    for n_total in (0, 1, 9, 10, 400, LAST_EDGE_START_N):
         amps = [2.0 ** (-n_total / 2.0)]
         for k in range(1, n_total + 1):
             amps.append(amps[-1] * np.sqrt((n_total - k + 1) / k))

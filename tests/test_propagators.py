@@ -258,6 +258,24 @@ def test_trajectory_consistent_with_single_run():
     assert abs(final.total_squared_norm() - 1.0) <= 1e-8
 
 
+def test_each_drive_call_builds_one_hamiltonian(monkeypatch):
+    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    state = _initial_binomial(2, 3)
+    dt = LambDickeHamiltonian(params, 3, 3, 3).stability_dt()
+    builds = []
+    build = LambDickeHamiltonian.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(LambDickeHamiltonian, "__init__", counted)
+    propagate_lamb_dicke(state, params, 3, 1.0, dt)
+    assert len(builds) == 1
+    ground_population_trajectory(state, params, 3, np.array([0.2, 0.5, 1.0]), dt)
+    assert len(builds) == 2
+
+
 def test_trajectory_rejects_unordered_times():
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
