@@ -11,9 +11,7 @@ from .states import (
 from .dynamics import (
     ParityTimes,
     RabiSpectrum,
-    Su2CoherentSpec,
     binary_entropy,
-    build_su2_state,
     evolve_closed_form,
     ground_probability,
     parity_times,
@@ -59,14 +57,12 @@ __all__ = [
     "PhysicalParams",
     "PreparationModel",
     "RabiSpectrum",
-    "Su2CoherentSpec",
     "TruncationError",
     "TwoModeState",
     "VibronicState",
     "averaged_ground_probability",
     "averaged_ground_probability_mixed",
     "binary_entropy",
-    "build_su2_state",
     "delta_from_efficiency",
     "efficiency",
     "evolve_closed_form",

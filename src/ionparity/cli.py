@@ -321,26 +321,35 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
     return np.reshape(probabilities, (len(taus), len(pairs), 2))
 
 
-def _targets(n: int, delta: float | None) -> tuple:
-    """The preparations of n and n + 1, both of width delta."""
-    return preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
+def _targets(n: int, key: str, value: float | None) -> tuple:
+    """The preparations of n and n + 1, both of the width that config[key]
+    gives: the width itself (key "delta") or an efficiency, where None and 1
+    mean the exact state.  A width that is rejected is reported under key."""
+    try:
+        delta = (value if key == "delta" else None if value in (None, 1.0)
+                 else preparation.delta_from_efficiency(value))
+        return preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
+    except ValueError as exc:
+        raise (exc if key == "delta" else ValueError(f"{key}: {exc}")) from None
 
 
 def cmd_tau_sweep(config: dict) -> SweepResult:
     n, t_compare, sweep_model = _parity_sweep(config, "tau_min", "tau_max", "tau_steps")
-    if config["tau_max"] < config["tau_min"]:
-        raise ValueError("tau-max must be at least tau-min")
+    tau_min, tau_max = config["tau_min"], config["tau_max"]
+    if tau_max < tau_min:
+        raise ValueError(f"tau_max must be at least tau_min, got {tau_max} < {tau_min}")
     eta, delta = config["eta_prep"], config["delta"]
     if eta is not None and delta is not None:
         raise ValueError("give either --eta-prep or --delta, not both")
-    if eta is not None and eta != 1.0:
-        delta = preparation.delta_from_efficiency(eta)
-    taus = np.logspace(
-        np.log10(config["tau_min"]), np.log10(config["tau_max"]), config["tau_steps"]
-    ).tolist()
-    curves = _parity_curves(config, sweep_model, t_compare, taus, [_targets(n, delta)])
+    targets = _targets(n, "delta", delta) if eta is None else _targets(n, "eta_prep", eta)
+    with np.errstate(over="ignore"):
+        taus = np.logspace(np.log10(tau_min), np.log10(tau_max), config["tau_steps"])
+    if not np.all((taus > 0.0) & (taus < math.inf)):
+        raise ValueError(f"tau_min = {tau_min} and tau_max = {tau_max} give a log grid "
+                         "that leaves the finite positive floats")
+    curves = _parity_curves(config, sweep_model, t_compare, taus.tolist(), [targets])
     upper, lower = curves[:, 0, 0], curves[:, 0, 1]
-    rows = list(zip(taus, (upper - lower).tolist(), upper.tolist(), lower.tolist()))
+    rows = list(zip(taus.tolist(), (upper - lower).tolist(), upper.tolist(), lower.tolist()))
     return SweepResult(("tau_seconds", "delta_p", "p_odd", "p_even"), rows,
                        _echo_config(config, "tau-sweep"))
 
@@ -350,11 +359,13 @@ def cmd_eta_sweep(config: dict) -> SweepResult:
     taus = [float(tau) for tau in config["tau"]]
     if not taus or not all(0 < tau < math.inf for tau in taus):
         raise ValueError(f"every tau must be finite and positive, got {taus}")
-    if not (0.0 < config["eta_min"] <= config["eta_max"] <= 1.0):
-        raise ValueError("eta grid must satisfy 0 < eta-min <= eta-max <= 1")
-    etas = np.linspace(config["eta_min"], config["eta_max"], config["eta_steps"]).tolist()
-    pairs = [_targets(n, None if eta >= 1.0 else preparation.delta_from_efficiency(eta))
-             for eta in etas]
+    eta_min, eta_max = config["eta_min"], config["eta_max"]
+    if not 0.0 < eta_min <= eta_max <= 1.0:
+        raise ValueError("eta_min and eta_max must satisfy 0 < eta_min <= eta_max <= 1, "
+                         f"got {eta_min} and {eta_max}")
+    etas = np.linspace(eta_min, eta_max, config["eta_steps"]).tolist()
+    # the widest mixture is the one at eta_min, so it is the one a width check rejects
+    pairs = [_targets(n, "eta_min", eta) for eta in etas]
     curves = _parity_curves(config, sweep_model, t_compare, taus, pairs)
     deltas = (curves[..., 0] - curves[..., 1]).tolist()
     rows = [(tau, eta, value) for tau, curve in zip(taus, deltas)

@@ -12,8 +12,14 @@ and the ground-level probability is
 
     c(t) = 1/2 * [1 + sum_k |P_k|^2 cos(2 f_k t)].
 
-The weights |P_k|^2 = 2^-N C(N, k) come from the tau=1 spin-coherent
-construction of the initial state.  Everything here is a pure function of
+The initial amplitudes are the two-mode SU(2) spin-coherent state of spin
+j = N/2,
+
+    |tau; j> = (1 + |tau|^2)^(-j) sum_k sqrt(C(2j, k)) tau^k |2j-k, k>,
+
+at tau = 1: P_k = 2^(-N/2) sqrt(C(N, k)), so |P_k|^2 = 2^-N C(N, k) is the
+binomial distribution of the N quanta over the two modes
+(``symmetric_binomial_amplitudes``).  Everything here is a pure function of
 its arguments.  The state is evaluated over a whole array of times at once
 by ``_closed_form_grids``; ``evolve_closed_form`` is its one-time case.
 """
@@ -27,71 +33,32 @@ import numpy as np
 from .states import TwoModeState, VibronicState
 
 
-def _su2_magnitudes(r: float, n: int) -> np.ndarray:
-    """Magnitudes (1 + r^2)^(-n/2) sqrt(C(n, k)) r^k for k = 0..n, r = |tau|.
+def _su2_magnitudes(n: int) -> np.ndarray:
+    """Magnitudes 2^(-n/2) sqrt(C(n, k)) for k = 0..n of the tau = 1
+    spin-coherent state.
 
     Built from cumulative products of the ratios m_k / m_(k-1) so no factorial
-    ever overflows.  While the start value m_0 is a normal float (at r = 1 up
-    to N = 2044) the product runs from m_0.  Past that m_0 would lose bits and
+    ever overflows.  While the start value m_0 is a normal float (up to
+    n = 2044) the product runs from m_0.  Past that m_0 would lose bits and
     then round to 0, so the product runs outward from the largest magnitude,
     set to 1, where every ratio is at most one, and is normalised.
     """
     k, rest = np.arange(1, n + 1), np.arange(n, 0, -1)  # rest = n - k + 1
-    ratios = r * np.sqrt(rest / k)
-    start = (1.0 + r**2) ** (-n / 2.0)
+    ratios = np.sqrt(rest / k)
+    start = 2.0 ** (-n / 2.0)
     if start >= np.finfo(float).tiny:
         return np.cumprod(np.concatenate(([start], ratios)))
     peak = int(np.count_nonzero(ratios > 1.0))
-    below = np.sqrt(k[:peak] / rest[:peak])[::-1] / r  # m_(k-1) / m_k
+    below = np.sqrt(k[:peak] / rest[:peak])[::-1]  # m_(k-1) / m_k
     magnitudes = np.concatenate((np.cumprod(below)[::-1], [1.0], np.cumprod(ratios[peak:])))
     return magnitudes / np.sqrt(magnitudes @ magnitudes)
 
 
 def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
-    """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N: the tau = 1
-    spin-coherent magnitudes, accurate at any N."""
+    """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N, accurate at any N."""
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
-    return _su2_magnitudes(1.0, n_total)
-
-
-@dataclass(frozen=True)
-class Su2CoherentSpec:
-    """Parameters of a two-mode spin-coherent state: complex tau_param and
-    spin length j with 2j a non-negative integer."""
-
-    tau_param: complex
-    j: float
-
-    def __post_init__(self) -> None:
-        doubled = 2.0 * self.j
-        if self.j < 0 or abs(doubled - round(doubled)) > 1e-9:
-            raise ValueError(f"2j must be a non-negative integer, got j={self.j}")
-
-    @property
-    def n_quanta(self) -> int:
-        return int(round(2.0 * self.j))
-
-
-def build_su2_state(spec: Su2CoherentSpec, cutoff_a: int, cutoff_b: int) -> TwoModeState:
-    """Normalized spin-coherent state on the |2j-k, k> anti-diagonal.
-
-    coefficient_k = (1 + |tau|^2)^(-j) * sqrt(C(2j, k)) * tau^k.  At
-    tau_param = 1 this reduces to the symmetric binomial amplitudes; at
-    tau_param = 0 only |2j, 0> survives.  The coefficients are built so
-    that they cannot underflow at large j: magnitudes from
-    ``_su2_magnitudes``, phases exp(i k arg tau).
-    """
-    n = spec.n_quanta
-    if cutoff_a < n or cutoff_b < n:
-        raise ValueError(
-            f"cutoffs ({cutoff_a}, {cutoff_b}) too small for 2j = {n} quanta"
-        )
-    tau = complex(spec.tau_param)
-    k = np.arange(n + 1)
-    grid = np.zeros((cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
-    grid[n - k, k] = _su2_magnitudes(abs(tau), n) * np.exp(1j * np.angle(tau) * k)
-    return TwoModeState(grid)
+    return _su2_magnitudes(n_total)
 
 
 @dataclass(frozen=True)

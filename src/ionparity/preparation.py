@@ -5,7 +5,11 @@ classical mixture with weights w_m proportional to exp(-(m-N)^2 / 2 Delta^2)
 over m = 0, 1, ..., truncated at m = N + ceil(8 Delta) and renormalized
 (the discarded tail mass is below 1e-14).  The preparation efficiency is
 eta = 1 - w_{N+1}/w_N = 1 - exp(-1 / 2 Delta^2), so Delta -> 0 is the exact
-Fock state with eta = 1.
+Fock state with eta = 1; a width so narrow that 2 Delta^2 is no normal
+float gives that limit, a single term of weight 1.  Every term m keys its
+own m/2 + 1 values of p, so the keys of a mixture grow as the square of its
+width; a width whose mixture would hold more than ``MAX_MIXTURE_KEYS`` keys
+is rejected before anything is allocated.
 
 A mixed observable is no loop over pure runs: the totals m and weights go
 to ``fluctuations.mixture_ground_probabilities`` as one weighted sum over the
@@ -33,6 +37,15 @@ from .fluctuations import (
     mixture_ground_probabilities,
 )
 
+# Keys p that the terms of one mixture may hold together; the weight matrix
+# of a sweep keeps a few arrays of this length per preparation (a tau-sweep
+# at the limit peaks near 200 MB).
+MAX_MIXTURE_KEYS = 1 << 20
+
+# exp(-x) is 0.0 in floating point for x above 745.2, so a term farther than
+# this many widths from the target has weight 0.0.
+ZERO_WEIGHT_WIDTHS = math.sqrt(2.0 * 745.2)
+
 
 def efficiency(delta: float | None) -> float:
     """Preparation efficiency 1 - exp(-1 / 2 Delta^2); None means exact (1.0)."""
@@ -40,18 +53,31 @@ def efficiency(delta: float | None) -> float:
         return 1.0
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be finite and positive (or None), got {delta}")
-    return 1.0 - math.exp(-1.0 / (2.0 * delta * delta))
+    variance = 2.0 * delta * delta
+    return 1.0 if variance == 0.0 else 1.0 - math.exp(-1.0 / variance)
 
 
 def delta_from_efficiency(eta_prep: float) -> float:
     """Width Delta achieving the given efficiency, inverse of ``efficiency``.
 
-    Only defined on the open interval 0 < eta_prep < 1; an exact state
-    (eta_prep = 1) is represented by delta = None.
+    Only defined on the open interval 0 < eta_prep < 1, and only where
+    1 - eta_prep differs from 1; an exact state (eta_prep = 1) is
+    represented by delta = None.
     """
     if not (0.0 < eta_prep < 1.0):
-        raise ValueError(f"eta_prep must lie in (0, 1), got {eta_prep}")
+        raise ValueError(f"efficiency must lie in (0, 1), got {eta_prep}")
+    if 1.0 - eta_prep == 1.0:
+        raise ValueError(f"efficiency {eta_prep} is too small: 1 - {eta_prep} rounds to 1")
     return 1.0 / math.sqrt(-2.0 * math.log(1.0 - eta_prep))
+
+
+def _mixture_keys(n_target: int, delta: float) -> float:
+    """Upper bound on the keys p held by the terms of non-zero weight: term m
+    holds m // 2 + 1 of them, and these terms lie in
+    max(0, N - ZERO_WEIGHT_WIDTHS Delta) <= m <= N + 8 Delta + 1."""
+    high = n_target + 8.0 * delta + 1.0
+    low = max(0.0, n_target - ZERO_WEIGHT_WIDTHS * delta)
+    return (high - low + 1.0) * ((high + low) / 4.0 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -68,6 +94,13 @@ class PreparationModel:
         if self.n_target < 0:
             raise ValueError("n_target must be non-negative")
         efficiency(self.delta)  # rejects a delta that is not finite and positive
+        if self.delta is not None:
+            keys = _mixture_keys(self.n_target, self.delta)
+            if keys > MAX_MIXTURE_KEYS:
+                raise ValueError(
+                    f"delta = {self.delta} spreads the mixture around n = {self.n_target} "
+                    f"over about {keys:.3g} keys p, above the limit of {MAX_MIXTURE_KEYS}"
+                )
 
     @property
     def is_exact(self) -> bool:
@@ -87,7 +120,10 @@ class PreparationModel:
             return np.array([self.n_target]), np.array([1.0])
         m_max = self.n_target + math.ceil(8.0 * self.delta) + extra
         m = np.arange(0, m_max + 1)
-        weights = np.exp(-((m - self.n_target) ** 2) / (2.0 * self.delta**2))
+        variance = 2.0 * self.delta**2
+        if variance < np.finfo(float).tiny:  # (m - N)^2 / variance would overflow
+            return m, (m == self.n_target).astype(float)
+        weights = np.exp(-((m - self.n_target) ** 2) / variance)
         return m, weights / weights.sum()
 
 

@@ -284,21 +284,21 @@ def _rk4_span(
     return y
 
 
-def _period_grid(h_ld: LambDickeHamiltonian, dt: float) -> tuple[float, int]:
+def _period_grid(h_ld: LambDickeHamiltonian) -> tuple[float, int]:
     """Drive period T = 2 pi / nu and the RK4 steps per period; the step
-    T / steps divides T and does not exceed dt."""
+    T / steps divides T and does not exceed ``h_ld.stability_dt()``."""
     period = 2.0 * math.pi / h_ld.params.nu
-    return period, math.ceil(period / dt)
+    return period, math.ceil(period / h_ld.stability_dt())
 
 
-def one_period_map(h_ld: LambDickeHamiltonian, dt: float) -> np.ndarray:
+def one_period_map(h_ld: LambDickeHamiltonian) -> np.ndarray:
     """RK4 evolution matrix over one drive period [0, 2 pi / nu].
 
     Every harmonic of the drive is an integer multiple of nu, so this map
     M advances any state by a whole period from any multiple of the period
     (Shirley, Phys. Rev. 138, B979, 1965).
     """
-    period, steps = _period_grid(h_ld, dt)
+    period, steps = _period_grid(h_ld)
     identity = np.eye(2 * h_ld.grid_size, dtype=np.complex128)
     return _rk4_span(h_ld, identity, 0.0, period, steps)
 
@@ -325,26 +325,17 @@ def _drive_states(
     params: PhysicalParams,
     expansion_order: int,
     times: np.ndarray,
-    dt: float,
 ) -> list[np.ndarray]:
     """Flattened state at each non-decreasing time t = n T + r, as U(r) M^n y0,
     from one build of the drive Hamiltonian; M^n is a product of the squarings
     M, M^2, M^4, ... shared by all the times (see ``propagate_lamb_dicke``)."""
     h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    bound = h_ld.stability_dt()
-    if dt > bound * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={dt:.3e} too coarse for the fastest retained oscillation; "
-            f"need dt <= {bound:.3e}"
-        )
-    period, steps = _period_grid(h_ld, dt)
+    period, steps = _period_grid(h_ld)
     splits = [divmod(float(t), period) for t in times]
     last_whole = int(splits[-1][0])
     squarings = []
     if last_whole > 0:
-        squarings.append(one_period_map(h_ld, dt))
+        squarings.append(one_period_map(h_ld))
         while 2 ** len(squarings) <= last_whole:
             squarings.append(squarings[-1] @ squarings[-1])
     y = _flatten(initial)
@@ -359,7 +350,7 @@ def _drive_states(
         states.append(_rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period)))
     drift = abs(float(np.sum(np.abs(states[-1]) ** 2)) - initial.total_squared_norm())
     if drift > NORM_DRIFT_TOL:
-        raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}; reduce dt")
+        raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
     return states
 
 
@@ -368,21 +359,19 @@ def propagate_lamb_dicke(
     params: PhysicalParams,
     expansion_order: int,
     t: float,
-    dt: float,
 ) -> VibronicState:
     """Integrate the expanded drive Hamiltonian from 0 to t with RK4.
 
     The drive repeats with period T = 2 pi / nu, so the state at
     t = n T + r is U(r) M^n applied to ``initial``: M is the RK4 map over
     one period, raised to the n-th power by repeated squaring, and U(r)
-    the remainder integrated from phase 0.  dt is an upper bound on the
-    step: the step actually taken is T / ceil(T / dt), which divides T.
-    dt must satisfy dt <= 2 pi / (20 nu max|k - j - 2|); the run is
-    rejected as unstable otherwise.  Norm drift beyond 1e-8 raises.
+    the remainder integrated from phase 0.  The step is T / ceil(T / dt)
+    with dt = 2 pi / (20 nu max|k - j - 2|), the Hamiltonian's
+    ``stability_dt``, so it divides T.  Norm drift beyond 1e-8 raises.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and non-negative")
-    (y,) = _drive_states(initial, params, expansion_order, np.array([t]), dt)
+    (y,) = _drive_states(initial, params, expansion_order, np.array([t]))
     return _unflatten(y, initial.cutoff_a, initial.cutoff_b)
 
 
@@ -391,15 +380,12 @@ def ground_population_trajectory(
     params: PhysicalParams,
     expansion_order: int,
     times: np.ndarray,
-    dt: float,
 ) -> np.ndarray:
     """Ground-level population at each requested time.
 
     ``times`` must be finite, non-negative and non-decreasing.  Each sample
     is evolved with the one-period map as in ``propagate_lamb_dicke``; the
     powers of the map are computed once and reused across the samples.
-    dt is an upper bound on the RK4 step, which is T / ceil(T / dt) with
-    T = 2 pi / nu.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -407,5 +393,5 @@ def ground_population_trajectory(
     if not np.all(np.isfinite(times)) or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be finite, non-negative and non-decreasing")
     dim = initial.minus_component.amplitudes.size
-    states = _drive_states(initial, params, expansion_order, times, dt)
+    states = _drive_states(initial, params, expansion_order, times)
     return np.array([float(np.sum(np.abs(y[:dim]) ** 2)) for y in states])

@@ -52,12 +52,12 @@ def test_drive_checks_fail_when_the_propagator_gives_up(monkeypatch):
     assert result.detail.startswith("norm drift ")
 
     def drifting(*args, **kwargs):
-        raise RuntimeError("norm drift 2.000e-08 exceeds 1e-08; reduce dt")
+        raise RuntimeError("norm drift 2.000e-08 exceeds 1e-08")
 
     monkeypatch.setattr(checks.propagators, "propagate_lamb_dicke", drifting)
     result = checks.lamb_dicke_unitarity()
     assert (result.measured, result.passed) == (math.inf, False)
-    assert result.detail == "norm drift 2.000e-08 exceeds 1e-08; reduce dt"
+    assert result.detail == "norm drift 2.000e-08 exceeds 1e-08"
 
 
 def test_batched_checks_detect_a_faulted_closed_form(monkeypatch):
@@ -89,3 +89,19 @@ def test_entropy_check_reads_the_off_diagonal_coherence(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_closed_form_grids", coherent)
     assert not checks.entropy_matches_reduced_density(seed=0).passed
+
+
+
+def test_closed_form_checks_see_a_wrong_binomial_amplitude(monkeypatch):
+    # the propagator's initial state must not be built by the magnitude
+    # routine the closed form reads, or a wrong amplitude would pass unseen
+    original = dynamics._su2_magnitudes
+
+    def shifted(*args):
+        magnitudes = original(*args).copy()
+        magnitudes[1] += 1e-6
+        return magnitudes
+
+    monkeypatch.setattr(dynamics, "_su2_magnitudes", shifted)
+    failed = [r.name for r in checks.closed_form_vs_propagator(seed=0) if not r.passed]
+    assert failed == ["closed_form_vs_propagator_probability", "closed_form_vs_propagator_state"]

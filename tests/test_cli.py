@@ -276,8 +276,8 @@ def test_validate_with_a_drifting_drive_reports_and_exits_two(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert run.returncode == 2
-    assert run.stderr == ("rwa_deviation_decreases: norm drift 2.299e-08 exceeds 1e-08; "
-                          "reduce dt\nvalidation failed; see report\n")
+    assert run.stderr == ("rwa_deviation_decreases: norm drift 2.299e-08 exceeds 1e-08\n"
+                          "validation failed; see report\n")
     assert "rwa_deviation_decreases,inf,1.0000000000000000e+00,false" in read(out)
 
 
@@ -484,3 +484,136 @@ def test_reused_parser_matches_fresh_processes(tmp_path):
         subprocess.run([sys.executable, "-m", "ionparity.cli", *argv, "--out", str(fresh)],
                        env=env, check=True)
         assert here.read_bytes() == fresh.read_bytes()
+
+
+def _table(*argv) -> list[str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_cli(*argv) == 0
+    return [l for l in stdout.getvalue().splitlines() if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("delta", ["1e-200", "1e-160", "5e-324"])
+def test_a_width_below_resolution_gives_the_exact_state_table(delta, capsys):
+    # 2 delta^2 is 0 or subnormal: the documented delta -> 0 limit, not 0/0
+    exact = _table("tau-sweep", "--mode", "gamma", "--tau-steps", "3")
+    assert _table("tau-sweep", "--mode", "gamma", "--tau-steps", "3", "--delta", delta) == exact
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        ("tau-sweep --eta-prep 1e-320", "eta_prep"),
+        ("tau-sweep --eta-prep 1e-17", "eta_prep"),
+        ("eta-sweep --eta-min 1e-320 --eta-max 1e-300", "eta_min"),
+    ],
+)
+def test_an_efficiency_without_a_width_exits_one_naming_the_key(argv, key, capsys):
+    # 1 - eta rounds to 1, so no finite width has this efficiency
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: efficiency ") and err.endswith("rounds to 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        ("tau-sweep --delta 1000", "delta"),
+        ("tau-sweep --delta 1e300", "delta"),
+        ("tau-sweep --delta 1.7976931348623157e308", "delta"),
+        ("tau-sweep --n 2001 --delta 300", "delta"),
+        ("tau-sweep --eta-prep 1e-7", "eta_prep"),
+        ("eta-sweep --eta-min 1e-7", "eta_min"),
+    ],
+)
+def test_too_wide_a_mixture_exits_one_before_it_is_built(argv, key, monkeypatch, capsys):
+    def no_terms(self, extra=0):
+        raise AssertionError("the mixture of a rejected width was built")
+
+    monkeypatch.setattr(cli.preparation.PreparationModel, "terms", no_terms)
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "delta = " in err
+    assert f"above the limit of {cli.preparation.MAX_MIXTURE_KEYS}" in err
+
+
+def _accepted_width(key: str, value: float, n: int) -> bool:
+    """Whether the width given under key builds both targets n and n + 1:
+    a finite positive delta, or an efficiency in (0, 1] whose 1 - eta is
+    not 1, and a mixture within the key limit."""
+    if key == "delta":
+        if not 0.0 < value < math.inf:
+            return False
+        delta = value
+    else:
+        if not 0.0 < value <= 1.0 or 1.0 - value == 1.0:
+            return False
+        if value == 1.0:
+            return True
+        delta = cli.preparation.delta_from_efficiency(value)
+    return cli.preparation._mixture_keys(n + 1, delta) <= cli.preparation.MAX_MIXTURE_KEYS
+
+
+def _accepted(command: str, key: str, value) -> bool:
+    """Whether one sweep setting, with every other one at its default, is
+    accepted (exit 0 or 2) rather than rejected (exit 1)."""
+    config = {**cli.DEFAULTS[command], key: value}
+    if key == "mc_samples":
+        return value >= 1
+    if key in ("tau_min", "tau_max"):
+        low, high = config["tau_min"], config["tau_max"]
+        if not (0.0 < low <= high < math.inf):
+            return False
+        with np.errstate(over="ignore"):
+            taus = np.logspace(np.log10(low), np.log10(high), 2)
+        return bool(np.all((taus > 0.0) & (taus < math.inf)))
+    if key in ("eta_min", "eta_max"):
+        if not 0.0 < config["eta_min"] <= config["eta_max"] <= 1.0:
+            return False
+        return _accepted_width("eta_min", config["eta_min"], config["n"])
+    return _accepted_width(key, value, config["n"])
+
+
+@st.composite
+def sweep_setting(draw):
+    command = draw(st.sampled_from(["tau-sweep", "eta-sweep"]))
+    floats = {"tau-sweep": ["delta", "eta_prep", "tau_max", "tau_min"],
+              "eta-sweep": ["eta_max", "eta_min"]}[command]
+    key = draw(st.sampled_from(floats + ["mc_samples"]))
+    value = draw(st.integers() if key == "mc_samples" else st.floats())
+    # Monte-Carlo draws are never allocated in the analytic modes
+    return command, draw(st.sampled_from(["gamma", "gaussian"])), key, value
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=sweep_setting())
+@example(case=("tau-sweep", "gamma", "delta", 1e-200))
+@example(case=("tau-sweep", "gamma", "delta", 1e300))
+@example(case=("tau-sweep", "gamma", "eta_prep", 1e-320))
+@example(case=("tau-sweep", "gaussian", "eta_prep", 1.0))
+@example(case=("tau-sweep", "gamma", "tau_max", 1.7976931348623157e308))
+@example(case=("tau-sweep", "gamma", "tau_min", 5e-324))
+@example(case=("eta-sweep", "gamma", "eta_min", 1e-320))
+@example(case=("eta-sweep", "gaussian", "eta_min", 1e-7))
+@example(case=("eta-sweep", "gamma", "mc_samples", 10**30))
+@example(case=("tau-sweep", "gamma", "mc_samples", 0))
+def test_sweep_settings_are_accepted_or_rejected_by_name(case, tmp_path):
+    # a bad value exits 1 naming its key; a good one exits 0 or 2; never a traceback
+    command, mode, key, value = case
+    steps = "--tau-steps" if command == "tau-sweep" else "--eta-steps"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    flag = f"--{key.replace('_', '-')}={value!r}"
+    accepted = _accepted(command, key, value)
+    for route in (["--config", str(config)], [flag]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(command, "--mode", mode, steps, "2", *route)
+        assert "Traceback" not in stderr.getvalue()
+        if accepted:
+            assert code in (0, 2), stderr.getvalue()
+        else:
+            assert code == 1
+            assert stderr.getvalue().startswith("error: ") and key in stderr.getvalue()

@@ -1,12 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from ionparity import (
-    Su2CoherentSpec,
     binary_entropy,
-    build_su2_state,
     evolve_closed_form,
     ground_probability,
     parity_times,
@@ -31,70 +27,13 @@ C10_AT_ENTANGLE = 0.57282573168473583
 
 
 def test_su2_single_quantum_is_balanced():
-    state = build_su2_state(Su2CoherentSpec(1.0, 0.5), 1, 1)
-    assert state.amplitudes[1, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-    assert state.amplitudes[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-
-def test_su2_zero_tau_is_single_fock_state():
-    state = build_su2_state(Su2CoherentSpec(0.0, 2.0), 4, 4)
-    assert state.amplitudes[4, 0] == 1.0
-    assert state.squared_norm() == 1.0
+    # the tau = 1 spin-coherent state of j = 1/2
+    assert symmetric_binomial_amplitudes(1) == pytest.approx([1 / np.sqrt(2)] * 2, abs=1e-15)
 
 
 def test_su2_unit_tau_binomial_weights():
-    state = build_su2_state(Su2CoherentSpec(1.0, 2.0), 4, 4)
-    weights = [abs(state.amplitudes[4 - k, k]) ** 2 for k in range(5)]
+    weights = symmetric_binomial_amplitudes(4) ** 2
     assert weights == pytest.approx(np.array([1, 4, 6, 4, 1]) / 16.0, abs=1e-15)
-
-
-def test_su2_complex_tau_normalized():
-    state = build_su2_state(Su2CoherentSpec(0.3 - 0.8j, 3.0), 6, 6)
-    assert state.squared_norm() == pytest.approx(1.0, abs=1e-13)
-
-
-def test_su2_cutoff_too_small_rejected():
-    with pytest.raises(ValueError, match="cutoff"):
-        build_su2_state(Su2CoherentSpec(1.0, 2.0), 3, 4)
-
-
-def test_su2_half_integer_spin_validated():
-    with pytest.raises(ValueError, match="2j"):
-        Su2CoherentSpec(1.0, 0.7)
-    with pytest.raises(ValueError):
-        Su2CoherentSpec(1.0, -1.0)
-
-
-def test_su2_large_spin_matches_lgamma_binomial_weights():
-    # (1 + |tau|^2)^(-j) = 10^(-400) underflows; |c_k|^2 is binomial with p = 0.9
-    n_total = 800
-    p = 0.9
-    k = np.arange(n_total + 1)
-    log_weights = np.array(
-        [
-            math.lgamma(n_total + 1) - math.lgamma(i + 1) - math.lgamma(n_total - i + 1)
-            + i * math.log(p) + (n_total - i) * math.log1p(-p)
-            for i in k
-        ]
-    )
-    for tau in (3.0, 3.0 * np.exp(0.7j)):
-        state = build_su2_state(Su2CoherentSpec(tau, n_total / 2.0), n_total, n_total)
-        coeffs = state.amplitudes[n_total - k, k]
-        assert state.squared_norm() == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(np.abs(coeffs) ** 2 - np.exp(log_weights))) <= 1e-12
-        # the phase of c_k is k arg(tau)
-        peak = np.argmax(np.abs(coeffs))
-        ratio = coeffs[peak + 1] / coeffs[peak]
-        assert np.angle(ratio) == pytest.approx(np.angle(tau), abs=1e-12)
-
-
-def test_su2_large_spin_at_unit_tau_is_the_binomial_state():
-    # one magnitude routine builds both, on either side of the switch
-    for n_total in (LAST_EDGE_START_N, 2200):
-        state = build_su2_state(Su2CoherentSpec(1.0, n_total / 2.0), n_total, n_total)
-        k = np.arange(n_total + 1)
-        amps = symmetric_binomial_amplitudes(n_total)
-        assert np.array_equal(state.amplitudes[n_total - k, k], amps)
 
 
 def test_binomial_amplitudes_large_n_stable():
@@ -147,8 +86,11 @@ def test_rabi_spectrum_structure():
 def test_initial_condition():
     state = evolve_closed_form(9, 1.0, 0.0)
     assert state.plus_component.squared_norm() == 0.0
-    reference = build_su2_state(Su2CoherentSpec(1.0, 4.5), 9, 9)
-    assert np.allclose(state.minus_component.amplitudes, reference.amplitudes, atol=1e-15)
+    k = np.arange(10)
+    weights = np.zeros((10, 10))
+    weights[9 - k, k] = exact_binomial_weights(9)
+    assert np.allclose(np.abs(state.minus_component.amplitudes) ** 2, weights, atol=1e-15)
+    assert np.all(state.minus_component.amplitudes[9 - k, k].real > 0.0)
 
 
 @pytest.mark.parametrize("n_total", [0, 1, 2, 9, 20])

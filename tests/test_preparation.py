@@ -14,7 +14,7 @@ from ionparity import (
     ground_probabilities_mixed,
     parity_delta_mixed,
 )
-from ionparity import fluctuations
+from ionparity import fluctuations, preparation
 
 T_COMPARE = 17.0 * np.pi / 8.0 / 1e5
 MODEL = FluctuationModel(g_mean=1e5, tau=1e-8)
@@ -48,7 +48,8 @@ def test_delta_from_efficiency_spot_values():
 
 
 def test_delta_from_efficiency_domain():
-    for bad in (0.0, 1.0, -0.1, 1.5):
+    # 1 - eta rounds to 1 for the last two, so no finite width has them
+    for bad in (0.0, 1.0, -0.1, 1.5, 1e-320, 1e-17):
         with pytest.raises(ValueError):
             delta_from_efficiency(bad)
 
@@ -172,3 +173,32 @@ def test_parity_delta_mixed_exact_matches_pure():
     assert parity_delta_mixed(9, None, MODEL, T_COMPARE) == pytest.approx(pure, abs=1e-15)
     with pytest.raises(ValueError):
         parity_delta_mixed(8, None, MODEL, T_COMPARE)
+
+
+@pytest.mark.parametrize("delta", [1e-200, 1e-160, 5e-324])
+def test_width_below_resolution_is_the_exact_state(delta):
+    # 2 delta^2 is 0 or subnormal, where exp(-(m-N)^2 / 2 delta^2) would be 0/0
+    # or overflow; the mixture is then the single target term
+    prep = PreparationModel(9, delta)
+    assert prep.efficiency == 1.0
+    m_values, weights = prep.terms()
+    assert m_values.tolist() == list(range(11))
+    assert weights.tolist() == [0.0] * 9 + [1.0, 0.0]
+    assert averaged_ground_probability_mixed(prep, MODEL, T_COMPARE) == (
+        averaged_ground_probability_mixed(PreparationModel(9), MODEL, T_COMPARE))
+
+
+@pytest.mark.parametrize(
+    "n_target, delta", [(0, 0.5), (9, 0.7), (9, 30.0), (40, 3.0), (2001, DELTA_FOR_ETA_09)]
+)
+def test_mixture_key_bound_covers_every_term_of_non_zero_weight(n_target, delta):
+    m_values, weights = PreparationModel(n_target, delta).terms()
+    held = int(np.sum(m_values[weights > 0.0] // 2 + 1))
+    assert held <= preparation._mixture_keys(n_target, delta) <= 1.1 * held + 20
+
+
+def test_mixture_beyond_the_key_limit_is_rejected_at_construction():
+    PreparationModel(9, 250.0)  # about 1.01e6 keys: accepted, and not built here
+    for n_target, delta in ((9, 256.0), (9, 1e300), (9, 1.7976931348623157e308), (2001, 300.0)):
+        with pytest.raises(ValueError, match="delta = .* above the limit of 1048576"):
+            PreparationModel(n_target, delta)
