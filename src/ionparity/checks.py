@@ -220,12 +220,17 @@ def mixture_truncation() -> CheckResult:
     return _result("mixture_truncation", abs(base - widened), 1e-9)
 
 
+# narrow, yet wide enough that 8 terms of N = 9 keep a non-zero weight (the
+# nearest neighbours 2.2e-10), so the mixture path really sums several terms
+NARROW_DELTA = 0.15
+
+
 def exact_preparation_limit() -> CheckResult:
     """A very narrow mixture must match the exact-state flag."""
     model = fluctuations.FluctuationModel(g_mean=1e5, tau=1e-8)
     t = dynamics.parity_times(9, 1e5).comparison_time
     narrow = preparation.averaged_ground_probability_mixed(
-        preparation.PreparationModel(9, delta=1e-3), model, t
+        preparation.PreparationModel(9, delta=NARROW_DELTA), model, t
     )
     exact = preparation.averaged_ground_probability_mixed(
         preparation.PreparationModel(9, delta=None), model, t

@@ -9,7 +9,8 @@ interchangeable kernels for E[cos(omega A)] are provided:
     gaussian_approx cos(omega g t) exp(-omega^2 g^2 t tau / 2)
     monte_carlo     seeded sample mean over explicit Gamma draws
 
-tau = 0 degenerates to the deterministic area A = g t in every mode.
+tau = 0 degenerates to the deterministic area A = g t in every mode, and so
+does a tau so small that the Gamma shape t/tau overflows to inf.
 
 One private dispatch, ``_kernels``, evaluates the chosen kernel over a whole
 array of area frequencies (``gamma_kernel`` and ``gaussian_kernel`` map
@@ -24,10 +25,14 @@ frequencies and returns one weighted sum per mixture, so the odd and even
 targets of a parity comparison share one call.  Given a column of taus, the
 analytic kernels broadcast over (tau, p) in that same call, so a whole sweep
 curve is one matrix product of kernel rows and weight rows.  In monte_carlo mode
-all frequencies of a call share one set of draws, each distinct key gets one
-cosine row, and the cosines are formed at most ``MC_BLOCK_PAIRS`` (frequency,
-draw) pairs at a time, so memory stays bounded however many terms a mixture
-has.
+all frequencies of a call share one set of draws, streamed from the call's one
+generator in blocks of ``MC_DRAW_BLOCK`` draws (the same stream, bit for bit,
+as one call for all of them).  Each block adds its cosines into one running
+sum per distinct key, formed in tiles of at most ``MC_BLOCK_PAIRS``
+(frequency, draw) pairs, and the sums are divided by the sample count once at
+the end.  Memory is one draw block plus one tile per worker, whatever
+``mc_samples`` is, and time stays linear in it.  The key p = 0 has frequency
+0, so its row is exactly 1 and is set, not sampled.
 """
 
 from __future__ import annotations
@@ -43,8 +48,12 @@ from .dynamics import rabi_spectrum
 
 MODES = ("gamma_exact", "gaussian_approx", "monte_carlo")
 
-# (frequency, draw) cosines per Monte-Carlo block: 2^20 float64, 8 MiB
-MC_BLOCK_PAIRS = 1 << 20
+# Monte-Carlo draws taken from the generator at a time: 2^16 float64, 512 KiB
+MC_DRAW_BLOCK = 1 << 16
+
+# (frequency, draw) cosines per Monte-Carlo tile: 2^18 float64, 2 MiB, one
+# core's L2 cache on the 2-core machine the block sizes were measured on
+MC_BLOCK_PAIRS = 1 << 18
 
 # totals N whose keyed spectra stay cached; both targets of one sweep point at
 # the default lowest efficiency 0.05 span at most 147 totals of non-zero weight
@@ -140,6 +149,29 @@ def monte_carlo_cosine(
     return MonteCarloEstimate(float(values.mean()), stderr, model.mc_samples)
 
 
+def _monte_carlo(
+    omegas: np.ndarray, model: FluctuationModel, t: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample means of cos(omega A) over ``model.mc_samples`` areas drawn from
+    ``rng``, streamed in blocks so memory does not grow with the count."""
+    live = omegas != 0.0  # cos(0 A) = 1 for every draw: set, not sampled
+    frequencies = omegas[live]
+    block = min(MC_DRAW_BLOCK, model.mc_samples)
+    rows = max(1, MC_BLOCK_PAIRS // block)
+    tile = np.empty((min(rows, frequencies.size), block))
+    sums = np.zeros(frequencies.size)
+    for start in range(0, model.mc_samples, block):
+        draws = sample_pulse_areas(model.g_mean, model.tau, t, rng,
+                                   min(block, model.mc_samples - start))
+        for first in range(0, frequencies.size, rows):
+            part = tile[:min(rows, frequencies.size - first), :draws.size]
+            np.multiply.outer(frequencies[first:first + rows], draws, out=part)
+            sums[first:first + rows] += np.cos(part, out=part).sum(axis=1)
+    means = np.ones(omegas.size)
+    means[live] = sums / model.mc_samples
+    return means
+
+
 def _kernels(
     omegas: np.ndarray,
     model: FluctuationModel,
@@ -152,29 +184,29 @@ def _kernels(
 
     ``taus``, positive fluctuation strengths checked as ``FluctuationModel``
     checks its own, replace ``model.tau`` in the analytic modes: the result
-    then has one row per tau, so a whole sweep curve is one broadcast.
+    then has one row per tau, so a whole sweep curve is one broadcast.  Where
+    t/tau overflows, the row is the tau -> 0 limit cos(omega g t).
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
-    g, tau = model.g_mean, model.tau
-    if taus is not None:
-        tau = np.array([_check_tau(float(value)) for value in taus])[:, np.newaxis]
-        if model.mode == "monte_carlo" or not np.all(tau > 0.0):
-            raise ValueError("a column of taus needs an analytic mode and positive taus")
-    elif tau == 0.0:
-        return np.cos(omegas * g * t)
-    if model.mode == "gamma_exact":
-        return gamma_kernel(omegas, g, tau, t)
-    if model.mode == "gaussian_approx":
-        return gaussian_kernel(omegas, g, tau, t)
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
-    draws = sample_pulse_areas(g, tau, t, rng, model.mc_samples)
-    rows = max(1, MC_BLOCK_PAIRS // draws.size)
-    return np.concatenate([
-        np.cos(np.multiply.outer(omegas[start:start + rows], draws)).mean(axis=1)
-        for start in range(0, omegas.size, rows)
-    ])
+    g = model.g_mean
+    kernel = gamma_kernel if model.mode == "gamma_exact" else gaussian_kernel
+    if taus is None:
+        # tau = 0, or a tau so small that the shape t/tau overflows: the area is g t
+        if model.tau == 0.0 or t / model.tau == math.inf:
+            return np.cos(omegas * g * t)
+        if model.mode != "monte_carlo":
+            return kernel(omegas, g, model.tau, t)
+        return _monte_carlo(omegas, model, t,
+                            np.random.default_rng(model.seed) if rng is None else rng)
+    taus = [_check_tau(float(value)) for value in taus]
+    if model.mode == "monte_carlo" or not all(value > 0.0 for value in taus):
+        raise ValueError("a column of taus needs an analytic mode and positive taus")
+    resolved = np.array([t / value < math.inf for value in taus])
+    rows = np.empty((resolved.size, omegas.size))
+    rows[~resolved] = np.cos(omegas * g * t)
+    rows[resolved] = kernel(omegas, g, np.array(taus)[resolved, np.newaxis], t)
+    return rows
 
 
 @functools.lru_cache(maxsize=AREA_CACHE_SIZE)

@@ -1,6 +1,8 @@
 import math
 
-from ionparity import checks, dynamics
+import numpy as np
+
+from ionparity import checks, dynamics, preparation
 
 
 def test_default_battery_passes():
@@ -105,3 +107,12 @@ def test_closed_form_checks_see_a_wrong_binomial_amplitude(monkeypatch):
     monkeypatch.setattr(dynamics, "_su2_magnitudes", shifted)
     failed = [r.name for r in checks.closed_form_vs_propagator(seed=0) if not r.passed]
     assert failed == ["closed_form_vs_propagator_probability", "closed_form_vs_propagator_state"]
+
+
+def test_exact_preparation_limit_compares_several_terms_with_one():
+    # at the check's width neighbouring terms keep a non-zero weight, so the
+    # mixture differs from the exact state and the check can fail
+    _, weights = preparation.PreparationModel(9, delta=checks.NARROW_DELTA).terms()
+    assert np.count_nonzero(weights) > 1
+    result = checks.exact_preparation_limit()
+    assert result.passed and result.measured > 0.0

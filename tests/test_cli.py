@@ -501,6 +501,20 @@ def test_a_width_below_resolution_gives_the_exact_state_table(delta, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["gamma", "mc"])
+def test_a_tau_below_resolution_gives_the_fluctuation_free_row(mode, capsys):
+    # t / 5e-324 overflows: the documented tau -> 0 limit, which gaussian gives
+    argv = ("tau-sweep", "--tau-min", "5e-324", "--tau-max", "1e-300", "--tau-steps", "2",
+            "--mc-samples", "1000")
+    rows, reference = ([[float(cell) for cell in line.split(",")] for line in table[1:]]
+                       for table in (_table(*argv, "--mode", mode),
+                                     _table(*argv, "--mode", "gaussian")))
+    assert rows[0][0] == reference[0][0] == 5e-324
+    assert rows[0] == pytest.approx(reference[0], abs=1e-15)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,17 +90,76 @@ def test_monte_carlo_deterministic_for_fixed_seed():
 
 
 def test_monte_carlo_blocks_match_one_outer_product():
-    # N = 60 has 31 distinct keys; 31 x 5e4 draws exceed the block cap, in
-    # blocks of 20 and 11 rows
+    # N = 62 has 32 distinct keys, 31 of them non-zero; 31 x 5e4 draws exceed
+    # the tile cap, in six tiles of 5 rows and one of 1.  5e4 draws fit in one
+    # draw block, so every row keeps the summation order of the full product.
     samples = 50_000
-    _, omegas, weights = fluctuations._area_terms(60)
-    assert omegas.size * samples > fluctuations.MC_BLOCK_PAIRS
-    assert omegas.size % (fluctuations.MC_BLOCK_PAIRS // samples) != 0
+    _, omegas, weights = fluctuations._area_terms(62)
+    assert samples <= fluctuations.MC_DRAW_BLOCK
+    assert (omegas.size - 1) * samples > fluctuations.MC_BLOCK_PAIRS
+    assert (omegas.size - 1) % (fluctuations.MC_BLOCK_PAIRS // samples) != 0
     model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples, seed=5)
     draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(5), samples)
     full = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
     assert np.array_equal(fluctuations._kernels(omegas, model, 1.0, None), full)
-    assert averaged_ground_probability(60, model, 1.0) == float(0.5 * (1.0 + weights @ full))
+    assert averaged_ground_probability(62, model, 1.0) == float(0.5 * (1.0 + weights @ full))
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
+def test_blocked_draws_equal_one_call(shape):
+    # the kernel streams its areas in blocks; the stream may not depend on them
+    size, block = 2 * fluctuations.MC_DRAW_BLOCK + 17, fluctuations.MC_DRAW_BLOCK
+    one = sample_pulse_areas(1.0, 0.5, 0.5 * shape, np.random.default_rng(3), size)
+    rng = np.random.default_rng(3)
+    blocks = [sample_pulse_areas(1.0, 0.5, 0.5 * shape, rng, min(block, size - start))
+              for start in range(0, size, block)]
+    assert np.array_equal(np.concatenate(blocks), one)
+
+
+def test_streamed_kernel_matches_one_outer_product_to_rounding():
+    # Four draw blocks, the last of 17 draws; N = 30 has 15 non-zero keys, so
+    # every block needs four tiles of rows.
+    samples = 3 * fluctuations.MC_DRAW_BLOCK + 17
+    _, omegas, _ = fluctuations._area_terms(30)
+    assert omegas.size - 1 > fluctuations.MC_BLOCK_PAIRS // fluctuations.MC_DRAW_BLOCK
+    model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples, seed=2)
+    streamed = fluctuations._kernels(omegas, model, 1.0)
+    draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(2), samples)
+    full = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
+    # Both sides sum the same n cosines, each of magnitude at most 1, in two
+    # different trees.  A tree of height h sums them to within h u n (u the
+    # unit roundoff, first order).  numpy's pairwise sum adds at most 128
+    # terms in sequence, then halves: h <= 128 + log2(n).  The stream sums
+    # each block that way and adds its 4 block sums in sequence:
+    # h <= 128 + log2(MC_DRAW_BLOCK) + 4.  Dividing by n adds one rounding
+    # of a mean of magnitude at most 1 on each side.
+    u = np.finfo(float).eps / 2.0
+    bound = u * (2 * 128 + np.log2(samples) + np.log2(fluctuations.MC_DRAW_BLOCK) + 4 + 2)
+    assert np.max(np.abs(streamed - full)) <= bound
+    assert omegas[0] == 0.0 and streamed[0] == 1.0
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_sample_count():
+    # 4 non-zero keys fill one whole tile of rows per draw block
+    _, omegas, _ = fluctuations._area_terms(9)
+    assert omegas.size - 1 == fluctuations.MC_BLOCK_PAIRS // fluctuations.MC_DRAW_BLOCK
+
+    def peak(samples):
+        model = FluctuationModel(1e5, 1e-8, "monte_carlo", mc_samples=samples, seed=1)
+        tracemalloc.start()
+        try:
+            fluctuations._kernels(omegas, model, T_COMPARE)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1 << 10)  # first-call allocations of numpy's random module
+    small, large = peak(1 << 18), peak(1 << 22)
+    assert abs(large - small) <= 0.1 * small
+    # one tile and two draw blocks (the next block is drawn while the last is
+    # still bound), plus 64 KiB for the per-row arrays
+    limit = 8 * (fluctuations.MC_BLOCK_PAIRS + 2 * fluctuations.MC_DRAW_BLOCK) + (1 << 16)
+    assert large <= limit
 
 
 @pytest.mark.parametrize("n_total", [1, 2, 9, 10, 30])
@@ -275,6 +336,20 @@ def test_tau_column_rows_equal_scalar_calls(mode):
     for tau, row in zip(taus, column):
         scalar = fluctuations._kernels(omegas, FluctuationModel(1e5, tau, mode), T_COMPARE)
         assert np.array_equal(row, scalar)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", fluctuations.MODES)
+def test_a_tau_whose_shape_overflows_is_the_fluctuation_free_limit(mode):
+    # t / 5e-324 overflows to inf: the documented tau -> 0 limit, not NaN
+    _, omegas, _ = fluctuations._area_terms(9)
+    limit = np.cos(omegas * 1e5 * T_COMPARE)
+    model = FluctuationModel(1e5, 5e-324, mode, mc_samples=100)
+    assert np.array_equal(fluctuations._kernels(omegas, model, T_COMPARE), limit)
+    if mode != "monte_carlo":
+        column = fluctuations._kernels(omegas, model, T_COMPARE, taus=[5e-324, 1e-8])
+        resolved = fluctuations._kernels(omegas, FluctuationModel(1e5, 1e-8, mode), T_COMPARE)
+        assert np.array_equal(column, [limit, resolved])
 
 
 def test_tau_column_is_checked_like_the_model():
