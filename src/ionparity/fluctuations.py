@@ -10,7 +10,10 @@ interchangeable kernels for E[cos(omega A)] are provided:
     monte_carlo     seeded sample mean over explicit Gamma draws
 
 tau = 0 degenerates to the deterministic area A = g t in every mode, and so
-does a tau so small that the Gamma shape t/tau overflows to inf.
+does a tau so small that the Gamma shape t/tau overflows to inf.  A tau so
+large that the scale g*tau overflows is the tau -> inf limit of the exact law,
+E[cos(omega A)] = 1 (gamma_exact and monte_carlo); gaussian_approx keeps its
+formula's 0 there.
 
 One private dispatch, ``_kernels``, evaluates the chosen kernel over a whole
 array of area frequencies (``gamma_kernel`` and ``gaussian_kernel`` map
@@ -102,18 +105,35 @@ def gamma_kernel(
 ) -> np.ndarray | float:
     """Re[(1 - i omega g tau)^(-t/tau)] on the principal branch, elementwise.
 
-    Evaluated in polar form with log1p so tiny omega*g*tau stays accurate.
+    Evaluated in polar form with log1p so tiny x = omega*g*tau stays
+    accurate.  Where x * x overflows, log1p(x^2) is taken as
+    2 log|x| + log1p(x^-2), with log|x| summed from the logs of the factors
+    so that an x that overflows itself stays finite too; every other entry
+    is log1p(x * x) as it stands.
     """
-    x = omega * g * tau
-    magnitude = np.exp(-(t / (2.0 * tau)) * np.log1p(x * x))
+    # x and x * x may overflow to inf (replaced below), and so may 2 tau,
+    # where t / inf = 0 is the shape's own limit
+    with np.errstate(over="ignore"):
+        x = omega * g * tau
+        log_modulus = np.log1p(x * x)
+        wide = log_modulus == math.inf
+        if np.any(wide):
+            log_modulus = np.array(log_modulus)
+            log_x = (np.log(np.abs(np.broadcast_to(omega, wide.shape)[wide])) + math.log(g)
+                     + np.log(np.broadcast_to(tau, wide.shape)[wide]))
+            log_modulus[wide] = 2.0 * log_x + np.log1p(np.exp(-2.0 * log_x))
+        magnitude = np.exp(-(t / (2.0 * tau)) * log_modulus)
     return magnitude * np.cos((t / tau) * np.arctan(x))
 
 
 def gaussian_kernel(
     omega: np.ndarray | float, g: float, tau: float, t: float
 ) -> np.ndarray | float:
-    """cos(omega g t) exp(-omega^2 g^2 t tau / 2), elementwise."""
-    return np.cos(omega * g * t) * np.exp(-(omega**2) * g**2 * t * tau / 2.0)
+    """cos(omega g t) exp(-omega^2 g^2 t tau / 2), elementwise.
+
+    An exponent that overflows to -inf gives the formula's limit 0."""
+    with np.errstate(over="ignore"):
+        return np.cos(omega * g * t) * np.exp(-(omega**2) * g**2 * t * tau / 2.0)
 
 
 def sample_pulse_areas(
@@ -185,7 +205,10 @@ def _kernels(
     ``taus``, positive fluctuation strengths checked as ``FluctuationModel``
     checks its own, replace ``model.tau`` in the analytic modes: the result
     then has one row per tau, so a whole sweep curve is one broadcast.  Where
-    t/tau overflows, the row is the tau -> 0 limit cos(omega g t).
+    t/tau overflows, the row is the tau -> 0 limit cos(omega g t).  Where the
+    scale g tau overflows, the shape t/tau is below 1e-300 and the exact law
+    (gamma_exact, monte_carlo) gives its tau -> inf limit, exactly 1.0 in
+    double precision; gaussian_approx keeps its formula's value, 0.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
@@ -195,6 +218,8 @@ def _kernels(
         # tau = 0, or a tau so small that the shape t/tau overflows: the area is g t
         if model.tau == 0.0 or t / model.tau == math.inf:
             return np.cos(omegas * g * t)
+        if g * model.tau == math.inf and model.mode != "gaussian_approx":
+            return np.ones(omegas.size)
         if model.mode != "monte_carlo":
             return kernel(omegas, g, model.tau, t)
         return _monte_carlo(omegas, model, t,
@@ -203,9 +228,11 @@ def _kernels(
     if model.mode == "monte_carlo" or not all(value > 0.0 for value in taus):
         raise ValueError("a column of taus needs an analytic mode and positive taus")
     resolved = np.array([t / value < math.inf for value in taus])
-    rows = np.empty((resolved.size, omegas.size))
+    bounded = np.array([g * value < math.inf for value in taus])
+    live = resolved & (bounded | (model.mode == "gaussian_approx"))
+    rows = np.ones((resolved.size, omegas.size))
     rows[~resolved] = np.cos(omegas * g * t)
-    rows[resolved] = kernel(omegas, g, np.array(taus)[resolved, np.newaxis], t)
+    rows[live] = kernel(omegas, g, np.array(taus)[live, np.newaxis], t)
     return rows
 
 

@@ -14,6 +14,13 @@ Two Hamiltonians are implemented over the truncated vibronic basis
   over one drive period, whose evolution map is then raised to the number
   of whole periods elapsed.
 
+The drive's minus-to-plus block is W(t) = sum_m e^{i m nu t} W_m over its
+few harmonics m (seven at expansion order 3).  The drive Hamiltonian stores
+the W_m once as a coupling table, one flattened row per harmonic, beside
+the angular rates m nu, so each RK4 stage time costs one vector-matrix
+product of the phases with that table, plus the conjugate transpose for
+W(t)^dag.
+
 The closed-form module's rate parameter g makes each |N-k, k> amplitude
 oscillate at 2 g sqrt((N-k) k), so closed-form runs with rate g correspond
 to the pair-exchange propagator with coupling = 2 g.  The drive expansion,
@@ -190,7 +197,9 @@ class LambDickeHamiltonian:
                 terms[harmonic] += coeff * op
 
         self.harmonics = np.array(sorted(terms), dtype=float)
-        self._lower_blocks = np.stack([terms[int(m)] for m in self.harmonics])
+        # the coupling table (see the module docstring)
+        self._rates = self.harmonics * params.nu
+        self._flat_blocks = np.stack([terms[int(m)].ravel() for m in self.harmonics])
 
     def stability_dt(self) -> float:
         """Largest step resolving the fastest retained oscillation."""
@@ -201,8 +210,8 @@ class LambDickeHamiltonian:
 
     def _couplings(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t), and W(t)^dag
-        phases = np.exp(1j * self.harmonics * self.params.nu * t)
-        coupling_block = np.einsum("m,mij->ij", phases, self._lower_blocks)
+        phases = np.exp(1j * self._rates * t)
+        coupling_block = (phases @ self._flat_blocks).reshape(self.grid_size, self.grid_size)
         return coupling_block, coupling_block.conj().T
 
     def matrix_at(self, t: float) -> np.ndarray:
@@ -286,7 +295,12 @@ def _rk4_span(
 
 def _period_grid(h_ld: LambDickeHamiltonian) -> tuple[float, int]:
     """Drive period T = 2 pi / nu and the RK4 steps per period; the step
-    T / steps divides T and does not exceed ``h_ld.stability_dt()``."""
+    T / steps divides T and does not exceed ``h_ld.stability_dt()``.
+
+    The quotient T / dt is not rounded first: at nu = 50 and expansion order
+    3 (largest harmonic 5) it is 100.00000000000001, so the grid takes 101
+    steps.  This is kept on purpose, since rounding it would move the drive
+    checks' measured values."""
     period = 2.0 * math.pi / h_ld.params.nu
     return period, math.ceil(period / h_ld.stability_dt())
 
@@ -325,10 +339,13 @@ def _drive_states(
     params: PhysicalParams,
     expansion_order: int,
     times: np.ndarray,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Flattened state at each non-decreasing time t = n T + r, as U(r) M^n y0,
     from one build of the drive Hamiltonian; M^n is a product of the squarings
-    M, M^2, M^4, ... shared by all the times (see ``propagate_lamb_dicke``)."""
+    M, M^2, M^4, ... shared by all the times (see ``propagate_lamb_dicke``).
+
+    Returns the states and the one-period map M, or None when every time
+    falls within the first period and M is not built."""
     h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
     period, steps = _period_grid(h_ld)
     splits = [divmod(float(t), period) for t in times]
@@ -351,7 +368,7 @@ def _drive_states(
     drift = abs(float(np.sum(np.abs(states[-1]) ** 2)) - initial.total_squared_norm())
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
-    return states
+    return states, squarings[0] if squarings else None
 
 
 def propagate_lamb_dicke(
@@ -371,7 +388,7 @@ def propagate_lamb_dicke(
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and non-negative")
-    (y,) = _drive_states(initial, params, expansion_order, np.array([t]))
+    (y,), _ = _drive_states(initial, params, expansion_order, np.array([t]))
     return _unflatten(y, initial.cutoff_a, initial.cutoff_b)
 
 
@@ -393,5 +410,5 @@ def ground_population_trajectory(
     if not np.all(np.isfinite(times)) or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be finite, non-negative and non-decreasing")
     dim = initial.minus_component.amplitudes.size
-    states = _drive_states(initial, params, expansion_order, times)
+    states, _ = _drive_states(initial, params, expansion_order, times)
     return np.array([float(np.sum(np.abs(y[:dim]) ** 2)) for y in states])

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 
-from ionparity import checks, dynamics, preparation
+from ionparity import checks, dynamics, preparation, propagators
+from ionparity.states import PhysicalParams
 
 
 def test_default_battery_passes():
@@ -47,6 +48,30 @@ def test_unitarity_check_reports_period_map_defect():
     assert 0.0 < float(result.detail.rsplit("= ", 1)[1]) <= 1e-10
 
 
+def test_unitarity_check_reads_the_map_its_propagation_built(monkeypatch):
+    maps, builds = [], []
+    build_map, build_hamiltonian = propagators.one_period_map, propagators.LambDickeHamiltonian
+
+    def counted_map(h_ld):
+        maps.append(build_map(h_ld))
+        return maps[-1]
+
+    def counted_hamiltonian(*args, **kwargs):
+        builds.append(args)
+        return build_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(propagators, "one_period_map", counted_map)
+    monkeypatch.setattr(propagators, "LambDickeHamiltonian", counted_hamiltonian)
+    result = checks.lamb_dicke_unitarity()
+    assert (len(maps), len(builds)) == (1, 1)
+    monkeypatch.undo()
+    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    independent = propagators.one_period_map(propagators.LambDickeHamiltonian(params, 3, 5, 5))
+    assert np.array_equal(maps[0], independent)
+    defect = np.max(np.abs(independent.conj().T @ independent - np.eye(len(independent))))
+    assert result.detail == f"one-period map max|M^dag M - I| = {defect:.3e}"
+
+
 def test_drive_checks_fail_when_the_propagator_gives_up(monkeypatch):
     # at eta_ld = 0.99 the RK4 norm drift exceeds what the propagator accepts
     result = checks.rwa_deviation_decreases(eta_ld=0.99)
@@ -56,7 +81,7 @@ def test_drive_checks_fail_when_the_propagator_gives_up(monkeypatch):
     def drifting(*args, **kwargs):
         raise RuntimeError("norm drift 2.000e-08 exceeds 1e-08")
 
-    monkeypatch.setattr(checks.propagators, "propagate_lamb_dicke", drifting)
+    monkeypatch.setattr(checks.propagators, "_drive_states", drifting)
     result = checks.lamb_dicke_unitarity()
     assert (result.measured, result.passed) == (math.inf, False)
     assert result.detail == "norm drift 2.000e-08 exceeds 1e-08"

@@ -515,6 +515,19 @@ def test_a_tau_below_resolution_gives_the_fluctuation_free_row(mode, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_a_tau_whose_scale_overflows_gives_a_table_in_every_mode(capsys):
+    # g tau overflows at tau = 1.7e308: gamma and mc give the tau -> inf
+    # limit of the exact law, gaussian its formula's decoherent value
+    argv = ("tau-sweep", "--tau-min", "1.7e308", "--tau-max", "1.7e308", "--tau-steps", "1",
+            "--mc-samples", "100")
+    rows = {mode: [float(cell) for cell in _table(*argv, "--mode", mode)[1].split(",")]
+            for mode in ("gamma", "mc", "gaussian")}
+    assert rows["gamma"] == pytest.approx(rows["mc"], abs=1e-15)
+    assert rows["gamma"][1] == pytest.approx(0.0, abs=1e-15)
+    assert rows["gaussian"][1] == 2.0**-10
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

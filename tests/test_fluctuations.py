@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,59 @@ def test_a_tau_whose_shape_overflows_is_the_fluctuation_free_limit(mode):
         column = fluctuations._kernels(omegas, model, T_COMPARE, taus=[5e-324, 1e-8])
         resolved = fluctuations._kernels(omegas, FluctuationModel(1e5, 1e-8, mode), T_COMPARE)
         assert np.array_equal(column, [limit, resolved])
+
+
+def test_gamma_kernel_is_continuous_where_its_square_overflows():
+    # at N = 9 and g = 1e5, (omega g tau)^2 overflows from tau near 1e150 and
+    # omega g tau itself from tau near 1e302; the kernel stays at its limit 1
+    _, omegas, _ = fluctuations._area_terms(9)
+    taus = np.logspace(140.0, 308.0, 337)
+    with np.errstate(over="ignore"):
+        x = omegas[-1] * 1e5 * taus
+        assert np.isinf(x * x).any() and np.isfinite(x * x).any() and np.isinf(x).any()
+    rows = np.array([fluctuations.gamma_kernel(omegas, 1e5, tau, T_COMPARE) for tau in taus])
+    assert np.array_equal(rows, np.ones_like(rows))
+    column = fluctuations._kernels(omegas, FluctuationModel(1e5, 1e-8, "gamma_exact"),
+                                   T_COMPARE, taus=taus)
+    assert np.array_equal(column, rows)
+
+
+@pytest.mark.parametrize("omega, g, tau", [(1.0, 1.0, 1e160), (10.0, 1e10, 1e300)])
+def test_gamma_kernel_where_the_square_overflows_at_shape_one_half(omega, g, tau):
+    # (1 - i x)^(-1/2) at huge x: modulus x^(-1/2), phase pi/4; in the second
+    # case x = 1e311 overflows itself
+    log_x = math.log10(omega) + math.log10(g) + math.log10(tau)
+    expected = 10.0 ** (-log_x / 2.0) * math.cos(math.pi / 4.0)
+    assert fluctuations.gamma_kernel(omega, g, tau, tau / 2.0) == pytest.approx(
+        expected, rel=1e-12, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("mode", fluctuations.MODES)
+def test_a_tau_whose_scale_overflows_is_the_exact_law_limit(mode):
+    # g tau = 1.7e313 overflows: the Gamma shape is below 1e-300, so
+    # E[cos(omega A)] is 1.0; the Gaussian formula gives its 0 instead
+    _, omegas, _ = fluctuations._area_terms(9)
+    model = FluctuationModel(1e5, 1.7e308, mode, mc_samples=100)
+    limit = np.ones(omegas.size)
+    if mode == "gaussian_approx":
+        limit[omegas != 0.0] = 0.0
+    assert np.array_equal(fluctuations._kernels(omegas, model, T_COMPARE), limit)
+    if mode != "monte_carlo":
+        column = fluctuations._kernels(omegas, model, T_COMPARE, taus=[1e-8, 1.7e308])
+        resolved = fluctuations._kernels(omegas, FluctuationModel(1e5, 1e-8, mode), T_COMPARE)
+        assert np.array_equal(column, [resolved, limit])
+
+
+def test_gamma_and_monte_carlo_agree_at_huge_tau():
+    # tau = 1e300 keeps g tau finite, so the kernel is evaluated and the areas drawn
+    tau = 1e300
+    gamma = averaged_ground_probability(9, FluctuationModel(1e5, tau, "gamma_exact"), T_COMPARE)
+    mc = averaged_ground_probability(
+        9, FluctuationModel(1e5, tau, "monte_carlo", mc_samples=100), T_COMPARE
+    )
+    assert gamma == pytest.approx(1.0, abs=1e-15)
+    assert mc == pytest.approx(gamma, abs=1e-15)
 
 
 def test_tau_column_is_checked_like_the_model():

@@ -17,7 +17,7 @@ from ionparity import (
     propagate_lamb_dicke,
     symmetric_binomial_amplitudes,
 )
-from ionparity.propagators import _flatten, _rk4_span, one_period_map
+from ionparity.propagators import _flatten, _period_grid, _rk4_span, one_period_map
 
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
@@ -206,6 +206,24 @@ def test_drive_matrix_follows_the_documented_basis_order():
     assert labels[int(np.flatnonzero(_flatten(state))[0])] == ("-", 2, 1)
 
 
+def test_drive_matrix_is_the_phased_sum_of_its_harmonic_blocks():
+    # H(t) = [[0, W(t)], [W(t)^dag, 0]] with W(t) = sum_m e^{i m nu t} W_m,
+    # summed here term by term from the stored blocks W_m
+    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    h = LambDickeHamiltonian(params, 3, 2, 3)
+    dim = h.grid_size
+    assert np.array_equal(h.harmonics, np.arange(-5.0, 2.0))
+    blocks = h._flat_blocks.reshape(len(h.harmonics), dim, dim)
+    for t in (0.0, 0.123, 0.77, 29.9):
+        expected = np.zeros((dim, dim), dtype=np.complex128)
+        for m, block in zip(h.harmonics, blocks):
+            expected += np.exp(1j * m * params.nu * t) * block
+        matrix = h.matrix_at(t)
+        assert np.max(np.abs(matrix[:dim, dim:] - expected)) <= 1e-15
+        assert np.max(np.abs(matrix[dim:, :dim] - expected.conj().T)) <= 1e-15
+        assert not matrix[:dim, :dim].any() and not matrix[dim:, dim:].any()
+
+
 def test_drive_static_part_equals_pair_exchange():
     params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
     static = LambDickeHamiltonian(params, 2, 4, 4, resonant_only=True)
@@ -321,6 +339,13 @@ def test_period_map_is_unitary_to_integration_error():
     period_map = one_period_map(h)
     defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
     assert defect <= 1e-10
+
+
+def test_period_grid_takes_101_steps_at_nu_50():
+    # T / dt is 100.00000000000001 here; the validate battery's numbers rest
+    # on this grid, so a change to it must be deliberate
+    h = LambDickeHamiltonian(PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05), 3, 5, 5)
+    assert _period_grid(h) == (0.12566370614359174, 101)
 
 
 def _rk4_reference(h, y, t0, t1, steps):
