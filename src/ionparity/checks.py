@@ -256,12 +256,11 @@ def lamb_dicke_unitarity() -> CheckResult:
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     initial = _initial_state(2, cutoff=5)
     try:
-        (y,), period_map = propagators._drive_states(
-            initial, params, expansion_order=3, times=np.array([30.0])
+        final, period_map = propagators._state_and_period_map(
+            initial, params, expansion_order=3, t=30.0
         )
     except RuntimeError as exc:  # norm drift or truncation: the check fails, the run goes on
         return CheckResult("lamb_dicke_unitarity", math.inf, 1e-8, False, str(exc))
-    final = propagators._unflatten(y, initial.cutoff_a, initial.cutoff_b)
     defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
     return _result(
         "lamb_dicke_unitarity",

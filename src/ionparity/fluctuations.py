@@ -10,10 +10,10 @@ interchangeable kernels for E[cos(omega A)] are provided:
     monte_carlo     seeded sample mean over explicit Gamma draws
 
 tau = 0 degenerates to the deterministic area A = g t in every mode, and so
-does a tau so small that the Gamma shape t/tau overflows to inf.  A tau so
-large that the scale g*tau overflows is the tau -> inf limit of the exact law,
-E[cos(omega A)] = 1 (gamma_exact and monte_carlo); gaussian_approx keeps its
-formula's 0 there.
+does a tau so small that the Gamma shape t/tau overflows to inf.  Toward
+tau -> inf the exact law gives E[cos(omega A)] = 1: gamma_kernel reaches that
+limit by itself, and monte_carlo returns it where the Gamma scale g*tau
+overflows; gaussian_approx keeps its formula's 0 there.
 
 One private dispatch, ``_kernels``, evaluates the chosen kernel over a whole
 array of area frequencies (``gamma_kernel`` and ``gaussian_kernel`` map
@@ -206,9 +206,9 @@ def _kernels(
     checks its own, replace ``model.tau`` in the analytic modes: the result
     then has one row per tau, so a whole sweep curve is one broadcast.  Where
     t/tau overflows, the row is the tau -> 0 limit cos(omega g t).  Where the
-    scale g tau overflows, the shape t/tau is below 1e-300 and the exact law
-    (gamma_exact, monte_carlo) gives its tau -> inf limit, exactly 1.0 in
-    double precision; gaussian_approx keeps its formula's value, 0.
+    scale g tau overflows, gamma_kernel itself gives the exact law's
+    tau -> inf limit 1.0, and monte_carlo, whose draws would be inf, returns
+    that limit without drawing.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
@@ -218,7 +218,7 @@ def _kernels(
         # tau = 0, or a tau so small that the shape t/tau overflows: the area is g t
         if model.tau == 0.0 or t / model.tau == math.inf:
             return np.cos(omegas * g * t)
-        if g * model.tau == math.inf and model.mode != "gaussian_approx":
+        if model.mode == "monte_carlo" and g * model.tau == math.inf:
             return np.ones(omegas.size)
         if model.mode != "monte_carlo":
             return kernel(omegas, g, model.tau, t)
@@ -228,11 +228,9 @@ def _kernels(
     if model.mode == "monte_carlo" or not all(value > 0.0 for value in taus):
         raise ValueError("a column of taus needs an analytic mode and positive taus")
     resolved = np.array([t / value < math.inf for value in taus])
-    bounded = np.array([g * value < math.inf for value in taus])
-    live = resolved & (bounded | (model.mode == "gaussian_approx"))
-    rows = np.ones((resolved.size, omegas.size))
+    rows = np.empty((resolved.size, omegas.size))
     rows[~resolved] = np.cos(omegas * g * t)
-    rows[live] = kernel(omegas, g, np.array(taus)[live, np.newaxis], t)
+    rows[resolved] = kernel(omegas, g, np.array(taus)[resolved, np.newaxis], t)
     return rows
 
 

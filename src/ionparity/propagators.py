@@ -388,8 +388,19 @@ def propagate_lamb_dicke(
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and non-negative")
-    (y,), _ = _drive_states(initial, params, expansion_order, np.array([t]))
-    return _unflatten(y, initial.cutoff_a, initial.cutoff_b)
+    return _state_and_period_map(initial, params, expansion_order, t)[0]
+
+
+def _state_and_period_map(
+    initial: VibronicState,
+    params: PhysicalParams,
+    expansion_order: int,
+    t: float,
+) -> tuple[VibronicState, np.ndarray | None]:
+    """The state at t, as ``propagate_lamb_dicke`` returns it, and the
+    one-period map built on the way (None when t is below one period)."""
+    (y,), period_map = _drive_states(initial, params, expansion_order, np.array([t]))
+    return _unflatten(y, initial.cutoff_a, initial.cutoff_b), period_map
 
 
 def ground_population_trajectory(
