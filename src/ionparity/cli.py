@@ -294,9 +294,13 @@ def _parity_sweep(config: dict, *positive: str) -> tuple[int, float, Callable]:
     if config["mode"] not in MODE_FLAGS:
         raise ValueError(f"mode must be one of {sorted(MODE_FLAGS)}")
     _validate_positive(config, "g", "mc_samples", "workers", *positive)
+    t_compare = dynamics.parity_times(n, config["g"]).comparison_time
+    if not 0.0 < t_compare < math.inf:
+        raise ValueError(f"g = {config['g']} puts the comparison time at {t_compare} s, "
+                         "outside the finite positive floats")
     model = functools.partial(fluctuations.FluctuationModel, g_mean=config["g"],
                               mode=MODE_FLAGS[config["mode"]], mc_samples=config["mc_samples"])
-    return n, dynamics.parity_times(n, config["g"]).comparison_time, model
+    return n, t_compare, model
 
 
 def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: list[float],

@@ -33,32 +33,27 @@ import numpy as np
 from .states import TwoModeState, VibronicState
 
 
-def _su2_magnitudes(n: int) -> np.ndarray:
-    """Magnitudes 2^(-n/2) sqrt(C(n, k)) for k = 0..n of the tau = 1
-    spin-coherent state.
+def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
+    """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N of the tau = 1
+    spin-coherent state, accurate at any N.
 
-    Built from cumulative products of the ratios m_k / m_(k-1) so no factorial
-    ever overflows.  While the start value m_0 is a normal float (up to
-    n = 2044) the product runs from m_0.  Past that m_0 would lose bits and
-    then round to 0, so the product runs outward from the largest magnitude,
+    Built from cumulative products of the ratios P_k / P_(k-1) so no factorial
+    ever overflows.  While the start value P_0 is a normal float (up to
+    N = 2044) the product runs from P_0.  Past that P_0 would lose bits and
+    then round to 0, so the product runs outward from the largest amplitude,
     set to 1, where every ratio is at most one, and is normalised.
     """
-    k, rest = np.arange(1, n + 1), np.arange(n, 0, -1)  # rest = n - k + 1
+    if n_total < 0:
+        raise ValueError("n_total must be non-negative")
+    k, rest = np.arange(1, n_total + 1), np.arange(n_total, 0, -1)  # rest = N - k + 1
     ratios = np.sqrt(rest / k)
-    start = 2.0 ** (-n / 2.0)
+    start = 2.0 ** (-n_total / 2.0)
     if start >= np.finfo(float).tiny:
         return np.cumprod(np.concatenate(([start], ratios)))
     peak = int(np.count_nonzero(ratios > 1.0))
-    below = np.sqrt(k[:peak] / rest[:peak])[::-1]  # m_(k-1) / m_k
-    magnitudes = np.concatenate((np.cumprod(below)[::-1], [1.0], np.cumprod(ratios[peak:])))
-    return magnitudes / np.sqrt(magnitudes @ magnitudes)
-
-
-def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
-    """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N, accurate at any N."""
-    if n_total < 0:
-        raise ValueError("n_total must be non-negative")
-    return _su2_magnitudes(n_total)
+    below = np.sqrt(k[:peak] / rest[:peak])[::-1]  # P_(k-1) / P_k
+    amplitudes = np.concatenate((np.cumprod(below)[::-1], [1.0], np.cumprod(ratios[peak:])))
+    return amplitudes / np.sqrt(amplitudes @ amplitudes)
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,17 @@ sum per distinct key, formed in tiles of at most ``MC_BLOCK_PAIRS``
 the end.  Memory is one draw block plus one tile per worker, whatever
 ``mc_samples`` is, and time stays linear in it.  The key p = 0 has frequency
 0, so its row is exactly 1 and is set, not sampled.
+
+``monte_carlo_cosine``, the estimate the validation battery checks against
+gamma_exact, runs that same sampler at the frequencies (omega, 2 omega); the
+second row gives the sample variance through cos^2 x = (1 + cos 2x) / 2.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +93,9 @@ class FluctuationModel:
         _check_tau(self.tau)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "gaussian_approx" and self.g_mean * self.g_mean == math.inf:
+            raise ValueError(f"g = {self.g_mean} is too large for gaussian_approx, "
+                             "whose exponent holds g**2")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
 
@@ -150,23 +157,21 @@ def sample_pulse_areas(
 def monte_carlo_cosine(
     omega: float, t: float, model: FluctuationModel, rng: np.random.Generator | None = None
 ) -> MonteCarloEstimate:
-    """Sample estimate of E[cos(omega A)] with its standard error."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if model.tau == 0.0:
-        return MonteCarloEstimate(
-            mean=float(np.cos(omega * model.g_mean * t)),
-            standard_error=0.0,
-            n_samples=model.mc_samples,
-        )
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
-    draws = sample_pulse_areas(model.g_mean, model.tau, t, rng, model.mc_samples)
-    values = np.cos(omega * draws)
+    """Sample estimate of E[cos(omega A)] with its standard error, drawn by
+    the sampler the sweeps run: one Monte-Carlo ``_kernels`` call at the
+    frequencies (omega, 2 omega), whatever ``model.mode`` says.  The second
+    row gives the second moment through cos^2 x = (1 + cos 2x) / 2.  Where
+    the area is deterministic (tau = 0, or t/tau or g*tau overflows) the
+    standard error is 0."""
+    sampled = replace(model, mode="monte_carlo")
+    mean, twice = _kernels(np.array([omega, 2.0 * omega]), sampled, t, rng)
+    n = model.mc_samples
+    fixed = model.tau == 0.0 or t / model.tau == math.inf or model.g_mean * model.tau == math.inf
     stderr = 0.0
-    if model.mc_samples > 1:
-        stderr = float(values.std(ddof=1) / np.sqrt(model.mc_samples))
-    return MonteCarloEstimate(float(values.mean()), stderr, model.mc_samples)
+    if n > 1 and not fixed:
+        # sample variance with Bessel's correction, clamped against cancellation
+        stderr = math.sqrt(max(0.0, (1.0 + twice) / 2.0 - mean * mean) / (n - 1))
+    return MonteCarloEstimate(float(mean), stderr, n)
 
 
 def _monte_carlo(
@@ -204,34 +209,34 @@ def _kernels(
 
     ``taus``, positive fluctuation strengths checked as ``FluctuationModel``
     checks its own, replace ``model.tau`` in the analytic modes: the result
-    then has one row per tau, so a whole sweep curve is one broadcast.  Where
-    t/tau overflows, the row is the tau -> 0 limit cos(omega g t).  Where the
-    scale g tau overflows, gamma_kernel itself gives the exact law's
+    then has one row per tau, so a whole sweep curve is one broadcast.
+    Without them ``model.tau`` is a column of one row, and the result is that
+    row.  Where t/tau overflows, the row is the tau -> 0 limit cos(omega g t).
+    Where the scale g tau overflows, gamma_kernel itself gives the exact law's
     tau -> inf limit 1.0, and monte_carlo, whose draws would be inf, returns
     that limit without drawing.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
+    if taus is not None:
+        taus = [_check_tau(float(value)) for value in taus]
+        if model.mode == "monte_carlo" or not all(value > 0.0 for value in taus):
+            raise ValueError("a column of taus needs an analytic mode and positive taus")
     g = model.g_mean
-    kernel = gamma_kernel if model.mode == "gamma_exact" else gaussian_kernel
-    if taus is None:
+    column = np.array([model.tau] if taus is None else taus)
+    with np.errstate(divide="ignore", over="ignore"):
         # tau = 0, or a tau so small that the shape t/tau overflows: the area is g t
-        if model.tau == 0.0 or t / model.tau == math.inf:
-            return np.cos(omegas * g * t)
-        if model.mode == "monte_carlo" and g * model.tau == math.inf:
-            return np.ones(omegas.size)
-        if model.mode != "monte_carlo":
-            return kernel(omegas, g, model.tau, t)
-        return _monte_carlo(omegas, model, t,
-                            np.random.default_rng(model.seed) if rng is None else rng)
-    taus = [_check_tau(float(value)) for value in taus]
-    if model.mode == "monte_carlo" or not all(value > 0.0 for value in taus):
-        raise ValueError("a column of taus needs an analytic mode and positive taus")
-    resolved = np.array([t / value < math.inf for value in taus])
-    rows = np.empty((resolved.size, omegas.size))
-    rows[~resolved] = np.cos(omegas * g * t)
-    rows[resolved] = kernel(omegas, g, np.array(taus)[resolved, np.newaxis], t)
-    return rows
+        fixed = t / column == math.inf
+    rows = np.empty((column.size, omegas.size))
+    rows[fixed] = np.cos(omegas * g * t)
+    if model.mode != "monte_carlo":
+        kernel = gamma_kernel if model.mode == "gamma_exact" else gaussian_kernel
+        rows[~fixed] = kernel(omegas, g, column[~fixed, np.newaxis], t)
+    elif not fixed[0]:
+        # draws at an infinite scale would be inf: the limit is set, not sampled
+        rows[0] = 1.0 if g * model.tau == math.inf else _monte_carlo(
+            omegas, model, t, np.random.default_rng(model.seed) if rng is None else rng)
+    return rows[0] if taus is None else rows
 
 
 @functools.lru_cache(maxsize=AREA_CACHE_SIZE)

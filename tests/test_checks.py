@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from ionparity import checks, dynamics, preparation, propagators
+from ionparity import checks, dynamics, fluctuations, preparation, propagators
 from ionparity.states import PhysicalParams
 
 
@@ -39,6 +39,23 @@ def test_monte_carlo_check_detects_wrong_kernel():
 
     result = checks.monte_carlo_vs_gamma(seed=0, n_samples=20_000, kernel=sign_flipped)
     assert not result.passed
+
+
+def test_monte_carlo_check_runs_the_sweeps_sampler(monkeypatch):
+    # deliberately fault the sampler every Monte-Carlo sweep runs: shift each
+    # mean by 6 of its standard errors, and its (omega, 2 omega) partner row
+    # with it so the sample variance the check reads stays the same
+    original = fluctuations._monte_carlo
+
+    def biased(omegas, model, t, rng):
+        mean, twice = original(omegas, model, t, rng)
+        shifted = mean + 6.0 * math.sqrt(((1.0 + twice) / 2.0 - mean**2) / model.mc_samples)
+        return np.array([shifted, twice + 2.0 * (shifted**2 - mean**2)])
+
+    assert checks.monte_carlo_vs_gamma(seed=0).passed
+    monkeypatch.setattr(fluctuations, "_monte_carlo", biased)
+    result = checks.monte_carlo_vs_gamma(seed=0)
+    assert not result.passed and result.measured > 4.0
 
 
 def test_unitarity_check_reports_period_map_defect():
@@ -122,14 +139,14 @@ def test_entropy_check_reads_the_off_diagonal_coherence(monkeypatch):
 def test_closed_form_checks_see_a_wrong_binomial_amplitude(monkeypatch):
     # the propagator's initial state must not be built by the magnitude
     # routine the closed form reads, or a wrong amplitude would pass unseen
-    original = dynamics._su2_magnitudes
+    original = dynamics.symmetric_binomial_amplitudes
 
     def shifted(*args):
         magnitudes = original(*args).copy()
         magnitudes[1] += 1e-6
         return magnitudes
 
-    monkeypatch.setattr(dynamics, "_su2_magnitudes", shifted)
+    monkeypatch.setattr(dynamics, "symmetric_binomial_amplitudes", shifted)
     failed = [r.name for r in checks.closed_form_vs_propagator(seed=0) if not r.passed]
     assert failed == ["closed_form_vs_propagator_probability", "closed_form_vs_propagator_state"]
 

@@ -528,6 +528,38 @@ def test_a_tau_whose_scale_overflows_gives_a_table_in_every_mode(capsys):
     assert capsys.readouterr().err == ""
 
 
+# the largest g whose square is finite, and the next float up
+LARGEST_GAUSSIAN_G = 1.3407807929942596e154
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["gamma", "gaussian", "mc"])
+@pytest.mark.parametrize("command", ["tau-sweep", "eta-sweep"])
+@pytest.mark.parametrize("g", [5e-324, 1e-300, LARGEST_GAUSSIAN_G,
+                               math.nextafter(LARGEST_GAUSSIAN_G, math.inf), 1e200,
+                               1.7976931348623157e308])
+def test_any_coupling_gives_a_table_or_exits_one_naming_g(g, command, mode, capsys):
+    # the comparison time pi (2n - 1) / (8 g) must be a finite positive float,
+    # and the Gaussian exponent needs a finite g**2
+    steps = "--tau-steps" if command == "tau-sweep" else "--eta-steps"
+    code = run_cli(command, "--mode", mode, "--g", repr(g), steps, "2", "--mc-samples", "500")
+    err = capsys.readouterr().err
+    t_compare = math.pi * 17 / (8.0 * g)  # n = 9
+    rejected = not 0.0 < t_compare < math.inf or (mode == "gaussian" and g * g == math.inf)
+    assert (code, err.startswith(f"error: g = {g!r} ")) == ((1, True) if rejected else (0, False))
+
+
+def test_the_largest_gaussian_g_keeps_the_zero_frequency_row_at_one(capsys):
+    # every oscillating term decays to 0 and the stationary key p = 0 stays 1,
+    # not 0 * inf = nan: p = (1 + w_0) / 2 with w_0 = 2 / 2^N
+    table = _table("tau-sweep", "--mode", "gaussian", "--g", repr(LARGEST_GAUSSIAN_G),
+                   "--tau-steps", "2")
+    for line in table[1:]:
+        assert [float(cell) for cell in line.split(",")[1:]] == [2.0**-10, 0.5 + 2.0**-9,
+                                                                 0.5 + 2.0**-10]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

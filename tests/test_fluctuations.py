@@ -39,6 +39,11 @@ def test_model_validation():
         FluctuationModel(g_mean=1.0, tau=1e-8, mode="exact")
     with pytest.raises(ValueError, match="mc_samples"):
         FluctuationModel(g_mean=1.0, tau=1e-8, mc_samples=0)
+    # the Gaussian exponent holds g**2; the other kernels take any finite g
+    with pytest.raises(ValueError, match=r"g = 1e\+200 is too large for gaussian_approx"):
+        FluctuationModel(g_mean=1e200, tau=1e-8, mode="gaussian_approx")
+    for mode in ("gamma_exact", "monte_carlo"):
+        FluctuationModel(g_mean=1e200, tau=1e-8, mode=mode)
 
 
 def test_zero_fluctuation_limit_every_mode():
@@ -88,6 +93,34 @@ def test_monte_carlo_deterministic_for_fixed_seed():
     second = monte_carlo_cosine(3.0, 1.0, model)
     assert first.mean == second.mean
     assert first.standard_error == second.standard_error
+
+
+def test_monte_carlo_cosine_reads_the_sweeps_sampler():
+    # the mean is the kernel row the sweeps get for the same seed, bit for
+    # bit, and the error from the 2 omega row is the explicit draws' sample
+    # standard deviation over sqrt(n); an analytic model is sampled alike
+    samples = 5000
+    model = FluctuationModel(g_mean=1.0, tau=1e-2, mode="monte_carlo", mc_samples=samples, seed=9)
+    estimate = monte_carlo_cosine(3.0, 1.0, model)
+    assert estimate.mean == kernel_at(3.0, 1.0, model)
+    values = np.cos(3.0 * sample_pulse_areas(1.0, 1e-2, 1.0, np.random.default_rng(9), samples))
+    assert estimate.mean == pytest.approx(values.mean(), rel=1e-13)
+    assert estimate.standard_error == pytest.approx(values.std(ddof=1) / math.sqrt(samples),
+                                                    rel=1e-9)
+    assert monte_carlo_cosine(3.0, 1.0, FluctuationModel(1.0, 1e-2, mc_samples=samples,
+                                                         seed=9)) == estimate
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [0.0, 5e-324, 1.7e308])
+def test_monte_carlo_cosine_of_a_deterministic_area_has_no_error(tau):
+    # tau = 0 or a shape t/tau that overflows: the area is g t; a scale g tau
+    # that overflows: the exact law's tau -> inf limit 1, drawn from nowhere
+    model = FluctuationModel(g_mean=1e5, tau=tau, mode="monte_carlo", mc_samples=100)
+    estimate = monte_carlo_cosine(3.0, T_COMPARE, model)
+    limit = 1.0 if tau > 1.0 else np.cos(3.0 * 1e5 * T_COMPARE)
+    assert estimate.mean == pytest.approx(limit, abs=1e-15)
+    assert (estimate.standard_error, estimate.n_samples) == (0.0, 100)
 
 
 def test_monte_carlo_blocks_match_one_outer_product():
