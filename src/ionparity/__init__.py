@@ -22,7 +22,6 @@ from .dynamics import (
 )
 from .fluctuations import (
     FluctuationModel,
-    MonteCarloEstimate,
     averaged_ground_probability,
     gamma_kernel,
     gaussian_kernel,
@@ -34,14 +33,13 @@ from .preparation import (
     averaged_ground_probability_mixed,
     delta_from_efficiency,
     efficiency,
-    ground_probabilities_mixed,
     parity_delta_mixed,
 )
 from .propagators import (
-    EffectiveHamiltonian,
     LambDickeHamiltonian,
     TruncationError,
     ground_population_trajectory,
+    pair_exchange_matrix,
     propagate_effective,
     propagate_lamb_dicke,
 )
@@ -49,10 +47,8 @@ from .propagators import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EffectiveHamiltonian",
     "FluctuationModel",
     "LambDickeHamiltonian",
-    "MonteCarloEstimate",
     "ParityTimes",
     "PhysicalParams",
     "PreparationModel",
@@ -69,10 +65,10 @@ __all__ = [
     "gamma_kernel",
     "gaussian_kernel",
     "ground_population_trajectory",
-    "ground_probabilities_mixed",
     "ground_probability",
     "mixture_ground_probabilities",
     "monte_carlo_cosine",
+    "pair_exchange_matrix",
     "parity_delta_mixed",
     "parity_times",
     "propagate_effective",

@@ -18,7 +18,8 @@ In the analytic modes a parity sweep is one kernel call: both targets of
 every point go into one weight matrix, evaluated at all taus at once.  In
 Monte-Carlo mode every point keeps its own seed, draws and keys, and the
 points run on a pool of --workers threads; the analytic modes accept and
-echo --workers too.  The parser is built once per process.
+echo --workers too.  Each setting is one row of ``SETTINGS``, which the parser
+(built once per process), ``DEFAULTS`` and the config-file check all read.
 """
 
 from __future__ import annotations
@@ -42,46 +43,74 @@ MODE_FLAGS = {"gamma": "gamma_exact", "gaussian": "gaussian_approx", "mc": "mont
 # used when neither --g nor a drive pair (--omega, --eta-ld) is supplied
 DEFAULT_G = 1e5
 
-_PHYSICAL = {"g": None, "nu": None, "omega": None, "eta_ld": None}
+# One row per setting of each subcommand: (type, built-in default, help).
+# The flag is --key with each "_" spelled "-" (argparse maps it back to the
+# key), and a config file holds the same keys.  A tuple type is a choice, a
+# list [type] takes one or more values, and bool is a switch that sets True.
+_PHYSICAL = {
+    "g": (float, None, "coupling rate in rad/s; derived from --omega and --eta-ld when omitted"),
+    "nu": (float, None, "trap frequency in rad/s (metadata only here)"),
+    "omega": (float, None, "drive Rabi frequency in rad/s"),
+    "eta_ld": (float, None, "Lamb-Dicke parameter"),
+}
+_PARITY = {"n": (int, 9, "odd total quanta, compared against n+1"), **_PHYSICAL}
+_SAMPLING = {
+    "mode": (tuple(MODE_FLAGS), "gaussian", "averaging kernel"),
+    "mc_samples": (int, 100_000, "draws per Monte-Carlo point"),
+    "seed": (int, 0, "base seed for Monte-Carlo mode"),
+    "workers": (int, 4, "worker threads for Monte-Carlo points; the analytic modes evaluate "
+                "a sweep in one call, but accept and echo it too"),
+}
+_OUTPUT = {
+    "out": (str, None, "output path (stdout when omitted)"),
+    "format": (("csv", "json"), "csv", "output format"),
+}
 
-# shared by the two parity sweeps
-_SWEEP = {**_PHYSICAL, "n": 9, "mode": "gaussian", "mc_samples": 100_000, "seed": 0,
-          "workers": 4, "format": "csv"}
-
-WORKERS_HELP = ("worker threads for Monte-Carlo points; the analytic modes evaluate a "
-                "sweep in one call, but accept and echo it too")
-
-DEFAULTS: dict[str, dict] = {
+SETTINGS: dict[str, dict[str, tuple]] = {
     "dynamics": {
+        "n": (int, 9, "total initial vibrational quanta"),
         **_PHYSICAL,
-        "n": 9,
-        "t_max": 10.0,
-        "t_steps": 501,
-        "format": "csv",
+        "t_max": (float, 10.0, "grid end in units of g*t"),
+        "t_steps": (int, 501, "number of grid points"),
+        **_OUTPUT,
     },
     "tau-sweep": {
-        **_SWEEP,
-        "tau_min": 1e-9,
-        "tau_max": 1e-7,
-        "tau_steps": 41,
-        "eta_prep": None,
-        "delta": None,
+        **_PARITY,
+        "tau_min": (float, 1e-9, "grid start, seconds"),
+        "tau_max": (float, 1e-7, "grid end, seconds"),
+        "tau_steps": (int, 41, "log-grid points"),
+        "eta_prep": (float, None, "preparation efficiency in (0,1]; default exact"),
+        "delta": (float, None, "preparation width (alternative to --eta-prep)"),
+        **_SAMPLING,
+        **_OUTPUT,
     },
     "eta-sweep": {
-        **_SWEEP,
-        "tau": [1e-9, 1e-8, 1e-7],
-        "eta_min": 0.05,
-        "eta_max": 1.0,
-        "eta_steps": 20,
+        **_PARITY,
+        "tau": ([float], [1e-9, 1e-8, 1e-7], "fluctuation strengths, one curve each"),
+        "eta_min": (float, 0.05, "grid start in (0,1]"),
+        "eta_max": (float, 1.0, "grid end in (0,1]"),
+        "eta_steps": (int, 20, "grid points"),
+        **_SAMPLING,
+        **_OUTPUT,
     },
     "validate": {
-        "seed": 0,
-        "full": False,
-        "omega": 1.0,
-        "eta_ld": 0.05,
-        "format": "csv",
+        "seed": (int, 0, "seed for randomized checks"),
+        "full": (bool, False, "run the drive comparison at higher nu/omega ratios"),
+        "omega": (float, 1.0, "drive Rabi frequency for the RWA suite"),
+        "eta_ld": (float, 0.05, "Lamb-Dicke parameter for the RWA suite"),
+        **_OUTPUT,
     },
 }
+
+SUMMARIES = {
+    "dynamics": "ground probability and entropy on a time grid",
+    "tau-sweep": "parity visibility vs fluctuation strength",
+    "eta-sweep": "parity visibility vs preparation efficiency",
+    "validate": "run the consistency-check battery",
+}
+
+DEFAULTS = {command: {key: default for key, (_, default, _) in rows.items()}
+            for command, rows in SETTINGS.items()}
 
 
 @functools.cache
@@ -92,63 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parity-dependent vibronic dynamics: tables, sweeps and checks.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, rows in SETTINGS.items():
+        p = sub.add_parser(command, help=SUMMARIES[command])
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
-        p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-
-    def add_physical(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--g", type=float, help="coupling rate in rad/s; derived from "
-                       "--omega and --eta-ld when omitted")
-        p.add_argument("--nu", type=float, help="trap frequency in rad/s (metadata only here)")
-        p.add_argument("--omega", type=float, help="drive Rabi frequency in rad/s")
-        p.add_argument("--eta-ld", type=float, dest="eta_ld", help="Lamb-Dicke parameter")
-
-    p_dyn = sub.add_parser("dynamics", help="ground probability and entropy on a time grid")
-    p_dyn.add_argument("--n", type=int, help="total initial vibrational quanta")
-    add_physical(p_dyn)
-    p_dyn.add_argument("--t-max", type=float, dest="t_max", help="grid end in units of g*t")
-    p_dyn.add_argument("--t-steps", type=int, dest="t_steps", help="number of grid points")
-    add_common(p_dyn)
-
-    p_tau = sub.add_parser("tau-sweep", help="parity visibility vs fluctuation strength")
-    p_tau.add_argument("--n", type=int, help="odd total quanta, compared against n+1")
-    add_physical(p_tau)
-    p_tau.add_argument("--tau-min", type=float, dest="tau_min", help="grid start, seconds")
-    p_tau.add_argument("--tau-max", type=float, dest="tau_max", help="grid end, seconds")
-    p_tau.add_argument("--tau-steps", type=int, dest="tau_steps", help="log-grid points")
-    p_tau.add_argument("--mode", choices=sorted(MODE_FLAGS), help="averaging kernel")
-    p_tau.add_argument("--eta-prep", type=float, dest="eta_prep",
-                       help="preparation efficiency in (0,1]; default exact")
-    p_tau.add_argument("--delta", type=float, help="preparation width (alternative to --eta-prep)")
-    p_tau.add_argument("--mc-samples", type=int, dest="mc_samples", help="draws per Monte-Carlo point")
-    p_tau.add_argument("--seed", type=int, help="base seed for Monte-Carlo mode")
-    p_tau.add_argument("--workers", type=int, help=WORKERS_HELP)
-    add_common(p_tau)
-
-    p_eta = sub.add_parser("eta-sweep", help="parity visibility vs preparation efficiency")
-    p_eta.add_argument("--n", type=int, help="odd total quanta, compared against n+1")
-    add_physical(p_eta)
-    p_eta.add_argument("--tau", type=float, nargs="+", help="fluctuation strengths, one curve each")
-    p_eta.add_argument("--eta-min", type=float, dest="eta_min", help="grid start in (0,1]")
-    p_eta.add_argument("--eta-max", type=float, dest="eta_max", help="grid end in (0,1]")
-    p_eta.add_argument("--eta-steps", type=int, dest="eta_steps", help="grid points")
-    p_eta.add_argument("--mode", choices=sorted(MODE_FLAGS), help="averaging kernel")
-    p_eta.add_argument("--mc-samples", type=int, dest="mc_samples", help="draws per Monte-Carlo point")
-    p_eta.add_argument("--seed", type=int, help="base seed for Monte-Carlo mode")
-    p_eta.add_argument("--workers", type=int, help=WORKERS_HELP)
-    add_common(p_eta)
-
-    p_val = sub.add_parser("validate", help="run the consistency-check battery")
-    p_val.add_argument("--seed", type=int, help="seed for randomized checks")
-    p_val.add_argument("--full", action="store_const", const=True,
-                       help="run the drive comparison at higher nu/omega ratios")
-    p_val.add_argument("--omega", type=float, help="drive Rabi frequency for the RWA suite")
-    p_val.add_argument("--eta-ld", type=float, dest="eta_ld",
-                       help="Lamb-Dicke parameter for the RWA suite")
-    add_common(p_val)
-
+        for key, (kind, _, text) in rows.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=text)
+            elif isinstance(kind, list):
+                p.add_argument(flag, type=kind[0], nargs="+", help=text)
+            else:
+                p.add_argument(flag, type=kind, help=text)
     return parser
 
 
@@ -159,30 +144,28 @@ def _fits(kind: type, value: object) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_types(parser: argparse.ArgumentParser, command: str, file_config: dict,
-                 path: str) -> None:
-    """Hold each config-file value to the type and arity its flag declares;
-    null stands for a flag whose default is unset."""
-    (subcommands,) = (a for a in parser._actions if a.dest == "command")
-    actions = {a.dest: a for a in subcommands.choices[command]._actions}
+def _check_types(command: str, file_config: dict, path: str) -> None:
+    """Hold each config-file value to the type, arity or choices of its row;
+    null stands for a setting whose default is unset."""
     for key, value in file_config.items():
-        if value is None and DEFAULTS[command].get(key) is None:
+        kind, default, _ = SETTINGS[command][key]
+        if value is None and default is None:
             continue
-        action = actions[key]
-        kind = action.type or (bool if action.const is True else str)
-        if action.nargs == "+":
-            ok = isinstance(value, list) and value and all(_fits(kind, v) for v in value)
-            expected = f"a non-empty list of {kind.__name__}"
+        if isinstance(kind, tuple):
+            ok, expected = isinstance(value, str) and value in kind, f"one of {list(kind)}"
+        elif isinstance(kind, list):
+            ok = isinstance(value, list) and value and all(_fits(kind[0], v) for v in value)
+            expected = f"a non-empty list of {kind[0].__name__}"
         else:
             ok, expected = _fits(kind, value), kind.__name__
         if not ok:
             raise ValueError(f"config file {path}: {key} must be {expected}, got {value!r}")
 
 
-def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
     resolved = dict(DEFAULTS[command])
-    config_path = getattr(args, "config", None)
+    config_path = args.config
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
@@ -191,18 +174,15 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 raise ValueError(f"config file {config_path}: {exc}") from exc
         if not isinstance(file_config, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
-        unknown = set(file_config) - set(resolved) - {"out"}
+        unknown = sorted(set(file_config) - set(resolved))
         if unknown:
-            raise ValueError(
-                f"config file {config_path} has unknown keys for {command}: {sorted(unknown)}"
-            )
-        _check_types(parser, command, file_config, config_path)
+            raise ValueError(f"config file {config_path} has unknown keys for {command}: {unknown}")
+        _check_types(command, file_config, config_path)
         resolved.update(file_config)
-    for key in list(resolved) + ["out"]:
-        value = getattr(args, key, None)
+    for key in resolved:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    resolved.setdefault("out", None)
     if resolved.get("seed", 0) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {resolved['seed']}")
     return resolved
@@ -238,9 +218,7 @@ def _validate_positive(config: dict, *keys: str) -> None:
 
 def _echo_config(config: dict, command: str) -> dict:
     # the output location does not affect the computed content
-    echo = {k: v for k, v in config.items() if k not in ("out",)}
-    echo["command"] = command
-    return echo
+    return {**{key: value for key, value in config.items() if key != "out"}, "command": command}
 
 
 def _point_seeds(base_seed: int, count: int) -> list[int]:
@@ -276,7 +254,10 @@ def cmd_dynamics(config: dict) -> SweepResult:
     if not 0 <= config["t_max"] < math.inf:
         raise ValueError(f"t_max must be finite and non-negative, got {config['t_max']}")
     gts = np.linspace(0.0, config["t_max"], config["t_steps"])
-    times = gts / g
+    with np.errstate(over="ignore"):
+        times = gts / g
+    if times[-1] == math.inf:
+        raise ValueError(f"g = {g} puts t_max / g at inf s, outside the finite floats")
     probabilities = np.atleast_1d(dynamics.ground_probability(n, g, times))
     entropies = np.atleast_1d(dynamics.binary_entropy(probabilities))
     rows = list(zip(gts.tolist(), times.tolist(), probabilities.tolist(), entropies.tolist()))
@@ -291,8 +272,6 @@ def _parity_sweep(config: dict, *positive: str) -> tuple[int, float, Callable]:
     n = config["n"]
     if n % 2 == 0 or n < 3:
         raise ValueError(f"n must be odd and >= 3 for a parity sweep, got {n}")
-    if config["mode"] not in MODE_FLAGS:
-        raise ValueError(f"mode must be one of {sorted(MODE_FLAGS)}")
     _validate_positive(config, "g", "mc_samples", "workers", *positive)
     t_compare = dynamics.parity_times(n, config["g"]).comparison_time
     if not 0.0 < t_compare < math.inf:
@@ -313,13 +292,14 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
     seeds = _point_seeds(config["seed"], len(taus) * len(pairs))
     model = sweep_model(tau=taus[0], seed=seeds[0])
     if model.mode != "monte_carlo":
-        preps = [prep for pair in pairs for prep in pair]
-        probabilities = preparation.ground_probabilities_mixed(preps, model, t_compare, taus)
+        mixtures = [prep.terms() for pair in pairs for prep in pair]
+        probabilities = fluctuations.mixture_ground_probabilities(mixtures, model, t_compare,
+                                                                  taus=taus)
     else:
-        def evaluate(index: int) -> list[float]:
+        def evaluate(index: int) -> np.ndarray:
             point_model = sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
-            return preparation.ground_probabilities_mixed(pairs[index % len(pairs)],
-                                                          point_model, t_compare)
+            mixtures = [prep.terms() for prep in pairs[index % len(pairs)]]
+            return fluctuations.mixture_ground_probabilities(mixtures, point_model, t_compare)
 
         probabilities = pool_map(evaluate, range(len(seeds)), config["workers"])
     return np.reshape(probabilities, (len(taus), len(pairs), 2))
@@ -403,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        config = _resolve_config(args, parser)
+        config = _resolve_config(args)
         if args.command == "validate":
             result, failures = cmd_validate(config)
         else:

@@ -21,11 +21,13 @@ at tau = 1: P_k = 2^(-N/2) sqrt(C(N, k)), so |P_k|^2 = 2^-N C(N, k) is the
 binomial distribution of the N quanta over the two modes
 (``symmetric_binomial_amplitudes``).  Everything here is a pure function of
 its arguments.  The state is evaluated over a whole array of times at once
-by ``_closed_form_grids``; ``evolve_closed_form`` is its one-time case.
+by ``_closed_form_grids`` on the smallest grid holding both components,
+cutoff N in each mode; ``evolve_closed_form`` is its one-time case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +75,10 @@ def rabi_spectrum(n_total: int, g: float) -> RabiSpectrum:
     if g <= 0.0:
         raise ValueError("g must be positive")
     k = np.arange(n_total + 1)
+    fastest = 2.0 * g * math.sqrt((n_total - n_total // 2) * (n_total // 2))
+    if not fastest < math.inf:  # inf, or inf * 0 = nan where N < 2
+        raise ValueError(f"g = {g} puts the fastest rate 2 g sqrt((N-k)k) of N = {n_total} "
+                         f"at {fastest} rad/s, outside the finite floats")
     freqs = 2.0 * g * np.sqrt((n_total - k) * k)
     weights = symmetric_binomial_amplitudes(n_total) ** 2
     freqs.flags.writeable = False
@@ -81,19 +87,19 @@ def rabi_spectrum(n_total: int, g: float) -> RabiSpectrum:
 
 
 def _closed_form_grids(
-    n_total: int, g: float, times: np.ndarray, cutoff_a: int, cutoff_b: int
+    n_total: int, g: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude grids of the |-> and |+> components at every time in ``times``.
 
-    Returns (minus, plus), each of shape (times, cutoff_a + 1, cutoff_b + 1);
-    the anti-diagonals |N-k, k> and |N-k-1, k-1> are filled for all times
-    at once.  Arguments are not validated here.
+    Returns (minus, plus), each of shape (times, N + 1, N + 1); the
+    anti-diagonals |N-k, k> and |N-k-1, k-1> are filled for all times at
+    once.  Arguments are not validated here.
     """
     amps = symmetric_binomial_amplitudes(n_total)
     freqs = rabi_spectrum(n_total, g).frequencies
     phases = np.multiply.outer(times, freqs)
     k = np.arange(n_total + 1)
-    minus = np.zeros((len(times), cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
+    minus = np.zeros((len(times), n_total + 1, n_total + 1), dtype=np.complex128)
     plus = np.zeros_like(minus)
     minus[:, n_total - k, k] = amps * np.cos(phases)
     inner = k[1:n_total]
@@ -101,28 +107,16 @@ def _closed_form_grids(
     return minus, plus
 
 
-def evolve_closed_form(
-    n_total: int,
-    g: float,
-    t: float,
-    cutoff_a: int | None = None,
-    cutoff_b: int | None = None,
-) -> VibronicState:
-    """Exact state at time t >= 0 from the binomial N-quanta initial state.
-
-    Defaults the grid to cutoff N in each mode, the smallest grid holding
-    both components.  Total norm is 1 for every (N, t).  Many times at once
-    are cheaper through ``_closed_form_grids``.
+def evolve_closed_form(n_total: int, g: float, t: float) -> VibronicState:
+    """Exact state at time t >= 0 from the binomial N-quanta initial state,
+    on the grid of cutoff N in each mode.  Total norm is 1 for every (N, t).
+    Many times at once are cheaper through ``_closed_form_grids``.
     """
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    ca = n_total if cutoff_a is None else cutoff_a
-    cb = n_total if cutoff_b is None else cutoff_b
-    if ca < n_total or cb < n_total:
-        raise ValueError("cutoffs must be at least n_total")
-    minus, plus = _closed_form_grids(n_total, g, np.array([t], dtype=float), ca, cb)
+    minus, plus = _closed_form_grids(n_total, g, np.array([t], dtype=float))
     return VibronicState(TwoModeState(minus[0]), TwoModeState(plus[0]))
 
 

@@ -21,11 +21,12 @@ arrays to arrays).  The ground probability of N depends on its spectrum only
 through the integer keys p = (N-k)k, whose area frequency is 4 sqrt(p);
 ``_area_terms`` caches, per N, the distinct keys and the binomial weights
 merged over k <-> N-k.  Every average is a thin call into
-``mixture_ground_probabilities``: it drops terms of weight exactly 0.0, takes
-the union of the keys of several Fock mixtures (``_mixture_matrix``, one
-weight row per mixture), calls ``_kernels`` once over the distinct
-frequencies and returns one weighted sum per mixture, so the odd and even
-targets of a parity comparison share one call.  Given a column of taus, the
+``mixture_ground_probabilities``, the one entry point for Fock mixtures (a
+preparation's ``terms()``): it drops terms of weight exactly 0.0, takes the
+union of the keys of several mixtures (``_mixture_matrix``, one weight row
+per mixture), calls ``_kernels`` once over the distinct frequencies and
+returns one weighted sum per mixture, so the odd and even targets of a
+parity comparison share one call.  Given a column of taus, the
 analytic kernels broadcast over (tau, p) in that same call, so a whole sweep
 curve is one matrix product of kernel rows and weight rows.  In monte_carlo mode
 all frequencies of a call share one set of draws, streamed from the call's one
@@ -38,8 +39,9 @@ the end.  Memory is one draw block plus one tile per worker, whatever
 0, so its row is exactly 1 and is set, not sampled.
 
 ``monte_carlo_cosine``, the estimate the validation battery checks against
-gamma_exact, runs that same sampler at the frequencies (omega, 2 omega); the
-second row gives the sample variance through cos^2 x = (1 + cos 2x) / 2.
+gamma_exact, runs that same sampler at the frequencies (omega, 2 omega) and
+returns (mean, standard error); the second row gives the sample variance
+through cos^2 x = (1 + cos 2x) / 2.
 """
 
 from __future__ import annotations
@@ -100,13 +102,6 @@ class FluctuationModel:
             raise ValueError("mc_samples must be at least 1")
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    mean: float
-    standard_error: float
-    n_samples: int
-
-
 def gamma_kernel(
     omega: np.ndarray | float, g: float, tau: float, t: float
 ) -> np.ndarray | float:
@@ -156,8 +151,8 @@ def sample_pulse_areas(
 
 def monte_carlo_cosine(
     omega: float, t: float, model: FluctuationModel, rng: np.random.Generator | None = None
-) -> MonteCarloEstimate:
-    """Sample estimate of E[cos(omega A)] with its standard error, drawn by
+) -> tuple[float, float]:
+    """Sample estimate (mean, standard error) of E[cos(omega A)], drawn by
     the sampler the sweeps run: one Monte-Carlo ``_kernels`` call at the
     frequencies (omega, 2 omega), whatever ``model.mode`` says.  The second
     row gives the second moment through cos^2 x = (1 + cos 2x) / 2.  Where
@@ -171,7 +166,7 @@ def monte_carlo_cosine(
     if n > 1 and not fixed:
         # sample variance with Bessel's correction, clamped against cancellation
         stderr = math.sqrt(max(0.0, (1.0 + twice) / 2.0 - mean * mean) / (n - 1))
-    return MonteCarloEstimate(float(mean), stderr, n)
+    return float(mean), stderr
 
 
 def _monte_carlo(

@@ -11,23 +11,21 @@ own m/2 + 1 values of p, so the keys of a mixture grow as the square of its
 width; a width whose mixture would hold more than ``MAX_MIXTURE_KEYS`` keys
 is rejected before anything is allocated.
 
-A mixed observable is no loop over pure runs: the totals m and weights go
-to ``fluctuations.mixture_ground_probabilities`` as one weighted sum over the
-distinct keys p = (N-k)k of all terms, every term averaged over the same
-Monte-Carlo draws; terms whose weight underflows to 0.0 are dropped there.
-The two targets of a parity comparison (``ground_probabilities_mixed``,
-``parity_delta_mixed``) share one such call, so they also share their draws.
-Given a column of taus (analytic modes), ``ground_probabilities_mixed``
-evaluates any number of preparations at every tau in one kernel call: a
-sweep curve over tau or over the efficiency is one call.  The exact state is
-the pure run itself.
+A mixed observable is no loop over pure runs: ``terms()`` gives the totals
+m and weights, and ``fluctuations.mixture_ground_probabilities`` takes the
+terms of any number of preparations to one weighted sum each over the
+distinct keys p = (N-k)k of all their terms, every term averaged over the
+same Monte-Carlo draws; terms whose weight underflows to 0.0 are dropped
+there.  The two targets of a parity comparison (``parity_delta_mixed``)
+share one such call, so they also share their draws, and given a column of
+taus (analytic modes) a whole sweep curve over tau or over the efficiency is
+one call.  The exact state is the pure run itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -106,10 +104,6 @@ class PreparationModel:
     def is_exact(self) -> bool:
         return self.delta is None
 
-    @property
-    def efficiency(self) -> float:
-        return efficiency(self.delta)
-
     def terms(self, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Mixture support m = 0..m_max and normalized weights.
 
@@ -142,20 +136,6 @@ def averaged_ground_probability_mixed(
     return float(mixture_ground_probabilities((prep.terms(extra=extra_terms),), model, t)[0])
 
 
-def ground_probabilities_mixed(
-    preps: Sequence[PreparationModel],
-    model: FluctuationModel,
-    t: float,
-    taus: Sequence[float] | None = None,
-) -> list:
-    """Mixture-averaged ground probabilities of several preparations from one
-    kernel call, so in monte_carlo mode all of them share one set of draws.
-    With ``taus`` (analytic modes) the call covers every tau and returns one
-    list per tau."""
-    mixtures = [prep.terms() for prep in preps]
-    return mixture_ground_probabilities(mixtures, model, t, taus=taus).tolist()
-
-
 def parity_delta_mixed(
     n_odd: int,
     delta: float | None,
@@ -166,7 +146,6 @@ def parity_delta_mixed(
     width: targets n_odd and n_odd + 1, compared at t_compare."""
     if n_odd % 2 == 0 or n_odd < 3:
         raise ValueError(f"n_odd must be odd and >= 3, got {n_odd}")
-    upper, lower = ground_probabilities_mixed(
-        (PreparationModel(n_odd, delta), PreparationModel(n_odd + 1, delta)), model, t_compare
-    )
-    return upper - lower
+    mixtures = [PreparationModel(n, delta).terms() for n in (n_odd, n_odd + 1)]
+    upper, lower = mixture_ground_probabilities(mixtures, model, t_compare)
+    return float(upper - lower)

@@ -48,38 +48,23 @@ class TruncationError(RuntimeError):
     """Raised when population sits on cells whose dynamics needs a larger grid."""
 
 
-class EffectiveHamiltonian:
+def pair_exchange_matrix(coupling: float, cutoff_a: int, cutoff_b: int) -> np.ndarray:
     """Dense matrix of coupling * (a b sigma+ + a^dag b^dag sigma-).
 
     Couples only |n_a, n_b>|-> <-> |n_a - 1, n_b - 1>|+> with matrix
     element coupling * sqrt(n_a n_b); Hermitian by construction.
     """
-
-    def __init__(self, coupling: float, cutoff_a: int, cutoff_b: int) -> None:
-        if coupling <= 0.0:
-            raise ValueError("coupling must be positive")
-        if cutoff_a < 0 or cutoff_b < 0:
-            raise ValueError("cutoffs must be non-negative")
-        self.coupling = coupling
-        self.cutoff_a = cutoff_a
-        self.cutoff_b = cutoff_b
-
-    @property
-    def grid_size(self) -> int:
-        return (self.cutoff_a + 1) * (self.cutoff_b + 1)
-
-    def matrix(self) -> np.ndarray:
-        dim = 2 * self.grid_size
-        width = self.cutoff_b + 1
-        matrix = np.zeros((dim, dim), dtype=np.complex128)
-        for na in range(1, self.cutoff_a + 1):
-            for nb in range(1, self.cutoff_b + 1):
-                i_minus = na * width + nb
-                i_plus = self.grid_size + (na - 1) * width + (nb - 1)
-                element = self.coupling * math.sqrt(na * nb)
-                matrix[i_minus, i_plus] = element
-                matrix[i_plus, i_minus] = element
-        return matrix
+    if coupling <= 0.0:
+        raise ValueError("coupling must be positive")
+    if cutoff_a < 0 or cutoff_b < 0:
+        raise ValueError("cutoffs must be non-negative")
+    grid_size = (cutoff_a + 1) * (cutoff_b + 1)
+    na, nb = np.meshgrid(np.arange(1, cutoff_a + 1), np.arange(1, cutoff_b + 1), indexing="ij")
+    i_minus = na * (cutoff_b + 1) + nb
+    i_plus = grid_size + i_minus - (cutoff_b + 2)  # the index of |n_a - 1, n_b - 1>|+>
+    matrix = np.zeros((2 * grid_size, 2 * grid_size), dtype=np.complex128)
+    matrix[i_minus, i_plus] = matrix[i_plus, i_minus] = coupling * np.sqrt(na * nb)
+    return matrix
 
 
 def propagate_effective(initial: VibronicState, coupling: float, t: float) -> VibronicState:
@@ -136,7 +121,7 @@ class LambDickeHamiltonian:
     of the diagonal-mode ladder operators, each oscillating at
     (k - j - 2) * nu in the rotating frame.  At expansion_order = 2 with
     only the static (k - j - 2 = 0) term kept, the matrix reduces to
-    ``EffectiveHamiltonian`` with coupling omega * eta^2 * exp(-eta^2/2);
+    ``pair_exchange_matrix`` with coupling omega * eta^2 * exp(-eta^2/2);
     the beam labeling is fixed so that term enters with a plus sign.
     """
 

@@ -108,8 +108,8 @@ def test_batched_checks_detect_a_faulted_closed_form(monkeypatch):
     # one |-> amplitude of the closed form off by 1e-6 at every time
     original = dynamics._closed_form_grids
 
-    def faulted(n_total, g, times, cutoff_a, cutoff_b):
-        minus, plus = original(n_total, g, times, cutoff_a, cutoff_b)
+    def faulted(n_total, g, times):
+        minus, plus = original(n_total, g, times)
         minus[:, n_total, 0] += 1e-6
         return minus, plus
 
@@ -125,8 +125,8 @@ def test_entropy_check_reads_the_off_diagonal_coherence(monkeypatch):
     # populations, so only <+|-> can tell the state from the closed form
     original = dynamics._closed_form_grids
 
-    def coherent(n_total, g, times, cutoff_a, cutoff_b):
-        minus, plus = original(n_total, g, times, cutoff_a, cutoff_b)
+    def coherent(n_total, g, times):
+        minus, plus = original(n_total, g, times)
         plus[:, n_total - 1, 1] = plus[:, n_total - 2, 0]
         plus[:, n_total - 2, 0] = 0.0
         return minus, plus
@@ -158,3 +158,34 @@ def test_exact_preparation_limit_compares_several_terms_with_one():
     assert np.count_nonzero(weights) > 1
     result = checks.exact_preparation_limit()
     assert result.passed and result.measured > 0.0
+
+
+def test_rabi_rate_check_sees_a_wrong_rate(monkeypatch):
+    # rates of 3 g sqrt((N-k)k) instead of 2 g sqrt((N-k)k) are still
+    # symmetric under k -> N-k, so only the pair-exchange element tells
+    original = dynamics.rabi_spectrum
+    result = checks.rabi_frequency_symmetry()
+    assert (result.measured, result.passed) == (0.0, True)
+    monkeypatch.setattr(dynamics, "rabi_spectrum", lambda n_total, g: original(n_total, 1.5 * g))
+    result = checks.rabi_frequency_symmetry()
+    assert not result.passed and result.measured > 1.0
+
+
+def test_mixture_linearity_sees_a_merge_that_drops_shared_keys(monkeypatch):
+    # a merge in which the first term holding a key p wins, where the weights
+    # of every term holding it must be summed; p = 0 alone is held by all
+    original = fluctuations._mixture_matrix
+
+    def first_term_wins(mixtures):
+        ((totals, weights),) = mixtures
+        columns = {}
+        for n, weight in zip(totals, weights):
+            if weight != 0.0:
+                omegas, (row,) = original([((n,), (weight,))])
+                for omega, value in zip(omegas.tolist(), row.tolist()):
+                    columns.setdefault(omega, value)
+        return np.array(list(columns)), np.array([list(columns.values())])
+
+    assert checks.mixture_linearity().passed
+    monkeypatch.setattr(fluctuations, "_mixture_matrix", first_term_wins)
+    assert not checks.mixture_linearity().passed

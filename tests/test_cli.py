@@ -235,6 +235,19 @@ def test_config_value_of_wrong_type_exits_one(command, key, value, tmp_path, cap
     assert err.startswith(f"error: config file {config}: {key} must be ")
 
 
+def test_a_bad_choice_in_a_config_file_exits_one_before_the_battery(monkeypatch, tmp_path,
+                                                                     capsys):
+    def no_battery(**kwargs):
+        raise AssertionError("the battery ran with a bad format")
+
+    monkeypatch.setattr(cli.checks, "run_all", no_battery)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"format": "xml"}))
+    assert run_cli("validate", "--config", str(config)) == 1
+    assert capsys.readouterr().err == (f"error: config file {config}: format must be one of "
+                                       "['csv', 'json'], got 'xml'\n")
+
+
 @pytest.mark.parametrize("command", ["tau-sweep", "eta-sweep", "validate"])
 @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
 def test_negative_seed_exits_one_naming_the_key(command, from_file, tmp_path, capsys):
@@ -355,16 +368,19 @@ def test_dynamics_rows_are_probabilities_and_entropies(n, t_max, t_steps):
     assert np.array_equal(p_ground, expected)
 
 
-# the type each config key takes, per subcommand
+# the type each config key takes, per subcommand; a choice is a str of the list
+MODES = ["gamma", "gaussian", "mc"]
+FORMATS = ["csv", "json"]
 CONFIG_TYPES = {
     "dynamics": {"n": int, "t_max": float, "t_steps": int, "g": float, "nu": float,
-                 "omega": float, "eta_ld": float, "format": str},
+                 "omega": float, "eta_ld": float, "format": FORMATS, "out": str},
     "tau-sweep": {"n": int, "tau_min": float, "tau_max": float, "tau_steps": int,
-                  "eta_prep": float, "delta": float, "mode": str, "mc_samples": int,
-                  "seed": int, "workers": int, "g": float},
+                  "eta_prep": float, "delta": float, "mode": MODES, "mc_samples": int,
+                  "seed": int, "workers": int, "g": float, "format": FORMATS},
     "eta-sweep": {"tau": list, "eta_min": float, "eta_max": float, "eta_steps": int,
-                  "mode": str, "mc_samples": int, "seed": int, "workers": int},
-    "validate": {"seed": int, "full": bool, "omega": float, "eta_ld": float, "format": str},
+                  "mode": MODES, "mc_samples": int, "seed": int, "workers": int},
+    "validate": {"seed": int, "full": bool, "omega": float, "eta_ld": float,
+                 "format": FORMATS},
 }
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _SCALAR_LISTS = st.lists(st.integers(), max_size=2)
@@ -381,12 +397,18 @@ WRONG_VALUES = {
 def wrong_config(draw):
     command = draw(st.sampled_from(sorted(CONFIG_TYPES)))
     key = draw(st.sampled_from(sorted(CONFIG_TYPES[command])))
-    return command, key, draw(WRONG_VALUES[CONFIG_TYPES[command][key]])
+    kind = CONFIG_TYPES[command][key]
+    if isinstance(kind, list):  # a choice: any other str, or no str at all
+        wrong = st.one_of(WRONG_VALUES[str], st.text().filter(lambda text: text not in kind))
+        return command, key, draw(wrong)
+    return command, key, draw(WRONG_VALUES[kind])
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=wrong_config())
+@example(case=("validate", "format", "xml"))
+@example(case=("tau-sweep", "mode", "Gamma"))
 def test_config_value_of_any_wrong_type_names_the_key(case, tmp_path):
     command, key, value = case
     config = tmp_path / "run.json"
@@ -533,20 +555,33 @@ LARGEST_GAUSSIAN_G = 1.3407807929942596e154
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mode", ["gamma", "gaussian", "mc"])
-@pytest.mark.parametrize("command", ["tau-sweep", "eta-sweep"])
+@pytest.mark.parametrize("command, mode", [("dynamics", None)] + [
+    (command, mode) for command in ("tau-sweep", "eta-sweep") for mode in MODES])
 @pytest.mark.parametrize("g", [5e-324, 1e-300, LARGEST_GAUSSIAN_G,
                                math.nextafter(LARGEST_GAUSSIAN_G, math.inf), 1e200,
                                1.7976931348623157e308])
 def test_any_coupling_gives_a_table_or_exits_one_naming_g(g, command, mode, capsys):
-    # the comparison time pi (2n - 1) / (8 g) must be a finite positive float,
-    # and the Gaussian exponent needs a finite g**2
-    steps = "--tau-steps" if command == "tau-sweep" else "--eta-steps"
-    code = run_cli(command, "--mode", mode, "--g", repr(g), steps, "2", "--mc-samples", "500")
+    # dynamics: the times t_max / g and the fastest rate 2 g sqrt(20) of n = 9
+    # must be finite floats.  The sweeps: the comparison time pi (2n - 1) / (8 g)
+    # must be a finite positive float, and the Gaussian exponent needs a finite g**2
+    if command == "dynamics":
+        code = run_cli(command, "--g", repr(g), "--t-steps", "2")
+        rejected = not (10.0 / g < math.inf and 2.0 * g * math.sqrt(20) < math.inf)
+    else:
+        steps = "--tau-steps" if command == "tau-sweep" else "--eta-steps"
+        code = run_cli(command, "--mode", mode, "--g", repr(g), steps, "2", "--mc-samples", "500")
+        t_compare = math.pi * 17 / (8.0 * g)  # n = 9
+        rejected = not 0.0 < t_compare < math.inf or (mode == "gaussian" and g * g == math.inf)
     err = capsys.readouterr().err
-    t_compare = math.pi * 17 / (8.0 * g)  # n = 9
-    rejected = not 0.0 < t_compare < math.inf or (mode == "gaussian" and g * g == math.inf)
     assert (code, err.startswith(f"error: g = {g!r} ")) == ((1, True) if rejected else (0, False))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1])
+def test_dynamics_without_a_rate_still_rejects_an_overflowing_g(n, capsys):
+    # N < 2 has only zero rates, but 2 g * 0 is nan where 2 g overflows
+    assert run_cli("dynamics", "--n", str(n), "--g", "1.7976931348623157e308") == 1
+    assert capsys.readouterr().err.startswith("error: g = 1.7976931348623157e+308 ")
 
 
 def test_the_largest_gaussian_g_keeps_the_zero_frequency_row_at_one(capsys):

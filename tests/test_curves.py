@@ -33,6 +33,12 @@ def point_targets(n, eta):
     return preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
 
 
+def point_probabilities(n, eta, model, t_compare):
+    """(p_odd, p_even) of the targets n and n + 1 at one point, from one call."""
+    return fluctuations.mixture_ground_probabilities(
+        [prep.terms() for prep in point_targets(n, eta)], model, t_compare)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=10).map(lambda half: 2 * half + 1),
@@ -49,8 +55,7 @@ def test_tau_sweep_rows_equal_point_evaluation(n, mode, eta, log_tau_min, decade
     assert len(rows) == steps
     for tau, delta_p, p_odd, p_even in rows:
         model = FluctuationModel(G, tau, ANALYTIC[mode])
-        upper, lower = preparation.ground_probabilities_mixed(point_targets(n, eta), model,
-                                                              t_compare)
+        upper, lower = point_probabilities(n, eta, model, t_compare)
         assert p_odd == pytest.approx(upper, abs=1e-15)
         assert p_even == pytest.approx(lower, abs=1e-15)
         assert delta_p == pytest.approx(upper - lower, abs=1e-15)
@@ -110,8 +115,7 @@ def test_monte_carlo_tau_sweep_draws_once_per_point(eta, monkeypatch):
     t_compare = parity_times(9, G).comparison_time
     for (tau, delta_p, p_odd, p_even), seed in zip(rows, cli._point_seeds(6, 4)):
         model = FluctuationModel(G, tau, "monte_carlo", mc_samples=3000, seed=seed)
-        upper, lower = preparation.ground_probabilities_mixed(point_targets(9, eta), model,
-                                                              t_compare)
+        upper, lower = point_probabilities(9, eta, model, t_compare)
         assert (p_odd, p_even) == pytest.approx((upper, lower), abs=1e-15)
         assert delta_p == pytest.approx(upper - lower, abs=1e-15)
 

@@ -94,15 +94,13 @@ def test_initial_condition():
 
 
 @pytest.mark.parametrize("n_total", [0, 1, 2, 9, 20])
-@pytest.mark.parametrize("extra", [0, 3])
-def test_stacked_grids_equal_single_time_states(n_total, extra):
+def test_stacked_grids_equal_single_time_states(n_total):
     rng = np.random.default_rng(n_total)
     times = np.concatenate(([0.0], rng.uniform(0.0, 12.0, size=25)))
-    cut = n_total + extra
-    minus, plus = _closed_form_grids(n_total, 1.3, times, cut, cut + 1)
-    assert minus.shape == plus.shape == (len(times), cut + 1, cut + 2)
+    minus, plus = _closed_form_grids(n_total, 1.3, times)
+    assert minus.shape == plus.shape == (len(times), n_total + 1, n_total + 1)
     for t, m, p in zip(times, minus, plus):
-        state = evolve_closed_form(n_total, 1.3, float(t), cut, cut + 1)
+        state = evolve_closed_form(n_total, 1.3, float(t))
         assert np.array_equal(m, state.minus_component.amplitudes)
         assert np.array_equal(p, state.plus_component.amplitudes)
     assert not plus[0].any()

@@ -11,7 +11,7 @@ from ionparity import (
     averaged_ground_probability_mixed,
     delta_from_efficiency,
     efficiency,
-    ground_probabilities_mixed,
+    mixture_ground_probabilities,
     parity_delta_mixed,
 )
 from ionparity import fluctuations, preparation
@@ -71,7 +71,7 @@ def test_preparation_model_weights():
     assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
     # neighbour ratio encodes the efficiency
     w = dict(zip(m_values.tolist(), weights.tolist()))
-    assert w[10] / w[9] == pytest.approx(1.0 - prep.efficiency, rel=1e-12)
+    assert w[10] / w[9] == pytest.approx(1.0 - efficiency(prep.delta), rel=1e-12)
 
 
 def test_preparation_model_exact_flag():
@@ -79,7 +79,7 @@ def test_preparation_model_exact_flag():
     m_values, weights = prep.terms()
     assert m_values.tolist() == [9]
     assert weights.tolist() == [1.0]
-    assert prep.efficiency == 1.0
+    assert efficiency(prep.delta) == 1.0
     for bad_delta in (0.0, -0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="delta"):
             PreparationModel(n_target=9, delta=bad_delta)
@@ -109,7 +109,7 @@ def test_mixture_is_convex_combination(mode):
     assert mixed == pytest.approx(expected, abs=1e-15)
     # the parity partner joins the same kernel call without moving either value
     partner = PreparationModel(n_target=10, delta=0.8)
-    joint = ground_probabilities_mixed((prep, partner), model, T_COMPARE)
+    joint = mixture_ground_probabilities((prep.terms(), partner.terms()), model, T_COMPARE)
     assert joint == pytest.approx(
         [mixed, averaged_ground_probability_mixed(partner, model, T_COMPARE)], abs=1e-15
     )
@@ -180,7 +180,7 @@ def test_width_below_resolution_is_the_exact_state(delta):
     # 2 delta^2 is 0 or subnormal, where exp(-(m-N)^2 / 2 delta^2) would be 0/0
     # or overflow; the mixture is then the single target term
     prep = PreparationModel(9, delta)
-    assert prep.efficiency == 1.0
+    assert efficiency(prep.delta) == 1.0
     m_values, weights = prep.terms()
     assert m_values.tolist() == list(range(11))
     assert weights.tolist() == [0.0] * 9 + [1.0, 0.0]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ionparity import (
-    EffectiveHamiltonian,
     LambDickeHamiltonian,
     PhysicalParams,
     TruncationError,
@@ -13,6 +12,7 @@ from ionparity import (
     evolve_closed_form,
     ground_population_trajectory,
     ground_probability,
+    pair_exchange_matrix,
     propagate_effective,
     propagate_lamb_dicke,
     symmetric_binomial_amplitudes,
@@ -63,10 +63,10 @@ def _basis_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[str, int, int]]:
     ]
 
 
-def test_effective_hamiltonian_matrix_structure():
-    h = EffectiveHamiltonian(1.3, 3, 3)
-    matrix = h.matrix()
-    labels = _basis_labels(3, 3)
+@pytest.mark.parametrize("cutoff_a, cutoff_b", [(3, 3), (2, 4), (4, 1)])
+def test_pair_exchange_matrix_structure(cutoff_a, cutoff_b):
+    matrix = pair_exchange_matrix(1.3, cutoff_a, cutoff_b)
+    labels = _basis_labels(cutoff_a, cutoff_b)
     assert np.array_equal(matrix, matrix.conj().T)
     for i, (sign_i, na_i, nb_i) in enumerate(labels):
         for j, (sign_j, na_j, nb_j) in enumerate(labels):
@@ -128,7 +128,7 @@ def test_propagator_matches_dense_matrix_exponential():
     coupling, t = 0.9, 1.7
     evolved = propagate_effective(state, coupling, t)
 
-    h = EffectiveHamiltonian(coupling, cutoff, cutoff).matrix()
+    h = pair_exchange_matrix(coupling, cutoff, cutoff)
     evals, evecs = np.linalg.eigh(h)
     y0 = np.concatenate(
         [state.minus_component.amplitudes.ravel(), state.plus_component.amplitudes.ravel()]
@@ -227,9 +227,9 @@ def test_drive_matrix_is_the_phased_sum_of_its_harmonic_blocks():
 def test_drive_static_part_equals_pair_exchange():
     params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
     static = LambDickeHamiltonian(params, 2, 4, 4, resonant_only=True)
-    pair = EffectiveHamiltonian(params.effective_coupling(), 4, 4)
-    assert np.allclose(static.matrix_at(0.0), pair.matrix(), atol=1e-15)
-    assert np.allclose(static.matrix_at(0.9), pair.matrix(), atol=1e-15)
+    pair = pair_exchange_matrix(params.effective_coupling(), 4, 4)
+    assert np.allclose(static.matrix_at(0.0), pair, atol=1e-15)
+    assert np.allclose(static.matrix_at(0.9), pair, atol=1e-15)
 
 
 def test_drive_off_is_identity():
