@@ -5,7 +5,40 @@ against a fixed bound.
 The closed-form side of a check is evaluated over all of one N's sample
 times in one array call; the numerical route it is compared with keeps
 its own per-time calls, so the two stay independent.  The Rabi rates are
-read against the pair-exchange matrix, a mixture against its pure runs."""
+read against the pair-exchange coupling block, a mixture against its pure
+runs.
+
+Each row of ``run_all``, the fault it catches, and the test in
+tests/test_checks.py that injects that fault and sees the row fail:
+
+- closed_form_vs_propagator_probability: binomial amplitude P_1 off by 1e-6;
+  test_closed_form_checks_see_a_wrong_binomial_amplitude
+- closed_form_vs_propagator_state: a |-> amplitude off by 1e-6 at every time;
+  test_batched_checks_detect_a_faulted_closed_form (and P_1 as above)
+- norm_conservation: the same |-> amplitude; the same test
+- entropy_matches_reduced_density: the same |-> amplitude (the same test),
+  and a |+> amplitude moved onto a cell |-> occupies, which keeps both
+  populations; test_entropy_check_reads_the_off_diagonal_coherence
+- rabi_frequency_symmetry: rates 3 g sqrt((N-k)k); test_rabi_rate_check_sees_a_wrong_rate
+- fluctuation_free_limit: area frequency 2 sqrt(p) for 4 sqrt(p);
+  test_fluctuation_free_limit_sees_a_wrong_area_frequency.  Blind spot: it
+  runs at g = 1, so a kernel phase that drops g passes it.
+- gamma_vs_gaussian: a Gaussian exponent without its /2;
+  test_gamma_vs_gaussian_sees_a_gaussian_exponent_without_its_half
+- monte_carlo_vs_gamma: a gamma kernel with its decay sign flipped, and a
+  sampler biased by 6 standard errors; test_monte_carlo_check_detects_wrong_kernel,
+  test_monte_carlo_check_runs_the_sweeps_sampler
+- mixture_linearity: a merge in which one term's weight wins a shared key;
+  test_mixture_linearity_sees_a_merge_that_drops_shared_keys
+- mixture_truncation: the default cut at N + ceil(Delta) for N + ceil(8 Delta);
+  test_mixture_truncation_sees_a_cut_at_n_plus_ceil_delta
+- exact_preparation_limit: a mixture centred on N + 1;
+  test_exact_preparation_limit_sees_a_mixture_off_its_target
+- static_drive_limit: the drive's static block off by 1e-6 relative;
+  test_static_drive_limit_sees_a_static_term_off_by_one_part_in_a_million
+- lamb_dicke_unitarity, rwa_deviation_decreases: a propagator that gives up
+  (norm drift); test_drive_checks_fail_when_the_propagator_gives_up.  Neither
+  sees a wrong drive map that keeps the norm."""
 
 from __future__ import annotations
 
@@ -67,7 +100,7 @@ def closed_form_vs_propagator(
     for n in n_range:
         initial = _initial_state(n)
         times = rng.uniform(0.0, 10.0 / g, size=times_per_n)
-        minus, plus = dynamics._closed_form_grids(n, g, times)
+        minus, plus = dynamics.evolve_closed_form(n, g, times)
         probabilities = dynamics.ground_probability(n, g, times)
         for t, ref_minus, ref_plus, probability in zip(times, minus, plus, probabilities):
             evolved = propagators.propagate_effective(
@@ -90,7 +123,7 @@ def norm_conservation(seed: int = 0, max_n: int = 20, times_per_n: int = 100) ->
     worst = 0.0
     for n in range(1, max_n + 1):
         times = rng.uniform(0.0, 12.0, size=times_per_n)
-        minus, plus = dynamics._closed_form_grids(n, 1.0, times)
+        minus, plus = dynamics.evolve_closed_form(n, 1.0, times)
         drift = np.abs(_squared_norms(minus) + _squared_norms(plus) - 1.0)
         worst = max(worst, float(np.max(drift)))
     return _result("norm_conservation", worst, 1e-12)
@@ -103,7 +136,7 @@ def entropy_matches_reduced_density(seed: int = 0) -> CheckResult:
     worst = 0.0
     for n in (2, 5, 9, 10, 16):
         times = rng.uniform(0.0, 12.0, size=40)
-        minus, plus = dynamics._closed_form_grids(n, 1.0, times)
+        minus, plus = dynamics.evolve_closed_form(n, 1.0, times)
         density = np.empty((len(times), 2, 2), dtype=np.complex128)
         density[:, 0, 0] = _squared_norms(minus)
         density[:, 1, 1] = _squared_norms(plus)
@@ -125,10 +158,10 @@ def rabi_frequency_symmetry(max_n: int = 20) -> CheckResult:
     for n in range(1, max_n + 1):
         elements = [0.0] * (n + 1)
         for k in range(1, n):
-            # on the smallest grid holding |N-k, k>, that cell is the last of
-            # the |-> half, and |N-k-1, k-1>|+> lies k + 2 cells before the end
-            matrix = propagators.pair_exchange_matrix(CLOSED_FORM_COUPLING_FACTOR, n - k, k)
-            elements[k] = matrix[len(matrix) // 2 - 1, len(matrix) - k - 3].real
+            # on the smallest grid holding |N-k, k>, that cell is the block's
+            # last row, and |N-k-1, k-1>|+> its column k + 3 from the end
+            block = propagators.pair_exchange_matrix(CLOSED_FORM_COUPLING_FACTOR, n - k, k)
+            elements[k] = block[-1, -k - 3].real
         freqs = dynamics.rabi_spectrum(n, 1.0).frequencies
         worst = max(worst, float(np.max(np.abs(freqs - elements))))
     return _result("rabi_frequency_symmetry", worst, 0.0)
@@ -255,14 +288,13 @@ def exact_preparation_limit() -> CheckResult:
 
 
 def static_drive_limit() -> CheckResult:
-    """Drive expansion restricted to its static term against the
-    pair-exchange matrix at the derived coupling."""
+    """Static (harmonic 0) coupling block of the order-2 drive expansion
+    against the pair-exchange block at the derived coupling."""
     params = PhysicalParams(omega=1.0, nu=100.0, eta_ld=0.05)
-    h_drive = propagators.LambDickeHamiltonian(
-        params, expansion_order=2, cutoff_a=4, cutoff_b=4, resonant_only=True
-    )
+    h_drive = propagators.LambDickeHamiltonian(params, expansion_order=2, cutoff_a=4, cutoff_b=4)
+    (static,) = h_drive.blocks[h_drive.harmonics == 0.0]
     h_pair = propagators.pair_exchange_matrix(params.effective_coupling(), 4, 4)
-    difference = float(np.max(np.abs(h_drive.matrix_at(0.37) - h_pair)))
+    difference = float(np.max(np.abs(static - h_pair)))
     return _result("static_drive_limit", difference, 1e-12)
 
 

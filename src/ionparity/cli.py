@@ -43,6 +43,10 @@ MODE_FLAGS = {"gamma": "gamma_exact", "gaussian": "gaussian_approx", "mc": "mont
 # used when neither --g nor a drive pair (--omega, --eta-ld) is supplied
 DEFAULT_G = 1e5
 
+# Largest (t_steps, n + 1) phase matrix dynamics builds: 2^26 float64 is
+# 512 MiB, and its cosine as much again
+MAX_DYNAMICS_CELLS = 1 << 26
+
 # One row per setting of each subcommand: (type, built-in default, help).
 # The flag is --key with each "_" spelled "-" (argparse maps it back to the
 # key), and a config file holds the same keys.  A tuple type is a choice, a
@@ -251,13 +255,24 @@ def cmd_dynamics(config: dict) -> SweepResult:
     if n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n}")
     _validate_positive(config, "g", "t_steps")
-    if not 0 <= config["t_max"] < math.inf:
-        raise ValueError(f"t_max must be finite and non-negative, got {config['t_max']}")
-    gts = np.linspace(0.0, config["t_max"], config["t_steps"])
+    t_max, t_steps = config["t_max"], config["t_steps"]
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and non-negative, got {t_max}")
+    if t_steps * (n + 1) > MAX_DYNAMICS_CELLS:
+        raise ValueError(f"n = {n} and t_steps = {t_steps} give a table of "
+                         f"{t_steps * (n + 1)} phases, above {MAX_DYNAMICS_CELLS}")
+    gts = np.linspace(0.0, t_max, t_steps)
     with np.errstate(over="ignore"):
         times = gts / g
     if times[-1] == math.inf:
         raise ValueError(f"g = {g} puts t_max / g at inf s, outside the finite floats")
+    # an overflowing rate is g's fault (rabi_spectrum names it); past that the
+    # largest phase 2 f_max t, formed as ground_probability forms it, must be finite
+    fastest = dynamics._fastest_rate(n, g)
+    phase = 2.0 * (float(times[-1]) * fastest)
+    if fastest < math.inf and not phase < math.inf:
+        raise ValueError(f"t_max = {t_max} puts the largest phase 2 f_max t_max / g of "
+                         f"n = {n} at {phase}, outside the finite floats")
     probabilities = np.atleast_1d(dynamics.ground_probability(n, g, times))
     entropies = np.atleast_1d(dynamics.binary_entropy(probabilities))
     rows = list(zip(gts.tolist(), times.tolist(), probabilities.tolist(), entropies.tolist()))

@@ -21,8 +21,8 @@ at tau = 1: P_k = 2^(-N/2) sqrt(C(N, k)), so |P_k|^2 = 2^-N C(N, k) is the
 binomial distribution of the N quanta over the two modes
 (``symmetric_binomial_amplitudes``).  Everything here is a pure function of
 its arguments.  The state is evaluated over a whole array of times at once
-by ``_closed_form_grids`` on the smallest grid holding both components,
-cutoff N in each mode; ``evolve_closed_form`` is its one-time case.
+by ``evolve_closed_form`` on the smallest grid holding both components,
+cutoff N in each mode.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .states import TwoModeState, VibronicState
 
 
 def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
@@ -71,11 +69,16 @@ class RabiSpectrum:
     weights: np.ndarray
 
 
+def _fastest_rate(n_total: int, g: float) -> float:
+    """The largest rate 2 g sqrt((N-k) k), at k = N // 2, as the spectrum forms it."""
+    return 2.0 * g * math.sqrt((n_total - n_total // 2) * (n_total // 2))
+
+
 def rabi_spectrum(n_total: int, g: float) -> RabiSpectrum:
     if g <= 0.0:
         raise ValueError("g must be positive")
     k = np.arange(n_total + 1)
-    fastest = 2.0 * g * math.sqrt((n_total - n_total // 2) * (n_total // 2))
+    fastest = _fastest_rate(n_total, g)
     if not fastest < math.inf:  # inf, or inf * 0 = nan where N < 2
         raise ValueError(f"g = {g} puts the fastest rate 2 g sqrt((N-k)k) of N = {n_total} "
                          f"at {fastest} rad/s, outside the finite floats")
@@ -86,15 +89,17 @@ def rabi_spectrum(n_total: int, g: float) -> RabiSpectrum:
     return RabiSpectrum(n_total=n_total, frequencies=freqs, weights=weights)
 
 
-def _closed_form_grids(
-    n_total: int, g: float, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude grids of the |-> and |+> components at every time in ``times``.
-
-    Returns (minus, plus), each of shape (times, N + 1, N + 1); the
-    anti-diagonals |N-k, k> and |N-k-1, k-1> are filled for all times at
-    once.  Arguments are not validated here.
-    """
+def evolve_closed_form(n_total: int, g: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact amplitude grids (minus, plus) of the |-> and |+> components, each
+    of shape (times, N + 1, N + 1), at every time of the 1-D array ``times``
+    (each >= 0) from the binomial N-quanta initial state: the anti-diagonals
+    |N-k, k> and |N-k-1, k-1> are filled for all times at once.  Total norm
+    is 1 at every (N, t)."""
+    if n_total < 0:
+        raise ValueError("n_total must be non-negative")
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise ValueError("t must be non-negative")
     amps = symmetric_binomial_amplitudes(n_total)
     freqs = rabi_spectrum(n_total, g).frequencies
     phases = np.multiply.outer(times, freqs)
@@ -105,19 +110,6 @@ def _closed_form_grids(
     inner = k[1:n_total]
     plus[:, n_total - inner - 1, inner - 1] = -1j * amps[inner] * np.sin(phases[:, inner])
     return minus, plus
-
-
-def evolve_closed_form(n_total: int, g: float, t: float) -> VibronicState:
-    """Exact state at time t >= 0 from the binomial N-quanta initial state,
-    on the grid of cutoff N in each mode.  Total norm is 1 for every (N, t).
-    Many times at once are cheaper through ``_closed_form_grids``.
-    """
-    if n_total < 0:
-        raise ValueError("n_total must be non-negative")
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    minus, plus = _closed_form_grids(n_total, g, np.array([t], dtype=float))
-    return VibronicState(TwoModeState(minus[0]), TwoModeState(plus[0]))
 
 
 def ground_probability(n_total: int, g: float, t):

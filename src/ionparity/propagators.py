@@ -1,7 +1,8 @@
 """Independent numerical propagators used to validate the closed forms.
 
 Two Hamiltonians are implemented over the truncated vibronic basis
-|n_a, n_b> x {|->, |+>}:
+|n_a, n_b> x {|->, |+>}.  Both couple only |-> to |+>, so each is held as
+its coupling block W alone, with H = [[0, W], [W^dag, 0]]:
 
 * the static pair-exchange model H = coupling * (a b sigma+ + h.c.),
   which decomposes into closed two-level blocks
@@ -16,10 +17,10 @@ Two Hamiltonians are implemented over the truncated vibronic basis
 
 The drive's minus-to-plus block is W(t) = sum_m e^{i m nu t} W_m over its
 few harmonics m (seven at expansion order 3).  The drive Hamiltonian stores
-the W_m once as a coupling table, one flattened row per harmonic, beside
-the angular rates m nu, so each RK4 stage time costs one vector-matrix
-product of the phases with that table, plus the conjugate transpose for
-W(t)^dag.
+the W_m once, and reads them as a coupling table, one flattened row per
+harmonic, beside the angular rates m nu, so each RK4 stage time costs one
+vector-matrix product of the phases with that table, plus the conjugate
+transpose for W(t)^dag.
 
 The closed-form module's rate parameter g makes each |N-k, k> amplitude
 oscillate at 2 g sqrt((N-k) k), so closed-form runs with rate g correspond
@@ -49,11 +50,9 @@ class TruncationError(RuntimeError):
 
 
 def pair_exchange_matrix(coupling: float, cutoff_a: int, cutoff_b: int) -> np.ndarray:
-    """Dense matrix of coupling * (a b sigma+ + a^dag b^dag sigma-).
-
-    Couples only |n_a, n_b>|-> <-> |n_a - 1, n_b - 1>|+> with matrix
-    element coupling * sqrt(n_a n_b); Hermitian by construction.
-    """
+    """Coupling block W of coupling * (a b sigma+ + a^dag b^dag sigma-): its
+    only elements couple |n_a, n_b>|-> to |n_a - 1, n_b - 1>|+> at
+    coupling * sqrt(n_a n_b)."""
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
     if cutoff_a < 0 or cutoff_b < 0:
@@ -61,10 +60,10 @@ def pair_exchange_matrix(coupling: float, cutoff_a: int, cutoff_b: int) -> np.nd
     grid_size = (cutoff_a + 1) * (cutoff_b + 1)
     na, nb = np.meshgrid(np.arange(1, cutoff_a + 1), np.arange(1, cutoff_b + 1), indexing="ij")
     i_minus = na * (cutoff_b + 1) + nb
-    i_plus = grid_size + i_minus - (cutoff_b + 2)  # the index of |n_a - 1, n_b - 1>|+>
-    matrix = np.zeros((2 * grid_size, 2 * grid_size), dtype=np.complex128)
-    matrix[i_minus, i_plus] = matrix[i_plus, i_minus] = coupling * np.sqrt(na * nb)
-    return matrix
+    i_plus = i_minus - (cutoff_b + 2)  # the index of |n_a - 1, n_b - 1> in the |+> grid
+    block = np.zeros((grid_size, grid_size), dtype=np.complex128)
+    block[i_minus, i_plus] = coupling * np.sqrt(na * nb)
+    return block
 
 
 def propagate_effective(initial: VibronicState, coupling: float, t: float) -> VibronicState:
@@ -119,19 +118,20 @@ class LambDickeHamiltonian:
 
     Retains every operator product with total power j + k <= expansion_order
     of the diagonal-mode ladder operators, each oscillating at
-    (k - j - 2) * nu in the rotating frame.  At expansion_order = 2 with
-    only the static (k - j - 2 = 0) term kept, the matrix reduces to
-    ``pair_exchange_matrix`` with coupling omega * eta^2 * exp(-eta^2/2);
-    the beam labeling is fixed so that term enters with a plus sign.
+    (k - j - 2) * nu in the rotating frame.  ``blocks[i]`` is the coupling
+    block W_m of harmonic m = ``harmonics[i]``; at expansion_order = 2 the
+    static block (m = 0) is ``pair_exchange_matrix`` with coupling
+    omega * eta^2 * exp(-eta^2/2), the beam labeling fixed so that term
+    enters with a plus sign.
+
+    RK4 takes ``steps`` equal steps per ``period`` = 2 pi / nu, the fewest that
+    give the fastest harmonic STEPS_PER_CYCLE steps per cycle.  The quotient
+    is not rounded first (at nu = 50 and order 3 it is 100.00000000000001, so
+    101 steps): rounding it would move the drive checks' measured values.
     """
 
     def __init__(
-        self,
-        params: PhysicalParams,
-        expansion_order: int,
-        cutoff_a: int,
-        cutoff_b: int,
-        resonant_only: bool = False,
+        self, params: PhysicalParams, expansion_order: int, cutoff_a: int, cutoff_b: int
     ) -> None:
         if params.omega is None or params.nu is None or params.eta_ld is None:
             raise ValueError("params must provide omega, nu and eta_ld")
@@ -141,10 +141,6 @@ class LambDickeHamiltonian:
             raise ValueError(
                 "expansion_order below 2 cannot represent the pair-exchange process"
             )
-        self.params = params
-        self.expansion_order = expansion_order
-        self.cutoff_a = cutoff_a
-        self.cutoff_b = cutoff_b
         self.grid_size = (cutoff_a + 1) * (cutoff_b + 1)
 
         a_full = np.kron(_annihilation_matrix(cutoff_a + 1), np.eye(cutoff_b + 1))
@@ -167,8 +163,6 @@ class LambDickeHamiltonian:
                 if j == 0 and k == 0:
                     continue  # identical in both beams, cancels exactly
                 harmonic = k - j - 2
-                if resonant_only and harmonic != 0:
-                    continue
                 coeff = prefactor * (-1j * eta) ** (j + k) / (
                     math.factorial(j) * math.factorial(k)
                 )
@@ -182,37 +176,21 @@ class LambDickeHamiltonian:
                 terms[harmonic] += coeff * op
 
         self.harmonics = np.array(sorted(terms), dtype=float)
-        # the coupling table (see the module docstring)
+        self.blocks = np.stack([terms[int(m)] for m in self.harmonics])
+        # the coupling table (see the module docstring), a view of the blocks
         self._rates = self.harmonics * params.nu
-        self._flat_blocks = np.stack([terms[int(m)].ravel() for m in self.harmonics])
+        self._flat_blocks = self.blocks.reshape(len(self.harmonics), -1)
 
-    def stability_dt(self) -> float:
-        """Largest step resolving the fastest retained oscillation."""
-        fastest = float(np.max(np.abs(self.harmonics))) * self.params.nu
-        if fastest == 0.0:
-            return math.inf
-        return 2.0 * math.pi / (STEPS_PER_CYCLE * fastest)
+        # every order >= 2 holds harmonic -1, so the fastest rate is positive
+        fastest = float(np.max(np.abs(self.harmonics))) * params.nu
+        self.period = 2.0 * math.pi / params.nu
+        self.steps = math.ceil(self.period / (2.0 * math.pi / (STEPS_PER_CYCLE * fastest)))
 
     def _couplings(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t), and W(t)^dag
         phases = np.exp(1j * self._rates * t)
         coupling_block = (phases @ self._flat_blocks).reshape(self.grid_size, self.grid_size)
         return coupling_block, coupling_block.conj().T
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        """Full Hermitian matrix at time t.
-
-        Basis order: the |-> grid, then the |+> grid, each row-major over
-        (n_a, n_b), so |n_a, n_b>|-> has index n_a (cutoff_b + 1) + n_b and
-        |n_a, n_b>|+> that index plus (cutoff_a + 1)(cutoff_b + 1).  States
-        flatten in the same order.
-        """
-        coupling_block, coupling_dag = self._couplings(t)
-        dim = self.grid_size
-        matrix = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-        matrix[:dim, dim:] = coupling_block
-        matrix[dim:, :dim] = coupling_dag
-        return matrix
 
     @staticmethod
     def _rhs(
@@ -278,18 +256,6 @@ def _rk4_span(
     return y
 
 
-def _period_grid(h_ld: LambDickeHamiltonian) -> tuple[float, int]:
-    """Drive period T = 2 pi / nu and the RK4 steps per period; the step
-    T / steps divides T and does not exceed ``h_ld.stability_dt()``.
-
-    The quotient T / dt is not rounded first: at nu = 50 and expansion order
-    3 (largest harmonic 5) it is 100.00000000000001, so the grid takes 101
-    steps.  This is kept on purpose, since rounding it would move the drive
-    checks' measured values."""
-    period = 2.0 * math.pi / h_ld.params.nu
-    return period, math.ceil(period / h_ld.stability_dt())
-
-
 def one_period_map(h_ld: LambDickeHamiltonian) -> np.ndarray:
     """RK4 evolution matrix over one drive period [0, 2 pi / nu].
 
@@ -297,12 +263,14 @@ def one_period_map(h_ld: LambDickeHamiltonian) -> np.ndarray:
     M advances any state by a whole period from any multiple of the period
     (Shirley, Phys. Rev. 138, B979, 1965).
     """
-    period, steps = _period_grid(h_ld)
     identity = np.eye(2 * h_ld.grid_size, dtype=np.complex128)
-    return _rk4_span(h_ld, identity, 0.0, period, steps)
+    return _rk4_span(h_ld, identity, 0.0, h_ld.period, h_ld.steps)
 
 
 def _flatten(state: VibronicState) -> np.ndarray:
+    """The |-> grid, then the |+> grid, each row-major over (n_a, n_b): index
+    n_a (cutoff_b + 1) + n_b, plus (cutoff_a + 1)(cutoff_b + 1) for |+>.  The
+    coupling blocks' rows (|->) and columns (|+>) use the same order."""
     return np.concatenate(
         [state.minus_component.amplitudes.ravel(), state.plus_component.amplitudes.ravel()]
     )
@@ -332,7 +300,7 @@ def _drive_states(
     Returns the states and the one-period map M, or None when every time
     falls within the first period and M is not built."""
     h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
-    period, steps = _period_grid(h_ld)
+    period, steps = h_ld.period, h_ld.steps
     splits = [divmod(float(t), period) for t in times]
     last_whole = int(splits[-1][0])
     squarings = []
@@ -368,8 +336,8 @@ def propagate_lamb_dicke(
     t = n T + r is U(r) M^n applied to ``initial``: M is the RK4 map over
     one period, raised to the n-th power by repeated squaring, and U(r)
     the remainder integrated from phase 0.  The step is T / ceil(T / dt)
-    with dt = 2 pi / (20 nu max|k - j - 2|), the Hamiltonian's
-    ``stability_dt``, so it divides T.  Norm drift beyond 1e-8 raises.
+    with dt = 2 pi / (20 nu max|k - j - 2|), the Hamiltonian's ``period``
+    over its ``steps``, so it divides T.  Norm drift beyond 1e-8 raises.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and non-negative")

@@ -106,14 +106,14 @@ def test_drive_checks_fail_when_the_propagator_gives_up(monkeypatch):
 
 def test_batched_checks_detect_a_faulted_closed_form(monkeypatch):
     # one |-> amplitude of the closed form off by 1e-6 at every time
-    original = dynamics._closed_form_grids
+    original = dynamics.evolve_closed_form
 
     def faulted(n_total, g, times):
         minus, plus = original(n_total, g, times)
         minus[:, n_total, 0] += 1e-6
         return minus, plus
 
-    monkeypatch.setattr(dynamics, "_closed_form_grids", faulted)
+    monkeypatch.setattr(dynamics, "evolve_closed_form", faulted)
     state = {r.name: r for r in checks.closed_form_vs_propagator(seed=0)}
     assert not state["closed_form_vs_propagator_state"].passed
     assert not checks.norm_conservation(seed=0).passed
@@ -123,7 +123,7 @@ def test_batched_checks_detect_a_faulted_closed_form(monkeypatch):
 def test_entropy_check_reads_the_off_diagonal_coherence(monkeypatch):
     # moving a |+> amplitude onto a cell that |-> also occupies keeps both
     # populations, so only <+|-> can tell the state from the closed form
-    original = dynamics._closed_form_grids
+    original = dynamics.evolve_closed_form
 
     def coherent(n_total, g, times):
         minus, plus = original(n_total, g, times)
@@ -131,9 +131,8 @@ def test_entropy_check_reads_the_off_diagonal_coherence(monkeypatch):
         plus[:, n_total - 2, 0] = 0.0
         return minus, plus
 
-    monkeypatch.setattr(dynamics, "_closed_form_grids", coherent)
+    monkeypatch.setattr(dynamics, "evolve_closed_form", coherent)
     assert not checks.entropy_matches_reduced_density(seed=0).passed
-
 
 
 def test_closed_form_checks_see_a_wrong_binomial_amplitude(monkeypatch):
@@ -189,3 +188,65 @@ def test_mixture_linearity_sees_a_merge_that_drops_shared_keys(monkeypatch):
     assert checks.mixture_linearity().passed
     monkeypatch.setattr(fluctuations, "_mixture_matrix", first_term_wins)
     assert not checks.mixture_linearity().passed
+
+
+def test_static_drive_limit_sees_a_static_term_off_by_one_part_in_a_million(monkeypatch):
+    class Faulted(propagators.LambDickeHamiltonian):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.blocks[self.harmonics == 0.0] *= 1.0 + 1e-6
+
+    assert checks.static_drive_limit().passed
+    monkeypatch.setattr(propagators, "LambDickeHamiltonian", Faulted)
+    result = checks.static_drive_limit()
+    assert not result.passed and result.measured > 1e-9
+
+
+def test_gamma_vs_gaussian_sees_a_gaussian_exponent_without_its_half(monkeypatch):
+    def no_half(omega, g, tau, t):
+        return np.cos(omega * g * t) * np.exp(-(omega**2) * g**2 * t * tau)
+
+    assert checks.gamma_vs_gaussian().passed
+    monkeypatch.setattr(fluctuations, "gaussian_kernel", no_half)
+    assert not checks.gamma_vs_gaussian().passed
+
+
+def test_fluctuation_free_limit_sees_a_wrong_area_frequency(monkeypatch):
+    # area frequency 2 sqrt(p) where the phases 2 f_k t need 4 sqrt(p).  The
+    # replacement keeps no cache, so the cached real entries stay as they are.
+    # Blind spot: the check runs at g = 1, so a kernel that drops g from its
+    # phase omega g t passes it.
+    original = fluctuations._area_terms
+
+    def half_frequency(n_total):
+        keys, _, weights = original(n_total)
+        return keys, 2.0 * np.sqrt(keys), weights
+
+    assert checks.fluctuation_free_limit().passed
+    monkeypatch.setattr(fluctuations, "_area_terms", half_frequency)
+    assert not checks.fluctuation_free_limit().passed
+
+
+def test_mixture_truncation_sees_a_cut_at_n_plus_ceil_delta(monkeypatch):
+    # the default support m <= N + ceil(Delta) instead of N + ceil(8 Delta)
+    def short_cut(self, extra=0):
+        m = np.arange(0, self.n_target + math.ceil(self.delta) + extra + 1)
+        weights = np.exp(-((m - self.n_target) ** 2) / (2.0 * self.delta**2))
+        return m, weights / weights.sum()
+
+    assert checks.mixture_truncation().passed
+    monkeypatch.setattr(preparation.PreparationModel, "terms", short_cut)
+    assert not checks.mixture_truncation().passed
+
+
+def test_exact_preparation_limit_sees_a_mixture_off_its_target(monkeypatch):
+    # the narrow mixture centred on N + 1, the exact state still on N
+    original = preparation.PreparationModel.terms
+
+    def off_target(self, extra=0):
+        m, weights = original(self, extra)
+        return m, np.roll(weights, 1)
+
+    assert checks.exact_preparation_limit().passed
+    monkeypatch.setattr(preparation.PreparationModel, "terms", off_target)
+    assert not checks.exact_preparation_limit().passed

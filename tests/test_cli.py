@@ -584,6 +584,51 @@ def test_dynamics_without_a_rate_still_rejects_an_overflowing_g(n, capsys):
     assert capsys.readouterr().err.startswith("error: g = 1.7976931348623157e+308 ")
 
 
+@settings(max_examples=100, deadline=None)
+@given(t_max=st.floats(min_value=0.0, allow_infinity=False))
+@example(t_max=1e308)
+@example(t_max=1.7976931348623157e308)
+@example(t_max=1e302)
+@example(t_max=5e-324)
+def test_any_t_max_gives_a_table_or_exits_one_naming_t_max(t_max):
+    # n = 9 at the default g: the largest phase is 2 f_max t_max / g with
+    # f_max = 2 g sqrt(20), and it must be a finite float
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli("dynamics", "--t-max", repr(t_max), "--t-steps", "3", "--format", "json")
+    g = cli.DEFAULT_G
+    if not 2.0 * (t_max / g * (2.0 * g * math.sqrt(20))) < math.inf:
+        assert code == 1 and stderr.getvalue().startswith(f"error: t_max = {t_max!r} ")
+        return
+    assert (code, stderr.getvalue()) == (0, "")
+    records = json.loads(stdout.getvalue())["records"]
+    p_ground = np.array([r["p_ground"] for r in records])
+    entropy = np.array([r["entropy"] for r in records])
+    assert np.all((p_ground >= -1e-12) & (p_ground <= 1.0 + 1e-12))
+    assert np.all((entropy >= 0.0) & (entropy <= math.log(2.0)))
+
+
+@pytest.mark.parametrize("n, t_steps", [(100_000_000_000, 501), (1_000_000_000, 2),
+                                        (1 << 25, 2), (1 << 26, 1)])
+def test_too_large_a_dynamics_table_exits_one_before_any_array(n, t_steps, monkeypatch,
+                                                               capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a time grid was built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    assert run_cli("dynamics", "--n", str(n), "--t-steps", str(t_steps)) == 1
+    assert capsys.readouterr().err.startswith(f"error: n = {n} and t_steps = {t_steps} ")
+
+
+def test_a_dynamics_table_at_the_cell_cap_is_accepted(monkeypatch, capsys):
+    # t_steps (n + 1) = 2^26 exactly; the probabilities are stubbed, so only
+    # the two-point time grid is built
+    monkeypatch.setattr(cli.dynamics, "ground_probability", lambda n, g, t: np.ones_like(t))
+    n = cli.MAX_DYNAMICS_CELLS // 2 - 1
+    assert len(_table("dynamics", "--n", str(n), "--t-steps", "2")) == 3
+    assert capsys.readouterr().err == ""
+
+
 def test_the_largest_gaussian_g_keeps_the_zero_frequency_row_at_one(capsys):
     # every oscillating term decays to 0 and the stationary key p = 0 stays 1,
     # not 0 * inf = nan: p = (1 + w_0) / 2 with w_0 = 2 / 2^N

@@ -1,5 +1,8 @@
+import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import ionparity
 import ionparity.cli
@@ -28,3 +31,36 @@ def test_benchmark_tracer_still_binds_to_the_package(monkeypatch):
             traced = getattr(importlib.import_module(f"ionparity.{layer}"), attr)
             assert traced is not traced.__wrapped__, name
     assert not hasattr(ionparity.cli.main, "__wrapped__")
+
+
+PACKAGE = Path(ionparity.__file__).parent
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; ``from __future__`` imports
+    are directives, not names."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")
+                                          if path.name != "__init__.py"))
+def test_no_module_imports_a_name_it_never_uses(module):
+    # __init__.py imports to re-export, so it is the one module left out
+    assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_unused_import_finder_sees_a_stale_import():
+    source = ("from .states import TwoModeState, VibronicState\n\n"
+              "def f():\n    return VibronicState\n")
+    assert _unused_imports(source) == ["TwoModeState (line 1)"]

@@ -17,7 +17,7 @@ from ionparity import (
     propagate_lamb_dicke,
     symmetric_binomial_amplitudes,
 )
-from ionparity.propagators import _flatten, _period_grid, _rk4_span, one_period_map
+from ionparity.propagators import _flatten, _rk4_span, one_period_map
 
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
@@ -52,31 +52,28 @@ def _random_interior_state(rng, cutoff: int) -> VibronicState:
     return VibronicState(TwoModeState(minus / norm), TwoModeState(plus / norm))
 
 
-def _basis_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[str, int, int]]:
-    """The documented basis order of the dense matrices: the |-> grid, then
-    the |+> grid, each row-major over (n_a, n_b)."""
-    return [
-        (sign, na, nb)
-        for sign in ("-", "+")
-        for na in range(cutoff_a + 1)
-        for nb in range(cutoff_b + 1)
-    ]
+def _grid_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[int, int]]:
+    """The documented order of each half of a flattened state, and so of the
+    rows (|->) and columns (|+>) of a coupling block: row-major over (n_a, n_b)."""
+    return [(na, nb) for na in range(cutoff_a + 1) for nb in range(cutoff_b + 1)]
+
+
+def _assert_pair_exchange_block(block, coupling, cutoff_a, cutoff_b, atol):
+    # only |n_a, n_b>|-> and |n_a - 1, n_b - 1>|+> are coupled, at coupling sqrt(n_a n_b)
+    labels = _grid_labels(cutoff_a, cutoff_b)
+    assert block.shape == (len(labels), len(labels))
+    for i, (na_i, nb_i) in enumerate(labels):
+        for j, (na_j, nb_j) in enumerate(labels):
+            if (na_j, nb_j) == (na_i - 1, nb_i - 1):
+                assert block[i, j] == pytest.approx(coupling * np.sqrt(na_i * nb_i), abs=atol)
+            else:
+                assert abs(block[i, j]) <= atol
 
 
 @pytest.mark.parametrize("cutoff_a, cutoff_b", [(3, 3), (2, 4), (4, 1)])
 def test_pair_exchange_matrix_structure(cutoff_a, cutoff_b):
-    matrix = pair_exchange_matrix(1.3, cutoff_a, cutoff_b)
-    labels = _basis_labels(cutoff_a, cutoff_b)
-    assert np.array_equal(matrix, matrix.conj().T)
-    for i, (sign_i, na_i, nb_i) in enumerate(labels):
-        for j, (sign_j, na_j, nb_j) in enumerate(labels):
-            element = matrix[i, j]
-            if sign_i == "-" and sign_j == "+" and (na_j, nb_j) == (na_i - 1, nb_i - 1):
-                assert element == pytest.approx(1.3 * np.sqrt(na_i * nb_i))
-            elif sign_i == "+" and sign_j == "-" and (na_j, nb_j) == (na_i + 1, nb_i + 1):
-                assert element == pytest.approx(1.3 * np.sqrt(na_j * nb_j))
-            else:
-                assert element == 0.0
+    block = pair_exchange_matrix(1.3, cutoff_a, cutoff_b)
+    _assert_pair_exchange_block(block, 1.3, cutoff_a, cutoff_b, atol=0.0)
 
 
 def test_full_exchange_flop():
@@ -103,19 +100,11 @@ def test_propagator_matches_closed_form():
     g = 1.0
     for n in range(1, 7):
         initial = _initial_binomial(n, n)
-        for t in rng.uniform(0.0, 10.0, size=10):
+        times = rng.uniform(0.0, 10.0, size=10)
+        for t, minus, plus in zip(times, *evolve_closed_form(n, g, times)):
             evolved = propagate_effective(initial, 2.0 * g, float(t))
-            reference = evolve_closed_form(n, g, float(t))
-            assert np.allclose(
-                evolved.minus_component.amplitudes,
-                reference.minus_component.amplitudes,
-                atol=1e-12,
-            )
-            assert np.allclose(
-                evolved.plus_component.amplitudes,
-                reference.plus_component.amplitudes,
-                atol=1e-12,
-            )
+            assert np.allclose(evolved.minus_component.amplitudes, minus, atol=1e-12)
+            assert np.allclose(evolved.plus_component.amplitudes, plus, atol=1e-12)
             assert evolved.ground_population() == pytest.approx(
                 ground_probability(n, g, float(t)), abs=1e-12
             )
@@ -128,11 +117,10 @@ def test_propagator_matches_dense_matrix_exponential():
     coupling, t = 0.9, 1.7
     evolved = propagate_effective(state, coupling, t)
 
-    h = pair_exchange_matrix(coupling, cutoff, cutoff)
+    block = pair_exchange_matrix(coupling, cutoff, cutoff)
+    h = np.block([[np.zeros_like(block), block], [block.conj().T, np.zeros_like(block)]])
     evals, evecs = np.linalg.eigh(h)
-    y0 = np.concatenate(
-        [state.minus_component.amplitudes.ravel(), state.plus_component.amplitudes.ravel()]
-    )
+    y0 = _flatten(state)
     y1 = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ y0))
     dim = (cutoff + 1) ** 2
     assert np.allclose(evolved.minus_component.amplitudes.ravel(), y1[:dim], atol=1e-12)
@@ -178,58 +166,40 @@ def test_drive_validation():
         propagate_lamb_dicke(_initial_binomial(2, 3), params, 3, math.inf)
 
 
-def test_drive_matrix_is_hermitian():
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
-    h = LambDickeHamiltonian(params, 3, 3, 3)
-    for t in (0.0, 0.123, 0.77):
-        matrix = h.matrix_at(t)
-        assert np.allclose(matrix, matrix.conj().T, atol=1e-14)
-
-
-def test_drive_matrix_follows_the_documented_basis_order():
-    # on a non-square grid the static order-2 term couples only
+def test_drive_static_block_follows_the_documented_basis_order():
+    # on a non-square grid the static order-2 block couples only
     # |n_a, n_b>|-> and |n_a - 1, n_b - 1>|+>, at the labelled positions
     params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
-    matrix = LambDickeHamiltonian(params, 2, 2, 3, resonant_only=True).matrix_at(0.4)
-    labels = _basis_labels(2, 3)
-    coupling = params.effective_coupling()
-    for i, (sign_i, na_i, nb_i) in enumerate(labels):
-        for j, (sign_j, na_j, nb_j) in enumerate(labels):
-            if sign_i == "-" and sign_j == "+" and (na_j, nb_j) == (na_i - 1, nb_i - 1):
-                assert matrix[i, j] == pytest.approx(coupling * np.sqrt(na_i * nb_i), abs=1e-15)
-            elif sign_i == "+" and sign_j == "-" and (na_j, nb_j) == (na_i + 1, nb_i + 1):
-                assert matrix[i, j] == pytest.approx(coupling * np.sqrt(na_j * nb_j), abs=1e-15)
-            else:
-                assert abs(matrix[i, j]) <= 1e-15
+    h = LambDickeHamiltonian(params, 2, 2, 3)
+    assert np.array_equal(h.harmonics, np.arange(-4.0, 1.0))
+    _assert_pair_exchange_block(h.blocks[-1], params.effective_coupling(), 2, 3, atol=1e-15)
     # states flatten in the same order
     state = _fock_state(2, 1, 2, 3)
-    assert labels[int(np.flatnonzero(_flatten(state))[0])] == ("-", 2, 1)
+    assert _grid_labels(2, 3)[int(np.flatnonzero(_flatten(state))[0])] == (2, 1)
 
 
-def test_drive_matrix_is_the_phased_sum_of_its_harmonic_blocks():
-    # H(t) = [[0, W(t)], [W(t)^dag, 0]] with W(t) = sum_m e^{i m nu t} W_m,
-    # summed here term by term from the stored blocks W_m
+def test_drive_couplings_are_the_phased_sum_of_the_harmonic_blocks():
+    # W(t) = sum_m e^{i m nu t} W_m, summed here term by term from the blocks
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     h = LambDickeHamiltonian(params, 3, 2, 3)
     dim = h.grid_size
     assert np.array_equal(h.harmonics, np.arange(-5.0, 2.0))
-    blocks = h._flat_blocks.reshape(len(h.harmonics), dim, dim)
+    assert h.blocks.shape == (7, dim, dim)
     for t in (0.0, 0.123, 0.77, 29.9):
         expected = np.zeros((dim, dim), dtype=np.complex128)
-        for m, block in zip(h.harmonics, blocks):
+        for m, block in zip(h.harmonics, h.blocks):
             expected += np.exp(1j * m * params.nu * t) * block
-        matrix = h.matrix_at(t)
-        assert np.max(np.abs(matrix[:dim, dim:] - expected)) <= 1e-15
-        assert np.max(np.abs(matrix[dim:, :dim] - expected.conj().T)) <= 1e-15
-        assert not matrix[:dim, :dim].any() and not matrix[dim:, dim:].any()
+        coupling_block, coupling_dag = h._couplings(t)
+        assert np.max(np.abs(coupling_block - expected)) <= 1e-15
+        assert np.array_equal(coupling_dag, coupling_block.conj().T)
 
 
 def test_drive_static_part_equals_pair_exchange():
     params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
-    static = LambDickeHamiltonian(params, 2, 4, 4, resonant_only=True)
+    h = LambDickeHamiltonian(params, 2, 4, 4)
     pair = pair_exchange_matrix(params.effective_coupling(), 4, 4)
-    assert np.allclose(static.matrix_at(0.0), pair, atol=1e-15)
-    assert np.allclose(static.matrix_at(0.9), pair, atol=1e-15)
+    (static,) = h.blocks[h.harmonics == 0.0]
+    assert np.allclose(static, pair, atol=1e-15)
 
 
 def test_drive_off_is_identity():
@@ -301,8 +271,7 @@ def _stepped_ground_populations(state, params, order, times):
     """Reference for the period map: one state vector stepped through every
     drive period in turn, on the same aligned RK4 grid."""
     h = LambDickeHamiltonian(params, order, state.cutoff_a, state.cutoff_b)
-    period = 2.0 * math.pi / params.nu
-    steps = math.ceil(period / h.stability_dt())
+    period, steps = h.period, h.steps
     y = _flatten(state)
     done = 0
     populations = []
@@ -341,11 +310,11 @@ def test_period_map_is_unitary_to_integration_error():
     assert defect <= 1e-10
 
 
-def test_period_grid_takes_101_steps_at_nu_50():
+def test_drive_period_takes_101_steps_at_nu_50():
     # T / dt is 100.00000000000001 here; the validate battery's numbers rest
     # on this grid, so a change to it must be deliberate
     h = LambDickeHamiltonian(PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05), 3, 5, 5)
-    assert _period_grid(h) == (0.12566370614359174, 101)
+    assert (h.period, h.steps) == (0.12566370614359174, 101)
 
 
 def _rk4_reference(h, y, t0, t1, steps):
