@@ -2,9 +2,9 @@
 independent numerical route, each check reporting its measured error
 against a fixed bound.
 
-The closed-form side of a check is evaluated over all of one N's sample
-times in one array call; the numerical route it is compared with keeps
-its own per-time calls, so the two stay independent.  The Rabi rates are
+Every evolution route maps a 1-D array of times to (minus, plus) amplitude
+stacks, so each side of a check covers one N's sample times in one call; the
+routes stay independent because none calls another.  The Rabi rates are
 read against the pair-exchange coupling block, a mixture against its pure
 runs.
 
@@ -20,9 +20,10 @@ tests/test_checks.py that injects that fault and sees the row fail:
   and a |+> amplitude moved onto a cell |-> occupies, which keeps both
   populations; test_entropy_check_reads_the_off_diagonal_coherence
 - rabi_frequency_symmetry: rates 3 g sqrt((N-k)k); test_rabi_rate_check_sees_a_wrong_rate
-- fluctuation_free_limit: area frequency 2 sqrt(p) for 4 sqrt(p);
-  test_fluctuation_free_limit_sees_a_wrong_area_frequency.  Blind spot: it
-  runs at g = 1, so a kernel phase that drops g passes it.
+- fluctuation_free_limit: area frequency 2 sqrt(p) for 4 sqrt(p), and a
+  kernel phase cos(omega t) that drops g (the check runs at g = 1e5);
+  test_fluctuation_free_limit_sees_a_wrong_area_frequency,
+  test_fluctuation_free_limit_sees_a_kernel_phase_without_g
 - gamma_vs_gaussian: a Gaussian exponent without its /2;
   test_gamma_vs_gaussian_sees_a_gaussian_exponent_without_its_half
 - monte_carlo_vs_gamma: a gamma kernel with its decay sign flipped, and a
@@ -37,8 +38,12 @@ tests/test_checks.py that injects that fault and sees the row fail:
 - static_drive_limit: the drive's static block off by 1e-6 relative;
   test_static_drive_limit_sees_a_static_term_off_by_one_part_in_a_million
 - lamb_dicke_unitarity, rwa_deviation_decreases: a propagator that gives up
-  (norm drift); test_drive_checks_fail_when_the_propagator_gives_up.  Neither
-  sees a wrong drive map that keeps the norm."""
+  (norm drift); test_drive_checks_fail_when_the_propagator_gives_up
+- rwa_deviation_decreases: a drive coupling W(t) off by 1e-3 relative, which
+  keeps the norm (so lamb_dicke_unitarity and static_drive_limit pass it);
+  test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand.
+  Blind spot: a drive whose phases e^{i m nu t} have the wrong sign fails no
+  row (rwa_deviation_decreases reads 0.27 against its bound 1)."""
 
 from __future__ import annotations
 
@@ -92,26 +97,22 @@ def closed_form_vs_propagator(
     """Closed-form probability and state amplitudes against the exact
     block propagator, over random times in [0, 10/g].
 
-    The closed form is evaluated over each N's times at once; the
-    propagator runs once per time."""
+    The closed form and the propagator each evaluate one N's times in one
+    array call."""
     rng = np.random.default_rng(seed)
     worst_prob = 0.0
     worst_state = 0.0
     for n in n_range:
-        initial = _initial_state(n)
         times = rng.uniform(0.0, 10.0 / g, size=times_per_n)
         minus, plus = dynamics.evolve_closed_form(n, g, times)
         probabilities = dynamics.ground_probability(n, g, times)
-        for t, ref_minus, ref_plus, probability in zip(times, minus, plus, probabilities):
-            evolved = propagators.propagate_effective(
-                initial, CLOSED_FORM_COUPLING_FACTOR * g, float(t)
-            )
-            worst_prob = max(worst_prob, abs(evolved.ground_population() - probability))
-            worst_state = max(
-                worst_state,
-                float(np.max(np.abs(evolved.minus_component.amplitudes - ref_minus))),
-                float(np.max(np.abs(evolved.plus_component.amplitudes - ref_plus))),
-            )
+        evolved_minus, evolved_plus = propagators.propagate_effective(
+            _initial_state(n), CLOSED_FORM_COUPLING_FACTOR * g, times
+        )
+        worst_prob = max(worst_prob, np.max(np.abs(_squared_norms(evolved_minus) - probabilities)))
+        worst_state = max(
+            worst_state, np.max(np.abs(evolved_minus - minus)), np.max(np.abs(evolved_plus - plus))
+        )
     return [
         _result("closed_form_vs_propagator_probability", worst_prob, 1e-8),
         _result("closed_form_vs_propagator_state", worst_state, 1e-8),
@@ -168,16 +169,18 @@ def rabi_frequency_symmetry(max_n: int = 20) -> CheckResult:
 
 
 def fluctuation_free_limit() -> CheckResult:
-    """tau = 0 averaging must reproduce the deterministic probability."""
+    """tau = 0 averaging must reproduce the deterministic probability, at the
+    sweeps' g = 1e5, where a kernel phase that drops g cannot pass as at g = 1."""
+    g = 1e5
     worst = 0.0
     for mode in fluctuations.MODES:
-        model = fluctuations.FluctuationModel(g_mean=1.0, tau=0.0, mode=mode)
-        for t in np.linspace(0.1, 9.7, 25):
+        model = fluctuations.FluctuationModel(g_mean=g, tau=0.0, mode=mode)
+        for t in np.linspace(0.1, 9.7, 25) / g:
             worst = max(
                 worst,
                 abs(
                     fluctuations.averaged_ground_probability(9, model, float(t))
-                    - dynamics.ground_probability(9, 1.0, float(t))
+                    - dynamics.ground_probability(9, g, float(t))
                 ),
             )
     return _result("fluctuation_free_limit", worst, 1e-12)
@@ -304,16 +307,16 @@ def lamb_dicke_unitarity() -> CheckResult:
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     initial = _initial_state(2, cutoff=5)
     try:
-        (y,), period_map = propagators._drive_states(
+        minus, plus, period_map = propagators._drive_states(
             initial, params, expansion_order=3, times=np.array([30.0])
         )
     except RuntimeError as exc:  # norm drift or truncation: the check fails, the run goes on
         return CheckResult("lamb_dicke_unitarity", math.inf, 1e-8, False, str(exc))
-    final = propagators._unflatten(y, initial.cutoff_a, initial.cutoff_b)
+    (norm,) = _squared_norms(minus) + _squared_norms(plus)
     defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
     return _result(
         "lamb_dicke_unitarity",
-        abs(final.total_squared_norm() - 1.0),
+        abs(norm - 1.0),
         1e-8,
         f"one-period map max|M^dag M - I| = {defect:.3e}",
     )
@@ -347,12 +350,7 @@ def rwa_deviation_decreases(
             )
         except RuntimeError as exc:
             return CheckResult("rwa_deviation_decreases", math.inf, 1.0, False, str(exc))
-        paired = np.array(
-            [
-                propagators.propagate_effective(initial, g_eff, float(t)).ground_population()
-                for t in times
-            ]
-        )
+        paired = _squared_norms(propagators.propagate_effective(initial, g_eff, times)[0])
         deviations.append(float(np.max(np.abs(driven - paired))))
     worst_ratio = max(
         deviations[i + 1] / deviations[i] for i in range(len(deviations) - 1)

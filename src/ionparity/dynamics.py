@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _checked_times
+
 
 def symmetric_binomial_amplitudes(n_total: int) -> np.ndarray:
     """Amplitudes P_k = 2^(-N/2) sqrt(C(N, k)) for k = 0..N of the tau = 1
@@ -92,14 +94,12 @@ def rabi_spectrum(n_total: int, g: float) -> RabiSpectrum:
 def evolve_closed_form(n_total: int, g: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact amplitude grids (minus, plus) of the |-> and |+> components, each
     of shape (times, N + 1, N + 1), at every time of the 1-D array ``times``
-    (each >= 0) from the binomial N-quanta initial state: the anti-diagonals
-    |N-k, k> and |N-k-1, k-1> are filled for all times at once.  Total norm
-    is 1 at every (N, t)."""
+    (each finite and >= 0) from the binomial N-quanta initial state: the
+    anti-diagonals |N-k, k> and |N-k-1, k-1> are filled for all times at once.
+    Total norm is 1 at every (N, t)."""
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("t must be non-negative")
+    times = _checked_times(times)
     amps = symmetric_binomial_amplitudes(n_total)
     freqs = rabi_spectrum(n_total, g).frequencies
     phases = np.multiply.outer(times, freqs)
@@ -115,12 +115,11 @@ def evolve_closed_form(n_total: int, g: float, times: np.ndarray) -> tuple[np.nd
 def ground_probability(n_total: int, g: float, t):
     """Probability c(t) of finding the internal system in |->.
 
-    Accepts a scalar or array of times; returns the matching shape.
+    Accepts a scalar or array of finite, non-negative times; returns the
+    matching shape.
     """
     spec = rabi_spectrum(n_total, g)
-    times = np.asarray(t, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("t must be non-negative")
+    times = _checked_times(t)
     phases = 2.0 * np.multiply.outer(times, spec.frequencies)
     c = 0.5 * (1.0 + np.cos(phases) @ spec.weights)
     return float(c) if np.isscalar(t) or times.ndim == 0 else c

@@ -223,7 +223,8 @@ def _kernels(
         # tau = 0, or a tau so small that the shape t/tau overflows: the area is g t
         fixed = t / column == math.inf
     rows = np.empty((column.size, omegas.size))
-    rows[fixed] = np.cos(omegas * g * t)
+    if fixed.any():
+        rows[fixed] = np.cos(omegas * g * t)
     if model.mode != "monte_carlo":
         kernel = gamma_kernel if model.mode == "gamma_exact" else gaussian_kernel
         rows[~fixed] = kernel(omegas, g, column[~fixed, np.newaxis], t)

@@ -22,6 +22,10 @@ harmonic, beside the angular rates m nu, so each RK4 stage time costs one
 vector-matrix product of the phases with that table, plus the conjugate
 transpose for W(t)^dag.
 
+Both propagators map an initial ``VibronicState`` and a 1-D array of times
+to the layout of ``dynamics.evolve_closed_form``: (minus, plus) amplitude
+stacks of shape (times, cutoff_a + 1, cutoff_b + 1).
+
 The closed-form module's rate parameter g makes each |N-k, k> amplitude
 oscillate at 2 g sqrt((N-k) k), so closed-form runs with rate g correspond
 to the pair-exchange propagator with coupling = 2 g.  The drive expansion,
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .states import PhysicalParams, TwoModeState, VibronicState
+from .states import PhysicalParams, VibronicState, _checked_times
 
 # Maximum tolerated population on plus-component cells whose coupling
 # partner would fall outside the grid.
@@ -66,44 +70,45 @@ def pair_exchange_matrix(coupling: float, cutoff_a: int, cutoff_b: int) -> np.nd
     return block
 
 
-def propagate_effective(initial: VibronicState, coupling: float, t: float) -> VibronicState:
-    """Evolve ``initial`` under the pair-exchange Hamiltonian for time t.
+def propagate_effective(
+    initial: VibronicState, coupling: float, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(minus, plus) stacks of ``initial`` evolved under the pair-exchange
+    Hamiltonian to each time of ``times`` (finite and non-negative).
 
-    Every two-level block is rotated exactly, so the result carries no
-    step-size error.  Raises TruncationError when plus-component population
-    sits on the grid edge where its coupling partner is not representable.
+    Every two-level block is rotated exactly, at all times in one broadcast,
+    so the result carries no step-size error.  Raises TruncationError when
+    plus-component population sits on the grid edge where its coupling
+    partner is not representable.
     """
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    minus = initial.minus_component.amplitudes.copy()
-    plus = initial.plus_component.amplitudes.copy()
+    times = _checked_times(times)
+    m_start = initial.minus_component.amplitudes
+    p_start = initial.plus_component.amplitudes
     ca, cb = initial.cutoff_a, initial.cutoff_b
 
-    edge_population = float(np.sum(np.abs(plus[-1, :]) ** 2))
+    edge_population = float(np.sum(np.abs(p_start[-1, :]) ** 2))
     if ca > 0:
-        edge_population += float(np.sum(np.abs(plus[:-1, -1]) ** 2))
+        edge_population += float(np.sum(np.abs(p_start[:-1, -1]) ** 2))
     if edge_population > EDGE_POPULATION_TOL:
         raise TruncationError(
             f"plus-component population {edge_population:.3e} on the cutoff "
             f"boundary exceeds {EDGE_POPULATION_TOL}; enlarge the grid"
         )
-    if ca == 0 or cb == 0 or t == 0.0:
-        return VibronicState(TwoModeState(minus), TwoModeState(plus))
-
+    minus = np.repeat(m_start[np.newaxis], len(times), axis=0)
+    plus = np.repeat(p_start[np.newaxis], len(times), axis=0)
     kappa = coupling * np.sqrt(
         np.multiply.outer(np.arange(1.0, ca + 1.0), np.arange(1.0, cb + 1.0))
     )
-    cos_t = np.cos(kappa * t)
-    sin_t = np.sin(kappa * t)
-    m_block = minus[1:, 1:]
-    p_block = plus[:ca, :cb]
-    new_m = cos_t * m_block - 1j * sin_t * p_block
-    new_p = cos_t * p_block - 1j * sin_t * m_block
-    minus[1:, 1:] = new_m
-    plus[:ca, :cb] = new_p
-    return VibronicState(TwoModeState(minus), TwoModeState(plus))
+    phases = np.multiply.outer(times, kappa)
+    cos_t = np.cos(phases)
+    sin_t = np.sin(phases)
+    m_block = m_start[1:, 1:]
+    p_block = p_start[:ca, :cb]
+    minus[:, 1:, 1:] = cos_t * m_block - 1j * sin_t * p_block
+    plus[:, :ca, :cb] = cos_t * p_block - 1j * sin_t * m_block
+    return minus, plus
 
 
 def _annihilation_matrix(dim: int) -> np.ndarray:
@@ -276,14 +281,6 @@ def _flatten(state: VibronicState) -> np.ndarray:
     )
 
 
-def _unflatten(y: np.ndarray, cutoff_a: int, cutoff_b: int) -> VibronicState:
-    shape = (cutoff_a + 1, cutoff_b + 1)
-    dim = shape[0] * shape[1]
-    return VibronicState(
-        TwoModeState(y[:dim].reshape(shape)), TwoModeState(y[dim:].reshape(shape))
-    )
-
-
 NORM_DRIFT_TOL = 1e-8
 
 
@@ -292,13 +289,12 @@ def _drive_states(
     params: PhysicalParams,
     expansion_order: int,
     times: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Flattened state at each non-decreasing time t = n T + r, as U(r) M^n y0,
-    from one build of the drive Hamiltonian; M^n is a product of the squarings
-    M, M^2, M^4, ... shared by all the times (see ``propagate_lamb_dicke``).
-
-    Returns the states and the one-period map M, or None when every time
-    falls within the first period and M is not built."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``propagate_lamb_dicke``'s stacks at non-empty ``times``, and the
+    one-period map M, or None when every time falls within the first period
+    and M is not built.  Each state is U(r) M^n y0 from one build of the drive
+    Hamiltonian; M^n is a product of the squarings M, M^2, M^4, ... shared
+    by all the times."""
     h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
     period, steps = h_ld.period, h_ld.steps
     splits = [divmod(float(t), period) for t in times]
@@ -309,28 +305,31 @@ def _drive_states(
         while 2 ** len(squarings) <= last_whole:
             squarings.append(squarings[-1] @ squarings[-1])
     y = _flatten(initial)
-    states = []
+    states = np.empty((len(times), len(y)), dtype=np.complex128)
     done = 0
-    for whole, rest in splits:
+    for i, (whole, rest) in enumerate(splits):
         todo = int(whole) - done
         done = int(whole)
         for bit, power in enumerate(squarings):
             if todo >> bit & 1:
                 y = power @ y
-        states.append(_rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period)))
+        states[i] = _rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period))
     drift = abs(float(np.sum(np.abs(states[-1]) ** 2)) - initial.total_squared_norm())
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
-    return states, squarings[0] if squarings else None
+    grids = states.reshape(len(times), 2, initial.cutoff_a + 1, initial.cutoff_b + 1)
+    return grids[:, 0], grids[:, 1], squarings[0] if squarings else None
 
 
 def propagate_lamb_dicke(
     initial: VibronicState,
     params: PhysicalParams,
     expansion_order: int,
-    t: float,
-) -> VibronicState:
-    """Integrate the expanded drive Hamiltonian from 0 to t with RK4.
+    times: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(minus, plus) stacks of ``initial`` integrated with RK4 under the
+    expanded drive Hamiltonian to each time of ``times`` (finite,
+    non-negative and non-decreasing).
 
     The drive repeats with period T = 2 pi / nu, so the state at
     t = n T + r is U(r) M^n applied to ``initial``: M is the RK4 map over
@@ -339,10 +338,12 @@ def propagate_lamb_dicke(
     with dt = 2 pi / (20 nu max|k - j - 2|), the Hamiltonian's ``period``
     over its ``steps``, so it divides T.  Norm drift beyond 1e-8 raises.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and non-negative")
-    (y,), _ = _drive_states(initial, params, expansion_order, np.array([t]))
-    return _unflatten(y, initial.cutoff_a, initial.cutoff_b)
+    times = _checked_times(times)
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be non-decreasing")
+    if times.size == 0:  # no drive to build
+        return tuple(np.zeros((2, 0, initial.cutoff_a + 1, initial.cutoff_b + 1), complex))
+    return _drive_states(initial, params, expansion_order, times)[:2]
 
 
 def ground_population_trajectory(
@@ -351,17 +352,7 @@ def ground_population_trajectory(
     expansion_order: int,
     times: np.ndarray,
 ) -> np.ndarray:
-    """Ground-level population at each requested time.
-
-    ``times`` must be finite, non-negative and non-decreasing.  Each sample
-    is evolved with the one-period map as in ``propagate_lamb_dicke``; the
-    powers of the map are computed once and reused across the samples.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return np.array([])
-    if not np.all(np.isfinite(times)) or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be finite, non-negative and non-decreasing")
-    dim = initial.minus_component.amplitudes.size
-    states, _ = _drive_states(initial, params, expansion_order, times)
-    return np.array([float(np.sum(np.abs(y[:dim]) ** 2)) for y in states])
+    """Ground-level population at each time: the squared norm of each grid of
+    ``propagate_lamb_dicke``'s minus stack."""
+    minus, _ = propagate_lamb_dicke(initial, params, expansion_order, times)
+    return (np.abs(minus) ** 2).reshape(len(minus), -1).sum(axis=1)

@@ -3,7 +3,8 @@
 States live on a dense rectangular amplitude grid over the basis
 |n_a, n_b> with 0 <= n_a <= cutoff_a and 0 <= n_b <= cutoff_b.  All
 containers are immutable after construction and safe to share across
-concurrent sweep workers.
+concurrent sweep workers.  ``_checked_times`` is the one time check of every
+evolution route.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ def _frozen_grid(values: object) -> np.ndarray:
         raise ValueError("amplitude grid contains non-finite entries")
     grid.flags.writeable = False
     return grid
+
+
+def _checked_times(t: object) -> np.ndarray:
+    """``t`` (a scalar or an array of times) as a float array, each time
+    finite and non-negative."""
+    times = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= times) & (times < math.inf)):
+        raise ValueError("t must be finite and non-negative")
+    return times
 
 
 @dataclass(frozen=True)
@@ -80,10 +90,6 @@ class VibronicState:
 
     def total_squared_norm(self) -> float:
         return self.minus_component.squared_norm() + self.plus_component.squared_norm()
-
-    def ground_population(self) -> float:
-        """Probability of finding the internal system in |->."""
-        return self.minus_component.squared_norm()
 
 
 @dataclass(frozen=True)

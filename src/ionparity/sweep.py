@@ -7,7 +7,6 @@ timestamps or environment state enter the output.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -50,11 +49,13 @@ def _json_cell(value: object) -> object:
 
 
 def write_csv(result: SweepResult, stream: TextIO) -> None:
+    """Config lines, then the header and one line per row.  Cells are Python
+    (or numpy float64 and int64) scalars holding no comma, quote or newline,
+    so no cell is quoted."""
     for key in sorted(result.config):
         stream.write(f"# {key}={_format_cell(result.config[key])}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(result.columns)
-    writer.writerows([_format_cell(_native(cell)) for cell in row] for row in result.rows)
+    stream.write(",".join(result.columns) + "\n")
+    stream.writelines(",".join(map(_format_cell, row)) + "\n" for row in result.rows)
 
 
 def write_json(result: SweepResult, stream: TextIO) -> None:

@@ -104,6 +104,23 @@ def test_drive_checks_fail_when_the_propagator_gives_up(monkeypatch):
     assert result.detail == "norm drift 2.000e-08 exceeds 1e-08"
 
 
+def test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand(monkeypatch):
+    # W(t) scaled by 1 + 1e-3 keeps the map unitary, so the norm-based rows
+    # pass; only the deviation from the pair-exchange model shows it
+    original = propagators.LambDickeHamiltonian._couplings
+
+    def scaled(self, t):
+        coupling_block = original(self, t)[0] * (1.0 + 1e-3)
+        return coupling_block, coupling_block.conj().T
+
+    assert checks.rwa_deviation_decreases().passed
+    monkeypatch.setattr(propagators.LambDickeHamiltonian, "_couplings", scaled)
+    assert checks.lamb_dicke_unitarity().passed
+    assert checks.static_drive_limit().passed
+    result = checks.rwa_deviation_decreases()
+    assert not result.passed and result.measured > 1.0
+
+
 def test_batched_checks_detect_a_faulted_closed_form(monkeypatch):
     # one |-> amplitude of the closed form off by 1e-6 at every time
     original = dynamics.evolve_closed_form
@@ -214,8 +231,6 @@ def test_gamma_vs_gaussian_sees_a_gaussian_exponent_without_its_half(monkeypatch
 def test_fluctuation_free_limit_sees_a_wrong_area_frequency(monkeypatch):
     # area frequency 2 sqrt(p) where the phases 2 f_k t need 4 sqrt(p).  The
     # replacement keeps no cache, so the cached real entries stay as they are.
-    # Blind spot: the check runs at g = 1, so a kernel that drops g from its
-    # phase omega g t passes it.
     original = fluctuations._area_terms
 
     def half_frequency(n_total):
@@ -225,6 +240,16 @@ def test_fluctuation_free_limit_sees_a_wrong_area_frequency(monkeypatch):
     assert checks.fluctuation_free_limit().passed
     monkeypatch.setattr(fluctuations, "_area_terms", half_frequency)
     assert not checks.fluctuation_free_limit().passed
+
+
+def test_fluctuation_free_limit_sees_a_kernel_phase_without_g(monkeypatch):
+    # cos(omega t) for cos(omega g t): at g = 1 the two would be the same
+    def without_g(omegas, model, t, rng=None, taus=None):
+        return np.cos(omegas * t)
+
+    monkeypatch.setattr(fluctuations, "_kernels", without_g)
+    result = checks.fluctuation_free_limit()
+    assert not result.passed and result.measured > 0.5
 
 
 def test_mixture_truncation_sees_a_cut_at_n_plus_ceil_delta(monkeypatch):

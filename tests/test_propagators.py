@@ -16,6 +16,7 @@ from ionparity import (
     propagate_effective,
     propagate_lamb_dicke,
     symmetric_binomial_amplitudes,
+    vibrational_entropy,
 )
 from ionparity.propagators import _flatten, _rk4_span, one_period_map
 
@@ -76,22 +77,47 @@ def test_pair_exchange_matrix_structure(cutoff_a, cutoff_b):
     _assert_pair_exchange_block(block, 1.3, cutoff_a, cutoff_b, atol=0.0)
 
 
+def _squared_norms(grids: np.ndarray) -> np.ndarray:
+    return (np.abs(grids) ** 2).reshape(len(grids), -1).sum(axis=1)
+
+
+@pytest.mark.parametrize("cutoff_a, cutoff_b", [(2, 2), (2, 4)])
+def test_routes_return_minus_plus_stacks_over_the_times(cutoff_a, cutoff_b):
+    state = _fock_state(1, 1, cutoff_a, cutoff_b)
+    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    times = np.array([0.0, 0.5, 1.5])
+    shape = (3, cutoff_a + 1, cutoff_b + 1)
+    for minus, plus in (
+        propagate_effective(state, 1.0, times),
+        propagate_lamb_dicke(state, params, 3, times),
+    ):
+        assert minus.shape == plus.shape == shape
+        assert minus.dtype == plus.dtype == np.complex128
+        # t = 0 returns the initial state itself
+        assert np.array_equal(minus[0], state.minus_component.amplitudes)
+        assert np.array_equal(plus[0], state.plus_component.amplitudes)
+    for minus, plus in (
+        propagate_effective(state, 1.0, np.array([])),
+        propagate_lamb_dicke(state, params, 3, np.array([])),
+    ):
+        assert minus.shape == plus.shape == (0, cutoff_a + 1, cutoff_b + 1)
+
+
 def test_full_exchange_flop():
     initial = _fock_state(1, 1, 2, 2)
-    final = propagate_effective(initial, 1.0, np.pi / 2.0)
+    (minus,), (plus,) = propagate_effective(initial, 1.0, np.array([np.pi / 2.0]))
     # |1,1>|-> flops to |0,0>|+> with phase -i after a quarter rotation period
-    assert final.plus_component.amplitudes[0, 0] == pytest.approx(-1j, abs=1e-12)
-    assert abs(final.minus_component.amplitudes[1, 1]) <= 1e-12
+    assert plus[0, 0] == pytest.approx(-1j, abs=1e-12)
+    assert abs(minus[1, 1]) <= 1e-12
 
 
 def test_single_mode_occupation_is_stationary():
     for n in (3, 6):
         initial = _fock_state(n, 0, 6, 6)
-        final = propagate_effective(initial, 2.0, 1.234)
-        assert np.allclose(
-            final.minus_component.amplitudes, initial.minus_component.amplitudes, atol=1e-15
-        )
-        assert final.plus_component.squared_norm() == 0.0
+        minus, plus = propagate_effective(initial, 2.0, np.array([1.234, 7.0]))
+        for grid in minus:
+            assert np.allclose(grid, initial.minus_component.amplitudes, atol=1e-15)
+        assert not plus.any()
 
 
 def test_propagator_matches_closed_form():
@@ -101,49 +127,51 @@ def test_propagator_matches_closed_form():
     for n in range(1, 7):
         initial = _initial_binomial(n, n)
         times = rng.uniform(0.0, 10.0, size=10)
-        for t, minus, plus in zip(times, *evolve_closed_form(n, g, times)):
-            evolved = propagate_effective(initial, 2.0 * g, float(t))
-            assert np.allclose(evolved.minus_component.amplitudes, minus, atol=1e-12)
-            assert np.allclose(evolved.plus_component.amplitudes, plus, atol=1e-12)
-            assert evolved.ground_population() == pytest.approx(
-                ground_probability(n, g, float(t)), abs=1e-12
-            )
+        minus, plus = evolve_closed_form(n, g, times)
+        evolved_minus, evolved_plus = propagate_effective(initial, 2.0 * g, times)
+        assert np.allclose(evolved_minus, minus, atol=1e-12)
+        assert np.allclose(evolved_plus, plus, atol=1e-12)
+        assert np.allclose(
+            _squared_norms(evolved_minus), ground_probability(n, g, times), atol=1e-12
+        )
 
 
 def test_propagator_matches_dense_matrix_exponential():
     rng = np.random.default_rng(8)
     cutoff = 4
     state = _random_interior_state(rng, cutoff)
-    coupling, t = 0.9, 1.7
-    evolved = propagate_effective(state, coupling, t)
+    coupling, times = 0.9, np.array([1.7, 0.4, 6.1])
+    minus, plus = propagate_effective(state, coupling, times)
 
     block = pair_exchange_matrix(coupling, cutoff, cutoff)
     h = np.block([[np.zeros_like(block), block], [block.conj().T, np.zeros_like(block)]])
     evals, evecs = np.linalg.eigh(h)
     y0 = _flatten(state)
-    y1 = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ y0))
     dim = (cutoff + 1) ** 2
-    assert np.allclose(evolved.minus_component.amplitudes.ravel(), y1[:dim], atol=1e-12)
-    assert np.allclose(evolved.plus_component.amplitudes.ravel(), y1[dim:], atol=1e-12)
+    for t, evolved_minus, evolved_plus in zip(times, minus, plus):
+        y1 = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ y0))
+        assert np.allclose(evolved_minus.ravel(), y1[:dim], atol=1e-12)
+        assert np.allclose(evolved_plus.ravel(), y1[dim:], atol=1e-12)
 
 
 def test_propagator_conserves_norm_and_sectors():
     rng = np.random.default_rng(4)
     state = _random_interior_state(rng, 5)
 
-    def sector_populations(s: VibronicState) -> dict:
+    def sector_populations(minus: np.ndarray, plus: np.ndarray) -> dict:
         pops: dict[int, float] = {}
-        for (na, nb), amp in np.ndenumerate(s.minus_component.amplitudes):
+        for (na, nb), amp in np.ndenumerate(minus):
             pops[na + nb] = pops.get(na + nb, 0.0) + abs(amp) ** 2
-        for (na, nb), amp in np.ndenumerate(s.plus_component.amplitudes):
+        for (na, nb), amp in np.ndenumerate(plus):
             pops[na + nb + 2] = pops.get(na + nb + 2, 0.0) + abs(amp) ** 2
         return pops
 
-    before = sector_populations(state)
-    after = sector_populations(propagate_effective(state, 1.1, 3.3))
-    assert abs(sum(after.values()) - 1.0) <= 1e-12
-    for sector, population in before.items():
-        assert after.get(sector, 0.0) == pytest.approx(population, abs=1e-12)
+    before = sector_populations(state.minus_component.amplitudes, state.plus_component.amplitudes)
+    for minus, plus in zip(*propagate_effective(state, 1.1, np.array([3.3, 0.8]))):
+        after = sector_populations(minus, plus)
+        assert abs(sum(after.values()) - 1.0) <= 1e-12
+        for sector, population in before.items():
+            assert after.get(sector, 0.0) == pytest.approx(population, abs=1e-12)
 
 
 def test_propagator_rejects_boundary_population():
@@ -151,7 +179,28 @@ def test_propagator_rejects_boundary_population():
     plus[2, 1] = 1.0  # coupling partner |3,2> is outside the grid
     state = VibronicState(TwoModeState(np.zeros((3, 3))), TwoModeState(plus))
     with pytest.raises(TruncationError):
-        propagate_effective(state, 1.0, 0.5)
+        propagate_effective(state, 1.0, np.array([0.5]))
+
+
+_PARAMS = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+
+# every evolution route, called at the times t
+_ROUTES = {
+    "evolve_closed_form": lambda t: evolve_closed_form(3, 1.0, np.array([0.5, t])),
+    "ground_probability": lambda t: ground_probability(3, 1.0, t),
+    "vibrational_entropy": lambda t: vibrational_entropy(3, 1.0, t),
+    "propagate_effective": lambda t: propagate_effective(
+        _initial_binomial(2, 3), 1.0, np.array([0.5, t])),
+    "propagate_lamb_dicke": lambda t: propagate_lamb_dicke(
+        _initial_binomial(2, 3), _PARAMS, 3, np.array([0.0, t])),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_every_route_rejects_a_time_that_is_not_finite_and_non_negative(route, t):
+    with pytest.raises(ValueError, match="^t must be finite and non-negative$"):
+        _ROUTES[route](t)
 
 
 def test_drive_validation():
@@ -163,7 +212,7 @@ def test_drive_validation():
     with pytest.raises(ValueError, match="omega"):
         LambDickeHamiltonian(PhysicalParams(nu=50.0, eta_ld=0.05), 2, 3, 3)
     with pytest.raises(ValueError, match="t must be finite"):
-        propagate_lamb_dicke(_initial_binomial(2, 3), params, 3, math.inf)
+        propagate_lamb_dicke(_initial_binomial(2, 3), params, 3, np.array([math.inf]))
 
 
 def test_drive_static_block_follows_the_documented_basis_order():
@@ -205,21 +254,17 @@ def test_drive_static_part_equals_pair_exchange():
 def test_drive_off_is_identity():
     params = PhysicalParams(omega=0.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
-    final = propagate_lamb_dicke(state, params, 3, 5.0)
-    assert np.allclose(
-        final.minus_component.amplitudes, state.minus_component.amplitudes, atol=1e-12
-    )
-    assert final.plus_component.squared_norm() <= 1e-24
+    (minus,), (plus,) = propagate_lamb_dicke(state, params, 3, np.array([5.0]))
+    assert np.allclose(minus, state.minus_component.amplitudes, atol=1e-12)
+    assert np.sum(np.abs(plus) ** 2) <= 1e-24
 
 
 def test_zero_lamb_dicke_parameter_is_trivial():
     # the two beams cancel order by order when eta = 0
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.0)
     state = _initial_binomial(2, 4)
-    final = propagate_lamb_dicke(state, params, 2, 5.0)
-    assert np.allclose(
-        final.minus_component.amplitudes, state.minus_component.amplitudes, atol=1e-12
-    )
+    (minus,), _ = propagate_lamb_dicke(state, params, 2, np.array([5.0]))
+    assert np.allclose(minus, state.minus_component.amplitudes, atol=1e-12)
 
 
 def test_drive_tracks_pair_exchange_model():
@@ -228,19 +273,21 @@ def test_drive_tracks_pair_exchange_model():
     state = _initial_binomial(2, 4)
     times = np.linspace(0.0, 0.1 / g_eff, 5)[1:]
     driven = ground_population_trajectory(state, params, 3, times)
-    for t, population in zip(times, driven):
-        reference = propagate_effective(state, g_eff, float(t)).ground_population()
-        assert abs(population - reference) < 5e-4
+    reference = _squared_norms(propagate_effective(state, g_eff, times)[0])
+    assert np.max(np.abs(driven - reference)) < 5e-4
 
 
 def test_trajectory_consistent_with_single_run():
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
     times = np.array([3.0, 7.0, 12.0])
+    minus, plus = propagate_lamb_dicke(state, params, 3, times)
     traj = ground_population_trajectory(state, params, 3, times)
-    final = propagate_lamb_dicke(state, params, 3, 12.0)
-    assert traj[-1] == pytest.approx(final.ground_population(), abs=1e-9)
-    assert abs(final.total_squared_norm() - 1.0) <= 1e-8
+    assert np.array_equal(traj, _squared_norms(minus))
+    assert np.max(np.abs(_squared_norms(minus) + _squared_norms(plus) - 1.0)) <= 1e-8
+    (last_minus,), (last_plus,) = propagate_lamb_dicke(state, params, 3, times[-1:])
+    assert np.allclose(last_minus, minus[-1], atol=1e-9)
+    assert np.allclose(last_plus, plus[-1], atol=1e-9)
 
 
 def test_each_drive_call_builds_one_hamiltonian(monkeypatch):
@@ -254,7 +301,7 @@ def test_each_drive_call_builds_one_hamiltonian(monkeypatch):
         build(self, *args, **kwargs)
 
     monkeypatch.setattr(LambDickeHamiltonian, "__init__", counted)
-    propagate_lamb_dicke(state, params, 3, 1.0)
+    propagate_lamb_dicke(state, params, 3, np.array([1.0]))
     assert len(builds) == 1
     ground_population_trajectory(state, params, 3, np.array([0.2, 0.5, 1.0]))
     assert len(builds) == 2
@@ -298,8 +345,8 @@ def test_period_map_matches_vector_stepping(nu):
     traj = ground_population_trajectory(state, params, 3, times)
     assert np.max(np.abs(traj - expected)) <= 1e-9
     for t, reference in zip(times, expected):
-        final = propagate_lamb_dicke(state, params, 3, float(t))
-        assert final.ground_population() == pytest.approx(reference, abs=1e-9)
+        (minus,), _ = propagate_lamb_dicke(state, params, 3, np.array([t]))
+        assert np.sum(np.abs(minus) ** 2) == pytest.approx(reference, abs=1e-9)
 
 
 def test_period_map_is_unitary_to_integration_error():

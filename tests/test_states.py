@@ -43,7 +43,7 @@ def test_vibronic_state_totals():
     plus = TwoModeState(np.zeros((3, 3)))
     state = VibronicState(minus, plus)
     assert state.total_squared_norm() == pytest.approx(1.0)
-    assert state.ground_population() == pytest.approx(1.0)
+    assert state.minus_component.squared_norm() == pytest.approx(1.0)
 
 
 def test_vibronic_state_requires_matching_grids():
