@@ -54,6 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics, fluctuations, preparation, propagators
+from .propagators import _squared_norms
 from .states import PhysicalParams, TwoModeState, VibronicState
 
 # Closed-form amplitudes oscillate at 2 g sqrt((N-k)k); the pair-exchange
@@ -84,11 +85,6 @@ def _initial_state(n_total: int, cutoff: int | None = None) -> VibronicState:
     for k in range(n_total + 1):
         minus[n_total - k, k] = math.sqrt(math.comb(n_total, k) / 2**n_total)
     return VibronicState(TwoModeState(minus), TwoModeState(np.zeros_like(minus)))
-
-
-def _squared_norms(grids: np.ndarray) -> np.ndarray:
-    """Squared norm of each grid in a (times, rows, cols) stack."""
-    return (np.abs(grids) ** 2).reshape(len(grids), -1).sum(axis=1)
 
 
 def closed_form_vs_propagator(

@@ -99,7 +99,7 @@ def evolve_closed_form(n_total: int, g: float, times: np.ndarray) -> tuple[np.nd
     Total norm is 1 at every (N, t)."""
     if n_total < 0:
         raise ValueError("n_total must be non-negative")
-    times = _checked_times(times)
+    times = _checked_times(times, ndim=1)
     amps = symmetric_binomial_amplitudes(n_total)
     freqs = rabi_spectrum(n_total, g).frequencies
     phases = np.multiply.outer(times, freqs)

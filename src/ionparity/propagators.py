@@ -83,7 +83,7 @@ def propagate_effective(
     """
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
-    times = _checked_times(times)
+    times = _checked_times(times, ndim=1)
     m_start = initial.minus_component.amplitudes
     p_start = initial.plus_component.amplitudes
     ca, cb = initial.cutoff_a, initial.cutoff_b
@@ -338,7 +338,7 @@ def propagate_lamb_dicke(
     with dt = 2 pi / (20 nu max|k - j - 2|), the Hamiltonian's ``period``
     over its ``steps``, so it divides T.  Norm drift beyond 1e-8 raises.
     """
-    times = _checked_times(times)
+    times = _checked_times(times, ndim=1)
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be non-decreasing")
     if times.size == 0:  # no drive to build
@@ -355,4 +355,10 @@ def ground_population_trajectory(
     """Ground-level population at each time: the squared norm of each grid of
     ``propagate_lamb_dicke``'s minus stack."""
     minus, _ = propagate_lamb_dicke(initial, params, expansion_order, times)
-    return (np.abs(minus) ** 2).reshape(len(minus), -1).sum(axis=1)
+    return _squared_norms(minus)
+
+
+def _squared_norms(grids: np.ndarray) -> np.ndarray:
+    """Squared norm of each grid in a (times, rows, cols) stack."""
+    count, rows, cols = grids.shape
+    return (np.abs(grids) ** 2).reshape(count, rows * cols).sum(axis=1)

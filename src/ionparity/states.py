@@ -28,10 +28,12 @@ def _frozen_grid(values: object) -> np.ndarray:
     return grid
 
 
-def _checked_times(t: object) -> np.ndarray:
-    """``t`` (a scalar or an array of times) as a float array, each time
-    finite and non-negative."""
+def _checked_times(t: object, ndim: int | None = None) -> np.ndarray:
+    """``t`` (a scalar or an array of times) as a float array of ``ndim``
+    dimensions (any if None), each time finite and non-negative."""
     times = np.asarray(t, dtype=float)
+    if ndim is not None and times.ndim != ndim:
+        raise ValueError(f"times must be a {ndim}-D array, got shape {times.shape}")
     if not np.all((0.0 <= times) & (times < math.inf)):
         raise ValueError("t must be finite and non-negative")
     return times

@@ -18,7 +18,7 @@ from ionparity import (
     symmetric_binomial_amplitudes,
     vibrational_entropy,
 )
-from ionparity.propagators import _flatten, _rk4_span, one_period_map
+from ionparity.propagators import _flatten, _rk4_span, _squared_norms, one_period_map
 
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
@@ -77,10 +77,6 @@ def test_pair_exchange_matrix_structure(cutoff_a, cutoff_b):
     _assert_pair_exchange_block(block, 1.3, cutoff_a, cutoff_b, atol=0.0)
 
 
-def _squared_norms(grids: np.ndarray) -> np.ndarray:
-    return (np.abs(grids) ** 2).reshape(len(grids), -1).sum(axis=1)
-
-
 @pytest.mark.parametrize("cutoff_a, cutoff_b", [(2, 2), (2, 4)])
 def test_routes_return_minus_plus_stacks_over_the_times(cutoff_a, cutoff_b):
     state = _fock_state(1, 1, cutoff_a, cutoff_b)
@@ -101,6 +97,7 @@ def test_routes_return_minus_plus_stacks_over_the_times(cutoff_a, cutoff_b):
         propagate_lamb_dicke(state, params, 3, np.array([])),
     ):
         assert minus.shape == plus.shape == (0, cutoff_a + 1, cutoff_b + 1)
+    assert ground_population_trajectory(state, params, 3, np.array([])).shape == (0,)
 
 
 def test_full_exchange_flop():
@@ -131,9 +128,8 @@ def test_propagator_matches_closed_form():
         evolved_minus, evolved_plus = propagate_effective(initial, 2.0 * g, times)
         assert np.allclose(evolved_minus, minus, atol=1e-12)
         assert np.allclose(evolved_plus, plus, atol=1e-12)
-        assert np.allclose(
-            _squared_norms(evolved_minus), ground_probability(n, g, times), atol=1e-12
-        )
+        probabilities = ground_probability(n, g, times)
+        assert np.max(np.abs(_squared_norms(evolved_minus) - probabilities)) <= 1e-12
 
 
 def test_propagator_matches_dense_matrix_exponential():
@@ -201,6 +197,23 @@ _ROUTES = {
 def test_every_route_rejects_a_time_that_is_not_finite_and_non_negative(route, t):
     with pytest.raises(ValueError, match="^t must be finite and non-negative$"):
         _ROUTES[route](t)
+
+
+# every route that returns (minus, plus) stacks, called at the times t
+_STACK_ROUTES = {
+    "evolve_closed_form": lambda t: evolve_closed_form(3, 1.0, t),
+    "propagate_effective": lambda t: propagate_effective(_initial_binomial(2, 3), 1.0, t),
+    "propagate_lamb_dicke": lambda t: propagate_lamb_dicke(_initial_binomial(2, 3), _PARAMS, 3, t),
+    "ground_population_trajectory": lambda t: ground_population_trajectory(
+        _initial_binomial(2, 3), _PARAMS, 3, t),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_STACK_ROUTES))
+@pytest.mark.parametrize("t", [0.5, np.array(0.5), np.array([[0.5, 1.0]])])
+def test_stack_routes_reject_times_that_are_not_1d(route, t):
+    with pytest.raises(ValueError, match="^times must be a 1-D array, got shape"):
+        _STACK_ROUTES[route](t)
 
 
 def test_drive_validation():
@@ -281,13 +294,10 @@ def test_trajectory_consistent_with_single_run():
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
     times = np.array([3.0, 7.0, 12.0])
-    minus, plus = propagate_lamb_dicke(state, params, 3, times)
     traj = ground_population_trajectory(state, params, 3, times)
-    assert np.array_equal(traj, _squared_norms(minus))
-    assert np.max(np.abs(_squared_norms(minus) + _squared_norms(plus) - 1.0)) <= 1e-8
-    (last_minus,), (last_plus,) = propagate_lamb_dicke(state, params, 3, times[-1:])
-    assert np.allclose(last_minus, minus[-1], atol=1e-9)
-    assert np.allclose(last_plus, plus[-1], atol=1e-9)
+    minus, plus = propagate_lamb_dicke(state, params, 3, times[-1:])
+    assert abs(traj[-1] - _squared_norms(minus)[0]) <= 1e-9
+    assert abs(_squared_norms(minus)[0] + _squared_norms(plus)[0] - 1.0) <= 1e-8
 
 
 def test_each_drive_call_builds_one_hamiltonian(monkeypatch):
