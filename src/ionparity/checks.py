@@ -5,8 +5,9 @@ against a fixed bound.
 Every evolution route maps a 1-D array of times to (minus, plus) amplitude
 stacks, so each side of a check covers one N's sample times in one call; the
 routes stay independent because none calls another.  The Rabi rates are
-read against the pair-exchange coupling block, a mixture against its pure
-runs.
+read against one pair-exchange coupling block, the two analytic kernels
+against each other over their whole grid in one broadcast, a mixture
+against its pure runs.
 
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:
@@ -148,17 +149,18 @@ def entropy_matches_reduced_density(seed: int = 0) -> CheckResult:
 
 def rabi_frequency_symmetry(max_n: int = 20) -> CheckResult:
     """Each closed-form rate f_k against the pair-exchange matrix element
-    that couples |N-k, k>|-> to |N-k-1, k-1>|+> at coupling 2 g; the rates
-    f_0 and f_N have no such partner and must be 0.  Both sides round
-    2 g sqrt((N-k) k) once, so the bound is exact."""
+    that couples |N-k, k>|-> to |N-k-1, k-1>|+> at coupling 2 g, all read
+    from one block on the grid up to (max_n, max_n); the rates f_0 and f_N
+    have no such partner and must be 0.  Both sides round 2 g sqrt((N-k) k)
+    once, so the bound is exact."""
+    block = propagators.pair_exchange_matrix(CLOSED_FORM_COUPLING_FACTOR, max_n, max_n)
     worst = 0.0
     for n in range(1, max_n + 1):
-        elements = [0.0] * (n + 1)
-        for k in range(1, n):
-            # on the smallest grid holding |N-k, k>, that cell is the block's
-            # last row, and |N-k-1, k-1>|+> its column k + 3 from the end
-            block = propagators.pair_exchange_matrix(CLOSED_FORM_COUPLING_FACTOR, n - k, k)
-            elements[k] = block[-1, -k - 3].real
+        k = np.arange(1, n)
+        # |N-k, k>|-> is row (N-k)(max_n+1)+k; |N-k-1, k-1>|+> is max_n+2 columns before it
+        rows = (n - k) * (max_n + 1) + k
+        elements = np.zeros(n + 1)
+        elements[1:n] = block[rows, rows - (max_n + 2)].real
         freqs = dynamics.rabi_spectrum(n, 1.0).frequencies
         worst = max(worst, float(np.max(np.abs(freqs - elements))))
     return _result("rabi_frequency_symmetry", worst, 0.0)
@@ -194,17 +196,13 @@ KERNEL_G = 1e5
 
 def gamma_vs_gaussian() -> CheckResult:
     """Envelope-relative disagreement of the two analytic kernels in the
-    large-shape regime."""
-    worst = 0.0
-    for omega in KERNEL_OMEGAS:
-        for tau in KERNEL_TAUS:
-            for shape in KERNEL_SHAPES:
-                t = shape * tau
-                exact = fluctuations.gamma_kernel(omega, KERNEL_G, tau, t)
-                approx = fluctuations.gaussian_kernel(omega, KERNEL_G, tau, t)
-                envelope = (1.0 + (omega * KERNEL_G * tau) ** 2) ** (-t / (2.0 * tau))
-                worst = max(worst, abs(exact - approx) / envelope)
-    return _result("gamma_vs_gaussian", worst, 0.01)
+    large-shape regime, over the whole grid in one broadcast."""
+    omega, tau, shape = np.meshgrid(KERNEL_OMEGAS, KERNEL_TAUS, KERNEL_SHAPES, indexing="ij")
+    t = shape * tau
+    exact = fluctuations.gamma_kernel(omega, KERNEL_G, tau, t)
+    approx = fluctuations.gaussian_kernel(omega, KERNEL_G, tau, t)
+    envelope = (1.0 + (omega * KERNEL_G * tau) ** 2) ** (-t / (2.0 * tau))
+    return _result("gamma_vs_gaussian", np.max(np.abs(exact - approx) / envelope), 0.01)
 
 
 def monte_carlo_vs_gamma(

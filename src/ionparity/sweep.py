@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -85,8 +86,10 @@ def write_result(result: SweepResult, path: str | None, fmt: str) -> None:
 
 def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
     """Evaluate ``fn`` over ``items`` on a worker pool, output ordered by
-    input index regardless of completion order."""
-    if workers <= 1 or len(items) <= 1:
+    input index regardless of completion order.  The pool starts at most one
+    thread per item and per CPU, whatever ``workers`` asks for."""
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -219,6 +219,20 @@ def test_static_drive_limit_sees_a_static_term_off_by_one_part_in_a_million(monk
     assert not result.passed and result.measured > 1e-9
 
 
+def test_gamma_vs_gaussian_broadcast_equals_the_scalar_loop():
+    # the kernels map arrays elementwise, so the broadcast reads the same bits
+    worst = 0.0
+    for omega in checks.KERNEL_OMEGAS:
+        for tau in checks.KERNEL_TAUS:
+            for shape in checks.KERNEL_SHAPES:
+                t = shape * tau
+                exact = fluctuations.gamma_kernel(omega, checks.KERNEL_G, tau, t)
+                approx = fluctuations.gaussian_kernel(omega, checks.KERNEL_G, tau, t)
+                envelope = (1.0 + (omega * checks.KERNEL_G * tau) ** 2) ** (-t / (2.0 * tau))
+                worst = max(worst, abs(exact - approx) / envelope)
+    assert checks.gamma_vs_gaussian().measured == worst
+
+
 def test_gamma_vs_gaussian_sees_a_gaussian_exponent_without_its_half(monkeypatch):
     def no_half(omega, g, tau, t):
         return np.cos(omega * g * t) * np.exp(-(omega**2) * g**2 * t * tau)

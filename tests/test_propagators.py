@@ -18,7 +18,8 @@ from ionparity import (
     symmetric_binomial_amplitudes,
     vibrational_entropy,
 )
-from ionparity.propagators import _flatten, _rk4_span, _squared_norms, one_period_map
+from ionparity import propagators
+from ionparity.propagators import _rk4_span, _squared_norms, one_period_map
 
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
@@ -51,6 +52,13 @@ def _random_interior_state(rng, cutoff: int) -> VibronicState:
     plus[:, -1] = 0.0
     norm = np.sqrt(np.sum(np.abs(minus) ** 2) + np.sum(np.abs(plus) ** 2))
     return VibronicState(TwoModeState(minus / norm), TwoModeState(plus / norm))
+
+
+def _vector(state: VibronicState) -> np.ndarray:
+    """The drive's state vector: the |-> grid, then the |+> grid, each row-major."""
+    return np.concatenate(
+        [state.minus_component.amplitudes.ravel(), state.plus_component.amplitudes.ravel()]
+    )
 
 
 def _grid_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[int, int]]:
@@ -142,7 +150,7 @@ def test_propagator_matches_dense_matrix_exponential():
     block = pair_exchange_matrix(coupling, cutoff, cutoff)
     h = np.block([[np.zeros_like(block), block], [block.conj().T, np.zeros_like(block)]])
     evals, evecs = np.linalg.eigh(h)
-    y0 = _flatten(state)
+    y0 = _vector(state)
     dim = (cutoff + 1) ** 2
     for t, evolved_minus, evolved_plus in zip(times, minus, plus):
         y1 = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ y0))
@@ -235,9 +243,15 @@ def test_drive_static_block_follows_the_documented_basis_order():
     h = LambDickeHamiltonian(params, 2, 2, 3)
     assert np.array_equal(h.harmonics, np.arange(-4.0, 1.0))
     _assert_pair_exchange_block(h.blocks[-1], params.effective_coupling(), 2, 3, atol=1e-15)
-    # states flatten in the same order
+    # the drive lays its states out in the same order: |2, 1>|-> flattened
+    # row-major and stepped through the same RK4 span gives the same state
     state = _fock_state(2, 1, 2, 3)
-    assert _grid_labels(2, 3)[int(np.flatnonzero(_flatten(state))[0])] == (2, 1)
+    assert _grid_labels(2, 3)[int(np.flatnonzero(_vector(state))[0])] == (2, 1)
+    t = 0.7 * h.period
+    (minus,), (plus,) = propagate_lamb_dicke(state, params, 2, np.array([t]))
+    stepped = _rk4_span(h, _vector(state), 0.0, t, math.ceil(t * h.steps / h.period))
+    assert not np.array_equal(stepped, _vector(state))
+    assert np.array_equal(np.concatenate([minus.ravel(), plus.ravel()]), stepped)
 
 
 def test_drive_couplings_are_the_phased_sum_of_the_harmonic_blocks():
@@ -300,28 +314,64 @@ def test_trajectory_consistent_with_single_run():
     assert abs(_squared_norms(minus)[0] + _squared_norms(plus)[0] - 1.0) <= 1e-8
 
 
-def test_each_drive_call_builds_one_hamiltonian(monkeypatch):
+def test_each_drive_call_builds_one_hamiltonian_and_one_period_map(monkeypatch):
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 3)
-    builds = []
-    build = LambDickeHamiltonian.__init__
+    builds, maps = [], []
+    build, build_map = LambDickeHamiltonian.__init__, one_period_map
 
     def counted(self, *args, **kwargs):
         builds.append(args)
         build(self, *args, **kwargs)
 
+    def counted_map(h_ld):
+        maps.append(h_ld)
+        return build_map(h_ld)
+
     monkeypatch.setattr(LambDickeHamiltonian, "__init__", counted)
+    monkeypatch.setattr(propagators, "one_period_map", counted_map)
     propagate_lamb_dicke(state, params, 3, np.array([1.0]))
-    assert len(builds) == 1
+    assert (len(builds), len(maps)) == (1, 1)
+    # three times of 1, 3 and 7 whole periods share the one map
     ground_population_trajectory(state, params, 3, np.array([0.2, 0.5, 1.0]))
-    assert len(builds) == 2
+    assert (len(builds), len(maps)) == (2, 2)
+    # within the first period no map is built
+    propagate_lamb_dicke(state, params, 3, np.array([0.1, 0.0]))
+    assert (len(builds), len(maps)) == (3, 2)
 
 
-def test_trajectory_rejects_unordered_times():
+def test_drive_states_do_not_depend_on_the_other_times():
+    # unordered, with a duplicate, within the first period and past it
     params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
-    with pytest.raises(ValueError, match="non-decreasing"):
-        ground_population_trajectory(state, params, 3, np.array([2.0, 1.0]))
+    times = np.array([0.3, 0.0, 12.0, 0.05, 1.7, 0.3])
+    minus, plus = propagate_lamb_dicke(state, params, 3, times)
+    perm = np.array([2, 5, 3, 0, 1, 4])
+    permuted_minus, permuted_plus = propagate_lamb_dicke(state, params, 3, times[perm])
+    assert np.array_equal(permuted_minus, minus[perm])
+    assert np.array_equal(permuted_plus, plus[perm])
+    for t, grid_minus, grid_plus in zip(times, minus, plus):
+        (alone_minus,), (alone_plus,) = propagate_lamb_dicke(state, params, 3, np.array([t]))
+        assert np.array_equal(alone_minus, grid_minus)
+        assert np.array_equal(alone_plus, grid_plus)
+
+
+def test_norm_drift_at_a_time_below_the_largest_raises(monkeypatch):
+    # the state leaks norm only at the earlier of the two times
+    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    state = _initial_binomial(2, 4)
+    times = np.array([0.3, 0.5])
+    leaky_rest = divmod(float(times[0]), 2.0 * np.pi / params.nu)[1]
+    original = propagators._rk4_span
+
+    def leaky(h_ld, y, t0, t1, steps):
+        out = original(h_ld, y, t0, t1, steps)
+        return out * (1.0 + 1e-7) if t1 == leaky_rest else out
+
+    propagate_lamb_dicke(state, params, 3, times)
+    monkeypatch.setattr(propagators, "_rk4_span", leaky)
+    with pytest.raises(RuntimeError, match="^norm drift 2.000e-07 exceeds 1e-08$"):
+        propagate_lamb_dicke(state, params, 3, times)
 
 
 def _stepped_ground_populations(state, params, order, times):
@@ -329,7 +379,7 @@ def _stepped_ground_populations(state, params, order, times):
     drive period in turn, on the same aligned RK4 grid."""
     h = LambDickeHamiltonian(params, order, state.cutoff_a, state.cutoff_b)
     period, steps = h.period, h.steps
-    y = _flatten(state)
+    y = _vector(state)
     done = 0
     populations = []
     for t in times:

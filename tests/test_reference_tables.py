@@ -1,20 +1,24 @@
-"""The Monte-Carlo benchmark tables and the validate reports nearest their
-bound against their recorded references.
+"""The benchmark's tables against their recorded references: every
+``figures`` table, the Monte-Carlo tables and the validate reports nearest
+their bound; and the benchmark's span tracer against the package it wraps.
 
 ``perfbench/gate.py`` compares every numeric cell with the table recorded
 when the benchmark was defined, at rounding level (rel 1e-9, abs 1e-12), so
 Monte-Carlo drift beyond rounding fails here.  In a validate report it
 compares every cell but ``measured``, so a check whose ``passed`` flag flips
-fails here too.  The job lists, the gate and the reference tables are read
-from ``perfbench/`` as they are.
+fails here too.  The job lists, the gate, the tracer and the reference
+tables are read from ``perfbench/`` as they are.
 """
 
+import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+import ionparity
 from ionparity import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,10 +32,11 @@ def _load(name):
 
 
 gate = _load("gate")
+spans = _load("spans")
 workloads = _load("workloads")
 REFERENCES = {workload: json.loads((PERFBENCH / "reference" / f"{workload}.json")
                                    .read_text(encoding="utf-8"))
-              for workload in ("montecarlo", "validate")}
+              for workload in ("figures", "montecarlo", "validate")}
 
 
 def _matches_its_reference(workload, job, seed, tmp_path):
@@ -41,6 +46,11 @@ def _matches_its_reference(workload, job, seed, tmp_path):
     reference = REFERENCES[workload][workloads.reference_key(workload, seed)][job]
     problems, rows = gate.check(argv[0], code, out.read_text(encoding="utf-8"), reference)
     assert not problems and rows > 0
+
+
+@pytest.mark.parametrize("job", [name for name, _ in workloads.jobs("figures", 0)])
+def test_figures_table_matches_its_reference(job, tmp_path):
+    _matches_its_reference("figures", job, 0, tmp_path)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -54,3 +64,28 @@ def test_monte_carlo_table_matches_its_reference(job, seed, tmp_path):
 @pytest.mark.parametrize("seed", [2, 12, 14])
 def test_validate_report_matches_its_reference(seed, tmp_path, capsys):
     _matches_its_reference("validate", "validate", seed, tmp_path)
+
+
+def _bindings():
+    """Every function of the package and its layers, and each traced
+    constructor, by the name the tracer gives it."""
+    layers = {layer: importlib.import_module(f"ionparity.{layer}") for layer in spans.LAYERS}
+    bound = {}
+    for layer, module in layers.items():
+        for attr, value in vars(module).items():
+            if inspect.isfunction(value):
+                bound[f"{layer}.{attr}"] = value
+    for layer, cls_name, method in spans.CONSTRUCTORS:
+        bound[f"{layer}.{cls_name}"] = vars(getattr(layers[layer], cls_name))[method]
+    bound.update({f"ionparity.{attr}": value for attr, value in vars(ionparity).items()
+                  if inspect.isfunction(value)})
+    return bound
+
+
+def test_benchmark_tracer_binds_and_restores_the_package():
+    # deleting or re-signing a name the tracer wraps raises spans.BindError here
+    before = _bindings()
+    with spans.Tracer("ionparity").installed():
+        during = _bindings()
+    assert {name for name in spans.TRACED if during[name] is before[name]} == set()
+    assert _bindings() == before

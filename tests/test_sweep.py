@@ -1,7 +1,9 @@
 import io
+import os
 
 import numpy as np
 
+from ionparity import sweep
 from ionparity.sweep import SweepResult, write_csv
 
 
@@ -32,3 +34,27 @@ def test_csv_cells_of_numpy_and_python_scalars():
         "true,3.3333333333333331e-01,0,closed_form_vs_propagator_state,true\n"
         "false,inf,1,b,false\n"
     )
+
+
+def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
+    # a recorder in place of the thread pool: it maps serially and starts no thread
+    recorded = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", Recorder)
+    assert sweep.pool_map(lambda x: 2 * x, [1, 2, 3], 10**6) == [2, 4, 6]
+    assert all(workers <= min(3, os.cpu_count() or 1) for workers in recorded)
+    assert sweep.pool_map(lambda x: 2 * x, [5], 2) == [10]
+    assert len(recorded) == (1 if (os.cpu_count() or 1) > 1 else 0)
