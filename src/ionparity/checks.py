@@ -62,6 +62,11 @@ from .states import PhysicalParams, TwoModeState, VibronicState
 # propagator rotates its blocks at coupling * sqrt(n_a n_b).
 CLOSED_FORM_COUPLING_FACTOR = 2.0
 
+# validate's drive-vs-pair-exchange suites, keyed by --full: the ratios nu/omega, the
+# span in units of 1/g and the sample count; each drive has order RWA_ORDER and N = 2.
+RWA_SUITES = {False: ((25.0, 50.0), 0.3, 6), True: ((50.0, 100.0, 200.0), 1.0, 10)}
+RWA_ORDER = 3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -116,11 +121,11 @@ def closed_form_vs_propagator(
     ]
 
 
-def norm_conservation(seed: int = 0, max_n: int = 20, times_per_n: int = 100) -> CheckResult:
+def norm_conservation(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in range(1, max_n + 1):
-        times = rng.uniform(0.0, 12.0, size=times_per_n)
+    for n in range(1, 21):
+        times = rng.uniform(0.0, 12.0, size=100)
         minus, plus = dynamics.evolve_closed_form(n, 1.0, times)
         drift = np.abs(_squared_norms(minus) + _squared_norms(plus) - 1.0)
         worst = max(worst, float(np.max(drift)))
@@ -147,12 +152,13 @@ def entropy_matches_reduced_density(seed: int = 0) -> CheckResult:
     return _result("entropy_matches_reduced_density", worst, 1e-10)
 
 
-def rabi_frequency_symmetry(max_n: int = 20) -> CheckResult:
+def rabi_frequency_symmetry() -> CheckResult:
     """Each closed-form rate f_k against the pair-exchange matrix element
     that couples |N-k, k>|-> to |N-k-1, k-1>|+> at coupling 2 g, all read
-    from one block on the grid up to (max_n, max_n); the rates f_0 and f_N
-    have no such partner and must be 0.  Both sides round 2 g sqrt((N-k) k)
+    from one block on the grid up to (20, 20); the rates f_0 and f_N have
+    no such partner and must be 0.  Both sides round 2 g sqrt((N-k) k)
     once, so the bound is exact."""
+    max_n = 20
     block = propagators.pair_exchange_matrix(CLOSED_FORM_COUPLING_FACTOR, max_n, max_n)
     worst = 0.0
     for n in range(1, max_n + 1):
@@ -207,11 +213,10 @@ def gamma_vs_gaussian() -> CheckResult:
 
 def monte_carlo_vs_gamma(
     seed: int = 0,
-    n_samples: int = 100_000,
     kernel: Callable[[float, float, float, float], float] = fluctuations.gamma_kernel,
 ) -> CheckResult:
     """Seeded Monte-Carlo kernel against the closed kernel on a 5x5
-    (omega, tau) grid, in units of the Monte-Carlo standard error.
+    (omega, tau) grid of 1e5 draws a point, in Monte-Carlo standard errors.
 
     The estimates come from the sampler every Monte-Carlo sweep runs, and
     each standard error from the same draws at 2 omega (see
@@ -230,7 +235,7 @@ def monte_carlo_vs_gamma(
     for omega in omegas:
         for tau in taus:
             model = fluctuations.FluctuationModel(
-                g_mean=g, tau=tau, mode="monte_carlo", mc_samples=n_samples
+                g_mean=g, tau=tau, mode="monte_carlo", mc_samples=100_000
             )
             mean, stderr = fluctuations.monte_carlo_cosine(
                 omega, t, model, rng=np.random.default_rng(children[index])
@@ -316,23 +321,39 @@ def lamb_dicke_unitarity() -> CheckResult:
     )
 
 
+def check_rwa_drive(omega: float, eta_ld: float, full: bool = False) -> None:
+    """Raise ValueError, naming omega or eta_ld, unless every drive of the
+    ``RWA_SUITES[full]`` suite can run: each nu = ratio * omega needs a finite
+    positive RK4 step, and the coupling omega eta_ld^2 exp(-eta_ld^2/2) must
+    put the last sample time at a finite positive time."""
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if not 0.0 < eta_ld < 1.0:
+        raise ValueError(f"eta_ld must lie strictly between 0 and 1, got {eta_ld}")
+    ratios, t_max_over_g, _ = RWA_SUITES[full]
+    for ratio in ratios:
+        try:
+            propagators._period_grid(ratio * omega, RWA_ORDER)
+        except ValueError as exc:
+            raise ValueError(f"omega must give the drive at nu/omega = {ratio:g} a finite "
+                             f"positive RK4 step, got {omega}: {exc}") from None
+    g = PhysicalParams(omega=omega, eta_ld=eta_ld).effective_coupling()
+    if not (g > 0.0 and t_max_over_g / g < math.inf):
+        raise ValueError(f"omega and eta_ld must give a coupling g whose last sample time "
+                         f"{t_max_over_g:g} / g is finite, got {omega} and {eta_ld} (g = {g})")
+
+
 def rwa_deviation_decreases(
-    ratios: Sequence[float] = (25.0, 50.0),
-    omega: float = 1.0,
-    eta_ld: float = 0.05,
-    expansion_order: int = 3,
-    n_total: int = 2,
-    t_max_over_g: float = 0.3,
-    n_points: int = 6,
+    omega: float = 1.0, eta_ld: float = 0.05, full: bool = False
 ) -> CheckResult:
     """Ground-population deviation between the drive expansion and the
-    pair-exchange model must shrink as nu/omega grows.
+    pair-exchange model must shrink as nu/omega grows (``RWA_SUITES[full]``).
 
     Measured value is the largest ratio of successive deviations; bound 1
     means strictly decreasing.
     """
-    cutoff = n_total + 2
-    initial = _initial_state(n_total, cutoff=cutoff)
+    ratios, t_max_over_g, n_points = RWA_SUITES[full]
+    initial = _initial_state(2, cutoff=4)
     deviations = []
     for ratio in ratios:
         params = PhysicalParams(omega=omega, nu=ratio * omega, eta_ld=eta_ld)
@@ -340,7 +361,7 @@ def rwa_deviation_decreases(
         times = np.linspace(0.0, t_max_over_g / g_eff, n_points + 1)[1:]
         try:
             driven = propagators.ground_population_trajectory(
-                initial, params, expansion_order, times
+                initial, params, RWA_ORDER, times
             )
         except RuntimeError as exc:
             return CheckResult("rwa_deviation_decreases", math.inf, 1.0, False, str(exc))
@@ -361,8 +382,8 @@ def run_all(
     drive_omega: float = 1.0,
     drive_eta_ld: float = 0.05,
 ) -> list[CheckResult]:
-    """Full battery; ``full`` switches the drive-vs-pair-exchange check to
-    the high-ratio configuration."""
+    """Full battery; ``full`` picks the drive-vs-pair-exchange configuration
+    from ``RWA_SUITES``."""
     results = []
     results.extend(closed_form_vs_propagator(seed))
     results.append(norm_conservation(seed))
@@ -376,18 +397,5 @@ def run_all(
     results.append(exact_preparation_limit())
     results.append(static_drive_limit())
     results.append(lamb_dicke_unitarity())
-    if full:
-        results.append(
-            rwa_deviation_decreases(
-                ratios=(50.0, 100.0, 200.0),
-                omega=drive_omega,
-                eta_ld=drive_eta_ld,
-                t_max_over_g=1.0,
-                n_points=10,
-            )
-        )
-    else:
-        results.append(
-            rwa_deviation_decreases(omega=drive_omega, eta_ld=drive_eta_ld)
-        )
+    results.append(rwa_deviation_decreases(drive_omega, drive_eta_ld, full))
     return results

@@ -376,9 +376,7 @@ def cmd_eta_sweep(config: dict) -> SweepResult:
 def cmd_validate(config: dict) -> tuple[SweepResult, list[str]]:
     """The report and one 'name: reason' line per failed check."""
     # the drive checks run last; reject a bad drive before any check runs
-    _validate_positive(config, "omega")
-    if not 0.0 < config["eta_ld"] < 1.0:
-        raise ValueError(f"eta_ld must lie strictly between 0 and 1, got {config['eta_ld']}")
+    checks.check_rwa_drive(config["omega"], config["eta_ld"], bool(config["full"]))
     results = checks.run_all(seed=config["seed"], full=bool(config["full"]),
                              drive_omega=config["omega"], drive_eta_ld=config["eta_ld"])
     rows = [(r.name, r.measured, r.bound, r.passed) for r in results]

@@ -111,6 +111,21 @@ def propagate_effective(
     return minus, plus
 
 
+def _period_grid(nu: float, expansion_order: int) -> tuple[float, int]:
+    """Drive period 2 pi / nu and its RK4 step count: the fewest steps that give
+    the fastest harmonic, (expansion_order + 2) nu (j = order, k = 0),
+    STEPS_PER_CYCLE steps per cycle.  The quotient is not rounded first (at
+    nu = 50 and order 3 it is 100.00000000000001, so 101 steps): rounding it
+    would move the drive checks' measured values.  Raises ValueError where the
+    period or the step bound leaves the finite positive floats."""
+    period = 2.0 * math.pi / nu
+    cycle = 2.0 * math.pi / (STEPS_PER_CYCLE * ((expansion_order + 2) * nu))
+    if not (period < math.inf and cycle > 0.0):
+        raise ValueError(f"nu = {nu} leaves the drive period {period} or its step "
+                         f"bound {cycle} outside the finite positive floats")
+    return period, math.ceil(period / cycle)
+
+
 def _annihilation_matrix(dim: int) -> np.ndarray:
     mat = np.zeros((dim, dim))
     n = np.arange(1, dim)
@@ -129,10 +144,8 @@ class LambDickeHamiltonian:
     omega * eta^2 * exp(-eta^2/2), the beam labeling fixed so that term
     enters with a plus sign.
 
-    RK4 takes ``steps`` equal steps per ``period`` = 2 pi / nu, the fewest that
-    give the fastest harmonic STEPS_PER_CYCLE steps per cycle.  The quotient
-    is not rounded first (at nu = 50 and order 3 it is 100.00000000000001, so
-    101 steps): rounding it would move the drive checks' measured values.
+    RK4 takes ``steps`` equal steps per ``period`` = 2 pi / nu (see
+    ``_period_grid``).
     """
 
     def __init__(
@@ -146,6 +159,7 @@ class LambDickeHamiltonian:
             raise ValueError(
                 "expansion_order below 2 cannot represent the pair-exchange process"
             )
+        self.period, self.steps = _period_grid(params.nu, expansion_order)
         self.grid_size = (cutoff_a + 1) * (cutoff_b + 1)
 
         a_full = np.kron(_annihilation_matrix(cutoff_a + 1), np.eye(cutoff_b + 1))
@@ -177,11 +191,6 @@ class LambDickeHamiltonian:
         # the coupling table (see the module docstring), a view of the blocks
         self._rates = self.harmonics * params.nu
         self._flat_blocks = self.blocks.reshape(len(self.harmonics), -1)
-
-        # every order >= 2 holds harmonic -1, so the fastest rate is positive
-        fastest = float(np.max(np.abs(self.harmonics))) * params.nu
-        self.period = 2.0 * math.pi / params.nu
-        self.steps = math.ceil(self.period / (2.0 * math.pi / (STEPS_PER_CYCLE * fastest)))
 
     def _couplings(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t), and W(t)^dag
@@ -265,23 +274,22 @@ def _drive_states(
     params: PhysicalParams,
     expansion_order: int,
     times: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``propagate_lamb_dicke``'s stacks at non-empty ``times``, and the
-    one-period map M, or None when every time falls within the first period
-    and M is not built.  Each state is U(r) M^n y0 from the initial vector y0
+    one-period map M.  Each state is U(r) M^n y0 from the initial vector y0
     alone (the |-> grid, then the |+> grid, each row-major over (n_a, n_b),
     the order of the coupling blocks' rows and columns); all times share one
     build of the drive Hamiltonian and of M."""
     h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
     period, steps = h_ld.period, h_ld.steps
-    splits = [divmod(float(t), period) for t in times]
-    period_map = one_period_map(h_ld) if max(whole for whole, _ in splits) > 0 else None
+    period_map = one_period_map(h_ld)
     y0 = np.concatenate(
         [initial.minus_component.amplitudes.ravel(), initial.plus_component.amplitudes.ravel()]
     )
     states = np.empty((len(times), len(y0)), dtype=np.complex128)
-    for i, (whole, rest) in enumerate(splits):
-        y = np.linalg.matrix_power(period_map, int(whole)) @ y0 if whole else y0
+    for i, t in enumerate(times):
+        whole, rest = divmod(float(t), period)
+        y = np.linalg.matrix_power(period_map, int(whole)) @ y0
         states[i] = _rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period))
     drift = np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - initial.total_squared_norm()))
     if drift > NORM_DRIFT_TOL:

@@ -312,18 +312,66 @@ def test_validate_json_report_of_a_failed_check_is_strict(tmp_path, monkeypatch,
                                        "validation failed; see report\n")
 
 
+# Each drive the real battery cannot run, and the key its message starts with.
+# Unchecked, they end after 12 checks in a ZeroDivisionError traceback (eta_ld
+# 1e-300, omega 5e-324 and >= 4e304), a numpy RuntimeWarning (eta_ld 1e-160,
+# omega 1e-318), or a message naming nu, which validate has no flag for (1e308).
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        ("--eta-ld 1e-300", "omega and eta_ld"),
+        ("--eta-ld 1e-160", "omega and eta_ld"),
+        ("--omega 5e-324", "omega"),
+        ("--omega 1e-318", "omega"),
+        ("--omega 4e304", "omega"),
+        ("--omega 1e305", "omega"),
+        ("--full --omega 1e306", "omega"),
+        ("--omega 1e308", "omega"),
+    ],
+)
+def test_validate_rejects_a_drive_the_battery_cannot_run(argv, key, capsys):
+    # the battery is not replaced; a warning would fail the test (filterwarnings)
+    assert run_cli("validate", *argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must ") and err.count("\n") == 1
+
+
+def _bad_drive(omega: float, eta_ld: float) -> str | None:
+    """The key a drive of validate's default RWA suite is rejected under, or
+    None.  Each nu = ratio * omega (ratios 25 and 50) needs a finite period
+    2 pi / nu and a positive RK4 step bound 2 pi / (20 * (5 nu)) (order 3), and
+    the coupling g = omega eta^2 exp(-eta^2/2) a finite last time 0.3 / g."""
+    if not 0.0 < omega < math.inf:
+        return "omega"
+    if not 0.0 < eta_ld < 1.0:
+        return "eta_ld"
+    for ratio in (25.0, 50.0):
+        nu = ratio * omega
+        if not (2.0 * math.pi / nu < math.inf and 2.0 * math.pi / (20 * (5 * nu)) > 0.0):
+            return "omega"
+    eta2 = eta_ld**2
+    g = omega * eta2 * float(np.exp(-eta2 / 2.0))
+    if not (g > 0.0 and 0.3 / g < math.inf):
+        return "omega and eta_ld"
+    return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(drive=st.fixed_dictionaries({}, optional={"omega": st.floats(), "eta_ld": st.floats()}))
 # the edges of each range, on both sides
 @example(drive={"omega": 0.0})
-@example(drive={"omega": 5e-324, "eta_ld": 5e-324})
-@example(drive={"omega": 1.7976931348623157e308, "eta_ld": 0.9999999999999999})
+@example(drive={"omega": 3e304})
 @example(drive={"eta_ld": 0.0})
 @example(drive={"eta_ld": 1.0})
+# in range, yet with no finite RK4 step (period 2 pi / nu, or step bound)
+@example(drive={"omega": 5e-324, "eta_ld": 5e-324})
+@example(drive={"omega": 1.7976931348623157e308, "eta_ld": 0.9999999999999999})
+# in range, yet with a last sample time 0.3 / g of inf
+@example(drive={"eta_ld": 1e-160})
 def test_validate_accepts_exactly_the_good_drives(drive, tmp_path_factory):
     # a good drive reaches the battery; a bad one exits 1 naming its key
     omega, eta_ld = drive.get("omega", 1.0), drive.get("eta_ld", 0.05)
-    bad = "omega" if not 0.0 < omega < math.inf else "eta_ld" if not 0.0 < eta_ld < 1.0 else None
+    bad = _bad_drive(omega, eta_ld)
     config = tmp_path_factory.mktemp("drive") / "run.json"
     config.write_text(json.dumps(drive))
     flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in drive.items()]
@@ -723,6 +771,26 @@ def sweep_setting(draw):
     value = draw(st.integers() if key == "mc_samples" else st.floats())
     # Monte-Carlo draws are never allocated in the analytic modes
     return command, draw(st.sampled_from(["gamma", "gaussian"])), key, value
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.integers(min_value=1, max_value=512),
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+@example(samples=1, seed=0)
+@example(samples=2, seed=0)
+def test_monte_carlo_sweeps_take_any_sample_count(samples, seed):
+    # every count from one draw up runs, and the same seed gives the same bytes
+    for command, grid in (("tau-sweep", ["--tau-steps", "2"]),
+                          ("eta-sweep", ["--eta-steps", "2", "--tau", "1e-8"])):
+        tables = []
+        for _ in range(2):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run_cli(command, *grid, "--mode", "mc", "--mc-samples", str(samples),
+                               "--seed", str(seed))
+            assert (code, stderr.getvalue()) == (0, "")
+            tables.append(stdout.getvalue())
+        assert tables[0] == tables[1]
 
 
 @settings(max_examples=120, deadline=None,

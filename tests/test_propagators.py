@@ -334,9 +334,9 @@ def test_each_drive_call_builds_one_hamiltonian_and_one_period_map(monkeypatch):
     # three times of 1, 3 and 7 whole periods share the one map
     ground_population_trajectory(state, params, 3, np.array([0.2, 0.5, 1.0]))
     assert (len(builds), len(maps)) == (2, 2)
-    # within the first period no map is built
+    # times within the first period build it too, and raise it to the power 0
     propagate_lamb_dicke(state, params, 3, np.array([0.1, 0.0]))
-    assert (len(builds), len(maps)) == (3, 2)
+    assert (len(builds), len(maps)) == (3, 3)
 
 
 def test_drive_states_do_not_depend_on_the_other_times():
@@ -414,6 +414,14 @@ def test_period_map_is_unitary_to_integration_error():
     period_map = one_period_map(h)
     defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
     assert defect <= 1e-10
+
+
+# 20 * 5 nu overflows at nu = 1e307; 2 pi / nu overflows below about 3.5e-308
+@pytest.mark.parametrize("nu", [1e307, 1.7976931348623157e308, 1e-309, 5e-324])
+def test_a_drive_without_a_finite_step_count_raises_value_error(nu):
+    params = PhysicalParams(omega=1.0, nu=nu, eta_ld=0.05)
+    with pytest.raises(ValueError, match="^nu = .* leaves the drive period "):
+        LambDickeHamiltonian(params, 3, 2, 2)
 
 
 def test_drive_period_takes_101_steps_at_nu_50():
