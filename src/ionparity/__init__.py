@@ -4,7 +4,6 @@ imperfect-preparation mixtures, and independent numerical propagators that
 cross-check every formula."""
 
 from .states import (
-    PhysicalParams,
     TwoModeState,
     VibronicState,
 )
@@ -36,6 +35,7 @@ from .preparation import (
     parity_delta_mixed,
 )
 from .propagators import (
+    Drive,
     LambDickeHamiltonian,
     TruncationError,
     ground_population_trajectory,
@@ -47,10 +47,10 @@ from .propagators import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Drive",
     "FluctuationModel",
     "LambDickeHamiltonian",
     "ParityTimes",
-    "PhysicalParams",
     "PreparationModel",
     "RabiSpectrum",
     "TruncationError",

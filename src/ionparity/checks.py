@@ -55,8 +55,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics, fluctuations, preparation, propagators
-from .propagators import _squared_norms
-from .states import PhysicalParams, TwoModeState, VibronicState
+from .propagators import Drive, _squared_norms
+from .states import TwoModeState, VibronicState, effective_coupling
 
 # Closed-form amplitudes oscillate at 2 g sqrt((N-k)k); the pair-exchange
 # propagator rotates its blocks at coupling * sqrt(n_a n_b).
@@ -292,10 +292,10 @@ def exact_preparation_limit() -> CheckResult:
 def static_drive_limit() -> CheckResult:
     """Static (harmonic 0) coupling block of the order-2 drive expansion
     against the pair-exchange block at the derived coupling."""
-    params = PhysicalParams(omega=1.0, nu=100.0, eta_ld=0.05)
-    h_drive = propagators.LambDickeHamiltonian(params, expansion_order=2, cutoff_a=4, cutoff_b=4)
+    drive = Drive(omega=1.0, nu=100.0, eta_ld=0.05, expansion_order=2)
+    h_drive = propagators.LambDickeHamiltonian(drive, cutoff_a=4, cutoff_b=4)
     (static,) = h_drive.blocks[h_drive.harmonics == 0.0]
-    h_pair = propagators.pair_exchange_matrix(params.effective_coupling(), 4, 4)
+    h_pair = propagators.pair_exchange_matrix(drive.coupling, 4, 4)
     difference = float(np.max(np.abs(static - h_pair)))
     return _result("static_drive_limit", difference, 1e-12)
 
@@ -303,12 +303,10 @@ def static_drive_limit() -> CheckResult:
 def lamb_dicke_unitarity() -> CheckResult:
     """Norm of the drive-propagated state at t = 30, with the unitarity
     defect of the one-period map that propagation built as its detail."""
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
+    drive = Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
     initial = _initial_state(2, cutoff=5)
     try:
-        minus, plus, period_map = propagators._drive_states(
-            initial, params, expansion_order=3, times=np.array([30.0])
-        )
+        minus, plus, period_map = propagators._drive_states(initial, drive, np.array([30.0]))
     except RuntimeError as exc:  # norm drift or truncation: the check fails, the run goes on
         return CheckResult("lamb_dicke_unitarity", math.inf, 1e-8, False, str(exc))
     (norm,) = _squared_norms(minus) + _squared_norms(plus)
@@ -323,9 +321,9 @@ def lamb_dicke_unitarity() -> CheckResult:
 
 def check_rwa_drive(omega: float, eta_ld: float, full: bool = False) -> None:
     """Raise ValueError, naming omega or eta_ld, unless every drive of the
-    ``RWA_SUITES[full]`` suite can run: each nu = ratio * omega needs a finite
-    positive RK4 step, and the coupling omega eta_ld^2 exp(-eta_ld^2/2) must
-    put the last sample time at a finite positive time."""
+    ``RWA_SUITES[full]`` suite can run: each ``Drive`` at nu = ratio * omega
+    needs a finite positive RK4 step, and the coupling omega eta_ld^2
+    exp(-eta_ld^2/2) must put the last sample time at a finite positive time."""
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be finite and positive, got {omega}")
     if not 0.0 < eta_ld < 1.0:
@@ -333,11 +331,11 @@ def check_rwa_drive(omega: float, eta_ld: float, full: bool = False) -> None:
     ratios, t_max_over_g, _ = RWA_SUITES[full]
     for ratio in ratios:
         try:
-            propagators._period_grid(ratio * omega, RWA_ORDER)
+            Drive(omega, ratio * omega, eta_ld, RWA_ORDER)
         except ValueError as exc:
             raise ValueError(f"omega must give the drive at nu/omega = {ratio:g} a finite "
                              f"positive RK4 step, got {omega}: {exc}") from None
-    g = PhysicalParams(omega=omega, eta_ld=eta_ld).effective_coupling()
+    g = effective_coupling(omega, eta_ld)
     if not (g > 0.0 and t_max_over_g / g < math.inf):
         raise ValueError(f"omega and eta_ld must give a coupling g whose last sample time "
                          f"{t_max_over_g:g} / g is finite, got {omega} and {eta_ld} (g = {g})")
@@ -356,13 +354,11 @@ def rwa_deviation_decreases(
     initial = _initial_state(2, cutoff=4)
     deviations = []
     for ratio in ratios:
-        params = PhysicalParams(omega=omega, nu=ratio * omega, eta_ld=eta_ld)
-        g_eff = params.effective_coupling()
+        drive = Drive(omega, ratio * omega, eta_ld, RWA_ORDER)
+        g_eff = drive.coupling
         times = np.linspace(0.0, t_max_over_g / g_eff, n_points + 1)[1:]
         try:
-            driven = propagators.ground_population_trajectory(
-                initial, params, RWA_ORDER, times
-            )
+            driven = propagators.ground_population_trajectory(initial, drive, times)
         except RuntimeError as exc:
             return CheckResult("rwa_deviation_decreases", math.inf, 1.0, False, str(exc))
         paired = _squared_norms(propagators.propagate_effective(initial, g_eff, times)[0])

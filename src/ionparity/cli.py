@@ -35,13 +35,16 @@ from typing import Callable
 import numpy as np
 
 from . import checks, dynamics, fluctuations, preparation
-from .states import PhysicalParams
+from .states import effective_coupling
 from .sweep import SweepResult, pool_map, write_result
 
 MODE_FLAGS = {"gamma": "gamma_exact", "gaussian": "gaussian_approx", "mc": "monte_carlo"}
 
 # used when neither --g nor a drive pair (--omega, --eta-ld) is supplied
 DEFAULT_G = 1e5
+
+# Relative slack for the coupling consistency rule g = omega * eta^2 * exp(-eta^2/2).
+COUPLING_CONSISTENCY_RTOL = 1e-6
 
 # Largest (t_steps, n + 1) phase matrix dynamics builds: 2^26 float64 is
 # 512 MiB, and its cosine as much again
@@ -231,22 +234,27 @@ def _point_seeds(base_seed: int, count: int) -> list[int]:
 
 
 def _resolve_coupling(config: dict) -> None:
-    """Fill config['g'], deriving it from the drive when possible.
-
-    Constructing PhysicalParams enforces positivity and, when g, omega and
-    eta_ld are all present, the consistency rule relating them.
-    """
-    params = PhysicalParams(**{key: config[key] for key in _PHYSICAL})
-    if config["g"] is None:
-        if config["omega"] is not None and config["eta_ld"] is not None:
-            derived = params.effective_coupling()
-            if derived <= 0.0:
-                raise ValueError(
-                    "derived coupling is zero; give --g or a positive --omega/--eta-ld pair"
-                )
-            config["g"] = derived
-        else:
-            config["g"] = DEFAULT_G
+    """Check the physical settings, each finite when given (g and nu positive,
+    omega and eta_ld non-negative), and fill config['g'], deriving it from the
+    drive when possible; a given g must match the drive's coupling within
+    COUPLING_CONSISTENCY_RTOL."""
+    given = {key: config[key] for key in _PHYSICAL if config[key] is not None}
+    _validate_positive(given, *(key for key in ("g", "nu") if key in given))
+    for key in ("omega", "eta_ld"):
+        if key in given and not 0.0 <= given[key] < math.inf:
+            raise ValueError(f"{key} must be finite and non-negative, got {given[key]}")
+    if "omega" not in given or "eta_ld" not in given:
+        config["g"] = given.get("g", DEFAULT_G)
+        return
+    derived = effective_coupling(given["omega"], given["eta_ld"])
+    if "g" not in given:
+        if derived <= 0.0:
+            raise ValueError("derived coupling is zero; give --g or a positive "
+                             "--omega/--eta-ld pair")
+        config["g"] = derived
+    elif abs(given["g"] - derived) > COUPLING_CONSISTENCY_RTOL * derived:
+        raise ValueError(f"inconsistent coupling: g={given['g']} but "
+                         f"omega*eta_ld^2*exp(-eta_ld^2/2)={derived}")
 
 
 def cmd_dynamics(config: dict) -> SweepResult:
@@ -273,8 +281,8 @@ def cmd_dynamics(config: dict) -> SweepResult:
     if fastest < math.inf and not phase < math.inf:
         raise ValueError(f"t_max = {t_max} puts the largest phase 2 f_max t_max / g of "
                          f"n = {n} at {phase}, outside the finite floats")
-    probabilities = np.atleast_1d(dynamics.ground_probability(n, g, times))
-    entropies = np.atleast_1d(dynamics.binary_entropy(probabilities))
+    probabilities = dynamics.ground_probability(n, g, times)
+    entropies = dynamics.binary_entropy(probabilities)
     rows = list(zip(gts.tolist(), times.tolist(), probabilities.tolist(), entropies.tolist()))
     return SweepResult(("gt", "t_seconds", "p_ground", "entropy"), rows,
                        _echo_config(config, "dynamics"))
@@ -304,13 +312,14 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
     kernel call over the union of the pairs' keys.  In Monte-Carlo mode each
     (tau, pair) point, tau-major, keeps its own seed and draws and only its
     own keys, and the points run on the worker pool."""
-    seeds = _point_seeds(config["seed"], len(taus) * len(pairs))
-    model = sweep_model(tau=taus[0], seed=seeds[0])
+    model = sweep_model(tau=taus[0])  # the analytic modes read no seed
     if model.mode != "monte_carlo":
         mixtures = [prep.terms() for pair in pairs for prep in pair]
         probabilities = fluctuations.mixture_ground_probabilities(mixtures, model, t_compare,
                                                                   taus=taus)
     else:
+        seeds = _point_seeds(config["seed"], len(taus) * len(pairs))
+
         def evaluate(index: int) -> np.ndarray:
             point_model = sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
             mixtures = [prep.terms() for prep in pairs[index % len(pairs)]]
@@ -410,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
         write_result(result, config["out"], config["format"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory for this run ({str(exc) or 'MemoryError'})",
+              file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -13,7 +13,9 @@ its coupling block W alone, with H = [[0, W], [W^dag, 0]]:
   the diagonal mode directions, expanded to a configurable total power of
   the Lamb-Dicke parameter and integrated with a fixed-step RK4 scheme
   over one drive period, whose evolution map is then raised to the number
-  of whole periods elapsed, for each time on its own.
+  of whole periods elapsed, for each time on its own.  One ``Drive`` value
+  fixes it: omega, nu, eta_ld and the expansion order, each required and
+  checked once, with the RK4 period grid they give.
 
 The drive's minus-to-plus block is W(t) = sum_m e^{i m nu t} W_m over its
 few harmonics m (seven at expansion order 3).  The drive Hamiltonian stores
@@ -36,9 +38,11 @@ pair-exchange propagator at that same coupling.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .states import PhysicalParams, VibronicState, _checked_times
+from .states import VibronicState, _checked_times, effective_coupling
 
 # Maximum tolerated population on plus-component cells whose coupling
 # partner would fall outside the grid.
@@ -111,19 +115,50 @@ def propagate_effective(
     return minus, plus
 
 
-def _period_grid(nu: float, expansion_order: int) -> tuple[float, int]:
-    """Drive period 2 pi / nu and its RK4 step count: the fewest steps that give
-    the fastest harmonic, (expansion_order + 2) nu (j = order, k = 0),
-    STEPS_PER_CYCLE steps per cycle.  The quotient is not rounded first (at
-    nu = 50 and order 3 it is 100.00000000000001, so 101 steps): rounding it
-    would move the drive checks' measured values.  Raises ValueError where the
-    period or the step bound leaves the finite positive floats."""
-    period = 2.0 * math.pi / nu
-    cycle = 2.0 * math.pi / (STEPS_PER_CYCLE * ((expansion_order + 2) * nu))
-    if not (period < math.inf and cycle > 0.0):
-        raise ValueError(f"nu = {nu} leaves the drive period {period} or its step "
-                         f"bound {cycle} outside the finite positive floats")
-    return period, math.ceil(period / cycle)
+@dataclass(frozen=True)
+class Drive:
+    """Two counter-phased beams of Rabi frequency ``omega`` on a trap of
+    frequency ``nu`` (both rad/s) with Lamb-Dicke parameter ``eta_ld`` in
+    [0, 1), expanded to total power ``expansion_order`` >= 2 of eta.
+
+    RK4 takes ``steps`` equal steps per ``period`` = 2 pi / nu: the fewest
+    that give the fastest harmonic, (expansion_order + 2) nu (j = order,
+    k = 0), STEPS_PER_CYCLE steps per cycle.  The quotient is not rounded
+    first (at nu = 50 and order 3 it is 100.00000000000001, so 101 steps):
+    rounding it would move the drive checks' measured values.  A bad field
+    raises ValueError naming it, as does a nu whose period or step bound
+    leaves the finite positive floats.
+    """
+
+    omega: float
+    nu: float
+    eta_ld: float
+    expansion_order: int
+    period: float = field(init=False, repr=False)
+    steps: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be finite and non-negative, got {self.omega}")
+        if not self.nu > 0.0:
+            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not 0.0 <= self.eta_ld < 1.0:
+            raise ValueError(f"eta_ld must lie in [0, 1), got {self.eta_ld}")
+        if not self.expansion_order >= 2:
+            raise ValueError("expansion_order below 2 cannot represent the pair-exchange "
+                             f"process, got {self.expansion_order}")
+        period = 2.0 * math.pi / self.nu
+        cycle = 2.0 * math.pi / (STEPS_PER_CYCLE * ((self.expansion_order + 2) * self.nu))
+        if not (period < math.inf and cycle > 0.0):
+            raise ValueError(f"nu = {self.nu} leaves the drive period {period} or its step "
+                             f"bound {cycle} outside the finite positive floats")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "steps", math.ceil(period / cycle))
+
+    @property
+    def coupling(self) -> float:
+        """The static part's pair-exchange coupling, omega eta^2 exp(-eta^2/2)."""
+        return effective_coupling(self.omega, self.eta_ld)
 
 
 def _annihilation_matrix(dim: int) -> np.ndarray:
@@ -136,30 +171,17 @@ def _annihilation_matrix(dim: int) -> np.ndarray:
 class LambDickeHamiltonian:
     """Drive Hamiltonian of the two counter-phased beams, expanded in eta.
 
-    Retains every operator product with total power j + k <= expansion_order
-    of the diagonal-mode ladder operators, each oscillating at
-    (k - j - 2) * nu in the rotating frame.  ``blocks[i]`` is the coupling
+    Retains every operator product with total power j + k <= the drive's
+    expansion_order of the diagonal-mode ladder operators, each oscillating
+    at (k - j - 2) * nu in the rotating frame.  ``blocks[i]`` is the coupling
     block W_m of harmonic m = ``harmonics[i]``; at expansion_order = 2 the
-    static block (m = 0) is ``pair_exchange_matrix`` with coupling
-    omega * eta^2 * exp(-eta^2/2), the beam labeling fixed so that term
-    enters with a plus sign.
-
-    RK4 takes ``steps`` equal steps per ``period`` = 2 pi / nu (see
-    ``_period_grid``).
+    static block (m = 0) is ``pair_exchange_matrix`` with the drive's
+    ``coupling``, the beam labeling fixed so that term enters with a plus
+    sign.  ``drive`` also fixes the RK4 grid of every span stepped through it.
     """
 
-    def __init__(
-        self, params: PhysicalParams, expansion_order: int, cutoff_a: int, cutoff_b: int
-    ) -> None:
-        if params.omega is None or params.nu is None or params.eta_ld is None:
-            raise ValueError("params must provide omega, nu and eta_ld")
-        if not params.eta_ld < 1.0:
-            raise ValueError(f"eta_ld must be below 1, got {params.eta_ld}")
-        if expansion_order < 2:
-            raise ValueError(
-                "expansion_order below 2 cannot represent the pair-exchange process"
-            )
-        self.period, self.steps = _period_grid(params.nu, expansion_order)
+    def __init__(self, drive: Drive, cutoff_a: int, cutoff_b: int) -> None:
+        self.drive = drive
         self.grid_size = (cutoff_a + 1) * (cutoff_b + 1)
 
         a_full = np.kron(_annihilation_matrix(cutoff_a + 1), np.eye(cutoff_b + 1))
@@ -167,13 +189,13 @@ class LambDickeHamiltonian:
         mode_x = (a_full + b_full) / math.sqrt(2.0)
         mode_y = (b_full - a_full) / math.sqrt(2.0)
 
-        order = expansion_order
+        order = drive.expansion_order
         # lowering powers v^j of each diagonal mode; a raising power is (v^k)^dag
         x_pows = [np.linalg.matrix_power(mode_x, power) for power in range(order + 1)]
         y_pows = [np.linalg.matrix_power(mode_y, power) for power in range(order + 1)]
 
-        eta = params.eta_ld
-        prefactor = params.omega * math.exp(-(eta**2) / 2.0)
+        eta = drive.eta_ld
+        prefactor = drive.omega * math.exp(-(eta**2) / 2.0)
         terms: dict[int, np.ndarray] = {}
         for j in range(order + 1):
             for k in range(order + 1 - j):
@@ -189,7 +211,7 @@ class LambDickeHamiltonian:
         self.harmonics = np.array(sorted(terms), dtype=float)
         self.blocks = np.stack([terms[int(m)] for m in self.harmonics])
         # the coupling table (see the module docstring), a view of the blocks
-        self._rates = self.harmonics * params.nu
+        self._rates = self.harmonics * drive.nu
         self._flat_blocks = self.blocks.reshape(len(self.harmonics), -1)
 
     def _couplings(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -263,25 +285,22 @@ def one_period_map(h_ld: LambDickeHamiltonian) -> np.ndarray:
     (Shirley, Phys. Rev. 138, B979, 1965).
     """
     identity = np.eye(2 * h_ld.grid_size, dtype=np.complex128)
-    return _rk4_span(h_ld, identity, 0.0, h_ld.period, h_ld.steps)
+    return _rk4_span(h_ld, identity, 0.0, h_ld.drive.period, h_ld.drive.steps)
 
 
 NORM_DRIFT_TOL = 1e-8
 
 
 def _drive_states(
-    initial: VibronicState,
-    params: PhysicalParams,
-    expansion_order: int,
-    times: np.ndarray,
+    initial: VibronicState, drive: Drive, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``propagate_lamb_dicke``'s stacks at non-empty ``times``, and the
     one-period map M.  Each state is U(r) M^n y0 from the initial vector y0
     alone (the |-> grid, then the |+> grid, each row-major over (n_a, n_b),
     the order of the coupling blocks' rows and columns); all times share one
     build of the drive Hamiltonian and of M."""
-    h_ld = LambDickeHamiltonian(params, expansion_order, initial.cutoff_a, initial.cutoff_b)
-    period, steps = h_ld.period, h_ld.steps
+    h_ld = LambDickeHamiltonian(drive, initial.cutoff_a, initial.cutoff_b)
+    period, steps = drive.period, drive.steps
     period_map = one_period_map(h_ld)
     y0 = np.concatenate(
         [initial.minus_component.amplitudes.ravel(), initial.plus_component.amplitudes.ravel()]
@@ -299,10 +318,7 @@ def _drive_states(
 
 
 def propagate_lamb_dicke(
-    initial: VibronicState,
-    params: PhysicalParams,
-    expansion_order: int,
-    times: np.ndarray,
+    initial: VibronicState, drive: Drive, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(minus, plus) stacks of ``initial`` integrated with RK4 under the
     expanded drive Hamiltonian to each time of ``times`` (finite and
@@ -312,25 +328,22 @@ def propagate_lamb_dicke(
     t = n T + r is U(r) M^n applied to ``initial``: M is the RK4 map over
     one period, raised to the n-th power by ``np.linalg.matrix_power``, and
     U(r) the remainder integrated from phase 0.  The step is T / ceil(T / dt)
-    with dt = 2 pi / (20 nu max|k - j - 2|), the Hamiltonian's ``period``
+    with dt = 2 pi / (20 nu max|k - j - 2|), the drive's ``period``
     over its ``steps``, so it divides T.  Norm drift beyond 1e-8 at any time
     raises.
     """
     times = _checked_times(times, ndim=1)
     if times.size == 0:  # no drive to build
         return tuple(np.zeros((2, 0, initial.cutoff_a + 1, initial.cutoff_b + 1), complex))
-    return _drive_states(initial, params, expansion_order, times)[:2]
+    return _drive_states(initial, drive, times)[:2]
 
 
 def ground_population_trajectory(
-    initial: VibronicState,
-    params: PhysicalParams,
-    expansion_order: int,
-    times: np.ndarray,
+    initial: VibronicState, drive: Drive, times: np.ndarray
 ) -> np.ndarray:
     """Ground-level population at each time: the squared norm of each grid of
     ``propagate_lamb_dicke``'s minus stack."""
-    minus, _ = propagate_lamb_dicke(initial, params, expansion_order, times)
+    minus, _ = propagate_lamb_dicke(initial, drive, times)
     return _squared_norms(minus)
 
 

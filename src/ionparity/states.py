@@ -4,7 +4,8 @@ States live on a dense rectangular amplitude grid over the basis
 |n_a, n_b> with 0 <= n_a <= cutoff_a and 0 <= n_b <= cutoff_b.  All
 containers are immutable after construction and safe to share across
 concurrent sweep workers.  ``_checked_times`` is the one time check of every
-evolution route.
+evolution route, and ``effective_coupling`` the one formula of a drive's
+pair-exchange coupling.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Relative slack for the coupling consistency rule g = omega * eta^2 * exp(-eta^2/2).
-COUPLING_CONSISTENCY_RTOL = 1e-6
-
 
 def _frozen_grid(values: object) -> np.ndarray:
     grid = np.array(values, dtype=np.complex128, copy=True)
@@ -94,45 +91,8 @@ class VibronicState:
         return self.minus_component.squared_norm() + self.plus_component.squared_norm()
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Physical rates of the driven ion, all angular frequencies in rad/s.
-
-    Any subset may be supplied; operations validate that the fields they
-    need are present.  Every given field must be finite; ``g`` and ``nu``
-    must be strictly positive, ``omega`` and ``eta_ld`` admit zero as a
-    degenerate limit.
-    When ``g``, ``omega`` and ``eta_ld`` are all given, the consistency
-    rule g = omega * eta_ld^2 * exp(-eta_ld^2 / 2) is enforced at
-    construction.
-    """
-
-    g: float | None = None          # effective pair-exchange coupling
-    nu: float | None = None         # trap frequency
-    omega: float | None = None      # Rabi frequency of the drive
-    eta_ld: float | None = None     # Lamb-Dicke parameter (dimensionless)
-
-    def __post_init__(self) -> None:
-        for name in ("g", "nu"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        # zero drive amplitude / zero Lamb-Dicke parameter are valid limits
-        for name in ("omega", "eta_ld"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if self.g is not None and self.omega is not None and self.eta_ld is not None:
-            expected = self.effective_coupling()
-            if abs(self.g - expected) > COUPLING_CONSISTENCY_RTOL * expected:
-                raise ValueError(
-                    f"inconsistent coupling: g={self.g} but "
-                    f"omega*eta_ld^2*exp(-eta_ld^2/2)={expected}"
-                )
-
-    def effective_coupling(self) -> float:
-        """omega * eta_ld^2 * exp(-eta_ld^2 / 2); requires omega and eta_ld."""
-        if self.omega is None or self.eta_ld is None:
-            raise ValueError("effective_coupling requires omega and eta_ld")
-        eta2 = self.eta_ld**2
-        return self.omega * eta2 * float(np.exp(-eta2 / 2.0))
+def effective_coupling(omega: float, eta_ld: float) -> float:
+    """Pair-exchange coupling omega * eta_ld^2 * exp(-eta_ld^2 / 2) of a drive
+    of Rabi frequency omega (rad/s) and Lamb-Dicke parameter eta_ld."""
+    eta2 = eta_ld**2
+    return omega * eta2 * float(np.exp(-eta2 / 2.0))

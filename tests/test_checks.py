@@ -3,7 +3,6 @@ import math
 import numpy as np
 
 from ionparity import checks, dynamics, fluctuations, preparation, propagators
-from ionparity.states import PhysicalParams
 
 
 def test_default_battery_passes():
@@ -82,8 +81,8 @@ def test_unitarity_check_reads_the_map_its_propagation_built(monkeypatch):
     result = checks.lamb_dicke_unitarity()
     assert (len(maps), len(builds)) == (1, 1)
     monkeypatch.undo()
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
-    independent = propagators.one_period_map(propagators.LambDickeHamiltonian(params, 3, 5, 5))
+    drive = propagators.Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
+    independent = propagators.one_period_map(propagators.LambDickeHamiltonian(drive, 5, 5))
     assert np.array_equal(maps[0], independent)
     defect = np.max(np.abs(independent.conj().T @ independent - np.eye(len(independent))))
     assert result.detail == f"one-period map max|M^dag M - I| = {defect:.3e}"

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,14 @@ def run_cli(*argv) -> int:
 
 def read(path) -> str:
     return path.read_text(encoding="utf-8")
+
+
+def _fresh_cli(*argv, preexec_fn=None, **env) -> subprocess.CompletedProcess:
+    """ionparity.cli run in a fresh process with extra environment variables."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "ionparity.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src, **env},
+                          preexec_fn=preexec_fn)
 
 
 def test_dynamics_single_point_is_initial_condition(tmp_path):
@@ -283,11 +292,7 @@ def test_validate_report_and_exit_codes(tmp_path, monkeypatch):
 def test_validate_with_a_drifting_drive_reports_and_exits_two(tmp_path):
     # the RK4 norm drift at eta_ld = 0.99 fails the drive check, not the run
     out = tmp_path / "report.csv"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-m", "ionparity.cli", "validate", "--eta-ld", "0.99", "--out", str(out)],
-        env=env, capture_output=True, text=True,
-    )
+    run = _fresh_cli("validate", "--eta-ld", "0.99", "--out", str(out))
     assert run.returncode == 2
     assert run.stderr == ("rwa_deviation_decreases: norm drift 2.299e-08 exceeds 1e-08\n"
                           "validation failed; see report\n")
@@ -484,6 +489,13 @@ def test_inconsistent_coupling_triple_rejected():
     assert run_cli("dynamics", "--g", "123.0", "--omega", "2e7", "--eta-ld", "0.05") == 1
 
 
+def test_consistent_coupling_triple_accepted(capsys):
+    g = 2.0e7 * 0.05**2 * float(np.exp(-(0.05**2) / 2.0))
+    assert run_cli("dynamics", "--g", repr(g), "--omega", "2e7", "--eta-ld", "0.05",
+                   "--t-steps", "2") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_float_cells_carry_seventeen_significant_digits(tmp_path):
     out = tmp_path / "dyn.csv"
     assert run_cli("dynamics", "--t-steps", "2", "--t-max", "1", "--out", str(out)) == 0
@@ -546,14 +558,35 @@ def test_reused_parser_matches_fresh_processes(tmp_path):
             ["tau-sweep", "--tau-steps", "2", "--format", "json"],
             ["dynamics", "--t-steps", "4"]]
     assert cli.build_parser() is cli.build_parser()
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     for index, argv in enumerate(runs):
         here, fresh = tmp_path / f"here{index}", tmp_path / f"fresh{index}"
         assert run_cli(*argv, "--out", str(here)) == 0
-        subprocess.run([sys.executable, "-m", "ionparity.cli", *argv, "--out", str(fresh)],
-                       env=env, check=True)
+        assert _fresh_cli(*argv, "--out", str(fresh)).returncode == 0
         assert here.read_bytes() == fresh.read_bytes()
+
+
+# 4 GiB of address space holds numpy and its BLAS threads, never a 7 TiB grid
+ADDRESS_SPACE_LIMIT = 4 << 30
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+@pytest.mark.parametrize("argv", ["tau-sweep --tau-steps 1000000000000",
+                                  "eta-sweep --eta-steps 1000000000000"])
+def test_a_grid_that_cannot_be_allocated_exits_one_without_a_traceback(argv):
+    run = _fresh_cli(*argv.split(), preexec_fn=_limit_address_space)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: not enough memory for this run (")
+    assert "Traceback" not in run.stderr and run.stdout == ""
+
+
+@pytest.mark.parametrize("argv", ["validate --seed 3", "validate --full"])
+def test_validate_output_does_not_depend_on_the_blas_thread_count(argv):
+    one, two = (_fresh_cli(*argv.split(), OPENBLAS_NUM_THREADS=count) for count in ("1", "2"))
+    assert (one.returncode, one.stderr) == (two.returncode, two.stderr) == (0, "")
+    assert one.stdout == two.stdout
 
 
 def _table(*argv) -> list[str]:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ionparity import (
+    Drive,
     LambDickeHamiltonian,
-    PhysicalParams,
     TruncationError,
     TwoModeState,
     VibronicState,
@@ -20,6 +20,10 @@ from ionparity import (
 )
 from ionparity import propagators
 from ionparity.propagators import _rk4_span, _squared_norms, one_period_map
+
+
+# the drive of the validate battery's unitarity row
+_DRIVE = Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
 
 
 def _zero_like(state: TwoModeState) -> TwoModeState:
@@ -88,12 +92,11 @@ def test_pair_exchange_matrix_structure(cutoff_a, cutoff_b):
 @pytest.mark.parametrize("cutoff_a, cutoff_b", [(2, 2), (2, 4)])
 def test_routes_return_minus_plus_stacks_over_the_times(cutoff_a, cutoff_b):
     state = _fock_state(1, 1, cutoff_a, cutoff_b)
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     times = np.array([0.0, 0.5, 1.5])
     shape = (3, cutoff_a + 1, cutoff_b + 1)
     for minus, plus in (
         propagate_effective(state, 1.0, times),
-        propagate_lamb_dicke(state, params, 3, times),
+        propagate_lamb_dicke(state, _DRIVE, times),
     ):
         assert minus.shape == plus.shape == shape
         assert minus.dtype == plus.dtype == np.complex128
@@ -102,10 +105,10 @@ def test_routes_return_minus_plus_stacks_over_the_times(cutoff_a, cutoff_b):
         assert np.array_equal(plus[0], state.plus_component.amplitudes)
     for minus, plus in (
         propagate_effective(state, 1.0, np.array([])),
-        propagate_lamb_dicke(state, params, 3, np.array([])),
+        propagate_lamb_dicke(state, _DRIVE, np.array([])),
     ):
         assert minus.shape == plus.shape == (0, cutoff_a + 1, cutoff_b + 1)
-    assert ground_population_trajectory(state, params, 3, np.array([])).shape == (0,)
+    assert ground_population_trajectory(state, _DRIVE, np.array([])).shape == (0,)
 
 
 def test_full_exchange_flop():
@@ -186,8 +189,6 @@ def test_propagator_rejects_boundary_population():
         propagate_effective(state, 1.0, np.array([0.5]))
 
 
-_PARAMS = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
-
 # every evolution route, called at the times t
 _ROUTES = {
     "evolve_closed_form": lambda t: evolve_closed_form(3, 1.0, np.array([0.5, t])),
@@ -196,7 +197,7 @@ _ROUTES = {
     "propagate_effective": lambda t: propagate_effective(
         _initial_binomial(2, 3), 1.0, np.array([0.5, t])),
     "propagate_lamb_dicke": lambda t: propagate_lamb_dicke(
-        _initial_binomial(2, 3), _PARAMS, 3, np.array([0.0, t])),
+        _initial_binomial(2, 3), _DRIVE, np.array([0.0, t])),
 }
 
 
@@ -211,9 +212,9 @@ def test_every_route_rejects_a_time_that_is_not_finite_and_non_negative(route, t
 _STACK_ROUTES = {
     "evolve_closed_form": lambda t: evolve_closed_form(3, 1.0, t),
     "propagate_effective": lambda t: propagate_effective(_initial_binomial(2, 3), 1.0, t),
-    "propagate_lamb_dicke": lambda t: propagate_lamb_dicke(_initial_binomial(2, 3), _PARAMS, 3, t),
+    "propagate_lamb_dicke": lambda t: propagate_lamb_dicke(_initial_binomial(2, 3), _DRIVE, t),
     "ground_population_trajectory": lambda t: ground_population_trajectory(
-        _initial_binomial(2, 3), _PARAMS, 3, t),
+        _initial_binomial(2, 3), _DRIVE, t),
 }
 
 
@@ -225,96 +226,91 @@ def test_stack_routes_reject_times_that_are_not_1d(route, t):
 
 
 def test_drive_validation():
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     with pytest.raises(ValueError, match="expansion_order"):
-        LambDickeHamiltonian(params, 1, 3, 3)
+        Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=1)
     with pytest.raises(ValueError, match="eta_ld"):
-        LambDickeHamiltonian(PhysicalParams(omega=1.0, nu=50.0, eta_ld=1.2), 2, 3, 3)
+        Drive(omega=1.0, nu=50.0, eta_ld=1.2, expansion_order=2)
     with pytest.raises(ValueError, match="omega"):
-        LambDickeHamiltonian(PhysicalParams(nu=50.0, eta_ld=0.05), 2, 3, 3)
+        Drive(omega=-1.0, nu=50.0, eta_ld=0.05, expansion_order=2)
     with pytest.raises(ValueError, match="t must be finite"):
-        propagate_lamb_dicke(_initial_binomial(2, 3), params, 3, np.array([math.inf]))
+        propagate_lamb_dicke(_initial_binomial(2, 3), _DRIVE, np.array([math.inf]))
 
 
 def test_drive_static_block_follows_the_documented_basis_order():
     # on a non-square grid the static order-2 block couples only
     # |n_a, n_b>|-> and |n_a - 1, n_b - 1>|+>, at the labelled positions
-    params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
-    h = LambDickeHamiltonian(params, 2, 2, 3)
+    drive = Drive(omega=1.0, nu=70.0, eta_ld=0.05, expansion_order=2)
+    h = LambDickeHamiltonian(drive, 2, 3)
     assert np.array_equal(h.harmonics, np.arange(-4.0, 1.0))
-    _assert_pair_exchange_block(h.blocks[-1], params.effective_coupling(), 2, 3, atol=1e-15)
+    _assert_pair_exchange_block(h.blocks[-1], drive.coupling, 2, 3, atol=1e-15)
     # the drive lays its states out in the same order: |2, 1>|-> flattened
     # row-major and stepped through the same RK4 span gives the same state
     state = _fock_state(2, 1, 2, 3)
-    t = 0.7 * h.period
-    (minus,), (plus,) = propagate_lamb_dicke(state, params, 2, np.array([t]))
-    stepped = _rk4_span(h, _vector(state), 0.0, t, math.ceil(t * h.steps / h.period))
+    t = 0.7 * drive.period
+    (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([t]))
+    stepped = _rk4_span(h, _vector(state), 0.0, t, math.ceil(t * drive.steps / drive.period))
     assert not np.array_equal(stepped, _vector(state))
     assert np.array_equal(np.concatenate([minus.ravel(), plus.ravel()]), stepped)
 
 
 def test_drive_couplings_are_the_phased_sum_of_the_harmonic_blocks():
     # W(t) = sum_m e^{i m nu t} W_m, summed here term by term from the blocks
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
-    h = LambDickeHamiltonian(params, 3, 2, 3)
+    h = LambDickeHamiltonian(_DRIVE, 2, 3)
     dim = h.grid_size
     assert np.array_equal(h.harmonics, np.arange(-5.0, 2.0))
     assert h.blocks.shape == (7, dim, dim)
     for t in (0.0, 0.123, 0.77, 29.9):
         expected = np.zeros((dim, dim), dtype=np.complex128)
         for m, block in zip(h.harmonics, h.blocks):
-            expected += np.exp(1j * m * params.nu * t) * block
+            expected += np.exp(1j * m * _DRIVE.nu * t) * block
         coupling_block, coupling_dag = h._couplings(t)
         assert np.max(np.abs(coupling_block - expected)) <= 1e-15
         assert np.array_equal(coupling_dag, coupling_block.conj().T)
 
 
 def test_drive_static_part_equals_pair_exchange():
-    params = PhysicalParams(omega=1.0, nu=70.0, eta_ld=0.05)
-    h = LambDickeHamiltonian(params, 2, 4, 4)
-    pair = pair_exchange_matrix(params.effective_coupling(), 4, 4)
+    drive = Drive(omega=1.0, nu=70.0, eta_ld=0.05, expansion_order=2)
+    h = LambDickeHamiltonian(drive, 4, 4)
+    pair = pair_exchange_matrix(drive.coupling, 4, 4)
     (static,) = h.blocks[h.harmonics == 0.0]
     assert np.allclose(static, pair, atol=1e-15)
 
 
 def test_drive_off_is_identity():
-    params = PhysicalParams(omega=0.0, nu=50.0, eta_ld=0.05)
+    drive = Drive(omega=0.0, nu=50.0, eta_ld=0.05, expansion_order=3)
     state = _initial_binomial(2, 4)
-    (minus,), (plus,) = propagate_lamb_dicke(state, params, 3, np.array([5.0]))
+    (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([5.0]))
     assert np.allclose(minus, state.minus_component.amplitudes, atol=1e-12)
     assert np.sum(np.abs(plus) ** 2) <= 1e-24
 
 
 def test_zero_lamb_dicke_parameter_is_trivial():
     # the two beams cancel order by order when eta = 0
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.0)
+    drive = Drive(omega=1.0, nu=50.0, eta_ld=0.0, expansion_order=2)
     state = _initial_binomial(2, 4)
-    (minus,), _ = propagate_lamb_dicke(state, params, 2, np.array([5.0]))
+    (minus,), _ = propagate_lamb_dicke(state, drive, np.array([5.0]))
     assert np.allclose(minus, state.minus_component.amplitudes, atol=1e-12)
 
 
 def test_drive_tracks_pair_exchange_model():
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
-    g_eff = params.effective_coupling()
+    g_eff = _DRIVE.coupling
     state = _initial_binomial(2, 4)
     times = np.linspace(0.0, 0.1 / g_eff, 5)[1:]
-    driven = ground_population_trajectory(state, params, 3, times)
+    driven = ground_population_trajectory(state, _DRIVE, times)
     reference = _squared_norms(propagate_effective(state, g_eff, times)[0])
     assert np.max(np.abs(driven - reference)) < 5e-4
 
 
 def test_trajectory_consistent_with_single_run():
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
     times = np.array([3.0, 7.0, 12.0])
-    traj = ground_population_trajectory(state, params, 3, times)
-    minus, plus = propagate_lamb_dicke(state, params, 3, times[-1:])
+    traj = ground_population_trajectory(state, _DRIVE, times)
+    minus, plus = propagate_lamb_dicke(state, _DRIVE, times[-1:])
     assert abs(traj[-1] - _squared_norms(minus)[0]) <= 1e-9
     assert abs(_squared_norms(minus)[0] + _squared_norms(plus)[0] - 1.0) <= 1e-8
 
 
 def test_each_drive_call_builds_one_hamiltonian_and_one_period_map(monkeypatch):
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 3)
     builds, maps = [], []
     build, build_map = LambDickeHamiltonian.__init__, one_period_map
@@ -329,55 +325,53 @@ def test_each_drive_call_builds_one_hamiltonian_and_one_period_map(monkeypatch):
 
     monkeypatch.setattr(LambDickeHamiltonian, "__init__", counted)
     monkeypatch.setattr(propagators, "one_period_map", counted_map)
-    propagate_lamb_dicke(state, params, 3, np.array([1.0]))
+    propagate_lamb_dicke(state, _DRIVE, np.array([1.0]))
     assert (len(builds), len(maps)) == (1, 1)
     # three times of 1, 3 and 7 whole periods share the one map
-    ground_population_trajectory(state, params, 3, np.array([0.2, 0.5, 1.0]))
+    ground_population_trajectory(state, _DRIVE, np.array([0.2, 0.5, 1.0]))
     assert (len(builds), len(maps)) == (2, 2)
     # times within the first period build it too, and raise it to the power 0
-    propagate_lamb_dicke(state, params, 3, np.array([0.1, 0.0]))
+    propagate_lamb_dicke(state, _DRIVE, np.array([0.1, 0.0]))
     assert (len(builds), len(maps)) == (3, 3)
 
 
 def test_drive_states_do_not_depend_on_the_other_times():
     # unordered, with a duplicate, within the first period and past it
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
     times = np.array([0.3, 0.0, 12.0, 0.05, 1.7, 0.3])
-    minus, plus = propagate_lamb_dicke(state, params, 3, times)
+    minus, plus = propagate_lamb_dicke(state, _DRIVE, times)
     perm = np.array([2, 5, 3, 0, 1, 4])
-    permuted_minus, permuted_plus = propagate_lamb_dicke(state, params, 3, times[perm])
+    permuted_minus, permuted_plus = propagate_lamb_dicke(state, _DRIVE, times[perm])
     assert np.array_equal(permuted_minus, minus[perm])
     assert np.array_equal(permuted_plus, plus[perm])
     for t, grid_minus, grid_plus in zip(times, minus, plus):
-        (alone_minus,), (alone_plus,) = propagate_lamb_dicke(state, params, 3, np.array([t]))
+        (alone_minus,), (alone_plus,) = propagate_lamb_dicke(state, _DRIVE, np.array([t]))
         assert np.array_equal(alone_minus, grid_minus)
         assert np.array_equal(alone_plus, grid_plus)
 
 
 def test_norm_drift_at_a_time_below_the_largest_raises(monkeypatch):
     # the state leaks norm only at the earlier of the two times
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
     state = _initial_binomial(2, 4)
     times = np.array([0.3, 0.5])
-    leaky_rest = divmod(float(times[0]), 2.0 * np.pi / params.nu)[1]
+    leaky_rest = divmod(float(times[0]), 2.0 * np.pi / _DRIVE.nu)[1]
     original = propagators._rk4_span
 
     def leaky(h_ld, y, t0, t1, steps):
         out = original(h_ld, y, t0, t1, steps)
         return out * (1.0 + 1e-7) if t1 == leaky_rest else out
 
-    propagate_lamb_dicke(state, params, 3, times)
+    propagate_lamb_dicke(state, _DRIVE, times)
     monkeypatch.setattr(propagators, "_rk4_span", leaky)
     with pytest.raises(RuntimeError, match="^norm drift 2.000e-07 exceeds 1e-08$"):
-        propagate_lamb_dicke(state, params, 3, times)
+        propagate_lamb_dicke(state, _DRIVE, times)
 
 
-def _stepped_ground_populations(state, params, order, times):
+def _stepped_ground_populations(state, drive, times):
     """Reference for the period map: one state vector stepped through every
     drive period in turn, on the same aligned RK4 grid."""
-    h = LambDickeHamiltonian(params, order, state.cutoff_a, state.cutoff_b)
-    period, steps = h.period, h.steps
+    h = LambDickeHamiltonian(drive, state.cutoff_a, state.cutoff_b)
+    period, steps = drive.period, drive.steps
     y = _vector(state)
     done = 0
     populations = []
@@ -394,23 +388,22 @@ def _stepped_ground_populations(state, params, order, times):
 # nu = 16 pi makes the period exactly 0.125, so 3 periods leave no remainder
 @pytest.mark.parametrize("nu", [16.0 * np.pi, 50.0])
 def test_period_map_matches_vector_stepping(nu):
-    params = PhysicalParams(omega=5.0, nu=nu, eta_ld=0.05)
+    drive = Drive(omega=5.0, nu=nu, eta_ld=0.05, expansion_order=3)
     state = _initial_binomial(2, 4)
     period = 2.0 * np.pi / nu
     # below one period, an exact multiple, and whole periods plus a remainder
     times = np.array([0.4, 3.0, 4.3, 9.7]) * period
-    expected = _stepped_ground_populations(state, params, 3, times)
+    expected = _stepped_ground_populations(state, drive, times)
     assert np.ptp(expected) > 1e-4  # the drive moves population over the span
-    traj = ground_population_trajectory(state, params, 3, times)
+    traj = ground_population_trajectory(state, drive, times)
     assert np.max(np.abs(traj - expected)) <= 1e-9
     for t, reference in zip(times, expected):
-        (minus,), _ = propagate_lamb_dicke(state, params, 3, np.array([t]))
+        (minus,), _ = propagate_lamb_dicke(state, drive, np.array([t]))
         assert np.sum(np.abs(minus) ** 2) == pytest.approx(reference, abs=1e-9)
 
 
 def test_period_map_is_unitary_to_integration_error():
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
-    h = LambDickeHamiltonian(params, 3, 4, 4)
+    h = LambDickeHamiltonian(_DRIVE, 4, 4)
     period_map = one_period_map(h)
     defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
     assert defect <= 1e-10
@@ -419,16 +412,15 @@ def test_period_map_is_unitary_to_integration_error():
 # 20 * 5 nu overflows at nu = 1e307; 2 pi / nu overflows below about 3.5e-308
 @pytest.mark.parametrize("nu", [1e307, 1.7976931348623157e308, 1e-309, 5e-324])
 def test_a_drive_without_a_finite_step_count_raises_value_error(nu):
-    params = PhysicalParams(omega=1.0, nu=nu, eta_ld=0.05)
     with pytest.raises(ValueError, match="^nu = .* leaves the drive period "):
-        LambDickeHamiltonian(params, 3, 2, 2)
+        Drive(omega=1.0, nu=nu, eta_ld=0.05, expansion_order=3)
 
 
 def test_drive_period_takes_101_steps_at_nu_50():
     # T / dt is 100.00000000000001 here; the validate battery's numbers rest
     # on this grid, so a change to it must be deliberate
-    h = LambDickeHamiltonian(PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05), 3, 5, 5)
-    assert (h.period, h.steps) == (0.12566370614359174, 101)
+    drive = Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
+    assert (drive.period, drive.steps) == (0.12566370614359174, 101)
 
 
 def _rk4_reference(h, y, t0, t1, steps):
@@ -450,8 +442,7 @@ def _rk4_reference(h, y, t0, t1, steps):
 @pytest.mark.parametrize("steps", [0, 1, 101])
 @pytest.mark.parametrize("as_matrix", [False, True])
 def test_rk4_span_reuses_couplings_without_changing_a_bit(steps, as_matrix):
-    params = PhysicalParams(omega=1.0, nu=50.0, eta_ld=0.05)
-    h = LambDickeHamiltonian(params, 3, 3, 3)
+    h = LambDickeHamiltonian(_DRIVE, 3, 3)
     rng = np.random.default_rng(steps)
     shape = (2 * h.grid_size, 5) if as_matrix else (2 * h.grid_size,)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

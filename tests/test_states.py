@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ionparity import PhysicalParams, TwoModeState, VibronicState
+from ionparity import Drive, TwoModeState, VibronicState
+from ionparity.states import effective_coupling
 
 
 def fock_grid(n_a: int, n_b: int, cutoff_a: int, cutoff_b: int) -> np.ndarray:
@@ -51,36 +54,37 @@ def test_vibronic_state_requires_matching_grids():
         VibronicState(TwoModeState(fock_grid(0, 0, 2, 2)), TwoModeState(np.zeros((2, 2))))
 
 
-def test_physical_params_positivity():
-    with pytest.raises(ValueError, match="g"):
-        PhysicalParams(g=-1.0)
-    with pytest.raises(ValueError, match="nu"):
-        PhysicalParams(nu=0.0)
-    with pytest.raises(ValueError, match="omega"):
-        PhysicalParams(omega=-1.0)
-    # zero drive and zero Lamb-Dicke parameter are valid limits
-    PhysicalParams(omega=0.0, nu=10.0, eta_ld=0.0)
+DRIVE_FIELDS = {"omega": 1.0, "nu": 50.0, "eta_ld": 0.05, "expansion_order": 3}
 
 
-@pytest.mark.parametrize("name", ["g", "nu", "omega", "eta_ld"])
-@pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_physical_params_reject_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
-        PhysicalParams(**{name: value})
+@pytest.mark.parametrize(
+    "name, value",
+    [("omega", -1.0), ("omega", np.inf), ("omega", np.nan), ("nu", 0.0), ("nu", -50.0),
+     ("nu", np.inf), ("nu", np.nan), ("eta_ld", -0.1), ("eta_ld", 1.0), ("eta_ld", np.nan),
+     ("expansion_order", 1)],
+)
+def test_drive_rejects_each_bad_field_under_its_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        Drive(**{**DRIVE_FIELDS, name: value})
 
 
-def test_physical_params_consistency_rule():
-    omega, eta = 2.0e7, 0.05
-    g = omega * eta**2 * np.exp(-(eta**2) / 2.0)
-    PhysicalParams(g=g, omega=omega, eta_ld=eta)  # consistent triple accepted
-    with pytest.raises(ValueError, match="inconsistent"):
-        PhysicalParams(g=1.01 * g, omega=omega, eta_ld=eta)
+def test_drive_accepts_zero_drive_and_zero_lamb_dicke_parameter():
+    # zero drive amplitude and zero Lamb-Dicke parameter are valid limits
+    drive = Drive(omega=0.0, nu=10.0, eta_ld=0.0, expansion_order=2)
+    assert drive.coupling == 0.0
 
 
-def test_effective_coupling_value_and_requirements():
-    params = PhysicalParams(omega=1.0, eta_ld=0.05)
-    assert params.effective_coupling() == pytest.approx(
+def test_drive_fields_are_required_and_frozen():
+    with pytest.raises(TypeError):
+        Drive(omega=1.0, nu=50.0, eta_ld=0.05)
+    drive = Drive(**DRIVE_FIELDS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        drive.nu = 25.0
+
+
+def test_effective_coupling_value():
+    assert effective_coupling(1.0, 0.05) == pytest.approx(
         0.05**2 * np.exp(-(0.05**2) / 2.0), rel=1e-15
     )
-    with pytest.raises(ValueError, match="requires"):
-        PhysicalParams(g=1.0).effective_coupling()
+    assert effective_coupling(2.0e7, 0.0) == 0.0
+    assert Drive(**DRIVE_FIELDS).coupling == effective_coupling(1.0, 0.05)
