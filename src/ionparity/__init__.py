@@ -8,12 +8,11 @@ from .states import (
     VibronicState,
 )
 from .dynamics import (
-    ParityTimes,
     RabiSpectrum,
     binary_entropy,
+    comparison_time,
     evolve_closed_form,
     ground_probability,
-    parity_times,
     rabi_spectrum,
     symmetric_binomial_amplitudes,
     vibrational_entropy,
@@ -50,7 +49,6 @@ __all__ = [
     "Drive",
     "FluctuationModel",
     "LambDickeHamiltonian",
-    "ParityTimes",
     "PreparationModel",
     "RabiSpectrum",
     "TruncationError",
@@ -59,6 +57,7 @@ __all__ = [
     "averaged_ground_probability",
     "averaged_ground_probability_mixed",
     "binary_entropy",
+    "comparison_time",
     "delta_from_efficiency",
     "efficiency",
     "evolve_closed_form",
@@ -70,7 +69,6 @@ __all__ = [
     "monte_carlo_cosine",
     "pair_exchange_matrix",
     "parity_delta_mixed",
-    "parity_times",
     "propagate_effective",
     "propagate_lamb_dicke",
     "rabi_spectrum",

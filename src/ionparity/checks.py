@@ -251,7 +251,7 @@ def mixture_linearity() -> CheckResult:
     against the convex combination of pure runs taken term by term."""
     model = fluctuations.FluctuationModel(g_mean=1e5, tau=1e-8)
     prep = preparation.PreparationModel(n_target=9, delta=0.7)
-    t = dynamics.parity_times(9, 1e5).comparison_time
+    t = dynamics.comparison_time(9, 1e5)
     mixed = preparation.averaged_ground_probability_mixed(prep, model, t)
     m_values, weights = prep.terms()
     term_by_term = sum(
@@ -265,7 +265,7 @@ def mixture_truncation() -> CheckResult:
     """Widening the mixture truncation may not move the result."""
     model = fluctuations.FluctuationModel(g_mean=1e5, tau=1e-8)
     prep = preparation.PreparationModel(n_target=9, delta=1.0)
-    t = dynamics.parity_times(9, 1e5).comparison_time
+    t = dynamics.comparison_time(9, 1e5)
     base = preparation.averaged_ground_probability_mixed(prep, model, t)
     widened = preparation.averaged_ground_probability_mixed(prep, model, t, extra_terms=8)
     return _result("mixture_truncation", abs(base - widened), 1e-9)
@@ -279,7 +279,7 @@ NARROW_DELTA = 0.15
 def exact_preparation_limit() -> CheckResult:
     """A very narrow mixture must match the exact-state flag."""
     model = fluctuations.FluctuationModel(g_mean=1e5, tau=1e-8)
-    t = dynamics.parity_times(9, 1e5).comparison_time
+    t = dynamics.comparison_time(9, 1e5)
     narrow = preparation.averaged_ground_probability_mixed(
         preparation.PreparationModel(9, delta=NARROW_DELTA), model, t
     )
@@ -307,7 +307,7 @@ def lamb_dicke_unitarity() -> CheckResult:
     initial = _initial_state(2, cutoff=5)
     try:
         minus, plus, period_map = propagators._drive_states(initial, drive, np.array([30.0]))
-    except RuntimeError as exc:  # norm drift or truncation: the check fails, the run goes on
+    except RuntimeError as exc:  # norm drift: the check fails, the run goes on
         return CheckResult("lamb_dicke_unitarity", math.inf, 1e-8, False, str(exc))
     (norm,) = _squared_norms(minus) + _squared_norms(plus)
     defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))

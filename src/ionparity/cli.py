@@ -236,8 +236,8 @@ def _point_seeds(base_seed: int, count: int) -> list[int]:
 def _resolve_coupling(config: dict) -> None:
     """Check the physical settings, each finite when given (g and nu positive,
     omega and eta_ld non-negative), and fill config['g'], deriving it from the
-    drive when possible; a given g must match the drive's coupling within
-    COUPLING_CONSISTENCY_RTOL."""
+    drive when possible; the drive's coupling must be finite, and a given g
+    must match it within COUPLING_CONSISTENCY_RTOL."""
     given = {key: config[key] for key in _PHYSICAL if config[key] is not None}
     _validate_positive(given, *(key for key in ("g", "nu") if key in given))
     for key in ("omega", "eta_ld"):
@@ -247,6 +247,10 @@ def _resolve_coupling(config: dict) -> None:
         config["g"] = given.get("g", DEFAULT_G)
         return
     derived = effective_coupling(given["omega"], given["eta_ld"])
+    if not derived < math.inf:  # inf, or nan where inf meets 0
+        raise ValueError(f"omega = {given['omega']} and eta_ld = {given['eta_ld']} put the "
+                         f"coupling omega*eta_ld^2*exp(-eta_ld^2/2) at {derived}, outside "
+                         "the finite floats")
     if "g" not in given:
         if derived <= 0.0:
             raise ValueError("derived coupling is zero; give --g or a positive "
@@ -296,7 +300,7 @@ def _parity_sweep(config: dict, *positive: str) -> tuple[int, float, Callable]:
     if n % 2 == 0 or n < 3:
         raise ValueError(f"n must be odd and >= 3 for a parity sweep, got {n}")
     _validate_positive(config, "g", "mc_samples", "workers", *positive)
-    t_compare = dynamics.parity_times(n, config["g"]).comparison_time
+    t_compare = dynamics.comparison_time(n, config["g"])
     if not 0.0 < t_compare < math.inf:
         raise ValueError(f"g = {config['g']} puts the comparison time at {t_compare} s, "
                          "outside the finite positive floats")

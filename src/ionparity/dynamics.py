@@ -22,7 +22,8 @@ binomial distribution of the N quanta over the two modes
 (``symmetric_binomial_amplitudes``).  Everything here is a pure function of
 its arguments.  The state is evaluated over a whole array of times at once
 by ``evolve_closed_form`` on the smallest grid holding both components,
-cutoff N in each mode.
+cutoff N in each mode.  ``comparison_time`` is the one instant at which the
+parity effect is read: an odd N against its even partner N+1.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class RabiSpectrum:
     with zeros at both ends; weights[k] = 2^-N C(N, k), summing to one.
     """
 
-    n_total: int
     frequencies: np.ndarray
     weights: np.ndarray
 
@@ -88,7 +88,7 @@ def rabi_spectrum(n_total: int, g: float) -> RabiSpectrum:
     weights = symmetric_binomial_amplitudes(n_total) ** 2
     freqs.flags.writeable = False
     weights.flags.writeable = False
-    return RabiSpectrum(n_total=n_total, frequencies=freqs, weights=weights)
+    return RabiSpectrum(frequencies=freqs, weights=weights)
 
 
 def evolve_closed_form(n_total: int, g: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,41 +155,12 @@ def von_neumann_entropy(density: np.ndarray):
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
-@dataclass(frozen=True)
-class ParityTimes:
-    """Characteristic instants of the parity effect for a given N.
-
-    For odd N: ``revival_time`` = pi (N-1) / (4 g) is the instant near
-    which the ground probability returns close to one,
-    ``entangle_time`` = pi (N+1) / (4 g) is the maximal-entanglement
-    instant of the even partner N+1, and ``comparison_time`` =
-    pi (2N-1) / (8 g) -- the midpoint of pi (N-1)/(4 g) and pi N/(4 g) --
-    is the single instant at which odd-N and even-(N+1) runs are compared.
-
-    For even N only ``entangle_time`` = pi N / (4 g) is defined.
-    """
-
-    n_total: int
-    revival_time: float | None
-    entangle_time: float
-    comparison_time: float | None
-
-
-def parity_times(n_total: int, g: float) -> ParityTimes:
-    if n_total < 2:
-        raise ValueError("n_total must be at least 2")
+def comparison_time(n_odd: int, g: float) -> float:
+    """The instant pi (2N-1) / (8 g) at which the run of an odd N >= 3 is
+    compared with that of its even partner N+1: the midpoint of the odd
+    run's revival pi (N-1) / (4 g) and of pi N / (4 g)."""
+    if n_odd % 2 == 0 or n_odd < 3:
+        raise ValueError(f"n_odd must be odd and >= 3, got {n_odd}")
     if g <= 0.0:
         raise ValueError("g must be positive")
-    if n_total % 2 == 1:
-        return ParityTimes(
-            n_total=n_total,
-            revival_time=np.pi * (n_total - 1) / (4.0 * g),
-            entangle_time=np.pi * (n_total + 1) / (4.0 * g),
-            comparison_time=np.pi * (2 * n_total - 1) / (8.0 * g),
-        )
-    return ParityTimes(
-        n_total=n_total,
-        revival_time=None,
-        entangle_time=np.pi * n_total / (4.0 * g),
-        comparison_time=None,
-    )
+    return np.pi * (2 * n_odd - 1) / (8.0 * g)

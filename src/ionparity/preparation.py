@@ -100,23 +100,20 @@ class PreparationModel:
                     f"over about {keys:.3g} keys p, above the limit of {MAX_MIXTURE_KEYS}"
                 )
 
-    @property
-    def is_exact(self) -> bool:
-        return self.delta is None
-
     def terms(self, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Mixture support m = 0..m_max and normalized weights.
+        """Mixture support m = 0..m_max and normalized weights; the exact
+        state is the single term n_target of weight 1.
 
         ``extra`` widens the truncation, used to verify that the default
         m_max = n_target + ceil(8 Delta) is already converged.
         """
-        if self.delta is None:
+        variance = None if self.delta is None else 2.0 * self.delta**2
+        # a width whose 2 Delta^2 is no normal float is the exact state too:
+        # (m - N)^2 / variance would be 0/0 or overflow
+        if variance is None or variance < np.finfo(float).tiny:
             return np.array([self.n_target]), np.array([1.0])
         m_max = self.n_target + math.ceil(8.0 * self.delta) + extra
         m = np.arange(0, m_max + 1)
-        variance = 2.0 * self.delta**2
-        if variance < np.finfo(float).tiny:  # (m - N)^2 / variance would overflow
-            return m, (m == self.n_target).astype(float)
         weights = np.exp(-((m - self.n_target) ** 2) / variance)
         return m, weights / weights.sum()
 
@@ -131,7 +128,7 @@ def averaged_ground_probability_mixed(
     over the keyed spectra of the terms; the m = 0 term is the stationary
     vacuum and contributes 1.
     """
-    if prep.is_exact:
+    if prep.delta is None:
         return averaged_ground_probability(prep.n_target, model, t)
     return float(mixture_ground_probabilities((prep.terms(extra=extra_terms),), model, t)[0])
 

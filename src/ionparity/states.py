@@ -93,6 +93,7 @@ class VibronicState:
 
 def effective_coupling(omega: float, eta_ld: float) -> float:
     """Pair-exchange coupling omega * eta_ld^2 * exp(-eta_ld^2 / 2) of a drive
-    of Rabi frequency omega (rad/s) and Lamb-Dicke parameter eta_ld."""
-    eta2 = eta_ld**2
+    of Rabi frequency omega (rad/s) and Lamb-Dicke parameter eta_ld; a pair
+    past the floats gives inf or nan, never OverflowError."""
+    eta2 = eta_ld * eta_ld
     return omega * eta2 * float(np.exp(-eta2 / 2.0))

@@ -10,10 +10,10 @@ import numpy as np
 from ionparity import (
     FluctuationModel,
     cli,
+    comparison_time,
     delta_from_efficiency,
     ground_probability,
     parity_delta_mixed,
-    parity_times,
     vibrational_entropy,
 )
 from ionparity import checks
@@ -50,7 +50,7 @@ def test_criterion_2_norm_and_entropy_invariants():
 
 
 def test_criterion_3_parity_effect_ideal_case():
-    t_compare = parity_times(9, G).comparison_time
+    t_compare = comparison_time(9, G)
     p9 = ground_probability(9, G, t_compare)
     p10 = ground_probability(10, G, t_compare)
     s9 = vibrational_entropy(9, G, t_compare)
@@ -87,7 +87,7 @@ def _half_contrast_tau(t_compare: float, ideal: float) -> float:
 
 
 def test_criterion_4_visibility_vs_fluctuation_strength():
-    t_compare = parity_times(9, G).comparison_time
+    t_compare = comparison_time(9, G)
     ideal = parity_delta_mixed(9, None, FluctuationModel(g_mean=G, tau=0.0), t_compare)
     taus = np.logspace(-9.0, -7.0, 41)
     curve = np.array(
@@ -113,7 +113,7 @@ def test_criterion_4_visibility_vs_fluctuation_strength():
 
 
 def test_criterion_5_visibility_vs_preparation_efficiency():
-    t_compare = parity_times(9, G).comparison_time
+    t_compare = comparison_time(9, G)
     ideal = parity_delta_mixed(9, None, FluctuationModel(g_mean=G, tau=0.0), t_compare)
     model = FluctuationModel(g_mean=G, tau=1e-8)
     attenuated = parity_delta_mixed(9, delta_from_efficiency(0.9), model, t_compare)

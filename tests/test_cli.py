@@ -496,6 +496,54 @@ def test_consistent_coupling_triple_accepted(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # eta_ld^2 overflows: the coupling is inf * exp(-inf) = nan
+        "dynamics --omega 1 --eta-ld 1e200",
+        "tau-sweep --omega 1 --eta-ld 1e200",
+        # an inf or nan coupling may not pass the consistency rule with a given g
+        "dynamics --g 1e5 --omega 1e308 --eta-ld 10 --t-steps 2",
+        "dynamics --g 1e5 --omega 1e300 --eta-ld 1e5",
+        # nor be reported as a bad --g that was never given
+        "dynamics --omega 1e300 --eta-ld 1e5",
+    ],
+)
+def test_a_coupling_outside_the_floats_exits_one_naming_the_drive(argv, capsys):
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega = ") and " and eta_ld = " in err
+    assert err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drive=st.fixed_dictionaries({"omega": st.floats(), "eta_ld": st.floats()},
+                                   optional={"g": st.floats()}))
+@example(drive={"omega": 1.0, "eta_ld": 1e200})
+@example(drive={"omega": 1e308, "eta_ld": 10.0, "g": 1e5})
+@example(drive={"omega": 1e300, "eta_ld": 1e5, "g": 1e5})
+@example(drive={"omega": 1e300, "eta_ld": 1e5})
+@example(drive={"omega": 0.0, "eta_ld": 0.05})
+@example(drive={"omega": 2e7, "eta_ld": 0.05})
+def test_any_drive_pair_gives_a_coupling_or_exits_one(drive, capsys):
+    # a table carries a finite positive g within the consistency rule of the
+    # drive's coupling; anything else is one error line
+    flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in drive.items()]
+    code = run_cli("dynamics", "--t-steps", "2", *flags)
+    out, err = capsys.readouterr()
+    if code == 0:
+        (g_line,) = [line for line in out.splitlines() if line.startswith("# g=")]
+        g = float(g_line.split("=")[1])
+        omega, eta2 = drive["omega"], drive["eta_ld"] * drive["eta_ld"]
+        assert 0.0 < g < math.inf
+        assert math.isclose(g, omega * eta2 * math.exp(-eta2 / 2.0), rel_tol=1e-6)
+        assert err == ""
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_float_cells_carry_seventeen_significant_digits(tmp_path):
     out = tmp_path / "dyn.csv"
     assert run_cli("dynamics", "--t-steps", "2", "--t-max", "1", "--out", str(out)) == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionparity import cli, fluctuations, preparation
-from ionparity.dynamics import parity_times
+from ionparity.dynamics import comparison_time
 from ionparity.fluctuations import FluctuationModel
 
 G = 1e5
@@ -51,7 +51,7 @@ def point_probabilities(n, eta, model, t_compare):
 def test_tau_sweep_rows_equal_point_evaluation(n, mode, eta, log_tau_min, decades, steps):
     rows = tau_sweep(n=n, mode=mode, eta_prep=eta, tau_min=10.0**log_tau_min,
                      tau_max=10.0 ** (log_tau_min + decades), tau_steps=steps)
-    t_compare = parity_times(n, G).comparison_time
+    t_compare = comparison_time(n, G)
     assert len(rows) == steps
     for tau, delta_p, p_odd, p_even in rows:
         model = FluctuationModel(G, tau, ANALYTIC[mode])
@@ -71,7 +71,7 @@ def test_tau_sweep_rows_equal_point_evaluation(n, mode, eta, log_tau_min, decade
 )
 def test_eta_sweep_rows_equal_point_evaluation(n, mode, taus, eta_min, steps):
     rows = eta_sweep(n=n, mode=mode, tau=taus, eta_min=eta_min, eta_steps=steps)
-    t_compare = parity_times(n, G).comparison_time
+    t_compare = comparison_time(n, G)
     assert [(tau, eta) for tau, eta, _ in rows] == [
         (tau, eta) for tau in taus for eta in np.linspace(eta_min, 1.0, steps).tolist()
     ]
@@ -112,7 +112,7 @@ def test_monte_carlo_tau_sweep_draws_once_per_point(eta, monkeypatch):
     draws = counting(monkeypatch, "sample_pulse_areas")
     rows = tau_sweep(mode="mc", mc_samples=3000, tau_steps=4, seed=6, eta_prep=eta)
     assert len(draws) == len(rows) == 4
-    t_compare = parity_times(9, G).comparison_time
+    t_compare = comparison_time(9, G)
     for (tau, delta_p, p_odd, p_even), seed in zip(rows, cli._point_seeds(6, 4)):
         model = FluctuationModel(G, tau, "monte_carlo", mc_samples=3000, seed=seed)
         upper, lower = point_probabilities(9, eta, model, t_compare)
@@ -124,7 +124,7 @@ def test_monte_carlo_eta_sweep_draws_once_per_point(monkeypatch):
     draws = counting(monkeypatch, "sample_pulse_areas")
     rows = eta_sweep(mode="mc", mc_samples=2000, tau=[1e-8, 1e-7], eta_steps=4, seed=3)
     assert len(draws) == len(rows) == 8
-    t_compare = parity_times(9, G).comparison_time
+    t_compare = comparison_time(9, G)
     for (tau, eta, delta_p), seed in zip(rows, cli._point_seeds(3, 8)):
         delta = None if eta >= 1.0 else preparation.delta_from_efficiency(eta)
         model = FluctuationModel(G, tau, "monte_carlo", mc_samples=2000, seed=seed)

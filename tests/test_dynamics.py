@@ -3,9 +3,9 @@ import pytest
 
 from ionparity import (
     binary_entropy,
+    comparison_time,
     evolve_closed_form,
     ground_probability,
-    parity_times,
     rabi_spectrum,
     symmetric_binomial_amplitudes,
     vibrational_entropy,
@@ -130,8 +130,8 @@ def test_ground_probability_special_points():
 
 
 def test_even_n_probability_near_half_at_entangle_time():
-    times = parity_times(10, 1.0)
-    value = ground_probability(10, 1.0, times.entangle_time)
+    # even N entangles maximally at pi N / (4 g)
+    value = ground_probability(10, 1.0, np.pi * 10 / 4.0)
     assert value == pytest.approx(C10_AT_ENTANGLE, abs=1e-12)
     assert abs(value - 0.5) <= 0.08
 
@@ -153,8 +153,7 @@ def test_entropy_limits():
 
 
 def test_entropy_maximal_near_even_entangle_time():
-    times = parity_times(10, 1.0)
-    assert vibrational_entropy(10, 1.0, times.entangle_time) >= 0.95 * LN2
+    assert vibrational_entropy(10, 1.0, np.pi * 10 / 4.0) >= 0.95 * LN2
 
 
 def test_von_neumann_entropy_of_a_stack_matches_each_matrix():
@@ -172,37 +171,31 @@ def test_von_neumann_entropy_of_a_stack_matches_each_matrix():
         assert single == entropy
 
 
-def test_parity_times_odd():
-    times = parity_times(9, 1.0)
-    assert times.revival_time == pytest.approx(2.0 * np.pi, abs=1e-14)
-    assert times.entangle_time == pytest.approx(2.5 * np.pi, abs=1e-14)
-    # comparison instant: midpoint of pi(N-1)/4g and pi N/4g
-    assert times.comparison_time == pytest.approx(17.0 * np.pi / 8.0, abs=1e-14)
+def test_comparison_time_is_the_midpoint_instant():
+    # midpoint of pi (N-1) / (4 g) and pi N / (4 g)
+    assert comparison_time(9, 1.0) == np.pi * 17 / 8.0
 
 
-def test_parity_times_even():
-    times = parity_times(10, 1.0)
-    assert times.entangle_time == pytest.approx(2.5 * np.pi, abs=1e-14)
-    assert times.revival_time is None
-    assert times.comparison_time is None
+@pytest.mark.parametrize("n_odd, g", [(8, 1.0), (2, 1.0), (1, 1.0), (9, 0.0)])
+def test_comparison_time_needs_an_odd_n_of_three_or_more_and_a_positive_g(n_odd, g):
     with pytest.raises(ValueError):
-        parity_times(1, 1.0)
+        comparison_time(n_odd, g)
 
 
 def test_parity_revival_sign():
-    # at the revival instant the nine-quanta run returns near the ground level
-    times = parity_times(9, 1.0)
-    value = ground_probability(9, 1.0, times.revival_time)
+    # at the revival instant pi (N-1) / (4 g) the nine-quanta run returns near
+    # the ground level
+    value = ground_probability(9, 1.0, np.pi * 8 / 4.0)
     assert value == pytest.approx(C9_AT_REVIVAL, abs=1e-12)
     assert value >= 0.9
 
 
 def test_comparison_instant_values():
-    times = parity_times(9, 1.0)
-    assert ground_probability(9, 1.0, times.comparison_time) == pytest.approx(
+    t_compare = comparison_time(9, 1.0)
+    assert ground_probability(9, 1.0, t_compare) == pytest.approx(
         C9_AT_COMPARISON, abs=1e-12
     )
-    assert ground_probability(10, 1.0, times.comparison_time) == pytest.approx(
+    assert ground_probability(10, 1.0, t_compare) == pytest.approx(
         C10_AT_COMPARISON, abs=1e-12
     )
 

@@ -182,8 +182,8 @@ def test_width_below_resolution_is_the_exact_state(delta):
     prep = PreparationModel(9, delta)
     assert efficiency(prep.delta) == 1.0
     m_values, weights = prep.terms()
-    assert m_values.tolist() == list(range(11))
-    assert weights.tolist() == [0.0] * 9 + [1.0, 0.0]
+    assert m_values.tolist() == [9]
+    assert weights.tolist() == [1.0]
     assert averaged_ground_probability_mixed(prep, MODEL, T_COMPARE) == (
         averaged_ground_probability_mixed(PreparationModel(9), MODEL, T_COMPARE))
 
