@@ -20,6 +20,8 @@ Monte-Carlo mode every point keeps its own seed, draws and keys, and the
 points run on a pool of --workers threads; the analytic modes accept and
 echo --workers too.  Each setting is one row of ``SETTINGS``, which the parser
 (built once per process), ``DEFAULTS`` and the config-file check all read.
+A row also names its range, an entry of ``RANGES`` whose words the flag's help
+and error give; one pass, in row order, holds each merged value to it.
 """
 
 from __future__ import annotations
@@ -50,61 +52,76 @@ COUPLING_CONSISTENCY_RTOL = 1e-6
 # 512 MiB, and its cosine as much again
 MAX_DYNAMICS_CELLS = 1 << 26
 
-# One row per setting of each subcommand: (type, built-in default, help).
+# Accepted values of a setting, keyed by the words an error message gives them.
+RANGES: dict[str, Callable[[object], bool]] = {
+    "finite and positive": lambda v: 0 < v < math.inf,
+    "finite and non-negative": lambda v: 0 <= v < math.inf,
+    "a non-negative integer": lambda v: v >= 0,
+    "odd and >= 3": lambda v: v % 2 == 1 and v >= 3,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "strictly between 0 and 1": lambda v: 0 < v < 1,
+}
+
+# One row per setting of each subcommand: (type, built-in default, range, help).
 # The flag is --key with each "_" spelled "-" (argparse maps it back to the
 # key), and a config file holds the same keys.  A tuple type is a choice, a
 # list [type] takes one or more values, and bool is a switch that sets True.
+# The range is None where any value of the type is accepted.
 _PHYSICAL = {
-    "g": (float, None, "coupling rate in rad/s; derived from --omega and --eta-ld when omitted"),
-    "nu": (float, None, "trap frequency in rad/s (metadata only here)"),
-    "omega": (float, None, "drive Rabi frequency in rad/s"),
-    "eta_ld": (float, None, "Lamb-Dicke parameter"),
+    "g": (float, None, "finite and positive",
+          "coupling rate in rad/s; derived from --omega and --eta-ld when omitted"),
+    "nu": (float, None, "finite and positive", "trap frequency in rad/s (metadata only here)"),
+    "omega": (float, None, "finite and non-negative", "drive Rabi frequency in rad/s"),
+    "eta_ld": (float, None, "finite and non-negative", "Lamb-Dicke parameter"),
 }
-_PARITY = {"n": (int, 9, "odd total quanta, compared against n+1"), **_PHYSICAL}
+_PARITY = {"n": (int, 9, "odd and >= 3", "total quanta, compared against n+1"), **_PHYSICAL}
 _SAMPLING = {
-    "mode": (tuple(MODE_FLAGS), "gaussian", "averaging kernel"),
-    "mc_samples": (int, 100_000, "draws per Monte-Carlo point"),
-    "seed": (int, 0, "base seed for Monte-Carlo mode"),
-    "workers": (int, 4, "worker threads for Monte-Carlo points; the analytic modes evaluate "
-                "a sweep in one call, but accept and echo it too"),
+    "mode": (tuple(MODE_FLAGS), "gaussian", None, "averaging kernel"),
+    "mc_samples": (int, 100_000, "finite and positive", "draws per Monte-Carlo point"),
+    "seed": (int, 0, "a non-negative integer", "base seed for Monte-Carlo mode"),
+    "workers": (int, 4, "finite and positive", "worker threads for Monte-Carlo points; the "
+                "analytic modes evaluate a sweep in one call, but accept and echo it too"),
 }
 _OUTPUT = {
-    "out": (str, None, "output path (stdout when omitted)"),
-    "format": (("csv", "json"), "csv", "output format"),
+    "out": (str, None, None, "output path (stdout when omitted)"),
+    "format": (("csv", "json"), "csv", None, "output format"),
 }
 
 SETTINGS: dict[str, dict[str, tuple]] = {
     "dynamics": {
-        "n": (int, 9, "total initial vibrational quanta"),
+        "n": (int, 9, "a non-negative integer", "total initial vibrational quanta"),
         **_PHYSICAL,
-        "t_max": (float, 10.0, "grid end in units of g*t"),
-        "t_steps": (int, 501, "number of grid points"),
+        "t_max": (float, 10.0, "finite and non-negative", "grid end in units of g*t"),
+        "t_steps": (int, 501, "finite and positive", "number of grid points"),
         **_OUTPUT,
     },
     "tau-sweep": {
         **_PARITY,
-        "tau_min": (float, 1e-9, "grid start, seconds"),
-        "tau_max": (float, 1e-7, "grid end, seconds"),
-        "tau_steps": (int, 41, "log-grid points"),
-        "eta_prep": (float, None, "preparation efficiency in (0,1]; default exact"),
-        "delta": (float, None, "preparation width (alternative to --eta-prep)"),
+        "tau_min": (float, 1e-9, "finite and positive", "grid start, seconds"),
+        "tau_max": (float, 1e-7, "finite and positive", "grid end, seconds"),
+        "tau_steps": (int, 41, "finite and positive", "log-grid points"),
+        "eta_prep": (float, None, "in (0, 1]", "preparation efficiency; default exact"),
+        "delta": (float, None, "finite and positive",
+                  "preparation width (alternative to --eta-prep)"),
         **_SAMPLING,
         **_OUTPUT,
     },
     "eta-sweep": {
         **_PARITY,
-        "tau": ([float], [1e-9, 1e-8, 1e-7], "fluctuation strengths, one curve each"),
-        "eta_min": (float, 0.05, "grid start in (0,1]"),
-        "eta_max": (float, 1.0, "grid end in (0,1]"),
-        "eta_steps": (int, 20, "grid points"),
+        "tau": ([float], [1e-9, 1e-8, 1e-7], "finite and positive",
+                "fluctuation strengths, one curve each"),
+        "eta_min": (float, 0.05, "in (0, 1]", "grid start"),
+        "eta_max": (float, 1.0, "in (0, 1]", "grid end"),
+        "eta_steps": (int, 20, "finite and positive", "grid points"),
         **_SAMPLING,
         **_OUTPUT,
     },
     "validate": {
-        "seed": (int, 0, "seed for randomized checks"),
-        "full": (bool, False, "run the drive comparison at higher nu/omega ratios"),
-        "omega": (float, 1.0, "drive Rabi frequency for the RWA suite"),
-        "eta_ld": (float, 0.05, "Lamb-Dicke parameter for the RWA suite"),
+        "seed": (int, 0, "a non-negative integer", "seed for randomized checks"),
+        "full": (bool, False, None, "run the drive comparison at higher nu/omega ratios"),
+        "omega": (float, 1.0, "finite and positive", "drive Rabi frequency for the RWA suite"),
+        "eta_ld": (float, 0.05, "strictly between 0 and 1",
+                   "Lamb-Dicke parameter for the RWA suite"),
         **_OUTPUT,
     },
 }
@@ -116,7 +133,7 @@ SUMMARIES = {
     "validate": "run the consistency-check battery",
 }
 
-DEFAULTS = {command: {key: default for key, (_, default, _) in rows.items()}
+DEFAULTS = {command: {key: default for key, (_, default, _, _) in rows.items()}
             for command, rows in SETTINGS.items()}
 
 
@@ -131,8 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     for command, rows in SETTINGS.items():
         p = sub.add_parser(command, help=SUMMARIES[command])
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
-        for key, (kind, _, text) in rows.items():
+        for key, (kind, _, accepted, text) in rows.items():
             flag = "--" + key.replace("_", "-")
+            if accepted is not None:
+                text = f"{text}; must be {accepted}"
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True, help=text)
             elif isinstance(kind, tuple):
@@ -155,7 +174,7 @@ def _check_types(command: str, file_config: dict, path: str) -> None:
     """Hold each config-file value to the type, arity or choices of its row;
     null stands for a setting whose default is unset."""
     for key, value in file_config.items():
-        kind, default, _ = SETTINGS[command][key]
+        kind, default, _, _ = SETTINGS[command][key]
         if value is None and default is None:
             continue
         if isinstance(kind, tuple):
@@ -190,8 +209,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    if resolved.get("seed", 0) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {resolved['seed']}")
+    for key, (_, _, accepted, _) in SETTINGS[command].items():  # first bad row reported
+        values = resolved[key] if isinstance(resolved[key], list) else [resolved[key]]
+        for value in values:
+            if accepted is not None and value is not None and not RANGES[accepted](value):
+                raise ValueError(f"{key} must be {accepted}, got {value}")
     return resolved
 
 
@@ -217,12 +239,6 @@ def _out_of_range(result: SweepResult) -> str | None:
     return None
 
 
-def _validate_positive(config: dict, *keys: str) -> None:
-    for key in keys:
-        if not 0 < config[key] < math.inf:
-            raise ValueError(f"{key} must be finite and positive, got {config[key]}")
-
-
 def _echo_config(config: dict, command: str) -> dict:
     # the output location does not affect the computed content
     return {**{key: value for key, value in config.items() if key != "out"}, "command": command}
@@ -234,15 +250,10 @@ def _point_seeds(base_seed: int, count: int) -> list[int]:
 
 
 def _resolve_coupling(config: dict) -> None:
-    """Check the physical settings, each finite when given (g and nu positive,
-    omega and eta_ld non-negative), and fill config['g'], deriving it from the
-    drive when possible; the drive's coupling must be finite, and a given g
-    must match it within COUPLING_CONSISTENCY_RTOL."""
+    """Fill config['g'], deriving it from the drive when possible; the drive's
+    coupling must be finite, and a given g must match it within
+    COUPLING_CONSISTENCY_RTOL."""
     given = {key: config[key] for key in _PHYSICAL if config[key] is not None}
-    _validate_positive(given, *(key for key in ("g", "nu") if key in given))
-    for key in ("omega", "eta_ld"):
-        if key in given and not 0.0 <= given[key] < math.inf:
-            raise ValueError(f"{key} must be finite and non-negative, got {given[key]}")
     if "omega" not in given or "eta_ld" not in given:
         config["g"] = given.get("g", DEFAULT_G)
         return
@@ -264,12 +275,7 @@ def _resolve_coupling(config: dict) -> None:
 def cmd_dynamics(config: dict) -> SweepResult:
     _resolve_coupling(config)
     n, g = config["n"], config["g"]
-    if n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
-    _validate_positive(config, "g", "t_steps")
     t_max, t_steps = config["t_max"], config["t_steps"]
-    if not 0 <= t_max < math.inf:
-        raise ValueError(f"t_max must be finite and non-negative, got {t_max}")
     if t_steps * (n + 1) > MAX_DYNAMICS_CELLS:
         raise ValueError(f"n = {n} and t_steps = {t_steps} give a table of "
                          f"{t_steps * (n + 1)} phases, above {MAX_DYNAMICS_CELLS}")
@@ -292,14 +298,11 @@ def cmd_dynamics(config: dict) -> SweepResult:
                        _echo_config(config, "dynamics"))
 
 
-def _parity_sweep(config: dict, *positive: str) -> tuple[int, float, Callable]:
+def _parity_sweep(config: dict) -> tuple[int, float, Callable]:
     """Checks shared by the parity sweeps.  Returns the odd n, the instant at
     which n and n + 1 are compared, and model(tau, seed) for one point."""
     _resolve_coupling(config)
     n = config["n"]
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"n must be odd and >= 3 for a parity sweep, got {n}")
-    _validate_positive(config, "g", "mc_samples", "workers", *positive)
     t_compare = dynamics.comparison_time(n, config["g"])
     if not 0.0 < t_compare < math.inf:
         raise ValueError(f"g = {config['g']} puts the comparison time at {t_compare} s, "
@@ -336,17 +339,19 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
 def _targets(n: int, key: str, value: float | None) -> tuple:
     """The preparations of n and n + 1, both of the width that config[key]
     gives: the width itself (key "delta") or an efficiency, where None and 1
-    mean the exact state.  A width that is rejected is reported under key."""
+    mean the exact state.  A width derived from an efficiency that is
+    rejected is reported under key."""
+    exact = key != "delta" and value in (None, 1.0)
     try:
-        delta = (value if key == "delta" else None if value in (None, 1.0)
+        delta = (value if key == "delta" else None if exact
                  else preparation.delta_from_efficiency(value))
         return preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
     except ValueError as exc:
-        raise (exc if key == "delta" else ValueError(f"{key}: {exc}")) from None
+        raise (exc if key == "delta" or exact else ValueError(f"{key}: {exc}")) from None
 
 
 def cmd_tau_sweep(config: dict) -> SweepResult:
-    n, t_compare, sweep_model = _parity_sweep(config, "tau_min", "tau_max", "tau_steps")
+    n, t_compare, sweep_model = _parity_sweep(config)
     tau_min, tau_max = config["tau_min"], config["tau_max"]
     if tau_max < tau_min:
         raise ValueError(f"tau_max must be at least tau_min, got {tau_max} < {tau_min}")
@@ -367,14 +372,11 @@ def cmd_tau_sweep(config: dict) -> SweepResult:
 
 
 def cmd_eta_sweep(config: dict) -> SweepResult:
-    n, t_compare, sweep_model = _parity_sweep(config, "eta_steps")
+    n, t_compare, sweep_model = _parity_sweep(config)
     taus = [float(tau) for tau in config["tau"]]
-    if not taus or not all(0 < tau < math.inf for tau in taus):
-        raise ValueError(f"every tau must be finite and positive, got {taus}")
     eta_min, eta_max = config["eta_min"], config["eta_max"]
-    if not 0.0 < eta_min <= eta_max <= 1.0:
-        raise ValueError("eta_min and eta_max must satisfy 0 < eta_min <= eta_max <= 1, "
-                         f"got {eta_min} and {eta_max}")
+    if eta_max < eta_min:
+        raise ValueError(f"eta_max must be at least eta_min, got {eta_max} < {eta_min}")
     etas = np.linspace(eta_min, eta_max, config["eta_steps"]).tolist()
     # the widest mixture is the one at eta_min, so it is the one a width check rejects
     pairs = [_targets(n, "eta_min", eta) for eta in etas]

@@ -9,7 +9,8 @@ Fock state with eta = 1; a width so narrow that 2 Delta^2 is no normal
 float gives that limit, a single term of weight 1.  Every term m keys its
 own m/2 + 1 values of p, so the keys of a mixture grow as the square of its
 width; a width whose mixture would hold more than ``MAX_MIXTURE_KEYS`` keys
-is rejected before anything is allocated.
+is rejected before anything is allocated, and so is an exact state whose
+N/2 + 1 keys would.
 
 A mixed observable is no loop over pure runs: ``terms()`` gives the totals
 m and weights, and ``fluctuations.mixture_ground_probabilities`` takes the
@@ -92,13 +93,13 @@ class PreparationModel:
         if self.n_target < 0:
             raise ValueError("n_target must be non-negative")
         efficiency(self.delta)  # rejects a delta that is not finite and positive
-        if self.delta is not None:
-            keys = _mixture_keys(self.n_target, self.delta)
-            if keys > MAX_MIXTURE_KEYS:
-                raise ValueError(
-                    f"delta = {self.delta} spreads the mixture around n = {self.n_target} "
-                    f"over about {keys:.3g} keys p, above the limit of {MAX_MIXTURE_KEYS}"
-                )
+        exact = self.delta is None
+        keys = self.n_target // 2 + 1 if exact else _mixture_keys(self.n_target, self.delta)
+        if keys > MAX_MIXTURE_KEYS:
+            spread = (f"n = {self.n_target} puts {keys} keys p in the exact state" if exact else
+                      f"delta = {self.delta} spreads the mixture around n = {self.n_target} "
+                      f"over about {keys:.3g} keys p")
+            raise ValueError(f"{spread}, above the limit of {MAX_MIXTURE_KEYS}")
 
     def terms(self, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Mixture support m = 0..m_max and normalized weights; the exact

@@ -204,26 +204,77 @@ def test_validate_rejects_bad_drive_before_any_check(flag, value, monkeypatch, c
     assert f"error: {name} must" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, key",
-    [
-        ("dynamics --g inf", "g"),
-        ("dynamics --t-max nan", "t_max"),
-        ("eta-sweep --tau nan", "tau"),
-        ("tau-sweep --tau-max inf", "tau_max"),
-        ("tau-sweep --delta inf", "delta"),
-        ("tau-sweep --delta nan", "delta"),
-        ("tau-sweep --workers -3", "workers"),
-        ("tau-sweep --nu inf", "nu"),
-        ("tau-sweep --g nan", "g"),
-        ("eta-sweep --omega inf", "omega"),
-        ("dynamics --eta-ld nan", "eta_ld"),
-    ],
-)
-def test_non_finite_or_negative_input_exits_one(argv, key, capsys):
-    assert run_cli(*argv.split()) == 1
+# One value outside its range for every ranged key of every subcommand, and
+# the words its error gives the range.
+INF, NAN = math.inf, math.nan
+OUT_OF_RANGE = [
+    ("dynamics", "n", -1, "a non-negative integer"),
+    ("dynamics", "g", INF, "finite and positive"),
+    ("dynamics", "nu", -1.0, "finite and positive"),
+    ("dynamics", "omega", -1.0, "finite and non-negative"),
+    ("dynamics", "eta_ld", NAN, "finite and non-negative"),
+    ("dynamics", "t_max", NAN, "finite and non-negative"),
+    ("dynamics", "t_steps", 0, "finite and positive"),
+    ("tau-sweep", "n", 10, "odd and >= 3"),
+    ("tau-sweep", "g", NAN, "finite and positive"),
+    ("tau-sweep", "nu", 0.0, "finite and positive"),
+    ("tau-sweep", "nu", INF, "finite and positive"),
+    ("tau-sweep", "omega", INF, "finite and non-negative"),
+    ("tau-sweep", "eta_ld", -0.1, "finite and non-negative"),
+    ("tau-sweep", "tau_min", 0.0, "finite and positive"),
+    ("tau-sweep", "tau_max", INF, "finite and positive"),
+    ("tau-sweep", "tau_steps", 0, "finite and positive"),
+    ("tau-sweep", "eta_prep", 0.0, "in (0, 1]"),
+    ("tau-sweep", "eta_prep", 1.5, "in (0, 1]"),
+    ("tau-sweep", "delta", INF, "finite and positive"),
+    ("tau-sweep", "delta", NAN, "finite and positive"),
+    ("tau-sweep", "mc_samples", 0, "finite and positive"),
+    ("tau-sweep", "seed", -1, "a non-negative integer"),
+    ("tau-sweep", "workers", -3, "finite and positive"),
+    ("eta-sweep", "n", 1, "odd and >= 3"),
+    ("eta-sweep", "omega", INF, "finite and non-negative"),
+    ("eta-sweep", "tau", [1e-8, NAN], "finite and positive"),
+    ("eta-sweep", "tau", [0.0], "finite and positive"),
+    ("eta-sweep", "eta_min", 0.0, "in (0, 1]"),
+    ("eta-sweep", "eta_max", 1.5, "in (0, 1]"),
+    ("eta-sweep", "eta_steps", 0, "finite and positive"),
+    ("eta-sweep", "mc_samples", -5, "finite and positive"),
+    ("eta-sweep", "workers", 0, "finite and positive"),
+    ("eta-sweep", "seed", -2, "a non-negative integer"),
+    ("validate", "seed", -1, "a non-negative integer"),
+    ("validate", "omega", 0.0, "finite and positive"),
+    ("validate", "eta_ld", 1.0, "strictly between 0 and 1"),
+]
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command, key, value, words", OUT_OF_RANGE,
+                         ids=[f"{c}-{k}={v!r}" for c, k, v, _ in OUT_OF_RANGE])
+def test_non_finite_or_negative_input_exits_one(command, key, value, words, from_file,
+                                                monkeypatch, tmp_path, capsys):
+    def no_battery(**kwargs):
+        raise AssertionError("the battery ran on a rejected setting")
+
+    monkeypatch.setattr(cli.checks, "run_all", no_battery)
+    if from_file:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        route = ["--config", str(config)]
+    else:
+        route = ["--" + key.replace("_", "-"), *map(repr, value if isinstance(value, list)
+                                                    else [value])]
+    assert run_cli(command, *route) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{key} must be finite and " in err
+    assert err.startswith(f"error: {key} must be {words}, got ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_every_numeric_setting_declares_a_range_from_the_table():
+    for command, rows in cli.SETTINGS.items():
+        for key, (kind, _, accepted, _) in rows.items():
+            if kind in (int, float, [float]):
+                assert accepted is not None, (command, key)
+            assert accepted is None or accepted in cli.RANGES, (command, key)
 
 
 @pytest.mark.parametrize(
@@ -804,6 +855,26 @@ def test_too_wide_a_mixture_exits_one_before_it_is_built(argv, key, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}") and "delta = " in err
     assert f"above the limit of {cli.preparation.MAX_MIXTURE_KEYS}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        ("tau-sweep --n 99999999999999999999 --tau-steps 2", 99999999999999999999),
+        ("tau-sweep --n 8388609 --eta-prep 1", 8388609),
+        # n itself holds 2^20 keys, its partner n + 1 one more
+        ("eta-sweep --n 2097151 --eta-min 1", 2097152),
+    ],
+)
+def test_too_large_an_exact_state_exits_one_naming_n(argv, target, monkeypatch, capsys):
+    def no_terms(self, extra=0):
+        raise AssertionError("the terms of a rejected exact state were built")
+
+    monkeypatch.setattr(cli.preparation.PreparationModel, "terms", no_terms)
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: n = {target} puts {target // 2 + 1} keys p in the exact state, "
+                   f"above the limit of {cli.preparation.MAX_MIXTURE_KEYS}\n")
 
 
 def _accepted_width(key: str, value: float, n: int) -> bool:

@@ -202,3 +202,10 @@ def test_mixture_beyond_the_key_limit_is_rejected_at_construction():
     for n_target, delta in ((9, 256.0), (9, 1e300), (9, 1.7976931348623157e308), (2001, 300.0)):
         with pytest.raises(ValueError, match="delta = .* above the limit of 1048576"):
             PreparationModel(n_target, delta)
+
+
+def test_an_exact_state_beyond_the_key_limit_is_rejected_at_construction():
+    PreparationModel(2**21 - 1)  # 2^20 keys p: accepted, and not built here
+    with pytest.raises(ValueError, match="^n = 2097152 puts 1048577 keys p in the exact "
+                                         "state, above the limit of 1048576$"):
+        PreparationModel(2**21)
