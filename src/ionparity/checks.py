@@ -9,6 +9,16 @@ read against one pair-exchange coupling block, the two analytic kernels
 against each other over their whole grid in one broadcast, a mixture
 against its pure runs.
 
+``run_all`` runs ``monte_carlo_vs_gamma``, the slowest row (about 135 ms
+alone), on one worker thread beside the other rows, which run on the calling
+thread in order; its row keeps its place, and every row reads the same bits
+as when the checks are called one by one.  That check makes no BLAS call,
+and its gamma draws and cosine blocks release the GIL.  The battery runs on
+one OpenBLAS thread, restored afterwards: on two, the drive checks took
+149 ms wall for 297 ms CPU, and on one 133 ms for 130 ms (in-process, best
+of 5), so the second thread bought no time, and on a 2-core machine it
+would compete with the Monte-Carlo row.
+
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:
 
@@ -48,9 +58,13 @@ tests/test_checks.py that injects that fault and sees the row fail:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -367,6 +381,40 @@ def rwa_deviation_decreases(
     )
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where numpy carries no such library."""
+    try:
+        from numpy._core import _multiarray_umath
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+        get = library.scipy_openblas_get_num_threads64_
+        set_ = library.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body on one OpenBLAS thread and restore the previous count;
+    a no-op where numpy's bundled OpenBLAS is absent.  The count is
+    process-wide: bodies that overlap in two threads share it."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def run_all(
     seed: int = 0,
     full: bool = False,
@@ -374,19 +422,27 @@ def run_all(
     drive_eta_ld: float = 0.05,
 ) -> list[CheckResult]:
     """Full battery; ``full`` picks the drive-vs-pair-exchange configuration
-    from ``RWA_SUITES``."""
-    results = []
-    results.extend(closed_form_vs_propagator(seed))
-    results.append(norm_conservation(seed))
-    results.append(entropy_matches_reduced_density(seed))
-    results.append(rabi_frequency_symmetry())
-    results.append(fluctuation_free_limit())
-    results.append(gamma_vs_gaussian())
-    results.append(monte_carlo_vs_gamma(seed))
-    results.append(mixture_linearity())
-    results.append(mixture_truncation())
-    results.append(exact_preparation_limit())
-    results.append(static_drive_limit())
-    results.append(lamb_dicke_unitarity())
-    results.append(rwa_deviation_decreases(drive_omega, drive_eta_ld, full))
-    return results
+    from ``RWA_SUITES``.  The Monte-Carlo row runs beside the others on one
+    worker thread, all of them on one OpenBLAS thread (see the module
+    docstring); the worker has ended, and the thread count is restored,
+    when this returns or raises."""
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        # looked up at call time, so a traced or monkeypatched check runs
+        sampled = pool.submit(monte_carlo_vs_gamma, seed)
+        before = [
+            *closed_form_vs_propagator(seed),
+            norm_conservation(seed),
+            entropy_matches_reduced_density(seed),
+            rabi_frequency_symmetry(),
+            fluctuation_free_limit(),
+            gamma_vs_gaussian(),
+        ]
+        after = [
+            mixture_linearity(),
+            mixture_truncation(),
+            exact_preparation_limit(),
+            static_drive_limit(),
+            lamb_dicke_unitarity(),
+            rwa_deviation_decreases(drive_omega, drive_eta_ld, full),
+        ]
+        return [*before, sampled.result(), *after]

@@ -339,8 +339,12 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
 def _targets(n: int, key: str, value: float | None) -> tuple:
     """The preparations of n and n + 1, both of the width that config[key]
     gives: the width itself (key "delta") or an efficiency, where None and 1
-    mean the exact state.  A width derived from an efficiency that is
-    rejected is reported under key."""
+    mean the exact state.  Every width holds the keys of the exact state, so
+    an n whose exact state, or that of its partner n + 1, is over the limit
+    is rejected first, under n; past that, a rejected width derived from an
+    efficiency is reported under key."""
+    preparation._check_exact_state(n)
+    preparation._check_exact_state(n + 1, f"n = {n}: its partner n + 1 = {n + 1}")
     exact = key != "delta" and value in (None, 1.0)
     try:
         delta = (value if key == "delta" else None if exact

@@ -79,6 +79,17 @@ def _mixture_keys(n_target: int, delta: float) -> float:
     return (high - low + 1.0) * ((high + low) / 4.0 + 1.0)
 
 
+def _check_exact_state(n_target: int, name: str | None = None) -> None:
+    """Raise ValueError when the exact state of n_target holds more than
+    ``MAX_MIXTURE_KEYS`` keys p (n_target // 2 + 1; every mixture around
+    n_target holds them too).  The message names the target as ``name``,
+    by default "n = n_target"."""
+    keys = n_target // 2 + 1
+    if keys > MAX_MIXTURE_KEYS:
+        raise ValueError(f"{name or f'n = {n_target}'} puts {keys} keys p in the exact state, "
+                         f"above the limit of {MAX_MIXTURE_KEYS}")
+
+
 @dataclass(frozen=True)
 class PreparationModel:
     """Gaussian mixture of Fock states centered on ``n_target``.
@@ -93,13 +104,14 @@ class PreparationModel:
         if self.n_target < 0:
             raise ValueError("n_target must be non-negative")
         efficiency(self.delta)  # rejects a delta that is not finite and positive
-        exact = self.delta is None
-        keys = self.n_target // 2 + 1 if exact else _mixture_keys(self.n_target, self.delta)
+        if self.delta is None:
+            _check_exact_state(self.n_target)
+            return
+        keys = _mixture_keys(self.n_target, self.delta)
         if keys > MAX_MIXTURE_KEYS:
-            spread = (f"n = {self.n_target} puts {keys} keys p in the exact state" if exact else
-                      f"delta = {self.delta} spreads the mixture around n = {self.n_target} "
-                      f"over about {keys:.3g} keys p")
-            raise ValueError(f"{spread}, above the limit of {MAX_MIXTURE_KEYS}")
+            raise ValueError(f"delta = {self.delta} spreads the mixture around "
+                             f"n = {self.n_target} over about {keys:.3g} keys p, "
+                             f"above the limit of {MAX_MIXTURE_KEYS}")
 
     def terms(self, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Mixture support m = 0..m_max and normalized weights; the exact

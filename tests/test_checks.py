@@ -1,6 +1,8 @@
 import math
+import threading
 
 import numpy as np
+import pytest
 
 from ionparity import checks, dynamics, fluctuations, preparation, propagators
 
@@ -288,3 +290,87 @@ def test_exact_preparation_limit_sees_a_mixture_off_its_target(monkeypatch):
     assert checks.exact_preparation_limit().passed
     monkeypatch.setattr(preparation.PreparationModel, "terms", off_target)
     assert not checks.exact_preparation_limit().passed
+
+
+def _serial_battery(seed: int, full: bool) -> list[checks.CheckResult]:
+    """The 13 check functions of run_all, called one by one on this thread."""
+    return [
+        *checks.closed_form_vs_propagator(seed),
+        checks.norm_conservation(seed),
+        checks.entropy_matches_reduced_density(seed),
+        checks.rabi_frequency_symmetry(),
+        checks.fluctuation_free_limit(),
+        checks.gamma_vs_gaussian(),
+        checks.monte_carlo_vs_gamma(seed),
+        checks.mixture_linearity(),
+        checks.mixture_truncation(),
+        checks.exact_preparation_limit(),
+        checks.static_drive_limit(),
+        checks.lamb_dicke_unitarity(),
+        checks.rwa_deviation_decreases(full=full),
+    ]
+
+
+def _rows(results: list[checks.CheckResult]) -> list[tuple]:
+    return [(r.name, r.measured.hex(), r.bound, r.passed, r.detail) for r in results]
+
+
+# seeds 2 and 14 fail the Monte-Carlo row, 3 passes every row
+@pytest.mark.parametrize("seed", [2, 3, 14])
+def test_concurrent_battery_gives_what_the_serial_one_gives(seed):
+    for full in (False, True):
+        serial = _rows(_serial_battery(seed, full))
+        assert _rows(checks.run_all(seed=seed, full=full)) == serial
+    assert dict((name, ok) for name, _, _, ok, _ in serial)["monte_carlo_vs_gamma"] == (seed == 3)
+
+
+def _blas_threads() -> int | None:
+    threads = checks._openblas_threads()
+    return None if threads is None else threads[0]()
+
+
+def test_battery_raises_the_monte_carlo_error_and_leaves_no_thread(monkeypatch):
+    threads_before, blas_before = threading.active_count(), _blas_threads()
+    checks.run_all(seed=0)
+    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+
+    error = RuntimeError("sampler broke")
+
+    def broken(seed):
+        raise error
+
+    monkeypatch.setattr(checks, "monte_carlo_vs_gamma", broken)
+    with pytest.raises(RuntimeError) as raised:
+        checks.run_all(seed=0)
+    assert raised.value is error
+    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+
+
+def test_drive_checks_run_on_one_blas_thread(monkeypatch):
+    threads = checks._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy carries no bundled OpenBLAS")
+    get, set_ = threads
+    seen = []
+    original = checks.lamb_dicke_unitarity
+
+    def counted():
+        seen.append(get())
+        return original()
+
+    monkeypatch.setattr(checks, "lamb_dicke_unitarity", counted)
+    previous = get()
+    set_(2)  # so that a battery which left the count alone would read 2
+    try:
+        checks.run_all(seed=0)
+        assert seen == [1] and get() == 2
+    finally:
+        set_(previous)
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
+    monkeypatch.setattr(checks, "_openblas_threads", lambda: None)
+    ran = []
+    with checks._one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
