@@ -3,10 +3,7 @@ vibrational modes: exact closed forms, fluctuation-averaged observables,
 imperfect-preparation mixtures, and independent numerical propagators that
 cross-check every formula."""
 
-from .states import (
-    TwoModeState,
-    VibronicState,
-)
+from .states import TwoModeState
 from .dynamics import (
     RabiSpectrum,
     binary_entropy,
@@ -36,7 +33,6 @@ from .preparation import (
 from .propagators import (
     Drive,
     LambDickeHamiltonian,
-    TruncationError,
     ground_population_trajectory,
     pair_exchange_matrix,
     propagate_effective,
@@ -51,9 +47,7 @@ __all__ = [
     "LambDickeHamiltonian",
     "PreparationModel",
     "RabiSpectrum",
-    "TruncationError",
     "TwoModeState",
-    "VibronicState",
     "averaged_ground_probability",
     "averaged_ground_probability_mixed",
     "binary_entropy",

@@ -70,7 +70,7 @@ import numpy as np
 
 from . import dynamics, fluctuations, preparation, propagators
 from .propagators import Drive, _squared_norms
-from .states import TwoModeState, VibronicState, effective_coupling
+from .states import TwoModeState, effective_coupling
 
 # Closed-form amplitudes oscillate at 2 g sqrt((N-k)k); the pair-exchange
 # propagator rotates its blocks at coupling * sqrt(n_a n_b).
@@ -96,15 +96,15 @@ def _result(name: str, measured: float, bound: float, detail: str = "") -> Check
     return CheckResult(name, measured, float(bound), measured <= bound, detail)
 
 
-def _initial_state(n_total: int, cutoff: int | None = None) -> VibronicState:
-    """Binomial state sum_k sqrt(C(N, k) / 2^N) |N-k, k>|-> from exact integers,
-    so the propagators start from amplitudes that share no routine with the
-    closed forms they are checked against (N <= 20 here)."""
+def _initial_state(n_total: int, cutoff: int | None = None) -> TwoModeState:
+    """|-> grid of the binomial state sum_k sqrt(C(N, k) / 2^N) |N-k, k>|->
+    from exact integers, so the propagators start from amplitudes that share
+    no routine with the closed forms they are checked against (N <= 20 here)."""
     cut = n_total if cutoff is None else cutoff
     minus = np.zeros((cut + 1, cut + 1), dtype=np.complex128)
     for k in range(n_total + 1):
         minus[n_total - k, k] = math.sqrt(math.comb(n_total, k) / 2**n_total)
-    return VibronicState(TwoModeState(minus), TwoModeState(np.zeros_like(minus)))
+    return TwoModeState(minus)
 
 
 def closed_form_vs_propagator(

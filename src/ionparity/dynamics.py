@@ -161,6 +161,6 @@ def comparison_time(n_odd: int, g: float) -> float:
     run's revival pi (N-1) / (4 g) and of pi N / (4 g)."""
     if n_odd % 2 == 0 or n_odd < 3:
         raise ValueError(f"n_odd must be odd and >= 3, got {n_odd}")
-    if g <= 0.0:
-        raise ValueError("g must be positive")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"g must be finite and positive, got {g}")
     return np.pi * (2 * n_odd - 1) / (8.0 * g)

@@ -24,9 +24,10 @@ harmonic, beside the angular rates m nu, so each RK4 stage time costs one
 vector-matrix product of the phases with that table, plus the conjugate
 transpose for W(t)^dag.
 
-Both propagators map an initial ``VibronicState`` and a 1-D array of times
-to the layout of ``dynamics.evolve_closed_form``: (minus, plus) amplitude
-stacks of shape (times, cutoff_a + 1, cutoff_b + 1).
+Both propagators map an initial |-> grid, a ``TwoModeState`` (the ion
+starts in its ground level, so the |+> grid starts empty), and a 1-D array
+of times to the layout of ``dynamics.evolve_closed_form``: (minus, plus)
+amplitude stacks of shape (times, cutoff_a + 1, cutoff_b + 1).
 
 The closed-form module's rate parameter g makes each |N-k, k> amplitude
 oscillate at 2 g sqrt((N-k) k), so closed-form runs with rate g correspond
@@ -42,27 +43,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import VibronicState, _checked_times, effective_coupling
-
-# Maximum tolerated population on plus-component cells whose coupling
-# partner would fall outside the grid.
-EDGE_POPULATION_TOL = 1e-12
+from .states import TwoModeState, _checked_times, effective_coupling
 
 # Fixed-step integration must resolve the fastest retained oscillation
 # with at least this many steps per cycle.
 STEPS_PER_CYCLE = 20
 
 
-class TruncationError(RuntimeError):
-    """Raised when population sits on cells whose dynamics needs a larger grid."""
-
-
 def pair_exchange_matrix(coupling: float, cutoff_a: int, cutoff_b: int) -> np.ndarray:
     """Coupling block W of coupling * (a b sigma+ + a^dag b^dag sigma-): its
     only elements couple |n_a, n_b>|-> to |n_a - 1, n_b - 1>|+> at
     coupling * sqrt(n_a n_b)."""
-    if coupling <= 0.0:
-        raise ValueError("coupling must be positive")
+    if not 0.0 < coupling < math.inf:
+        raise ValueError(f"coupling must be finite and positive, got {coupling}")
     if cutoff_a < 0 or cutoff_b < 0:
         raise ValueError("cutoffs must be non-negative")
     grid_size = (cutoff_a + 1) * (cutoff_b + 1)
@@ -75,33 +68,22 @@ def pair_exchange_matrix(coupling: float, cutoff_a: int, cutoff_b: int) -> np.nd
 
 
 def propagate_effective(
-    initial: VibronicState, coupling: float, times: np.ndarray
+    initial: TwoModeState, coupling: float, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(minus, plus) stacks of ``initial`` evolved under the pair-exchange
-    Hamiltonian to each time of ``times`` (finite and non-negative).
+    """(minus, plus) stacks of the |-> grid ``initial`` evolved under the
+    pair-exchange Hamiltonian to each time of ``times`` (finite and
+    non-negative).
 
     Every two-level block is rotated exactly, at all times in one broadcast,
-    so the result carries no step-size error.  Raises TruncationError when
-    plus-component population sits on the grid edge where its coupling
-    partner is not representable.
+    so the result carries no step-size error.
     """
-    if coupling <= 0.0:
-        raise ValueError("coupling must be positive")
+    if not 0.0 < coupling < math.inf:
+        raise ValueError(f"coupling must be finite and positive, got {coupling}")
     times = _checked_times(times, ndim=1)
-    m_start = initial.minus_component.amplitudes
-    p_start = initial.plus_component.amplitudes
+    m_start = initial.amplitudes
     ca, cb = initial.cutoff_a, initial.cutoff_b
-
-    edge_population = float(np.sum(np.abs(p_start[-1, :]) ** 2))
-    if ca > 0:
-        edge_population += float(np.sum(np.abs(p_start[:-1, -1]) ** 2))
-    if edge_population > EDGE_POPULATION_TOL:
-        raise TruncationError(
-            f"plus-component population {edge_population:.3e} on the cutoff "
-            f"boundary exceeds {EDGE_POPULATION_TOL}; enlarge the grid"
-        )
     minus = np.repeat(m_start[np.newaxis], len(times), axis=0)
-    plus = np.repeat(p_start[np.newaxis], len(times), axis=0)
+    plus = np.zeros_like(minus)
     kappa = coupling * np.sqrt(
         np.multiply.outer(np.arange(1.0, ca + 1.0), np.arange(1.0, cb + 1.0))
     )
@@ -109,9 +91,8 @@ def propagate_effective(
     cos_t = np.cos(phases)
     sin_t = np.sin(phases)
     m_block = m_start[1:, 1:]
-    p_block = p_start[:ca, :cb]
-    minus[:, 1:, 1:] = cos_t * m_block - 1j * sin_t * p_block
-    plus[:, :ca, :cb] = cos_t * p_block - 1j * sin_t * m_block
+    minus[:, 1:, 1:] = cos_t * m_block
+    plus[:, :ca, :cb] = -1j * sin_t * m_block
     return minus, plus
 
 
@@ -292,25 +273,23 @@ NORM_DRIFT_TOL = 1e-8
 
 
 def _drive_states(
-    initial: VibronicState, drive: Drive, times: np.ndarray
+    initial: TwoModeState, drive: Drive, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``propagate_lamb_dicke``'s stacks at non-empty ``times``, and the
     one-period map M.  Each state is U(r) M^n y0 from the initial vector y0
-    alone (the |-> grid, then the |+> grid, each row-major over (n_a, n_b),
-    the order of the coupling blocks' rows and columns); all times share one
-    build of the drive Hamiltonian and of M."""
+    alone (the |-> grid, then the empty |+> grid, each row-major over
+    (n_a, n_b), the order of the coupling blocks' rows and columns); all
+    times share one build of the drive Hamiltonian and of M."""
     h_ld = LambDickeHamiltonian(drive, initial.cutoff_a, initial.cutoff_b)
     period, steps = drive.period, drive.steps
     period_map = one_period_map(h_ld)
-    y0 = np.concatenate(
-        [initial.minus_component.amplitudes.ravel(), initial.plus_component.amplitudes.ravel()]
-    )
+    y0 = np.concatenate([initial.amplitudes.ravel(), np.zeros(initial.amplitudes.size)])
     states = np.empty((len(times), len(y0)), dtype=np.complex128)
     for i, t in enumerate(times):
         whole, rest = divmod(float(t), period)
         y = np.linalg.matrix_power(period_map, int(whole)) @ y0
         states[i] = _rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period))
-    drift = np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - initial.total_squared_norm()))
+    drift = np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - initial.squared_norm()))
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
     grids = states.reshape(len(times), 2, initial.cutoff_a + 1, initial.cutoff_b + 1)
@@ -318,7 +297,7 @@ def _drive_states(
 
 
 def propagate_lamb_dicke(
-    initial: VibronicState, drive: Drive, times: np.ndarray
+    initial: TwoModeState, drive: Drive, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(minus, plus) stacks of ``initial`` integrated with RK4 under the
     expanded drive Hamiltonian to each time of ``times`` (finite and
@@ -339,7 +318,7 @@ def propagate_lamb_dicke(
 
 
 def ground_population_trajectory(
-    initial: VibronicState, drive: Drive, times: np.ndarray
+    initial: TwoModeState, drive: Drive, times: np.ndarray
 ) -> np.ndarray:
     """Ground-level population at each time: the squared norm of each grid of
     ``propagate_lamb_dicke``'s minus stack."""

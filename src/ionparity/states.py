@@ -1,8 +1,10 @@
-"""Truncated two-mode Fock-space containers shared by every other module.
+"""Truncated two-mode Fock-space container shared by every other module.
 
-States live on a dense rectangular amplitude grid over the basis
-|n_a, n_b> with 0 <= n_a <= cutoff_a and 0 <= n_b <= cutoff_b.  All
-containers are immutable after construction and safe to share across
+A ``TwoModeState`` is a dense rectangular amplitude grid over the basis
+|n_a, n_b> with 0 <= n_a <= cutoff_a and 0 <= n_b <= cutoff_b.  It is the
+initial state of both propagators: the vibrational part attached to the
+internal ground level |->, in which the ion starts, so the |+> part starts
+empty.  It is immutable after construction and safe to share across
 concurrent sweep workers.  ``_checked_times`` is the one time check of every
 evolution route, and ``effective_coupling`` the one formula of a drive's
 pair-exchange coupling.
@@ -60,35 +62,6 @@ class TwoModeState:
 
     def squared_norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-@dataclass(frozen=True)
-class VibronicState:
-    """Joint state of the internal two-level system and the two modes.
-
-    ``minus_component`` is the vibrational part attached to the internal
-    ground level |->, ``plus_component`` the part attached to |+>.  Both
-    components must live on the same grid.  A physical state has total
-    squared norm 1.
-    """
-
-    minus_component: TwoModeState
-    plus_component: TwoModeState
-
-    def __post_init__(self) -> None:
-        if self.minus_component.amplitudes.shape != self.plus_component.amplitudes.shape:
-            raise ValueError("minus and plus components must share cutoffs")
-
-    @property
-    def cutoff_a(self) -> int:
-        return self.minus_component.cutoff_a
-
-    @property
-    def cutoff_b(self) -> int:
-        return self.minus_component.cutoff_b
-
-    def total_squared_norm(self) -> float:
-        return self.minus_component.squared_norm() + self.plus_component.squared_norm()
 
 
 def effective_coupling(omega: float, eta_ld: float) -> float:

@@ -182,6 +182,12 @@ def test_comparison_time_needs_an_odd_n_of_three_or_more_and_a_positive_g(n_odd,
         comparison_time(n_odd, g)
 
 
+@pytest.mark.parametrize("g", [np.nan, np.inf, -1.0])
+def test_comparison_time_names_a_g_that_is_not_finite_and_positive(g):
+    with pytest.raises(ValueError, match=f"^g must be finite and positive, got {g}$"):
+        comparison_time(9, g)
+
+
 def test_parity_revival_sign():
     # at the revival instant pi (N-1) / (4 g) the nine-quanta run returns near
     # the ground level

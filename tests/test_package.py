@@ -66,6 +66,6 @@ def test_no_module_imports_a_name_it_never_uses(module):
 
 
 def test_the_unused_import_finder_sees_a_stale_import():
-    source = ("from .states import TwoModeState, VibronicState\n\n"
-              "def f():\n    return VibronicState\n")
+    source = ("from .states import TwoModeState, effective_coupling\n\n"
+              "def f():\n    return effective_coupling\n")
     assert _unused_imports(source) == ["TwoModeState (line 1)"]

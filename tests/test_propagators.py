@@ -6,9 +6,7 @@ import pytest
 from ionparity import (
     Drive,
     LambDickeHamiltonian,
-    TruncationError,
     TwoModeState,
-    VibronicState,
     evolve_closed_form,
     ground_population_trajectory,
     ground_probability,
@@ -26,43 +24,30 @@ from ionparity.propagators import _rk4_span, _squared_norms, one_period_map
 _DRIVE = Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
 
 
-def _zero_like(state: TwoModeState) -> TwoModeState:
-    return TwoModeState(np.zeros_like(state.amplitudes))
-
-
-def _fock_state(n_a: int, n_b: int, cutoff_a: int, cutoff_b: int) -> VibronicState:
-    """|n_a, n_b>|-> with an empty |+> component."""
+def _fock_state(n_a: int, n_b: int, cutoff_a: int, cutoff_b: int) -> TwoModeState:
+    """The |-> grid of |n_a, n_b>|->."""
     grid = np.zeros((cutoff_a + 1, cutoff_b + 1), dtype=np.complex128)
     grid[n_a, n_b] = 1.0
-    return VibronicState(TwoModeState(grid), TwoModeState(np.zeros_like(grid)))
+    return TwoModeState(grid)
 
 
-def _initial_binomial(n_total: int, cutoff: int) -> VibronicState:
+def _initial_binomial(n_total: int, cutoff: int) -> TwoModeState:
     k = np.arange(n_total + 1)
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[n_total - k, k] = symmetric_binomial_amplitudes(n_total)
-    minus = TwoModeState(grid)
-    return VibronicState(minus, _zero_like(minus))
+    return TwoModeState(grid)
 
 
-def _random_interior_state(rng, cutoff: int) -> VibronicState:
-    minus = rng.standard_normal((cutoff + 1, cutoff + 1)) + 1j * rng.standard_normal(
-        (cutoff + 1, cutoff + 1)
-    )
-    plus = rng.standard_normal((cutoff + 1, cutoff + 1)) + 1j * rng.standard_normal(
-        (cutoff + 1, cutoff + 1)
-    )
-    plus[-1, :] = 0.0  # keep the coupling partner of every plus cell on the grid
-    plus[:, -1] = 0.0
-    norm = np.sqrt(np.sum(np.abs(minus) ** 2) + np.sum(np.abs(plus) ** 2))
-    return VibronicState(TwoModeState(minus / norm), TwoModeState(plus / norm))
+def _random_state(rng, cutoff_a: int, cutoff_b: int) -> TwoModeState:
+    """A normalized |-> grid of random complex amplitudes on every cell."""
+    shape = (cutoff_a + 1, cutoff_b + 1)
+    minus = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return TwoModeState(minus / np.sqrt(np.sum(np.abs(minus) ** 2)))
 
 
-def _vector(state: VibronicState) -> np.ndarray:
-    """The drive's state vector: the |-> grid, then the |+> grid, each row-major."""
-    return np.concatenate(
-        [state.minus_component.amplitudes.ravel(), state.plus_component.amplitudes.ravel()]
-    )
+def _vector(state: TwoModeState) -> np.ndarray:
+    """The drive's state vector: the |-> grid, then the empty |+> grid, each row-major."""
+    return np.concatenate([state.amplitudes.ravel(), np.zeros(state.amplitudes.size)])
 
 
 def _grid_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[int, int]]:
@@ -100,9 +85,9 @@ def test_routes_return_minus_plus_stacks_over_the_times(cutoff_a, cutoff_b):
     ):
         assert minus.shape == plus.shape == shape
         assert minus.dtype == plus.dtype == np.complex128
-        # t = 0 returns the initial state itself
-        assert np.array_equal(minus[0], state.minus_component.amplitudes)
-        assert np.array_equal(plus[0], state.plus_component.amplitudes)
+        # t = 0 returns the initial state itself, with an empty |+> grid
+        assert np.array_equal(minus[0], state.amplitudes)
+        assert not plus[0].any()
     for minus, plus in (
         propagate_effective(state, 1.0, np.array([])),
         propagate_lamb_dicke(state, _DRIVE, np.array([])),
@@ -124,7 +109,7 @@ def test_single_mode_occupation_is_stationary():
         initial = _fock_state(n, 0, 6, 6)
         minus, plus = propagate_effective(initial, 2.0, np.array([1.234, 7.0]))
         for grid in minus:
-            assert np.allclose(grid, initial.minus_component.amplitudes, atol=1e-15)
+            assert np.allclose(grid, initial.amplitudes, atol=1e-15)
         assert not plus.any()
 
 
@@ -144,17 +129,18 @@ def test_propagator_matches_closed_form():
 
 
 def test_propagator_matches_dense_matrix_exponential():
+    # a non-square grid, so the rectangular cutoffs of the blocks are covered
     rng = np.random.default_rng(8)
-    cutoff = 4
-    state = _random_interior_state(rng, cutoff)
+    cutoff_a, cutoff_b = 4, 2
+    state = _random_state(rng, cutoff_a, cutoff_b)
     coupling, times = 0.9, np.array([1.7, 0.4, 6.1])
     minus, plus = propagate_effective(state, coupling, times)
 
-    block = pair_exchange_matrix(coupling, cutoff, cutoff)
+    block = pair_exchange_matrix(coupling, cutoff_a, cutoff_b)
     h = np.block([[np.zeros_like(block), block], [block.conj().T, np.zeros_like(block)]])
     evals, evecs = np.linalg.eigh(h)
     y0 = _vector(state)
-    dim = (cutoff + 1) ** 2
+    dim = (cutoff_a + 1) * (cutoff_b + 1)
     for t, evolved_minus, evolved_plus in zip(times, minus, plus):
         y1 = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ y0))
         assert np.allclose(evolved_minus.ravel(), y1[:dim], atol=1e-12)
@@ -163,7 +149,7 @@ def test_propagator_matches_dense_matrix_exponential():
 
 def test_propagator_conserves_norm_and_sectors():
     rng = np.random.default_rng(4)
-    state = _random_interior_state(rng, 5)
+    state = _random_state(rng, 5, 5)
 
     def sector_populations(minus: np.ndarray, plus: np.ndarray) -> dict:
         pops: dict[int, float] = {}
@@ -173,7 +159,7 @@ def test_propagator_conserves_norm_and_sectors():
             pops[na + nb + 2] = pops.get(na + nb + 2, 0.0) + abs(amp) ** 2
         return pops
 
-    before = sector_populations(state.minus_component.amplitudes, state.plus_component.amplitudes)
+    before = sector_populations(state.amplitudes, np.zeros_like(state.amplitudes))
     for minus, plus in zip(*propagate_effective(state, 1.1, np.array([3.3, 0.8]))):
         after = sector_populations(minus, plus)
         assert abs(sum(after.values()) - 1.0) <= 1e-12
@@ -181,12 +167,13 @@ def test_propagator_conserves_norm_and_sectors():
             assert after.get(sector, 0.0) == pytest.approx(population, abs=1e-12)
 
 
-def test_propagator_rejects_boundary_population():
-    plus = np.zeros((3, 3), dtype=complex)
-    plus[2, 1] = 1.0  # coupling partner |3,2> is outside the grid
-    state = VibronicState(TwoModeState(np.zeros((3, 3))), TwoModeState(plus))
-    with pytest.raises(TruncationError):
-        propagate_effective(state, 1.0, np.array([0.5]))
+@pytest.mark.parametrize("coupling", [math.nan, math.inf, 0.0, -1.0])
+def test_pair_exchange_layer_rejects_a_coupling_that_is_not_finite_and_positive(coupling):
+    message = f"^coupling must be finite and positive, got {coupling}$"
+    with pytest.raises(ValueError, match=message):
+        pair_exchange_matrix(coupling, 2, 2)
+    with pytest.raises(ValueError, match=message):
+        propagate_effective(_initial_binomial(2, 3), coupling, np.array([0.5]))
 
 
 # every evolution route, called at the times t
@@ -280,7 +267,7 @@ def test_drive_off_is_identity():
     drive = Drive(omega=0.0, nu=50.0, eta_ld=0.05, expansion_order=3)
     state = _initial_binomial(2, 4)
     (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([5.0]))
-    assert np.allclose(minus, state.minus_component.amplitudes, atol=1e-12)
+    assert np.allclose(minus, state.amplitudes, atol=1e-12)
     assert np.sum(np.abs(plus) ** 2) <= 1e-24
 
 
@@ -289,7 +276,7 @@ def test_zero_lamb_dicke_parameter_is_trivial():
     drive = Drive(omega=1.0, nu=50.0, eta_ld=0.0, expansion_order=2)
     state = _initial_binomial(2, 4)
     (minus,), _ = propagate_lamb_dicke(state, drive, np.array([5.0]))
-    assert np.allclose(minus, state.minus_component.amplitudes, atol=1e-12)
+    assert np.allclose(minus, state.amplitudes, atol=1e-12)
 
 
 def test_drive_tracks_pair_exchange_model():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ionparity import Drive, TwoModeState, VibronicState
+from ionparity import Drive, TwoModeState
 from ionparity.states import effective_coupling
 
 
@@ -39,19 +39,6 @@ def test_grid_rejects_non_finite():
     grid[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         TwoModeState(grid)
-
-
-def test_vibronic_state_totals():
-    minus = TwoModeState(fock_grid(1, 1, 2, 2))
-    plus = TwoModeState(np.zeros((3, 3)))
-    state = VibronicState(minus, plus)
-    assert state.total_squared_norm() == pytest.approx(1.0)
-    assert state.minus_component.squared_norm() == pytest.approx(1.0)
-
-
-def test_vibronic_state_requires_matching_grids():
-    with pytest.raises(ValueError, match="cutoffs"):
-        VibronicState(TwoModeState(fock_grid(0, 0, 2, 2)), TwoModeState(np.zeros((2, 2))))
 
 
 DRIVE_FIELDS = {"omega": 1.0, "nu": 50.0, "eta_ld": 0.05, "expansion_order": 3}
