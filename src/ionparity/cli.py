@@ -16,9 +16,11 @@ angular rate in rad/s throughout.
 
 In the analytic modes a parity sweep is one kernel call: both targets of
 every point go into one weight matrix, evaluated at all taus at once.  In
-Monte-Carlo mode every point keeps its own seed, draws and keys, and the
-points run on a pool of --workers threads; the analytic modes accept and
-echo --workers too.  Each setting is one row of ``SETTINGS``, which the parser
+Monte-Carlo mode every point keeps its own seed, draws and keys; the calling
+thread draws each point's areas block by block, and a pool of --workers
+threads sums the cosines of one draw block per task, so a sweep of a few
+large points still fills every worker.  The analytic modes accept and echo
+--workers too.  Each setting is one row of ``SETTINGS``, which the parser
 (built once per process), ``DEFAULTS`` and the config-file check all read.
 A row also names its range, an entry of ``RANGES`` whose words the flag's help
 and error give; one pass, in row order, holds each merged value to it.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -79,8 +82,9 @@ _SAMPLING = {
     "mode": (tuple(MODE_FLAGS), "gaussian", None, "averaging kernel"),
     "mc_samples": (int, 100_000, "finite and positive", "draws per Monte-Carlo point"),
     "seed": (int, 0, "a non-negative integer", "base seed for Monte-Carlo mode"),
-    "workers": (int, 4, "finite and positive", "worker threads for Monte-Carlo points; the "
-                "analytic modes evaluate a sweep in one call, but accept and echo it too"),
+    "workers": (int, 4, "finite and positive", "worker threads that sum Monte-Carlo draw "
+                "blocks; the analytic modes evaluate a sweep in one call, but accept and "
+                "echo it too"),
 }
 _OUTPUT = {
     "out": (str, None, None, "output path (stdout when omitted)"),
@@ -318,7 +322,10 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
     shape (taus, pairs, 2).  The analytic modes evaluate the whole grid in one
     kernel call over the union of the pairs' keys.  In Monte-Carlo mode each
     (tau, pair) point, tau-major, keeps its own seed and draws and only its
-    own keys, and the points run on the worker pool."""
+    own keys, whose weight matrix its pair shares at every tau.  The worker
+    pool sums the cosines of one draw block at a time, while the calling
+    thread draws the blocks point by point, so a few large points fill every
+    worker; each point adds its block sums in draw order."""
     model = sweep_model(tau=taus[0])  # the analytic modes read no seed
     if model.mode != "monte_carlo":
         mixtures = [prep.terms() for pair in pairs for prep in pair]
@@ -326,13 +333,31 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
                                                                   taus=taus)
     else:
         seeds = _point_seeds(config["seed"], len(taus) * len(pairs))
+        # a pair's keys and weights are the same at every tau
+        matrices = [fluctuations._mixture_matrix([prep.terms() for prep in pair])
+                    for pair in pairs]
 
-        def evaluate(index: int) -> np.ndarray:
-            point_model = sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
-            mixtures = [prep.terms() for prep in pairs[index % len(pairs)]]
-            return fluctuations.mixture_ground_probabilities(mixtures, point_model, t_compare)
+        def point(index: int) -> tuple:
+            omegas, matrix = matrices[index % len(pairs)]
+            return omegas, matrix, sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
 
-        probabilities = pool_map(evaluate, range(len(seeds)), config["workers"])
+        def blocks():
+            for index in range(len(seeds)):
+                omegas, _, point_model = point(index)
+                for frequencies, draws in fluctuations._draw_blocks(omegas, point_model,
+                                                                    t_compare):
+                    yield index, frequencies, draws
+
+        def summed(block: tuple) -> tuple:
+            index, frequencies, draws = block
+            return index, fluctuations._cosine_sums(frequencies, draws)
+
+        block_sums = pool_map(summed, blocks(), config["workers"])
+        sums = {index: sum(part for _, part in group)
+                for index, group in itertools.groupby(block_sums, key=lambda pair: pair[0])}
+        probabilities = [fluctuations._ground_probabilities(*point(index), t_compare,
+                                                            sums=sums.get(index))
+                         for index in range(len(seeds))]
     return np.reshape(probabilities, (len(taus), len(pairs), 2))
 
 

@@ -29,14 +29,20 @@ returns one weighted sum per mixture, so the odd and even targets of a
 parity comparison share one call.  Given a column of taus, the
 analytic kernels broadcast over (tau, p) in that same call, so a whole sweep
 curve is one matrix product of kernel rows and weight rows.  In monte_carlo mode
-all frequencies of a call share one set of draws, streamed from the call's one
-generator in blocks of ``MC_DRAW_BLOCK`` draws (the same stream, bit for bit,
-as one call for all of them).  Each block adds its cosines into one running
-sum per distinct key, formed in tiles of at most ``MC_BLOCK_PAIRS``
-(frequency, draw) pairs, and the sums are divided by the sample count once at
-the end.  Memory is one draw block plus one tile per worker, whatever
-``mc_samples`` is, and time stays linear in it.  The key p = 0 has frequency
-0, so its row is exactly 1 and is set, not sampled.
+all frequencies of a call share one set of draws, which ``_draw_blocks``
+streams from the call's one generator in blocks of ``MC_DRAW_BLOCK`` draws
+(the same stream, bit for bit, as one call for all of them).
+``_cosine_sums`` sums one block's cosines per distinct key, formed in tiles
+of at most ``MC_BLOCK_PAIRS`` (frequency, draw) pairs in one tile per thread;
+the block sums are added in draw order and divided by the sample count once
+at the end.  The two halves may run on different threads: a Monte-Carlo
+sweep draws on its calling thread, sums the blocks on a pool, and hands
+each point's sums with its ``_mixture_matrix`` to ``_ground_probabilities``,
+the second half of ``mixture_ground_probabilities``.  Memory is one tile per
+summing thread plus the draw blocks not yet summed, whatever ``mc_samples``
+is, and time stays linear in it.  The key p = 0 has frequency 0, so its row
+is exactly 1 and is set, not sampled.  ``_sampled`` is the one test of
+whether an area is drawn or set.
 
 ``monte_carlo_cosine``, the estimate the validation battery checks against
 gamma_exact, runs that same sampler at the frequencies (omega, 2 omega) and
@@ -48,8 +54,9 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -161,34 +168,73 @@ def monte_carlo_cosine(
     sampled = replace(model, mode="monte_carlo")
     mean, twice = _kernels(np.array([omega, 2.0 * omega]), sampled, t, rng)
     n = model.mc_samples
-    fixed = model.tau == 0.0 or t / model.tau == math.inf or model.g_mean * model.tau == math.inf
     stderr = 0.0
-    if n > 1 and not fixed:
+    if n > 1 and _sampled(model, t):
         # sample variance with Bessel's correction, clamped against cancellation
         stderr = math.sqrt(max(0.0, (1.0 + twice) / 2.0 - mean * mean) / (n - 1))
     return float(mean), stderr
 
 
-def _monte_carlo(
-    omegas: np.ndarray, model: FluctuationModel, t: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample means of cos(omega A) over ``model.mc_samples`` areas drawn from
-    ``rng``, streamed in blocks so memory does not grow with the count."""
-    live = omegas != 0.0  # cos(0 A) = 1 for every draw: set, not sampled
-    frequencies = omegas[live]
+def _sampled(model: FluctuationModel, t: float) -> bool:
+    """Whether monte_carlo mode draws the area at t > 0 rather than setting
+    it: not at tau = 0 or where the shape t/tau overflows (the area is g t),
+    nor where the scale g*tau overflows (the draws would be inf)."""
+    tau = model.tau
+    return tau > 0.0 and t / tau < math.inf and model.g_mean * tau < math.inf
+
+
+def _draw_blocks(
+    omegas: np.ndarray, model: FluctuationModel, t: float, rng: np.random.Generator | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The Monte-Carlo draws of one ``_kernels`` call at ``omegas``: its
+    ``model.mc_samples`` areas, drawn in order from ``rng`` (the model's seed
+    when None) in blocks of at most ``MC_DRAW_BLOCK``, each paired with the
+    non-zero frequencies it is summed at.  Nothing where the area is set."""
+    if not _sampled(model, t):
+        return
+    rng = np.random.default_rng(model.seed) if rng is None else rng
+    frequencies = omegas[omegas != 0.0]  # cos(0 A) = 1 for every draw: set, not sampled
     block = min(MC_DRAW_BLOCK, model.mc_samples)
-    rows = max(1, MC_BLOCK_PAIRS // block)
-    tile = np.empty((min(rows, frequencies.size), block))
-    sums = np.zeros(frequencies.size)
     for start in range(0, model.mc_samples, block):
-        draws = sample_pulse_areas(model.g_mean, model.tau, t, rng,
-                                   min(block, model.mc_samples - start))
-        for first in range(0, frequencies.size, rows):
-            part = tile[:min(rows, frequencies.size - first), :draws.size]
-            np.multiply.outer(frequencies[first:first + rows], draws, out=part)
-            sums[first:first + rows] += np.cos(part, out=part).sum(axis=1)
+        yield frequencies, sample_pulse_areas(model.g_mean, model.tau, t, rng,
+                                              min(block, model.mc_samples - start))
+
+
+# One scratch tile of MC_BLOCK_PAIRS float64 per thread, reused by every block
+# that thread sums: a fresh 2 MiB tile per block raises the peak resident set.
+_tiles = threading.local()
+
+
+def _cosine_sums(frequencies: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Sum over ``draws`` (at most ``MC_DRAW_BLOCK`` of them) of
+    cos(frequency * draw), per frequency, formed in tiles of at most
+    ``MC_BLOCK_PAIRS`` pairs in the calling thread's one tile."""
+    tile = getattr(_tiles, "tile", None)
+    if tile is None:
+        tile = _tiles.tile = np.empty(MC_BLOCK_PAIRS)
+    rows = max(1, MC_BLOCK_PAIRS // draws.size)
+    sums = np.empty(frequencies.size)
+    for first in range(0, frequencies.size, rows):
+        part = tile[:min(rows, frequencies.size - first) * draws.size].reshape(-1, draws.size)
+        np.multiply.outer(frequencies[first:first + rows], draws, out=part)
+        sums[first:first + rows] = np.cos(part, out=part).sum(axis=1)
+    return sums
+
+
+def _monte_carlo(
+    omegas: np.ndarray,
+    model: FluctuationModel,
+    t: float,
+    rng: np.random.Generator | None = None,
+    sums: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sample means of cos(omega A) over ``model.mc_samples`` areas: the
+    ordered sum of the ``_cosine_sums`` of the call's ``_draw_blocks``, or
+    ``sums`` where that sum was formed elsewhere."""
+    if sums is None:
+        sums = sum(_cosine_sums(*block) for block in _draw_blocks(omegas, model, t, rng))
     means = np.ones(omegas.size)
-    means[live] = sums / model.mc_samples
+    means[omegas != 0.0] = sums / model.mc_samples
     return means
 
 
@@ -198,6 +244,7 @@ def _kernels(
     t: float,
     rng: np.random.Generator | None = None,
     taus: Sequence[float] | None = None,
+    sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """E[cos(omega A)] for every entry of the 1-D array ``omegas``; t must be
     finite and positive, as the Gamma shape t/tau is.
@@ -209,7 +256,8 @@ def _kernels(
     row.  Where t/tau overflows, the row is the tau -> 0 limit cos(omega g t).
     Where the scale g tau overflows, gamma_kernel itself gives the exact law's
     tau -> inf limit 1.0, and monte_carlo, whose draws would be inf, returns
-    that limit without drawing.
+    that limit without drawing.  ``sums``, where given, are the monte_carlo
+    cosine sums that ``_monte_carlo`` would otherwise draw and form.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
@@ -228,10 +276,10 @@ def _kernels(
     if model.mode != "monte_carlo":
         kernel = gamma_kernel if model.mode == "gamma_exact" else gaussian_kernel
         rows[~fixed] = kernel(omegas, g, column[~fixed, np.newaxis], t)
+    elif _sampled(model, t):
+        rows[0] = _monte_carlo(omegas, model, t, rng, sums)
     elif not fixed[0]:
-        # draws at an infinite scale would be inf: the limit is set, not sampled
-        rows[0] = 1.0 if g * model.tau == math.inf else _monte_carlo(
-            omegas, model, t, np.random.default_rng(model.seed) if rng is None else rng)
+        rows[0] = 1.0  # draws at an infinite scale would be inf: the limit is set
     return rows[0] if taus is None else rows
 
 
@@ -292,8 +340,23 @@ def mixture_ground_probabilities(
     With ``taus`` (analytic modes only) that one kernel call covers every
     tau, and the result has one row per tau and one column per mixture.
     """
-    omegas, matrix = _mixture_matrix(mixtures)
-    return 0.5 * (1.0 + _kernels(omegas, model, t, rng, taus) @ matrix.T)
+    return _ground_probabilities(*_mixture_matrix(mixtures), model, t, rng, taus)
+
+
+def _ground_probabilities(
+    omegas: np.ndarray,
+    matrix: np.ndarray,
+    model: FluctuationModel,
+    t: float,
+    rng: np.random.Generator | None = None,
+    taus: Sequence[float] | None = None,
+    sums: np.ndarray | None = None,
+) -> np.ndarray:
+    """``mixture_ground_probabilities`` of the mixtures whose
+    ``_mixture_matrix`` is (omegas, matrix).  In monte_carlo mode ``sums`` may
+    stand for the draws: the ordered sum of ``_cosine_sums`` over the
+    ``_draw_blocks`` of omegas."""
+    return 0.5 * (1.0 + _kernels(omegas, model, t, rng, taus, sums) @ matrix.T)
 
 
 def averaged_ground_probability(

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
 def _frozen_grid(values: object) -> np.ndarray:
     grid = np.array(values, dtype=np.complex128, copy=True)
-    if grid.ndim != 2:
-        raise ValueError(f"amplitude grid must be 2-D, got shape {grid.shape}")
+    if grid.ndim != 2 or 0 in grid.shape:
+        raise ValueError(f"amplitude grid must be 2-D and non-empty, got shape {grid.shape}")
     if not np.all(np.isfinite(grid.view(np.float64))):
         raise ValueError("amplitude grid contains non-finite entries")
     grid.flags.writeable = False

@@ -7,13 +7,15 @@ timestamps or environment state enter the output.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterable, TextIO
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,26 @@ def write_result(result: SweepResult, path: str | None, fmt: str) -> None:
         writer(result, stream)
 
 
-def pool_map(fn: Callable, items: Sequence, workers: int) -> list:
+def pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     """Evaluate ``fn`` over ``items`` on a worker pool, output ordered by
-    input index regardless of completion order.  The pool starts at most one
-    thread per item and per CPU, whatever ``workers`` asks for."""
-    workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    input index regardless of completion order.  ``items`` is consumed
+    lazily, on the calling thread and in order, and at most ``2 * workers``
+    items are submitted but not yet collected, so a generator of large items
+    holds only that window of them at once.  The first exception, in input
+    order, propagates.  The pool starts at most one thread per item and per
+    CPU, whatever ``workers`` asks for."""
+    workers = min(workers, os.cpu_count() or 1)
+    items = iter(items)
+    head = list(itertools.islice(items, workers if workers > 1 else 0))
+    if len(head) <= 1:
+        return [fn(item) for item in itertools.chain(head, items)]
+    results = []
+    with ThreadPoolExecutor(max_workers=len(head)) as pool:
+        pending = collections.deque(pool.submit(fn, item) for item in head)
+        del head  # from here only the window holds items
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                results.append(pending.popleft().result())
+        results.extend(future.result() for future in pending)
+    return results

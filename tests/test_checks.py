@@ -48,8 +48,8 @@ def test_monte_carlo_check_runs_the_sweeps_sampler(monkeypatch):
     # with it so the sample variance the check reads stays the same
     original = fluctuations._monte_carlo
 
-    def biased(omegas, model, t, rng):
-        mean, twice = original(omegas, model, t, rng)
+    def biased(omegas, model, t, rng=None, sums=None):
+        mean, twice = original(omegas, model, t, rng, sums)
         shifted = mean + 6.0 * math.sqrt(((1.0 + twice) / 2.0 - mean**2) / model.mc_samples)
         return np.array([shifted, twice + 2.0 * (shifted**2 - mean**2)])
 
@@ -259,7 +259,7 @@ def test_fluctuation_free_limit_sees_a_wrong_area_frequency(monkeypatch):
 
 def test_fluctuation_free_limit_sees_a_kernel_phase_without_g(monkeypatch):
     # cos(omega t) for cos(omega g t): at g = 1 the two would be the same
-    def without_g(omegas, model, t, rng=None, taus=None):
+    def without_g(omegas, model, t, rng=None, taus=None, sums=None):
         return np.cos(omegas * t)
 
     monkeypatch.setattr(fluctuations, "_kernels", without_g)

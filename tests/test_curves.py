@@ -1,9 +1,12 @@
 """The parity sweeps against point-by-point evaluation.
 
 The analytic modes evaluate a whole sweep in one kernel call; Monte-Carlo
-points keep their own seeds and draws.  Each sweep is checked against the
-per-point route, one ``FluctuationModel`` and one call per point.
+points keep their own seeds and draws, which the worker pool sums one draw
+block at a time.  Each sweep is checked against the per-point route, one
+``FluctuationModel`` and one call per point.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,10 +36,10 @@ def point_targets(n, eta):
     return preparation.PreparationModel(n, delta), preparation.PreparationModel(n + 1, delta)
 
 
-def point_probabilities(n, eta, model, t_compare):
+def point_probabilities(n, eta, model, t_compare, rng=None):
     """(p_odd, p_even) of the targets n and n + 1 at one point, from one call."""
     return fluctuations.mixture_ground_probabilities(
-        [prep.terms() for prep in point_targets(n, eta)], model, t_compare)
+        [prep.terms() for prep in point_targets(n, eta)], model, t_compare, rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,9 +141,9 @@ def test_monte_carlo_eta_point_keys_only_its_own_targets(monkeypatch):
     seen = []
     original = fluctuations._kernels
 
-    def recording(omegas, model, t, rng=None, taus=None):
+    def recording(omegas, model, t, rng=None, taus=None, sums=None):
         seen.append(omegas.size)
-        return original(omegas, model, t, rng, taus)
+        return original(omegas, model, t, rng, taus, sums)
 
     monkeypatch.setattr(fluctuations, "_kernels", recording)
     eta_sweep(mode="mc", mc_samples=500, tau=[1e-8], eta_min=0.5, eta_steps=3, seed=1,
@@ -148,3 +151,71 @@ def test_monte_carlo_eta_point_keys_only_its_own_targets(monkeypatch):
     expected = [fluctuations._mixture_matrix([prep.terms() for prep in point_targets(9, eta)])
                 [0].size for eta in np.linspace(0.5, 1.0, 3).tolist()]
     assert seen == expected and len(draws) == 3
+
+
+def serial_route(taus, etas, samples, seed):
+    """(p_odd, p_even) of every (tau, eta) point, tau-major, one call each,
+    drawn from the point's own default_rng(seed)."""
+    t_compare = comparison_time(9, G)
+    points = [(tau, eta) for tau in taus for eta in etas]
+    return [tuple(point_probabilities(9, eta, FluctuationModel(
+                G, tau, "monte_carlo", mc_samples=samples, seed=point_seed),
+                t_compare, np.random.default_rng(point_seed)))
+            for (tau, eta), point_seed in zip(points, cli._point_seeds(seed, len(points)))]
+
+
+@pytest.mark.parametrize("samples", [1, 2**16 + 1, 150_000])
+def test_monte_carlo_sweeps_equal_the_serial_route_bit_for_bit(samples, monkeypatch):
+    # a partial last block, and (in the eta sweep) points whose area is set
+    # because the shape t/tau or the scale g*tau overflows.  The final
+    # weighted sums often round a last-bit change of one mean away, so the
+    # sampled mean rows of both routes are compared too.
+    means = []
+    original = fluctuations._monte_carlo
+
+    def recorded(*args):
+        means.append(original(*args).tolist())
+        return np.array(means[-1])
+
+    monkeypatch.setattr(fluctuations, "_monte_carlo", recorded)
+    taus = np.logspace(-9.0, -8.0, 2).tolist()
+    tau_points = serial_route(taus, [0.9], samples, 4)
+    eta_taus = [1e-320, 1e-300, 1e-8, 1e300, 1e304]
+    eta_points = serial_route(eta_taus, [1.0], samples, 5)
+    serial_means = means[:]
+    assert len(serial_means) == 5  # the points at tau 1e-320 and 1e304 are set
+    for workers in (1, 2, 3):
+        means.clear()
+        rows = tau_sweep(mode="mc", mc_samples=samples, tau_min=1e-9, tau_max=1e-8,
+                         tau_steps=2, eta_prep=0.9, seed=4, workers=workers)
+        assert rows == [(tau, upper - lower, upper, lower)
+                        for tau, (upper, lower) in zip(taus, tau_points)]
+        rows = eta_sweep(mode="mc", mc_samples=samples, tau=eta_taus, eta_min=1.0,
+                         eta_steps=1, seed=5, workers=workers)
+        assert rows == [(tau, 1.0, upper - lower)
+                        for tau, (upper, lower) in zip(eta_taus, eta_points)]
+        assert means == serial_means
+
+
+def test_monte_carlo_sweep_memory_does_not_grow_with_the_sample_count():
+    # each worker thread holds one tile, and at most 2 * workers draw blocks
+    # are submitted but not yet summed.  The slack is one more block per
+    # worker, which an executor thread still holds for a moment after it has
+    # set the block's result, plus 256 KiB for the rows, seeds and mixtures.
+    workers = 2
+    tile, block = 8 * fluctuations.MC_BLOCK_PAIRS, 8 * fluctuations.MC_DRAW_BLOCK
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            tau_sweep(mode="mc", mc_samples=samples, tau_steps=1, seed=2, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1 << 10)  # first-call allocations of numpy's random module
+    small, large = peak(200_000), peak(2_000_000)
+    # 2e5 draws are only 4 blocks, 3 whole and a partial one, so they may not
+    # fill the window that 2e6 draws fill: the peaks differ by less than it
+    assert abs(large - small) <= 2 * workers * block
+    assert max(small, large) <= workers * tile + 3 * workers * block + (1 << 18)

@@ -41,6 +41,13 @@ def test_grid_rejects_non_finite():
         TwoModeState(grid)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_grid_rejects_an_empty_axis(shape):
+    # an empty grid has cutoff -1 and norm 0, which a norm-drift guard cannot see
+    with pytest.raises(ValueError, match="non-empty"):
+        TwoModeState(np.zeros(shape))
+
+
 DRIVE_FIELDS = {"omega": 1.0, "nu": 50.0, "eta_ld": 0.05, "expansion_order": 3}
 
 

@@ -1,7 +1,11 @@
 import io
 import os
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
+import pytest
 
 from ionparity import sweep
 from ionparity.sweep import SweepResult, write_csv
@@ -50,11 +54,60 @@ def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            future = Future()
+            future.set_result(fn(item))
+            return future
 
     monkeypatch.setattr(sweep, "ThreadPoolExecutor", Recorder)
     assert sweep.pool_map(lambda x: 2 * x, [1, 2, 3], 10**6) == [2, 4, 6]
     assert all(workers <= min(3, os.cpu_count() or 1) for workers in recorded)
     assert sweep.pool_map(lambda x: 2 * x, [5], 2) == [10]
     assert len(recorded) == (1 if (os.cpu_count() or 1) > 1 else 0)
+
+
+def drawing(count, drawn):
+    """A generator of 0 .. count - 1 that records each item it yields."""
+    for index in range(count):
+        drawn.append(index)
+        yield index
+
+
+def test_pool_map_keeps_input_order_whatever_finishes_first():
+    def slow_first(index):
+        time.sleep(0.002 * (8 - index))
+        return index
+
+    assert sweep.pool_map(slow_first, drawing(8, []), 2) == list(range(8))
+
+
+def test_pool_map_draws_at_most_one_window_ahead():
+    # item 0 holds its worker until item 1 has seen how far the items were drawn
+    drawn, seen, release = [], [], threading.Event()
+
+    def work(index):
+        if index == 0:
+            release.wait(10.0)
+        elif index == 1:
+            time.sleep(0.05)
+            seen.append(len(drawn))
+            release.set()
+        return index
+
+    assert sweep.pool_map(work, drawing(40, drawn), 2) == list(range(40))
+    workers = min(2, os.cpu_count() or 1)
+    assert seen[0] <= 2 * workers
+
+
+def test_pool_map_raises_the_first_failure_and_stops_drawing():
+    drawn, before = [], threading.active_count()
+
+    def work(index):
+        if index >= 5:
+            raise ValueError(f"item {index}")
+        return index
+
+    with pytest.raises(ValueError, match="^item 5$"):
+        sweep.pool_map(work, drawing(100, drawn), 2)
+    assert max(drawn) < 5 + 2 * min(2, os.cpu_count() or 1)
+    assert threading.active_count() == before
