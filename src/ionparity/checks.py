@@ -9,15 +9,15 @@ read against one pair-exchange coupling block, the two analytic kernels
 against each other over their whole grid in one broadcast, a mixture
 against its pure runs.
 
-``run_all`` runs ``monte_carlo_vs_gamma``, the slowest row (about 135 ms
-alone), on one worker thread beside the other rows, which run on the calling
-thread in order; its row keeps its place, and every row reads the same bits
-as when the checks are called one by one.  That check makes no BLAS call,
+``run_all`` runs ``monte_carlo_vs_gamma``, the slowest row (150-195 ms CPU
+alone on the 2-core machine), on one worker thread beside the other rows,
+which run on the calling thread in order; its row keeps its place, and
+every row reads the same bits as when the checks are called one by one.  That check makes no BLAS call,
 and its gamma draws and cosine blocks release the GIL.  The battery runs on
 one OpenBLAS thread, restored afterwards: on two, the drive checks took
-149 ms wall for 297 ms CPU, and on one 133 ms for 130 ms (in-process, best
-of 5), so the second thread bought no time, and on a 2-core machine it
-would compete with the Monte-Carlo row.
+109-137 ms wall for 217-273 ms CPU, and on one 89-132 ms for 109-132 ms
+(in-process, best of 5), so the second thread bought no time, and on a
+2-core machine it would compete with the Monte-Carlo row.
 
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:
@@ -39,7 +39,9 @@ tests/test_checks.py that injects that fault and sees the row fail:
   test_gamma_vs_gaussian_sees_a_gaussian_exponent_without_its_half
 - monte_carlo_vs_gamma: a gamma kernel with its decay sign flipped, and a
   sampler biased by 6 standard errors; test_monte_carlo_check_detects_wrong_kernel,
-  test_monte_carlo_check_runs_the_sweeps_sampler
+  test_monte_carlo_check_runs_the_sweeps_sampler; a cosine recurrence with a
+  flipped sign or one rung off, at the key omega = 8 (tests/test_fluctuations.py::
+  test_a_faulted_recurrence_leaves_the_bound_and_fails_the_check)
 - mixture_linearity: a merge in which one term's weight wins a shared key;
   test_mixture_linearity_sees_a_merge_that_drops_shared_keys
 - mixture_truncation: the default cut at N + ceil(Delta) for N + ceil(8 Delta);

@@ -200,7 +200,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 file_config = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"config file {config_path}: {exc}") from exc
         if not isinstance(file_config, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
@@ -344,20 +344,23 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
         def blocks():
             for index in range(len(seeds)):
                 omegas, _, point_model = point(index)
-                for frequencies, draws in fluctuations._draw_blocks(omegas, point_model,
-                                                                    t_compare):
-                    yield index, frequencies, draws
+                for ladder, draws in fluctuations._draw_blocks(omegas, point_model, t_compare):
+                    yield index, ladder, draws
 
         def summed(block: tuple) -> tuple:
-            index, frequencies, draws = block
-            return index, fluctuations._cosine_sums(frequencies, draws)
+            index, ladder, draws = block
+            return index, fluctuations._cosine_sums(ladder, draws)
 
         block_sums = pool_map(summed, blocks(), config["workers"])
-        sums = {index: sum(part for _, part in group)
-                for index, group in itertools.groupby(block_sums, key=lambda pair: pair[0])}
-        probabilities = [fluctuations._ground_probabilities(*point(index), t_compare,
-                                                            sums=sums.get(index))
-                         for index in range(len(seeds))]
+        # finish each point from its blocks as the walk reaches them; a set
+        # point draws nothing and has no blocks
+        probabilities, drawn = np.empty((len(seeds), 2)), np.zeros(len(seeds), dtype=bool)
+        for index, group in itertools.groupby(block_sums, key=lambda pair: pair[0]):
+            probabilities[index] = fluctuations._ground_probabilities(
+                *point(index), t_compare, sums=sum(part for _, part in group))
+            drawn[index] = True
+        for index in np.flatnonzero(~drawn).tolist():
+            probabilities[index] = fluctuations._ground_probabilities(*point(index), t_compare)
     return np.reshape(probabilities, (len(taus), len(pairs), 2))
 
 

@@ -32,13 +32,24 @@ curve is one matrix product of kernel rows and weight rows.  In monte_carlo mode
 all frequencies of a call share one set of draws, which ``_draw_blocks``
 streams from the call's one generator in blocks of ``MC_DRAW_BLOCK`` draws
 (the same stream, bit for bit, as one call for all of them).
-``_cosine_sums`` sums one block's cosines per distinct key, formed in tiles
-of at most ``MC_BLOCK_PAIRS`` (frequency, draw) pairs in one tile per thread;
-the block sums are added in draw order and divided by the sample count once
-at the end.  The two halves may run on different threads: a Monte-Carlo
-sweep draws on its calling thread, sums the blocks on a pool, and hands
-each point's sums with its ``_mixture_matrix`` to ``_ground_probabilities``,
-the second half of ``mixture_ground_probabilities``.  Memory is one tile per
+Most of a block's time is libm cosines, and keys share them: the frequency
+of a key p = s m^2 is m times that of its root s, and cos(m x) follows from
+cos x by the recurrence cos(m x) = 2 cos x cos((m-1) x) - cos((m-2) x).  So
+``_draw_blocks`` places the frequencies once per call on a ``_ladder``: a
+root whose keys are dense enough among its rungs (``_rungs``, which weighs
+``RUNG_COST``) takes one libm cosine row per draw block and climbs to its
+highest such key, and every other frequency is its own base at rung 1.  A
+rung-1 row is libm's own product and cosine, bit for bit; a higher rung
+differs from libm's row by about m^2 unit roundoffs plus the argument's
+rounding.  Blocks of fewer than ``LADDER_MIN_DRAWS`` draws keep every
+frequency at rung 1.  ``_cosine_sums`` sums one block's rows per frequency,
+formed in one tile of ``MC_BLOCK_PAIRS`` (base, draw) pairs per thread, and
+takes from the tile only the rows its rungs need; the block sums are added
+in draw order and divided by the sample count once at the end.  The two
+halves may run on different threads: a Monte-Carlo sweep draws on its
+calling thread, sums the blocks on a pool, and hands each point's sums with
+its ``_mixture_matrix`` to ``_ground_probabilities``, the second half of
+``mixture_ground_probabilities``.  Memory is one tile per
 summing thread plus the draw blocks not yet summed, whatever ``mc_samples``
 is, and time stays linear in it.  The key p = 0 has frequency 0, so its row
 is exactly 1 and is set, not sampled.  ``_sampled`` is the one test of
@@ -47,7 +58,8 @@ whether an area is drawn or set.
 ``monte_carlo_cosine``, the estimate the validation battery checks against
 gamma_exact, runs that same sampler at the frequencies (omega, 2 omega) and
 returns (mean, standard error); the second row gives the sample variance
-through cos^2 x = (1 + cos 2x) / 2.
+through cos^2 x = (1 + cos 2x) / 2.  Where omega is a key frequency, so is
+2 omega, and its row climbs from the same cosine.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +83,21 @@ MC_DRAW_BLOCK = 1 << 16
 # core's L2 cache on the 2-core machine the block sizes were measured on
 MC_BLOCK_PAIRS = 1 << 18
 
-# totals N whose keyed spectra stay cached; both targets of one sweep point at
-# the default lowest efficiency 0.05 span at most 147 totals of non-zero weight
+# Draws per block below which every frequency takes its own libm cosine: the
+# recurrence's few numpy calls per rung then cost more than the cosines saved
+LADDER_MIN_DRAWS = 1 << 8
+
+# One recurrence rung per draw costs about a sixteenth of a libm cosine (1.5
+# against 24 ns on the 2-core machine), which sets how high a ladder climbs
+RUNG_COST = 1.0 / 16.0
+
+# Keys are reduced to roots by the squares of q = 2 .. ROOT_DIVISORS - 1; the
+# square of a larger prime stays in the root, which costs sharing, not accuracy
+ROOT_DIVISORS = 64
+
+# totals N whose keyed spectra stay cached, and frequency sets whose ladders
+# do; both targets of one sweep point at the default lowest efficiency 0.05
+# span at most 147 totals of non-zero weight
 AREA_CACHE_SIZE = 256
 
 
@@ -185,19 +210,117 @@ def _sampled(model: FluctuationModel, t: float) -> bool:
 
 def _draw_blocks(
     omegas: np.ndarray, model: FluctuationModel, t: float, rng: np.random.Generator | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[_Ladder, np.ndarray]]:
     """The Monte-Carlo draws of one ``_kernels`` call at ``omegas``: its
     ``model.mc_samples`` areas, drawn in order from ``rng`` (the model's seed
     when None) in blocks of at most ``MC_DRAW_BLOCK``, each paired with the
-    non-zero frequencies it is summed at.  Nothing where the area is set."""
+    ``_ladder`` of the non-zero frequencies it is summed at.  Nothing where
+    the area is set."""
     if not _sampled(model, t):
         return
     rng = np.random.default_rng(model.seed) if rng is None else rng
-    frequencies = omegas[omegas != 0.0]  # cos(0 A) = 1 for every draw: set, not sampled
     block = min(MC_DRAW_BLOCK, model.mc_samples)
+    # cos(0 A) = 1 for every draw: set, not sampled
+    ladder = _ladder(omegas[omegas != 0.0], block)
     for start in range(0, model.mc_samples, block):
-        yield frequencies, sample_pulse_areas(model.g_mean, model.tau, t, rng,
-                                              min(block, model.mc_samples - start))
+        yield ladder, sample_pulse_areas(model.g_mean, model.tau, t, rng,
+                                         min(block, model.mc_samples - start))
+
+
+class _Ladder(NamedTuple):
+    """How the cosine sums of ``slots.size`` frequencies are formed.  Rung m
+    of a base b is cos(m b A).  ``bases`` are ordered by non-increasing
+    ``tops``, the rung each climbs to, so the ``depth[m]`` bases that reach
+    rung m come first.  Their rung-m sums fill rows ``offsets[m]`` on of one
+    rung-major table, whose row ``slots[i]`` frequency i reads; only the
+    rungs in ``needed`` are read."""
+
+    bases: np.ndarray
+    tops: np.ndarray
+    depth: tuple[int, ...]
+    offsets: tuple[int, ...]
+    needed: frozenset[int]
+    slots: np.ndarray
+
+
+def _ladder(frequencies: np.ndarray, block: int) -> _Ladder:
+    """The ladder of ``frequencies`` for draw blocks of ``block`` draws,
+    cached by their bytes, read-only: below ``LADDER_MIN_DRAWS`` draws every
+    frequency is its own base at rung 1; from there on ``_rungs`` places
+    them."""
+    return _cached_ladder(frequencies.tobytes(), block >= LADDER_MIN_DRAWS)
+
+
+@functools.lru_cache(maxsize=AREA_CACHE_SIZE)
+def _cached_ladder(raw: bytes, climb: bool) -> _Ladder:
+    frequencies = np.frombuffer(raw)
+    size = frequencies.size
+    bases, tops = frequencies, np.ones(size, dtype=np.int64)
+    owners, rungs = np.arange(size), np.ones(size, dtype=np.int64)
+    if climb:
+        bases, tops, owners, rungs = _rungs(frequencies)
+    order = np.argsort(-tops, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    # depth[m] bases reach rung m (depth[0] is all of them), and the rows of
+    # the rungs below m, from rung 1 on, come before rung m's
+    depth = np.cumsum(np.bincount(tops, minlength=1)[::-1])[::-1]
+    offsets = np.cumsum(depth) - depth - depth[0]
+    ladder = _Ladder(bases[order], tops[order], tuple(depth.tolist()),
+                     tuple(offsets.tolist()),
+                     frozenset(np.flatnonzero(np.bincount(rungs)).tolist()),
+                     offsets[rungs] + place[owners])
+    for array in (ladder.bases, ladder.tops, ladder.slots):
+        array.flags.writeable = False
+    return ladder
+
+
+def _rungs(frequencies: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bases, their top rungs, and each frequency's base index and rung.
+
+    A frequency that equals 2.0*(2.0*sqrt(p)) for the integer
+    p = round((f/4)**2), as ``_area_terms`` forms the frequency of key p, is
+    rung m of its root s, where p = s m^2 and s keeps no square of
+    q = 2 .. ``ROOT_DIVISORS`` - 1.  Of the rungs m_0 < m_1 < ... of one root,
+    those up to the m_j of largest gain j - RUNG_COST (m_j - 1) share the
+    base 2.0*(2.0*sqrt(s)) where that gain is positive: one cosine and
+    m_j - 1 rungs of the recurrence then cost less than their j + 1 own
+    cosines.  Every other frequency is its own base at rung 1."""
+    size = frequencies.size
+    owners, rungs = np.empty(size, dtype=np.int64), np.ones(size, dtype=np.int64)
+    alone = np.ones(size, dtype=bool)
+    bases, tops = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.round((frequencies / 4.0) ** 2)
+    index = np.flatnonzero((squares >= 1.0) & (squares < 2.0**53))
+    keys = squares[index].astype(np.int64)
+    exact = 2.0 * (2.0 * np.sqrt(keys)) == frequencies[index]
+    index, roots = index[exact], keys[exact]
+    steps = np.ones_like(roots)
+    for q in range(2, min(ROOT_DIVISORS, math.isqrt(int(roots.max(initial=0))) + 1)):
+        hit = roots % (q * q) == 0
+        while hit.any():
+            roots[hit] //= q * q
+            steps[hit] *= q
+            hit = roots % (q * q) == 0
+    order = np.lexsort((steps, roots))
+    index, roots, steps = index[order], roots[order], steps[order]
+    bounds = np.flatnonzero(np.diff(roots)) + 1
+    for start, stop in zip([0, *bounds.tolist()], [*bounds.tolist(), roots.size]):
+        if stop - start < 2:  # a lone key gains nothing
+            continue
+        climbs = steps[start:stop].tolist()
+        gains = [j - RUNG_COST * (m - 1) for j, m in enumerate(climbs)]
+        best = max(range(len(gains)), key=gains.__getitem__)
+        if gains[best] > 0.0:
+            shared = index[start:start + best + 1]
+            alone[shared], owners[shared] = False, len(bases)
+            rungs[shared] = climbs[:best + 1]
+            bases.append(2.0 * (2.0 * np.sqrt(roots[start])))
+            tops.append(climbs[best])
+    owners[alone] = len(bases) + np.arange(np.count_nonzero(alone))
+    return (np.concatenate([np.array(bases, dtype=float), frequencies[alone]]),
+            np.concatenate([np.array(tops, dtype=np.int64), rungs[alone]]), owners, rungs)
 
 
 # One scratch tile of MC_BLOCK_PAIRS float64 per thread, reused by every block
@@ -205,20 +328,52 @@ def _draw_blocks(
 _tiles = threading.local()
 
 
-def _cosine_sums(frequencies: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _climb(cosines: np.ndarray, previous: np.ndarray, before: np.ndarray | None,
+           out: np.ndarray) -> None:
+    """One rung of cos(m x) = 2 cos(x) cos((m-1) x) - cos((m-2) x) into
+    ``out``, which may be ``previous``; ``before`` None is cos(0 x) = 1."""
+    np.multiply(cosines, previous, out=out)
+    np.add(out, out, out=out)
+    np.subtract(out, 1.0 if before is None else before, out=out)
+
+
+def _cosine_sums(ladder: _Ladder, draws: np.ndarray) -> np.ndarray:
     """Sum over ``draws`` (at most ``MC_DRAW_BLOCK`` of them) of
-    cos(frequency * draw), per frequency, formed in tiles of at most
-    ``MC_BLOCK_PAIRS`` pairs in the calling thread's one tile."""
+    cos(frequency * draw), per frequency of ``ladder``, formed in the
+    calling thread's one tile of ``MC_BLOCK_PAIRS`` pairs.  One libm cosine
+    row per base; its higher rungs come from the recurrence, in rows of the
+    same tile.  A group of bases climbing to rung m takes min(max(m - 1, 1),
+    4) rows each, as the top rung overwrites the rung below it, and as many
+    bases as the tile holds."""
     tile = getattr(_tiles, "tile", None)
     if tile is None:
         tile = _tiles.tile = np.empty(MC_BLOCK_PAIRS)
-    rows = max(1, MC_BLOCK_PAIRS // draws.size)
-    sums = np.empty(frequencies.size)
-    for first in range(0, frequencies.size, rows):
-        part = tile[:min(rows, frequencies.size - first) * draws.size].reshape(-1, draws.size)
-        np.multiply.outer(frequencies[first:first + rows], draws, out=part)
-        sums[first:first + rows] = np.cos(part, out=part).sum(axis=1)
-    return sums
+    table = np.empty(ladder.offsets[-1] + ladder.depth[-1])
+    first = 0
+    while first < ladder.bases.size:
+        top = int(ladder.tops[first])
+        planes = min(max(top - 1, 1), 4)
+        count = min(max(1, MC_BLOCK_PAIRS // (planes * draws.size)), ladder.bases.size - first)
+        rows = [tile[plane * count * draws.size:(plane + 1) * count * draws.size]
+                .reshape(count, draws.size) for plane in range(planes)]
+        cosines = previous = rows.pop(0)
+        np.multiply.outer(ladder.bases[first:first + count], draws, out=cosines)
+        np.cos(cosines, out=cosines)
+        spare, before = rows, None
+        for rung in range(1, top + 1):
+            active = min(ladder.depth[rung], first + count) - first
+            if rung > 1:
+                out = previous if rung == top else spare.pop()
+                _climb(cosines[:active], previous[:active],
+                       None if before is None else before[:active], out[:active])
+                if before is not None and before is not cosines:
+                    spare.append(before)
+                before, previous = previous, out
+            if rung in ladder.needed:
+                row = ladder.offsets[rung] + first
+                previous[:active].sum(axis=1, out=table[row:row + active])
+        first += count
+    return table[ladder.slots]
 
 
 def _monte_carlo(

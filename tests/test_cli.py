@@ -295,6 +295,14 @@ def test_config_value_of_wrong_type_exits_one(command, key, value, tmp_path, cap
     assert err.startswith(f"error: config file {config}: {key} must be ")
 
 
+def test_a_config_file_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"n": 9}\xff')
+    assert run_cli("dynamics", "--config", str(config)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config file {config}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_a_bad_choice_in_a_config_file_exits_one_before_the_battery(monkeypatch, tmp_path,
                                                                      capsys):
     def no_battery(**kwargs):

@@ -219,3 +219,26 @@ def test_monte_carlo_sweep_memory_does_not_grow_with_the_sample_count():
     # fill the window that 2e6 draws fill: the peaks differ by less than it
     assert abs(large - small) <= 2 * workers * block
     assert max(small, large) <= workers * tile + 3 * workers * block + (1 << 18)
+
+
+def test_monte_carlo_sweep_holds_one_row_of_sums_per_point():
+    # A sweep of 1-draw points holds, until the pool has summed them all, one
+    # row of cosine sums per point: 8 bytes per non-zero key, in a tuple with
+    # the point's index.  Each point is finished as the walk over those rows
+    # reaches it, so no second row per point is kept.  512 bytes a point
+    # cover the row's array and tuple headers, its index, its list slot, the
+    # point's seed and probabilities and its row of the table.  On one worker
+    # the tile is the calling thread's, made by the first call.
+    omegas, _ = fluctuations._mixture_matrix([prep.terms() for prep in point_targets(9, 0.5)])
+    row = 8 * np.count_nonzero(omegas)
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            tau_sweep(mode="mc", mc_samples=1, tau_steps=points, eta_prep=0.5, workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3)
+    assert peak(2000) - peak(500) <= 1500 * (row + 512)

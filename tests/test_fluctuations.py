@@ -15,7 +15,7 @@ from ionparity import (
     parity_delta_mixed,
     rabi_spectrum,
 )
-from ionparity import fluctuations
+from ionparity import checks, fluctuations, preparation
 from ionparity.fluctuations import sample_pulse_areas
 
 # frozen from independent brute-force evaluation at the comparison instant
@@ -119,20 +119,180 @@ def test_monte_carlo_cosine_of_a_deterministic_area_has_no_error(tau):
     assert stderr == 0.0
 
 
+# Unit roundoff of float64.
+U = np.finfo(float).eps / 2.0
+
+
+def ladder_rungs(omegas, samples):
+    """The rung from which the kernel forms each row of ``omegas``: a zero
+    frequency's row is set to 1, which is libm's cos(0) as well."""
+    nonzero = np.flatnonzero(omegas != 0.0)
+    ladder = fluctuations._ladder(omegas[nonzero], min(samples, fluctuations.MC_DRAW_BLOCK))
+    sought = np.ones(omegas.size, dtype=np.int64)
+    for rung in ladder.needed:
+        row = np.arange(ladder.offsets[rung], ladder.offsets[rung] + ladder.depth[rung])
+        sought[nonzero[np.isin(ladder.slots, row)]] = rung
+    return sought
+
+
+def ladder_bound(rungs, omegas, draws):
+    """The largest difference the error analysis below allows between the
+    kernel's mean at rung m >= 2 and libm's mean of cos(omega A) over the
+    same ``draws``, one block of them.
+
+    Rung m is T_m(c), where c = cos(x) is libm's cosine of x = fl(b A) at
+    the base b, and T_m runs y_k = 2 c y_(k-1) - y_(k-2) from y_0 = 1.  Per
+    draw, to first order in the unit roundoff u:
+    - c is within 2u of cos x (libm's cosine errs by under one ulp), and
+      |T_m'| <= m^2 on [-1, 1]: 2 m^2 u;
+    - a rung rounds c y_(k-1) by u, which the exact doubling makes 2u, and
+      the subtraction, whose result is near |T_k| <= 1, by u: 3u a rung.
+      An error made at rung k reaches rung m times U_(m-k), |U_j| <= j + 1:
+      3u (1 + ... + (m - 1)) = 1.5 m (m - 1) u;
+    - m x and libm's argument fl(omega A) differ by at most 4u |omega A| (b,
+      omega and the two products round once each), which moves the cosine
+      by as much; libm's own cosine adds 2u.
+    The two means sum n such terms in the same pairwise tree, which adds at
+    most h <= 128 + log2 n roundings of the running sum to each term, so
+    each sum is within h u n of its exact value, and each divides once.
+    Rows at rung 1 are libm's own products and cosines in the same tree:
+    equal bit for bit.
+    """
+    return climb_error(rungs, omegas, draws) + U * (2 * (128 + np.log2(draws.size)) + 2)
+
+
+def climb_error(rungs, omegas, draws):
+    """The per-draw part of ``ladder_bound``; 0 at rung 1."""
+    per_draw = U * (2 * rungs**2 + 1.5 * rungs * (rungs - 1)
+                    + 4 * np.abs(omegas) * np.max(draws) + 2)
+    return np.where(rungs > 1, per_draw, 0.0)
+
+
+def assert_ladder_rows(omegas, samples, seed=5):
+    """The kernel's rows at ``omegas`` from one block of draws against
+    libm's outer product: rung-1 rows bit for bit, every other row within
+    ``ladder_bound``.  Returns the rungs and the differences."""
+    assert samples <= fluctuations.MC_DRAW_BLOCK
+    model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples,
+                             seed=seed)
+    means = fluctuations._kernels(omegas, model, 1.0)
+    draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(seed), samples)
+    libm = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
+    rungs = ladder_rungs(omegas, samples)
+    first = rungs == 1
+    assert np.array_equal(means[first], libm[first])
+    differences = np.abs(means - libm)
+    assert np.all(differences[~first] <= ladder_bound(rungs, omegas, draws)[~first])
+    return rungs, differences
+
+
 def test_monte_carlo_blocks_match_one_outer_product():
     # N = 62 has 32 distinct keys, 31 of them non-zero; 31 x 5e4 draws exceed
     # the tile cap, in six tiles of 5 rows and one of 1.  5e4 draws fit in one
     # draw block, so every row keeps the summation order of the full product.
+    # Each root s of a key p = s m^2 of N = 62 holds that key alone, and a
+    # lone key takes its own libm cosine, so every row is at rung 1.
     samples = 50_000
     _, omegas, weights = fluctuations._area_terms(62)
     assert samples <= fluctuations.MC_DRAW_BLOCK
     assert (omegas.size - 1) * samples > fluctuations.MC_BLOCK_PAIRS
     assert (omegas.size - 1) % (fluctuations.MC_BLOCK_PAIRS // samples) != 0
+    rungs, differences = assert_ladder_rows(omegas, samples)
+    assert np.all(rungs == 1) and np.all(differences == 0.0)
     model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples, seed=5)
     draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(5), samples)
     full = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
-    assert np.array_equal(fluctuations._kernels(omegas, model, 1.0, None), full)
     assert averaged_ground_probability(62, model, 1.0) == float(0.5 * (1.0 + weights @ full))
+
+
+def test_ladder_of_the_tau_sweep_union_climbs_to_rung_five():
+    # N = 9 and 10 share 9 non-zero keys: 9 = 1*3^2, 16 = 1*4^2, 25 = 1*5^2
+    # climb root 1 to rung 5, and 8 = 2*2^2, 18 = 2*3^2 root 2 to rung 3;
+    # 20 = 5*2^2 and 24 = 6*2^2 would climb alone, so they keep their own
+    # cosines, as 14 and 21 do: 6 cosines a draw instead of 9
+    omegas = fluctuations._mixture_matrix([((9,), (1.0,)), ((10,), (1.0,))])[0]
+    keys = np.round((omegas / 4.0) ** 2).astype(int)
+    rungs, differences = assert_ladder_rows(omegas, 1 << 14)
+    assert dict(zip(keys.tolist(), rungs.tolist())) == {
+        0: 1, 8: 2, 9: 3, 14: 1, 16: 4, 18: 3, 20: 1, 21: 1, 24: 1, 25: 5}
+    ladder = fluctuations._ladder(omegas[omegas != 0.0], 1 << 14)
+    assert ladder.bases.size == 6 and ladder.tops.tolist() == [5, 3, 1, 1, 1, 1]
+    assert np.max(differences) > 0.0  # rung >= 2 rows are the recurrence's own
+
+
+def test_ladder_of_a_wide_mixture_climbs_past_rung_seventeen():
+    # the targets of an eta-sweep point at its lowest efficiency, 0.05, span
+    # totals 0..~150 and 176 keys on 76 roots
+    delta = preparation.delta_from_efficiency(0.05)
+    omegas = fluctuations._mixture_matrix(
+        [preparation.PreparationModel(n, delta).terms() for n in (9, 10)])[0]
+    rungs, _ = assert_ladder_rows(omegas, 1 << 12)
+    assert rungs.max() >= 17
+    assert fluctuations._ladder(omegas[omegas != 0.0], 1 << 12).bases.size < omegas.size // 2
+
+
+def test_ladder_of_a_large_total_keeps_every_key_on_its_own_cosine():
+    # the 2000 non-zero keys of N = 4001 lie on 2000 roots: no cosine is
+    # shared, and a recurrence would only add rungs
+    _, omegas, _ = fluctuations._area_terms(4001)
+    rungs, differences = assert_ladder_rows(omegas, fluctuations.LADDER_MIN_DRAWS)
+    assert np.all(rungs == 1) and np.all(differences == 0.0)
+
+
+def test_ladder_places_key_frequencies_on_their_roots_and_the_rest_alone():
+    # 4 and 8 are keys 1 and 4 = 1*2^2; 12 = 4 sqrt(9) is key 9 = 1*3^2 but
+    # 3 times 4 sqrt(2) is not how a key's frequency is formed; 1.3, -4,
+    # 4 * 2^27 (whose key 2^54 is past 2^53), inf and nan are no keys.  A
+    # repeated key shares its row.
+    frequencies = np.array([1.3, 4.0, 8.0, 12.0, 3.0 * (2.0 * (2.0 * np.sqrt(2.0))), -4.0,
+                            4.0 * 2.0**27, np.inf, np.nan, 8.0])
+    ladder = fluctuations._ladder(frequencies, fluctuations.LADDER_MIN_DRAWS)
+    assert ladder.bases[0] == 4.0 and ladder.tops.tolist() == [3] + [1] * 6
+    assert ladder_rungs(frequencies, fluctuations.LADDER_MIN_DRAWS).tolist() == [
+        1, 1, 2, 3, 1, 1, 1, 1, 1, 2]
+    assert ladder.slots[2] == ladder.slots[9]
+    small = fluctuations._ladder(frequencies, fluctuations.LADDER_MIN_DRAWS - 1)
+    assert np.array_equal(small.bases, frequencies, equal_nan=True)
+    assert set(small.needed) == {1}
+    finite = frequencies[np.isfinite(frequencies)]
+    assert_ladder_rows(finite, fluctuations.LADDER_MIN_DRAWS)
+
+
+def flipped_climb(cosines, previous, before, out):
+    """The recurrence with the sign of cos((m-2) x) flipped."""
+    np.multiply(cosines, previous, out=out)
+    np.add(out, out, out=out)
+    np.add(out, 1.0 if before is None else before, out=out)
+
+
+RUNGS = fluctuations._rungs
+
+
+def shifted_rungs(frequencies):
+    """The placement of the frequencies with every rung above 1 one too high."""
+    bases, tops, owners, rungs = RUNGS(frequencies)
+    return bases, tops + (tops > 1), owners, rungs + (rungs > 1)
+
+
+@pytest.mark.parametrize("fault", ["flipped sign", "one rung off"])
+def test_a_faulted_recurrence_leaves_the_bound_and_fails_the_check(fault, monkeypatch):
+    if fault == "flipped sign":
+        monkeypatch.setattr(fluctuations, "_climb", flipped_climb)
+    else:
+        monkeypatch.setattr(fluctuations, "_rungs", shifted_rungs)
+    fluctuations._cached_ladder.cache_clear()  # ladders placed by the true _rungs
+    try:
+        omegas = fluctuations._mixture_matrix([((9,), (1.0,)), ((10,), (1.0,))])[0]
+        with pytest.raises(AssertionError):
+            assert_ladder_rows(omegas, 1 << 14)
+        # omega = 8 is key 4 = 1*2^2, and its 2 omega key 16 = 1*4^2: both
+        # rows climb from the cosine at omega = 4.  A faulted second moment
+        # may leave no variance, and so a pull of inf.
+        with np.errstate(divide="ignore"):
+            result = checks.monte_carlo_vs_gamma(0)
+        assert not result.passed and result.measured > 10.0 * result.bound
+    finally:
+        fluctuations._cached_ladder.cache_clear()
 
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
@@ -162,10 +322,13 @@ def test_streamed_kernel_matches_one_outer_product_to_rounding():
     # terms in sequence, then halves: h <= 128 + log2(n).  The stream sums
     # each block that way and adds its 4 block sums in sequence:
     # h <= 128 + log2(MC_DRAW_BLOCK) + 4.  Dividing by n adds one rounding
-    # of a mean of magnitude at most 1 on each side.
-    u = np.finfo(float).eps / 2.0
-    bound = u * (2 * 128 + np.log2(samples) + np.log2(fluctuations.MC_DRAW_BLOCK) + 4 + 2)
-    assert np.max(np.abs(streamed - full)) <= bound
+    # of a mean of magnitude at most 1 on each side.  Keys 81, 144 and 225
+    # (root 1) and 56 and 224 (root 14) climb the recurrence, whose rows
+    # differ from libm's by at most ``climb_error`` a draw.
+    bound = U * (2 * 128 + np.log2(samples) + np.log2(fluctuations.MC_DRAW_BLOCK) + 4 + 2)
+    rungs = ladder_rungs(omegas, samples)
+    assert rungs.max() == 15
+    assert np.all(np.abs(streamed - full) <= bound + climb_error(rungs, omegas, draws))
     assert omegas[0] == 0.0 and streamed[0] == 1.0
 
 
