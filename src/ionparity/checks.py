@@ -9,15 +9,23 @@ read against one pair-exchange coupling block, the two analytic kernels
 against each other over their whole grid in one broadcast, a mixture
 against its pure runs.
 
-``run_all`` runs ``monte_carlo_vs_gamma``, the slowest row (150-195 ms CPU
-alone on the 2-core machine), on one worker thread beside the other rows,
-which run on the calling thread in order; its row keeps its place, and
-every row reads the same bits as when the checks are called one by one.  That check makes no BLAS call,
-and its gamma draws and cosine blocks release the GIL.  The battery runs on
-one OpenBLAS thread, restored afterwards: on two, the drive checks took
-109-137 ms wall for 217-273 ms CPU, and on one 89-132 ms for 109-132 ms
-(in-process, best of 5), so the second thread bought no time, and on a
-2-core machine it would compete with the Monte-Carlo row.
+``run_all`` spreads the 25 cells of ``monte_carlo_vs_gamma``, its slowest
+row (90-160 ms CPU alone on the 2-core machine), over both cores.  The
+cells are one work list: a worker thread starts on it at once, and the
+calling thread takes the cells still open once its other rows are done.
+Each cell draws from its own seed into its own slot, so the row reads the
+same bits whichever thread took which cell, and every row reads the same
+bits as when the checks are called one by one.  The cells make no BLAS
+call, and their gamma draws and cosine blocks release the GIL.  The two
+drive rows read one build of the suite's drives (``_suite_drives``): each
+drive of ``RWA_SUITES[full]`` is propagated once per battery, and
+``lamb_dicke_unitarity`` reads its norms and period maps from those builds.
+In-process, these two changes took ``run_all`` from 150 to 115 ms (medians
+of 56 runs each, in 8 alternated rounds of 7).  The battery runs on one OpenBLAS thread, restored
+afterwards: on two, the drive checks took 109-137 ms wall for 217-273 ms
+CPU, and on one 89-132 ms for 109-132 ms (in-process, best of 5), so the
+second thread bought no time, and on a 2-core machine it would compete with
+the Monte-Carlo cells.
 
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:
@@ -39,7 +47,10 @@ tests/test_checks.py that injects that fault and sees the row fail:
   test_gamma_vs_gaussian_sees_a_gaussian_exponent_without_its_half
 - monte_carlo_vs_gamma: a gamma kernel with its decay sign flipped, and a
   sampler biased by 6 standard errors; test_monte_carlo_check_detects_wrong_kernel,
-  test_monte_carlo_check_runs_the_sweeps_sampler; a cosine recurrence with a
+  test_monte_carlo_check_runs_the_sweeps_sampler; one cell biased by 6
+  standard errors in ``run_all``, the first (taken by the worker) or the
+  last (taken by the calling thread);
+  test_one_cell_biased_by_six_standard_errors_fails_the_battery_row; a cosine recurrence with a
   flipped sign or one rung off, at the key omega = 8 (tests/test_fluctuations.py::
   test_a_faulted_recurrence_leaves_the_bound_and_fails_the_check)
 - mixture_linearity: a merge in which one term's weight wins a shared key;
@@ -50,8 +61,11 @@ tests/test_checks.py that injects that fault and sees the row fail:
   test_exact_preparation_limit_sees_a_mixture_off_its_target
 - static_drive_limit: the drive's static block off by 1e-6 relative;
   test_static_drive_limit_sees_a_static_term_off_by_one_part_in_a_million
-- lamb_dicke_unitarity, rwa_deviation_decreases: a propagator that gives up
-  (norm drift); test_drive_checks_fail_when_the_propagator_gives_up
+- lamb_dicke_unitarity, rwa_deviation_decreases: a propagator that gives up,
+  its norm drift persisting through three doublings of the RK4 steps;
+  test_drive_checks_fail_when_the_propagator_gives_up.  lamb_dicke_unitarity
+  reads the norm at every time of the suite's drives, and the defect of each
+  drive's period map, from the builds it shares with rwa_deviation_decreases
 - rwa_deviation_decreases: a drive coupling W(t) off by 1e-3 relative, which
   keeps the norm (so lamb_dicke_unitarity and static_drive_limit pass it);
   test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand.
@@ -63,7 +77,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -223,9 +239,66 @@ def gamma_vs_gaussian() -> CheckResult:
     return _result("gamma_vs_gaussian", np.max(np.abs(exact - approx) / envelope), 0.01)
 
 
+# Monte-Carlo check grid: 1e5 draws at each (omega, tau), all at g = t = 1.
+MC_OMEGAS = (0.5, 1.0, 2.0, 4.0, 8.0)
+MC_TAUS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
+MC_SAMPLES = 100_000
+
+
+class _MonteCarloCells:
+    """The (omega, tau) cells of ``monte_carlo_vs_gamma`` as one work list
+    that any thread may drain.  Each cell draws from its own child of
+    ``SeedSequence(seed)`` and keeps its (mean, standard error) in its own
+    slot, so the estimates do not depend on which thread took which cell.
+    Given ``pool``, one worker thread starts on the cells at once."""
+
+    def __init__(self, seed: int, pool: ThreadPoolExecutor | None = None) -> None:
+        self.grid = list(itertools.product(MC_OMEGAS, MC_TAUS))
+        children = np.random.SeedSequence(seed).spawn(len(self.grid))
+        self._open = enumerate(zip(self.grid, children))
+        self._lock = threading.Lock()
+        self.estimates = np.full((len(self.grid), 2), math.nan)
+        self._helper = None if pool is None else pool.submit(self._drain)
+
+    def _take(self) -> tuple | None:
+        with self._lock:
+            return next(self._open, None)
+
+    def _drain(self) -> None:
+        try:
+            while (cell := self._take()) is not None:
+                index, ((omega, tau), child) = cell
+                model = fluctuations.FluctuationModel(
+                    g_mean=1.0, tau=tau, mode="monte_carlo", mc_samples=MC_SAMPLES
+                )
+                self.estimates[index] = fluctuations.monte_carlo_cosine(
+                    omega, 1.0, model, rng=np.random.default_rng(child)
+                )
+        except BaseException:
+            self.close()  # the other thread stops after its current cell
+            raise
+
+    def close(self) -> None:
+        """Leave no cell open: a thread draining stops after its current one."""
+        with self._lock:
+            self._open = iter(())
+
+    def result(self) -> np.ndarray:
+        """Every cell's (mean, standard error): drain the open cells on this
+        thread, then wait for the worker's, raising its error."""
+        try:
+            self._drain()
+        finally:
+            fluctuations._release_tile()
+        if self._helper is not None:
+            self._helper.result()
+        return self.estimates
+
+
 def monte_carlo_vs_gamma(
     seed: int = 0,
     kernel: Callable[[float, float, float, float], float] = fluctuations.gamma_kernel,
+    cells: _MonteCarloCells | None = None,
 ) -> CheckResult:
     """Seeded Monte-Carlo kernel against the closed kernel on a 5x5
     (omega, tau) grid of 1e5 draws a point, in Monte-Carlo standard errors.
@@ -236,26 +309,15 @@ def monte_carlo_vs_gamma(
     pulls to 3, so working code fails it with probability about
     1 - 0.9973^25 = 6.5%: program seeds 2 and 14 do (3.29 and 3.02).
     ``kernel`` is injectable so a deliberately wrong closed form is
-    detected by this check.
+    detected by this check.  ``cells``, the work list of ``seed``'s cells,
+    is given where a worker thread already takes part of it (``run_all``).
     """
-    omegas = (0.5, 1.0, 2.0, 4.0, 8.0)
-    taus = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
-    g, t = 1.0, 1.0
-    children = np.random.SeedSequence(seed).spawn(len(omegas) * len(taus))
-    worst = 0.0
-    index = 0
-    for omega in omegas:
-        for tau in taus:
-            model = fluctuations.FluctuationModel(
-                g_mean=g, tau=tau, mode="monte_carlo", mc_samples=100_000
-            )
-            mean, stderr = fluctuations.monte_carlo_cosine(
-                omega, t, model, rng=np.random.default_rng(children[index])
-            )
-            index += 1
-            pull = abs(mean - kernel(omega, g, tau, t)) / stderr
-            worst = max(worst, pull)
-    return _result("monte_carlo_vs_gamma", worst, 3.0)
+    cells = _MonteCarloCells(seed) if cells is None else cells
+    pulls = [
+        abs(mean - kernel(omega, 1.0, tau, 1.0)) / stderr
+        for (omega, tau), (mean, stderr) in zip(cells.grid, cells.result())
+    ]
+    return _result("monte_carlo_vs_gamma", max(pulls), 3.0)
 
 
 def mixture_linearity() -> CheckResult:
@@ -312,22 +374,47 @@ def static_drive_limit() -> CheckResult:
     return _result("static_drive_limit", difference, 1e-12)
 
 
-def lamb_dicke_unitarity() -> CheckResult:
-    """Norm of the drive-propagated state at t = 30, with the unitarity
-    defect of the one-period map that propagation built as its detail."""
-    drive = Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
-    initial = _initial_state(2, cutoff=5)
-    try:
-        minus, plus, period_map = propagators._drive_states(initial, drive, np.array([30.0]))
-    except RuntimeError as exc:  # norm drift: the check fails, the run goes on
-        return CheckResult("lamb_dicke_unitarity", math.inf, 1e-8, False, str(exc))
-    (norm,) = _squared_norms(minus) + _squared_norms(plus)
-    defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
+def _suite_drives(omega: float, eta_ld: float, full: bool) -> list[tuple] | str:
+    """Each drive of the ``RWA_SUITES[full]`` suite, built once for both
+    drive rows: per ratio, the drive, its sample times and the
+    ``_drive_states`` of the N = 2 binomial state at cutoff 4, as
+    (drive, times, minus, plus, one-period map).  Where a drive's
+    propagator gives up, its message instead."""
+    ratios, t_max_over_g, n_points = RWA_SUITES[full]
+    initial = _initial_state(2, cutoff=4)
+    drives = []
+    for ratio in ratios:
+        drive = Drive(omega, ratio * omega, eta_ld, RWA_ORDER)
+        times = np.linspace(0.0, t_max_over_g / drive.coupling, n_points + 1)[1:]
+        try:
+            drives.append((drive, times, *propagators._drive_states(initial, drive, times)))
+        except RuntimeError as exc:  # norm drift: the drive rows fail, the run goes on
+            return str(exc)
+    return drives
+
+
+def lamb_dicke_unitarity(
+    omega: float = 1.0, eta_ld: float = 0.05, full: bool = False,
+    drives: list[tuple] | str | None = None,
+) -> CheckResult:
+    """Largest norm defect |norm - 1| of the drive-propagated states over
+    every time of the ``RWA_SUITES[full]`` suite, with the largest unitarity
+    defect of the one-period maps that propagation built as its detail.
+    ``drives`` is the suite's ``_suite_drives``, built here when None."""
+    drives = _suite_drives(omega, eta_ld, full) if drives is None else drives
+    if isinstance(drives, str):
+        return CheckResult("lamb_dicke_unitarity", math.inf, 1e-8, False, drives)
+    worst_norm = worst_defect = 0.0
+    for _, _, minus, plus, period_map in drives:
+        norms = _squared_norms(minus) + _squared_norms(plus)
+        worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
+        defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
+        worst_defect = max(worst_defect, float(defect))
     return _result(
         "lamb_dicke_unitarity",
-        abs(norm - 1.0),
+        worst_norm,
         1e-8,
-        f"one-period map max|M^dag M - I| = {defect:.3e}",
+        f"one-period map max|M^dag M - I| = {worst_defect:.3e}",
     )
 
 
@@ -353,27 +440,24 @@ def check_rwa_drive(omega: float, eta_ld: float, full: bool = False) -> None:
 
 
 def rwa_deviation_decreases(
-    omega: float = 1.0, eta_ld: float = 0.05, full: bool = False
+    omega: float = 1.0, eta_ld: float = 0.05, full: bool = False,
+    drives: list[tuple] | str | None = None,
 ) -> CheckResult:
     """Ground-population deviation between the drive expansion and the
     pair-exchange model must shrink as nu/omega grows (``RWA_SUITES[full]``).
+    ``drives`` is the suite's ``_suite_drives``, built here when None.
 
     Measured value is the largest ratio of successive deviations; bound 1
     means strictly decreasing.
     """
-    ratios, t_max_over_g, n_points = RWA_SUITES[full]
+    drives = _suite_drives(omega, eta_ld, full) if drives is None else drives
+    if isinstance(drives, str):
+        return CheckResult("rwa_deviation_decreases", math.inf, 1.0, False, drives)
     initial = _initial_state(2, cutoff=4)
     deviations = []
-    for ratio in ratios:
-        drive = Drive(omega, ratio * omega, eta_ld, RWA_ORDER)
-        g_eff = drive.coupling
-        times = np.linspace(0.0, t_max_over_g / g_eff, n_points + 1)[1:]
-        try:
-            driven = propagators.ground_population_trajectory(initial, drive, times)
-        except RuntimeError as exc:
-            return CheckResult("rwa_deviation_decreases", math.inf, 1.0, False, str(exc))
-        paired = _squared_norms(propagators.propagate_effective(initial, g_eff, times)[0])
-        deviations.append(float(np.max(np.abs(driven - paired))))
+    for drive, times, minus, _, _ in drives:
+        paired = propagators.propagate_effective(initial, drive.coupling, times)[0]
+        deviations.append(float(np.max(np.abs(_squared_norms(minus) - _squared_norms(paired)))))
     worst_ratio = max(
         deviations[i + 1] / deviations[i] for i in range(len(deviations) - 1)
     )
@@ -424,13 +508,15 @@ def run_all(
     drive_eta_ld: float = 0.05,
 ) -> list[CheckResult]:
     """Full battery; ``full`` picks the drive-vs-pair-exchange configuration
-    from ``RWA_SUITES``.  The Monte-Carlo row runs beside the others on one
-    worker thread, all of them on one OpenBLAS thread (see the module
-    docstring); the worker has ended, and the thread count is restored,
-    when this returns or raises."""
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        # looked up at call time, so a traced or monkeypatched check runs
-        sampled = pool.submit(monte_carlo_vs_gamma, seed)
+    from ``RWA_SUITES``.  The Monte-Carlo cells are one work list that a
+    worker thread starts on at once and this thread joins once its other
+    rows are done; the two drive rows read one build of the suite's drives;
+    everything runs on one OpenBLAS thread (see the module docstring).  The
+    worker has ended, and the thread count is restored, when this returns
+    or raises."""
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool, \
+            contextlib.closing(_MonteCarloCells(seed, pool)) as cells:
+        # the checks are looked up at call time, so a traced or monkeypatched one runs
         before = [
             *closed_form_vs_propagator(seed),
             norm_conservation(seed),
@@ -439,12 +525,13 @@ def run_all(
             fluctuation_free_limit(),
             gamma_vs_gaussian(),
         ]
+        drives = _suite_drives(drive_omega, drive_eta_ld, full)
         after = [
             mixture_linearity(),
             mixture_truncation(),
             exact_preparation_limit(),
             static_drive_limit(),
-            lamb_dicke_unitarity(),
-            rwa_deviation_decreases(drive_omega, drive_eta_ld, full),
+            lamb_dicke_unitarity(drive_omega, drive_eta_ld, full, drives),
+            rwa_deviation_decreases(drive_omega, drive_eta_ld, full, drives),
         ]
-        return [*before, sampled.result(), *after]
+        return [*before, monte_carlo_vs_gamma(seed, cells=cells), *after]

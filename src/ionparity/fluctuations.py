@@ -328,6 +328,13 @@ def _rungs(frequencies: np.ndarray) -> tuple[np.ndarray, ...]:
 _tiles = threading.local()
 
 
+def _release_tile() -> None:
+    """Drop the calling thread's tile.  A long-lived thread that sums blocks
+    only now and then, like the validate battery's calling thread, would
+    otherwise keep it resident beside the next battery's drive builds."""
+    _tiles.__dict__.pop("tile", None)
+
+
 def _climb(cosines: np.ndarray, previous: np.ndarray, before: np.ndarray | None,
            out: np.ndarray) -> None:
     """One rung of cos(m x) = 2 cos(x) cos((m-1) x) - cos((m-2) x) into

@@ -20,9 +20,11 @@ its coupling block W alone, with H = [[0, W], [W^dag, 0]]:
 The drive's minus-to-plus block is W(t) = sum_m e^{i m nu t} W_m over its
 few harmonics m (seven at expansion order 3).  The drive Hamiltonian stores
 the W_m once, and reads them as a coupling table, one flattened row per
-harmonic, beside the angular rates m nu, so each RK4 stage time costs one
-vector-matrix product of the phases with that table, plus the conjugate
-transpose for W(t)^dag.
+harmonic, beside the angular rates m nu, so W at any array of times is one
+matrix product of their phases with that table.  A drive evaluates W once,
+at the 2 steps + 1 half-step points of its period grid, and every RK4 step
+of the period map and of the remainders reads it there; W(t)^dag is taken
+from W per step, not stored.
 
 Both propagators map an initial |-> grid, a ``TwoModeState`` (the ion
 starts in its ground level, so the |+> grid starts empty), and a 1-D array
@@ -195,60 +197,52 @@ class LambDickeHamiltonian:
         self._rates = self.harmonics * drive.nu
         self._flat_blocks = self.blocks.reshape(len(self.harmonics), -1)
 
-    def _couplings(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t), and W(t)^dag
-        phases = np.exp(1j * self._rates * t)
-        coupling_block = (phases @ self._flat_blocks).reshape(self.grid_size, self.grid_size)
-        return coupling_block, coupling_block.conj().T
-
-    @staticmethod
-    def _rhs(
-        couplings: tuple[np.ndarray, np.ndarray], y: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        # d/dt [minus; plus] = -i H(t) [minus; plus] with the block structure
-        # H = [[0, W(t)], [W(t)^dag, 0]] and couplings = (W(t), W(t)^dag);
-        # y is one state or a matrix of states.
-        coupling_block, coupling_dag = couplings
-        dim = len(coupling_block)
-        np.matmul(coupling_block, y[dim:], out=out[:dim])
-        np.matmul(coupling_dag, y[:dim], out=out[dim:])
-        out *= -1j
-        return out
+    def _couplings(self, t: np.ndarray) -> np.ndarray:
+        # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t), at
+        # each time of the 1-D array t: shape (len(t), grid_size, grid_size)
+        phases = np.exp(1j * np.multiply.outer(t, self._rates))
+        return (phases @ self._flat_blocks).reshape(len(t), self.grid_size, self.grid_size)
 
 
-def _rk4_span(
-    h_ld: LambDickeHamiltonian, y: np.ndarray, t0: float, t1: float, steps: int
-) -> np.ndarray:
-    """Advance y from t0 to t1 in ``steps`` equal RK4 steps.
+def _rhs(couplings: tuple[np.ndarray, np.ndarray], y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # d/dt [minus; plus] = -i H(t) [minus; plus] with the block structure
+    # H = [[0, W(t)], [W(t)^dag, 0]] and couplings = (W(t), W(t)^dag);
+    # y is one state or a matrix of states.
+    coupling_block, coupling_dag = couplings
+    dim = len(coupling_block)
+    np.matmul(coupling_block, y[dim:], out=out[:dim])
+    np.matmul(coupling_dag, y[:dim], out=out[dim:])
+    out *= -1j
+    return out
+
+
+def _rk4_span(y: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
+    """Advance y by (len(grid) - 1) // 2 RK4 steps of size h, step i reading
+    W at its start, midpoint and end from ``grid[2 i]``, ``grid[2 i + 1]``
+    and ``grid[2 i + 2]``.
 
     y is one flattened state or a matrix whose columns are states; both are
     stepped by the same arithmetic.
     """
     y = y.copy()
-    if steps == 0:
-        return y
-    h = (t1 - t0) / steps
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     stage = np.empty_like(y)
-    # k2 and k3 share the midpoint coupling; a step's end coupling is reused
-    # as the next step's start wherever t + h rounds to the same time.
-    end_time, end = math.nan, None
-    for i in range(steps):
-        t = t0 + i * h
-        start = end if t == end_time else h_ld._couplings(t)
-        mid = h_ld._couplings(t + 0.5 * h)
-        end_time = t + h
-        end = h_ld._couplings(end_time)
-        h_ld._rhs(start, y, out=k1)
+    # (W, W^dag) at each grid point; a step's end is the next step's start
+    end = (grid[0], grid[0].conj().T)
+    for i in range(len(grid) // 2):
+        start = end
+        mid = (grid[2 * i + 1], grid[2 * i + 1].conj().T)
+        end = (grid[2 * i + 2], grid[2 * i + 2].conj().T)
+        _rhs(start, y, out=k1)
         np.multiply(k1, 0.5 * h, out=stage)
         stage += y
-        h_ld._rhs(mid, stage, out=k2)
+        _rhs(mid, stage, out=k2)
         np.multiply(k2, 0.5 * h, out=stage)
         stage += y
-        h_ld._rhs(mid, stage, out=k3)
+        _rhs(mid, stage, out=k3)
         np.multiply(k3, h, out=stage)
         stage += y
-        h_ld._rhs(end, stage, out=k4)
+        _rhs(end, stage, out=k4)
         k2 += k3
         k2 *= 2.0
         k1 += k4
@@ -258,18 +252,57 @@ def _rk4_span(
     return y
 
 
-def one_period_map(h_ld: LambDickeHamiltonian) -> np.ndarray:
-    """RK4 evolution matrix over one drive period [0, 2 pi / nu].
+def _period_grid(h_ld: LambDickeHamiltonian, steps: int) -> np.ndarray:
+    """W at the 2 steps + 1 points j h / 2 of the period [0, 2 pi / nu] cut
+    into ``steps`` RK4 steps of h: the drive's couplings, evaluated once."""
+    half_step = 0.5 * h_ld.drive.period / steps
+    return h_ld._couplings(np.arange(2 * steps + 1) * half_step)
+
+
+def one_period_map(h_ld: LambDickeHamiltonian, grid: np.ndarray | None = None) -> np.ndarray:
+    """RK4 evolution matrix over one drive period [0, 2 pi / nu], stepped
+    along ``grid`` (by default ``_period_grid`` at the drive's ``steps``).
 
     Every harmonic of the drive is an integer multiple of nu, so this map
     M advances any state by a whole period from any multiple of the period
     (Shirley, Phys. Rev. 138, B979, 1965).
     """
+    if grid is None:
+        grid = _period_grid(h_ld, h_ld.drive.steps)
     identity = np.eye(2 * h_ld.grid_size, dtype=np.complex128)
-    return _rk4_span(h_ld, identity, 0.0, h_ld.drive.period, h_ld.drive.steps)
+    return _rk4_span(identity, h_ld.drive.period / (len(grid) // 2), grid)
 
 
 NORM_DRIFT_TOL = 1e-8
+
+# Step doublings a drive may take, past its own ``steps``, before its norm
+# drift raises.
+REFINEMENTS = 3
+
+
+def _stepped_states(
+    h_ld: LambDickeHamiltonian, y0: np.ndarray, times: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state U(r) M^n y0 at each t = n T + r of ``times``, one row per
+    time, and M, all at ``steps`` RK4 steps per period T.  U(r) takes the
+    whole grid steps below r and one partial step to r, each time's vector
+    stepped on its own, so no time's bits depend on the other times."""
+    period = h_ld.drive.period
+    h = period / steps
+    grid = _period_grid(h_ld, steps)
+    period_map = one_period_map(h_ld, grid)
+    states = np.empty((len(times), len(y0)), dtype=np.complex128)
+    for i, t in enumerate(times):
+        whole, rest = divmod(float(t), period)
+        y = np.linalg.matrix_power(period_map, int(whole)) @ y0
+        done = min(int(rest / h), steps)
+        y = _rk4_span(y, h, grid[: 2 * done + 1])
+        partial = rest - done * h
+        if partial > 0.0:
+            ends = h_ld._couplings(done * h + np.array([0.5, 1.0]) * partial)
+            y = _rk4_span(y, partial, np.concatenate([grid[2 * done : 2 * done + 1], ends]))
+        states[i] = y
+    return states, period_map
 
 
 def _drive_states(
@@ -279,21 +312,18 @@ def _drive_states(
     one-period map M.  Each state is U(r) M^n y0 from the initial vector y0
     alone (the |-> grid, then the empty |+> grid, each row-major over
     (n_a, n_b), the order of the coupling blocks' rows and columns); all
-    times share one build of the drive Hamiltonian and of M."""
+    times share one build of the drive Hamiltonian.  Where the norm drifts
+    by more than NORM_DRIFT_TOL at some time, every time is redone at twice
+    the steps, up to REFINEMENTS doublings, and only then does it raise."""
     h_ld = LambDickeHamiltonian(drive, initial.cutoff_a, initial.cutoff_b)
-    period, steps = drive.period, drive.steps
-    period_map = one_period_map(h_ld)
     y0 = np.concatenate([initial.amplitudes.ravel(), np.zeros(initial.amplitudes.size)])
-    states = np.empty((len(times), len(y0)), dtype=np.complex128)
-    for i, t in enumerate(times):
-        whole, rest = divmod(float(t), period)
-        y = np.linalg.matrix_power(period_map, int(whole)) @ y0
-        states[i] = _rk4_span(h_ld, y, 0.0, rest, math.ceil(rest * steps / period))
-    drift = np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - initial.squared_norm()))
-    if drift > NORM_DRIFT_TOL:
-        raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
-    grids = states.reshape(len(times), 2, initial.cutoff_a + 1, initial.cutoff_b + 1)
-    return grids[:, 0], grids[:, 1], period_map
+    for doubling in range(REFINEMENTS + 1):
+        states, period_map = _stepped_states(h_ld, y0, times, drive.steps << doubling)
+        drift = np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - initial.squared_norm()))
+        if drift <= NORM_DRIFT_TOL:
+            grids = states.reshape(len(times), 2, initial.cutoff_a + 1, initial.cutoff_b + 1)
+            return grids[:, 0], grids[:, 1], period_map
+    raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
 
 
 def propagate_lamb_dicke(
@@ -306,10 +336,11 @@ def propagate_lamb_dicke(
     The drive repeats with period T = 2 pi / nu, so the state at
     t = n T + r is U(r) M^n applied to ``initial``: M is the RK4 map over
     one period, raised to the n-th power by ``np.linalg.matrix_power``, and
-    U(r) the remainder integrated from phase 0.  The step is T / ceil(T / dt)
+    U(r) the remainder integrated from phase 0 along the same grid: whole
+    steps, then one partial step to r.  The step is T / ceil(T / dt)
     with dt = 2 pi / (20 nu max|k - j - 2|), the drive's ``period``
     over its ``steps``, so it divides T.  Norm drift beyond 1e-8 at any time
-    raises.
+    redoes the drive at 2, 4 and 8 times the steps, and raises if it stays.
     """
     times = _checked_times(times, ndim=1)
     if times.size == 0:  # no drive to build

@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -66,12 +68,12 @@ def test_unitarity_check_reports_period_map_defect():
     assert 0.0 < float(result.detail.rsplit("= ", 1)[1]) <= 1e-10
 
 
-def test_unitarity_check_reads_the_map_its_propagation_built(monkeypatch):
+def test_unitarity_check_reads_the_maps_its_propagation_built(monkeypatch):
     maps, builds = [], []
     build_map, build_hamiltonian = propagators.one_period_map, propagators.LambDickeHamiltonian
 
-    def counted_map(h_ld):
-        maps.append(build_map(h_ld))
+    def counted_map(h_ld, grid=None):
+        maps.append(build_map(h_ld, grid))
         return maps[-1]
 
     def counted_hamiltonian(*args, **kwargs):
@@ -81,28 +83,55 @@ def test_unitarity_check_reads_the_map_its_propagation_built(monkeypatch):
     monkeypatch.setattr(propagators, "one_period_map", counted_map)
     monkeypatch.setattr(propagators, "LambDickeHamiltonian", counted_hamiltonian)
     result = checks.lamb_dicke_unitarity()
-    assert (len(maps), len(builds)) == (1, 1)
+    # one build, at the drive's own steps, per ratio of the default suite
+    ratios = checks.RWA_SUITES[False][0]
+    assert (len(maps), len(builds)) == (len(ratios), len(ratios))
     monkeypatch.undo()
-    drive = propagators.Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
-    independent = propagators.one_period_map(propagators.LambDickeHamiltonian(drive, 5, 5))
-    assert np.array_equal(maps[0], independent)
-    defect = np.max(np.abs(independent.conj().T @ independent - np.eye(len(independent))))
-    assert result.detail == f"one-period map max|M^dag M - I| = {defect:.3e}"
+    defects = []
+    for ratio, period_map in zip(ratios, maps):
+        drive = propagators.Drive(1.0, ratio, 0.05, checks.RWA_ORDER)
+        independent = propagators.one_period_map(propagators.LambDickeHamiltonian(drive, 4, 4))
+        assert np.array_equal(period_map, independent)
+        defects.append(np.max(np.abs(independent.conj().T @ independent - np.eye(len(independent)))))
+    assert result.detail == f"one-period map max|M^dag M - I| = {max(defects):.3e}"
 
 
 def test_drive_checks_fail_when_the_propagator_gives_up(monkeypatch):
-    # at eta_ld = 0.99 the RK4 norm drift exceeds what the propagator accepts
-    result = checks.rwa_deviation_decreases(eta_ld=0.99)
-    assert (result.measured, result.passed) == (math.inf, False)
-    assert result.detail.startswith("norm drift ")
+    # the propagator drifts by 2e-7 at the first time, at every step count,
+    # so that no refinement mends it
+    seen_steps = []
+    stepped = propagators._stepped_states
 
-    def drifting(*args, **kwargs):
-        raise RuntimeError("norm drift 2.000e-08 exceeds 1e-08")
+    def drifting(h_ld, y0, times, steps):
+        seen_steps.append(steps)
+        states, period_map = stepped(h_ld, y0, times, steps)
+        states[0] *= 1.0 + 1e-7
+        return states, period_map
 
-    monkeypatch.setattr(checks.propagators, "_drive_states", drifting)
-    result = checks.lamb_dicke_unitarity()
-    assert (result.measured, result.passed) == (math.inf, False)
-    assert result.detail == "norm drift 2.000e-08 exceeds 1e-08"
+    monkeypatch.setattr(propagators, "_stepped_states", drifting)
+    drives = checks._suite_drives(1.0, 0.05, False)
+    # the first drive is redone at 2, 4 and 8 times its steps, then gives up
+    steps = propagators.Drive(1.0, 25.0, 0.05, checks.RWA_ORDER).steps
+    assert seen_steps == [steps, 2 * steps, 4 * steps, 8 * steps]
+    assert drives == "norm drift 2.000e-07 exceeds 1e-08"
+    for result in (checks.lamb_dicke_unitarity(drives=drives),
+                   checks.rwa_deviation_decreases(drives=drives),
+                   checks.lamb_dicke_unitarity()):
+        assert (result.measured, result.passed) == (math.inf, False)
+        assert result.detail == "norm drift 2.000e-07 exceeds 1e-08"
+
+
+# at the default settings no drive refines; past the measured edges (eta_ld
+# 0.59 on the default suite, 0.30 with --full) the drifting ones do
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("eta_ld", [0.3, 0.6, 0.99])
+def test_drive_rows_pass_up_to_eta_ld_0_99(eta_ld, full):
+    drives = checks._suite_drives(1.0, eta_ld, full)
+    assert not isinstance(drives, str), drives
+    unitarity = checks.lamb_dicke_unitarity(1.0, eta_ld, full, drives)
+    rwa = checks.rwa_deviation_decreases(1.0, eta_ld, full, drives)
+    assert unitarity.passed and rwa.passed, (unitarity, rwa)
+    assert rwa.detail.startswith("deviations: ")
 
 
 def test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand(monkeypatch):
@@ -111,8 +140,7 @@ def test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand(monkeypat
     original = propagators.LambDickeHamiltonian._couplings
 
     def scaled(self, t):
-        coupling_block = original(self, t)[0] * (1.0 + 1e-3)
-        return coupling_block, coupling_block.conj().T
+        return original(self, t) * (1.0 + 1e-3)
 
     assert checks.rwa_deviation_decreases().passed
     monkeypatch.setattr(propagators.LambDickeHamiltonian, "_couplings", scaled)
@@ -306,7 +334,7 @@ def _serial_battery(seed: int, full: bool) -> list[checks.CheckResult]:
         checks.mixture_truncation(),
         checks.exact_preparation_limit(),
         checks.static_drive_limit(),
-        checks.lamb_dicke_unitarity(),
+        checks.lamb_dicke_unitarity(full=full),
         checks.rwa_deviation_decreases(full=full),
     ]
 
@@ -331,12 +359,16 @@ def _blas_threads() -> int | None:
 
 def test_battery_raises_the_monte_carlo_error_and_leaves_no_thread(monkeypatch):
     threads_before, blas_before = threading.active_count(), _blas_threads()
+    # as a cell summed on this thread would leave it
+    fluctuations._tiles.tile = np.empty(fluctuations.MC_BLOCK_PAIRS)
     checks.run_all(seed=0)
     assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+    # nor a Monte-Carlo tile resident on the calling thread
+    assert not hasattr(fluctuations._tiles, "tile")
 
     error = RuntimeError("sampler broke")
 
-    def broken(seed):
+    def broken(seed, cells=None):
         raise error
 
     monkeypatch.setattr(checks, "monte_carlo_vs_gamma", broken)
@@ -344,6 +376,107 @@ def test_battery_raises_the_monte_carlo_error_and_leaves_no_thread(monkeypatch):
         checks.run_all(seed=0)
     assert raised.value is error
     assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+
+
+def _sampler_on_threads(monkeypatch, on_cell):
+    """Run ``on_cell(omega, tau, on_calling_thread)`` before each Monte-Carlo
+    cell's draws."""
+    original = fluctuations.monte_carlo_cosine
+    calling = threading.get_ident()
+
+    def watched(omega, t, model, rng=None):
+        on_cell(omega, model.tau, threading.get_ident() == calling)
+        return original(omega, t, model, rng)
+
+    monkeypatch.setattr(fluctuations, "monte_carlo_cosine", watched)
+
+
+@pytest.mark.parametrize("on_calling_thread", [False, True])
+def test_battery_raises_a_cell_error_from_either_thread(monkeypatch, on_calling_thread):
+    threads_before, blas_before = threading.active_count(), _blas_threads()
+    error = RuntimeError("cell broke")
+
+    def on_cell(omega, tau, calling):
+        if calling == on_calling_thread:
+            raise error
+        if on_calling_thread:
+            time.sleep(0.05)  # so that the calling thread is left cells to take
+
+    _sampler_on_threads(monkeypatch, on_cell)
+    with pytest.raises(RuntimeError) as raised:
+        checks.run_all(seed=0)
+    assert raised.value is error
+    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+
+
+# the worker starts on the first cell at once; the last is held for the
+# calling thread by keeping the worker on its first cell until it is done
+@pytest.mark.parametrize("biased", [(0.5, 1e-4), (8.0, 1e-2)])
+def test_one_cell_biased_by_six_standard_errors_fails_the_battery_row(monkeypatch, biased):
+    last_done = threading.Event()
+    taken_by = []
+
+    def on_cell(omega, tau, calling):
+        if (omega, tau) == biased:
+            taken_by.append(calling)
+        if not calling and biased == (8.0, 1e-2):
+            assert last_done.wait(timeout=30.0)
+
+    _sampler_on_threads(monkeypatch, on_cell)
+    original = fluctuations._monte_carlo
+
+    def biased_cell(omegas, model, t, rng=None, sums=None):
+        mean, twice = original(omegas, model, t, rng, sums)
+        if (omegas[0], model.tau) != biased:
+            return np.array([mean, twice])
+        if biased == (8.0, 1e-2):
+            last_done.set()
+        shifted = mean + 6.0 * math.sqrt(((1.0 + twice) / 2.0 - mean**2) / model.mc_samples)
+        return np.array([shifted, twice + 2.0 * (shifted**2 - mean**2)])
+
+    monkeypatch.setattr(fluctuations, "_monte_carlo", biased_cell)
+    rows = {r.name: r for r in checks.run_all(seed=3)}
+    assert taken_by == [biased == (8.0, 1e-2)]
+    assert not rows["monte_carlo_vs_gamma"].passed
+    assert rows["monte_carlo_vs_gamma"].measured > 4.0
+
+
+def test_three_threads_draining_the_cells_take_each_once(monkeypatch):
+    # more drainers than cores, switching often: every cell is taken once
+    # and its estimate is the one a single thread gives
+    taken = []
+    _sampler_on_threads(monkeypatch, lambda omega, tau, calling: taken.append((omega, tau)))
+    serial = checks._MonteCarloCells(seed=5).result().copy()
+    taken.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = checks._MonteCarloCells(seed=5)
+        drainers = [threading.Thread(target=shared._drain) for _ in range(3)]
+        for drainer in drainers:
+            drainer.start()
+        for drainer in drainers:
+            drainer.join(timeout=60.0)
+            assert not drainer.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == sorted(shared.grid)
+    assert np.array_equal(shared.estimates, serial)
+
+
+def test_each_battery_builds_each_suite_drive_once(monkeypatch):
+    built = []
+    original = propagators._drive_states
+
+    def counted(initial, drive, times):
+        built.append(drive.nu)
+        return original(initial, drive, times)
+
+    monkeypatch.setattr(propagators, "_drive_states", counted)
+    for full in (False, True, False):
+        built.clear()
+        checks.run_all(seed=3, full=full)
+        assert built == list(checks.RWA_SUITES[full][0])
 
 
 def test_drive_checks_run_on_one_blas_thread(monkeypatch):
@@ -354,9 +487,9 @@ def test_drive_checks_run_on_one_blas_thread(monkeypatch):
     seen = []
     original = checks.lamb_dicke_unitarity
 
-    def counted():
+    def counted(*args):
         seen.append(get())
-        return original()
+        return original(*args)
 
     monkeypatch.setattr(checks, "lamb_dicke_unitarity", counted)
     previous = get()

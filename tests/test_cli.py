@@ -348,14 +348,42 @@ def test_validate_report_and_exit_codes(tmp_path, monkeypatch):
     assert "beta,5.0000000000000000e-01,1.0000000000000000e-08,false" in read(out)
 
 
+# cli.main in a fresh process whose drive propagator drifts by 2e-7 at its
+# first time, at every step count, so that no refinement mends it
+_DRIFTING_CLI = """
+import sys
+from ionparity import cli, propagators
+
+stepped = propagators._stepped_states
+
+def drifting(h_ld, y0, times, steps):
+    states, period_map = stepped(h_ld, y0, times, steps)
+    states[0] *= 1.0 + 1e-7
+    return states, period_map
+
+propagators._stepped_states = drifting
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_validate_with_a_drifting_drive_reports_and_exits_two(tmp_path):
-    # the RK4 norm drift at eta_ld = 0.99 fails the drive check, not the run
+    # a drive whose norm drift persists fails both drive checks, not the run
     out = tmp_path / "report.csv"
-    run = _fresh_cli("validate", "--eta-ld", "0.99", "--out", str(out))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _DRIFTING_CLI, "validate", "--out", str(out)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 2
-    assert run.stderr == ("rwa_deviation_decreases: norm drift 2.299e-08 exceeds 1e-08\n"
+    assert run.stderr == ("lamb_dicke_unitarity: norm drift 2.000e-07 exceeds 1e-08\n"
+                          "rwa_deviation_decreases: norm drift 2.000e-07 exceeds 1e-08\n"
                           "validation failed; see report\n")
+    assert "lamb_dicke_unitarity,inf,1.0000000000000000e-08,false" in read(out)
     assert "rwa_deviation_decreases,inf,1.0000000000000000e+00,false" in read(out)
+
+
+def test_validate_at_eta_ld_0_99_passes(tmp_path):
+    # past eta_ld 0.59 (0.30 with --full) a drive drifts at its own steps and is redone
+    for full in ([], ["--full"]):
+        assert run_cli("validate", "--eta-ld", "0.99", *full, "--seed", "3") == 0
 
 
 def _reject_constant(name):

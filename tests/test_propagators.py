@@ -17,7 +17,7 @@ from ionparity import (
     vibrational_entropy,
 )
 from ionparity import propagators
-from ionparity.propagators import _rk4_span, _squared_norms, one_period_map
+from ionparity.propagators import _period_grid, _rk4_span, _squared_norms, one_period_map
 
 
 # the drive of the validate battery's unitarity row
@@ -231,11 +231,10 @@ def test_drive_static_block_follows_the_documented_basis_order():
     assert np.array_equal(h.harmonics, np.arange(-4.0, 1.0))
     _assert_pair_exchange_block(h.blocks[-1], drive.coupling, 2, 3, atol=1e-15)
     # the drive lays its states out in the same order: |2, 1>|-> flattened
-    # row-major and stepped through the same RK4 span gives the same state
+    # row-major and carried through one period map gives the same state
     state = _fock_state(2, 1, 2, 3)
-    t = 0.7 * drive.period
-    (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([t]))
-    stepped = _rk4_span(h, _vector(state), 0.0, t, math.ceil(t * drive.steps / drive.period))
+    (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([drive.period]))
+    stepped = one_period_map(h) @ _vector(state)
     assert not np.array_equal(stepped, _vector(state))
     assert np.array_equal(np.concatenate([minus.ravel(), plus.ravel()]), stepped)
 
@@ -246,13 +245,19 @@ def test_drive_couplings_are_the_phased_sum_of_the_harmonic_blocks():
     dim = h.grid_size
     assert np.array_equal(h.harmonics, np.arange(-5.0, 2.0))
     assert h.blocks.shape == (7, dim, dim)
-    for t in (0.0, 0.123, 0.77, 29.9):
+    times = np.array([0.0, 0.123, 0.77, 29.9])
+    for t, coupling_block in zip(times, h._couplings(times), strict=True):
         expected = np.zeros((dim, dim), dtype=np.complex128)
         for m, block in zip(h.harmonics, h.blocks):
             expected += np.exp(1j * m * _DRIVE.nu * t) * block
-        coupling_block, coupling_dag = h._couplings(t)
         assert np.max(np.abs(coupling_block - expected)) <= 1e-15
-        assert np.array_equal(coupling_dag, coupling_block.conj().T)
+    # a drive's grid holds W at the 2 steps + 1 half steps of its period
+    grid = _period_grid(h, 7)
+    assert grid.shape == (15, dim, dim)
+    half_step = _DRIVE.period / 14
+    for j in (0, 1, 7, 14):
+        (expected,) = h._couplings(np.array([j * half_step]))
+        assert np.max(np.abs(grid[j] - expected)) <= 1e-15
 
 
 def test_drive_static_part_equals_pair_exchange():
@@ -306,9 +311,9 @@ def test_each_drive_call_builds_one_hamiltonian_and_one_period_map(monkeypatch):
         builds.append(args)
         build(self, *args, **kwargs)
 
-    def counted_map(h_ld):
+    def counted_map(h_ld, grid=None):
         maps.append(h_ld)
-        return build_map(h_ld)
+        return build_map(h_ld, grid)
 
     monkeypatch.setattr(LambDickeHamiltonian, "__init__", counted)
     monkeypatch.setattr(propagators, "one_period_map", counted_map)
@@ -338,20 +343,80 @@ def test_drive_states_do_not_depend_on_the_other_times():
 
 
 def test_norm_drift_at_a_time_below_the_largest_raises(monkeypatch):
-    # the state leaks norm only at the earlier of the two times
+    # the state leaks norm only at the earlier of the two times, at every
+    # step count, so the doubled steps do not mend it
     state = _initial_binomial(2, 4)
     times = np.array([0.3, 0.5])
-    leaky_rest = divmod(float(times[0]), 2.0 * np.pi / _DRIVE.nu)[1]
-    original = propagators._rk4_span
+    original = propagators._stepped_states
+    seen_steps = []
 
-    def leaky(h_ld, y, t0, t1, steps):
-        out = original(h_ld, y, t0, t1, steps)
-        return out * (1.0 + 1e-7) if t1 == leaky_rest else out
+    def leaky(h_ld, y0, times, steps):
+        seen_steps.append(steps)
+        states, period_map = original(h_ld, y0, times, steps)
+        states[0] *= 1.0 + 1e-7
+        return states, period_map
 
     propagate_lamb_dicke(state, _DRIVE, times)
-    monkeypatch.setattr(propagators, "_rk4_span", leaky)
+    monkeypatch.setattr(propagators, "_stepped_states", leaky)
     with pytest.raises(RuntimeError, match="^norm drift 2.000e-07 exceeds 1e-08$"):
         propagate_lamb_dicke(state, _DRIVE, times)
+    assert seen_steps == [101, 202, 404, 808]
+
+
+def test_a_drifting_drive_is_redone_at_doubled_steps(monkeypatch):
+    # the first pass leaks past the guard; the second, at twice the steps,
+    # is kept, and gives what those steps give
+    state = _initial_binomial(2, 4)
+    times = np.array([0.3, 0.5])
+    original = propagators._stepped_states
+    seen_steps = []
+
+    def leaky_once(h_ld, y0, times, steps):
+        seen_steps.append(steps)
+        states, period_map = original(h_ld, y0, times, steps)
+        if len(seen_steps) == 1:
+            states[0] *= 1.0 + 1e-7
+        return states, period_map
+
+    monkeypatch.setattr(propagators, "_stepped_states", leaky_once)
+    minus, plus, period_map = propagators._drive_states(state, _DRIVE, times)
+    assert seen_steps == [101, 202]
+    h = LambDickeHamiltonian(_DRIVE, 4, 4)
+    states, doubled_map = original(h, _vector(state), times, 202)
+    assert np.array_equal(np.concatenate([minus, plus], axis=1).reshape(2, -1), states)
+    assert np.array_equal(period_map, doubled_map)
+
+
+def _equal_steps(h, y, t0, t1, steps):
+    """y stepped from t0 to t1 in ``steps`` equal RK4 steps, W read afresh at
+    each step's start, midpoint and end."""
+    half_step = (t1 - t0) / (2 * steps)
+    grid = h._couplings(t0 + np.arange(2 * steps + 1) * half_step)
+    return _rk4_span(y, 2.0 * half_step, grid)
+
+
+# remainder differences at RK4 truncation level stay below this, fixed before
+# the comparison was first run: the largest seen between two remainder routes
+# on this grid was 1.3e-10
+FOUR_TIMES_THE_STEPS_TOL = 1e-9
+
+
+@pytest.mark.parametrize("ratio", [25.0, 50.0])
+def test_grid_stepped_remainders_match_four_times_the_steps(ratio):
+    # the remainders r of the default validate suite's times, and three more,
+    # each taken as a time within the first period, so that U(r) alone is
+    # compared: the period map's own error, which grows with the number of
+    # whole periods, is left out
+    drive = Drive(omega=1.0, nu=ratio, eta_ld=0.05, expansion_order=3)
+    state = _initial_binomial(2, 4)
+    suite_times = np.linspace(0.0, 0.3 / drive.coupling, 7)[1:]
+    times = np.concatenate([np.mod(suite_times, drive.period),
+                            np.array([0.13, 0.5, 0.999]) * drive.period])
+    minus, plus = propagate_lamb_dicke(state, drive, times)
+    h = LambDickeHamiltonian(drive, 4, 4)
+    finer, _ = propagators._stepped_states(h, _vector(state), times, 4 * drive.steps)
+    got = np.concatenate([minus.reshape(len(times), -1), plus.reshape(len(times), -1)], axis=1)
+    assert np.max(np.abs(got - finer)) <= FOUR_TIMES_THE_STEPS_TOL
 
 
 def _stepped_ground_populations(state, drive, times):
@@ -365,9 +430,9 @@ def _stepped_ground_populations(state, drive, times):
     for t in times:
         whole, rest = divmod(float(t), period)
         while done < whole:
-            y = _rk4_span(h, y, done * period, (done + 1) * period, steps)
+            y = _equal_steps(h, y, done * period, (done + 1) * period, steps)
             done += 1
-        final = _rk4_span(h, y, whole * period, t, math.ceil(rest * steps / period))
+        final = _equal_steps(h, y, whole * period, t, max(1, math.ceil(rest * steps / period)))
         populations.append(float(np.sum(np.abs(final[: h.grid_size]) ** 2)))
     return np.array(populations)
 
@@ -410,31 +475,30 @@ def test_drive_period_takes_101_steps_at_nu_50():
     assert (drive.period, drive.steps) == (0.12566370614359174, 101)
 
 
-def _rk4_reference(h, y, t0, t1, steps):
-    """Classic RK4 with the coupling evaluated afresh for each of the four
-    stages of every step."""
+def _rk4_reference(y, h, grid):
+    """Classic RK4 with (W, W^dag) formed afresh for each of the four stages
+    of every step, W read from the grid."""
     y = y.copy()
-    dt = (t1 - t0) / steps if steps else 0.0
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
-    for i in range(steps):
-        t = t0 + i * dt
-        h._rhs(h._couplings(t), y, out=k1)
-        h._rhs(h._couplings(t + 0.5 * dt), y + 0.5 * dt * k1, out=k2)
-        h._rhs(h._couplings(t + 0.5 * dt), y + 0.5 * dt * k2, out=k3)
-        h._rhs(h._couplings(t + dt), y + dt * k3, out=k4)
-        y += (dt / 6.0) * ((k1 + k4) + 2.0 * (k2 + k3))
+    pair = lambda w: (w, w.conj().T)  # noqa: E731
+    for i in range(len(grid) // 2):
+        propagators._rhs(pair(grid[2 * i]), y, out=k1)
+        propagators._rhs(pair(grid[2 * i + 1]), y + 0.5 * h * k1, out=k2)
+        propagators._rhs(pair(grid[2 * i + 1]), y + 0.5 * h * k2, out=k3)
+        propagators._rhs(pair(grid[2 * i + 2]), y + h * k3, out=k4)
+        y += (h / 6.0) * ((k1 + k4) + 2.0 * (k2 + k3))
     return y
 
 
 @pytest.mark.parametrize("steps", [0, 1, 101])
 @pytest.mark.parametrize("as_matrix", [False, True])
-def test_rk4_span_reuses_couplings_without_changing_a_bit(steps, as_matrix):
+def test_rk4_span_is_classic_rk4_along_its_grid(steps, as_matrix):
     h = LambDickeHamiltonian(_DRIVE, 3, 3)
     rng = np.random.default_rng(steps)
     shape = (2 * h.grid_size, 5) if as_matrix else (2 * h.grid_size,)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # t0 = 0.3 puts steps whose end time t + h differs from the next start
-    got = _rk4_span(h, y, 0.3, 0.3 + 2.0 * np.pi / 50.0, steps)
-    expected = _rk4_reference(h, y, 0.3, 0.3 + 2.0 * np.pi / 50.0, steps)
+    grid = _period_grid(h, max(steps, 1))[: 2 * steps + 1]
+    got = _rk4_span(y, _DRIVE.period / max(steps, 1), grid)
+    expected = _rk4_reference(y, _DRIVE.period / max(steps, 1), grid)
     assert np.array_equal(got, expected)
     assert not steps or not np.array_equal(got, y)
