@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import checks, dynamics, fluctuations, preparation
+from . import dynamics, fluctuations, preparation
 from .states import effective_coupling
 from .sweep import SweepResult, pool_map, write_result
 
@@ -422,6 +422,8 @@ def cmd_eta_sweep(config: dict) -> SweepResult:
 
 def cmd_validate(config: dict) -> tuple[SweepResult, list[str]]:
     """The report and one 'name: reason' line per failed check."""
+    from . import checks  # the battery and its thread pool load for validate alone
+
     # the drive checks run last; reject a bad drive before any check runs
     checks.check_rwa_drive(config["omega"], config["eta_ld"], bool(config["full"]))
     results = checks.run_all(seed=config["seed"], full=bool(config["full"]),

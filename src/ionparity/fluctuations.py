@@ -22,16 +22,20 @@ through the integer keys p = (N-k)k, whose area frequency is 4 sqrt(p);
 ``_area_terms`` caches, per N, the distinct keys and the binomial weights
 merged over k <-> N-k.  Every average is a thin call into
 ``mixture_ground_probabilities``, the one entry point for Fock mixtures (a
-preparation's ``terms()``): it drops terms of weight exactly 0.0, takes the
-union of the keys of several mixtures (``_mixture_matrix``, one weight row
-per mixture), calls ``_kernels`` once over the distinct frequencies and
-returns one weighted sum per mixture, so the odd and even targets of a
-parity comparison share one call.  Given a column of taus, the
-analytic kernels broadcast over (tau, p) in that same call, so a whole sweep
-curve is one matrix product of kernel rows and weight rows.  In monte_carlo mode
-all frequencies of a call share one set of draws, which ``_draw_blocks``
-streams from the call's one generator in blocks of ``MC_DRAW_BLOCK`` draws
-(the same stream, bit for bit, as one call for all of them).
+preparation's ``terms()``).  Its ``_mixture_matrix`` flattens the terms of
+several mixtures, drops those of weight exactly 0.0, rejects a total that is
+no non-negative integer, and reads ``_area_terms`` once per distinct total.
+The union of those totals' keys gives the columns, and each term gathers its
+weights and key columns by index arithmetic, not by a Python step per term,
+into one weight row per mixture.  The call then runs ``_kernels`` once over
+the distinct frequencies and returns one weighted sum per mixture, so the odd
+and even targets of a parity comparison share one call.  Given a column of
+taus, the analytic kernels broadcast over (tau, p) in that same call, so a
+whole sweep curve is one matrix product of kernel rows and weight rows.  In
+monte_carlo mode all frequencies of a call share one set of draws, which
+``_draw_blocks`` streams from the call's one generator in blocks of
+``MC_DRAW_BLOCK`` draws (the same stream, bit for bit, as one call for all
+of them).
 Most of a block's time is libm cosines, and keys share them: the frequency
 of a key p = s m^2 is m times that of its root s, and cos(m x) follows from
 cos x by the recurrence cos(m x) = 2 cos x cos((m-1) x) - cos((m-2) x).  So
@@ -466,20 +470,39 @@ def _mixture_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct area frequencies of several Fock mixtures and their weight
     matrix, one row per mixture and one column per distinct key p.  Terms of
-    weight exactly 0.0 are dropped."""
-    parts = [(index, weight, _area_terms(int(n)))
-             for index, (n_totals, weights) in enumerate(mixtures)
-             for n, weight in zip(n_totals, weights) if weight != 0.0]
-    if len({index for index, _, _ in parts}) != len(mixtures):
+    weight exactly 0.0 are dropped.  The keys are those of the distinct
+    totals' ``_area_terms``, read once per total; the terms, flattened in
+    mixture order, gather their weights and key columns from those."""
+    if not mixtures:
+        raise ValueError("no mixture given: give at least one (totals, weights) pair")
+    sizes = [len(term_weights) for _, term_weights in mixtures]
+    if [len(n_totals) for n_totals, _ in mixtures] != sizes:
+        raise ValueError("every mixture needs one weight per total")
+    owners = np.repeat(np.arange(len(mixtures)), sizes)
+    totals = np.concatenate([n_totals for n_totals, _ in mixtures]).astype(float)
+    weights = np.concatenate([term_weights for _, term_weights in mixtures])
+    kept = weights != 0.0
+    totals, owners, weights = totals[kept], owners[kept], weights[kept]
+    bad = (totals % 1.0 != 0.0) | (totals < 0.0)
+    if bad.any():
+        raise ValueError("a total must be a non-negative integer, got "
+                         + np.format_float_positional(totals[bad][0], trim="-"))
+    if not np.bincount(owners, minlength=len(mixtures)).all():
         raise ValueError("every mixture needs a term of non-zero weight")
-    owners, term_weights, terms = zip(*parts)
-    keys, first, inverse = np.unique(np.concatenate([term[0] for term in terms]),
+    distinct, which = np.unique(totals, return_inverse=True)
+    terms = [_area_terms(int(n)) for n in distinct.tolist()]
+    keys, first, columns = np.unique(np.concatenate([term[0] for term in terms]),
                                      return_index=True, return_inverse=True)
     omegas = np.concatenate([term[1] for term in terms])[first]
-    sizes = [term[0].size for term in terms]
-    owners = np.repeat(owners, sizes)
-    term_weights = np.repeat(term_weights, sizes) * np.concatenate([term[2] for term in terms])
-    matrix = np.bincount(owners * keys.size + inverse, weights=term_weights,
+    # each term's slice is its total's slice of the concatenated terms
+    widths = np.array([term[0].size for term in terms])
+    sources = np.cumsum(widths) - widths
+    lengths = widths[which]
+    targets = np.cumsum(lengths) - lengths
+    gather = np.arange(lengths.sum()) + np.repeat(sources[which] - targets, lengths)
+    term_weights = np.repeat(weights, lengths) * np.concatenate([term[2] for term in terms])[gather]
+    matrix = np.bincount(np.repeat(owners, lengths) * keys.size + columns[gather],
+                         weights=term_weights,
                          minlength=len(mixtures) * keys.size).reshape(len(mixtures), keys.size)
     return omegas, matrix
 
@@ -496,9 +519,12 @@ def mixture_ground_probabilities(
 
         P(t) = 1/2 [1 + sum_m c_m sum_p w_p(N_m) E[cos(4 sqrt(p) A)]]
 
-    Terms of weight exactly 0.0 are dropped.  The kernel runs once over the
-    distinct keys p of all mixtures together, so in monte_carlo mode every
-    mixture sees the same draws and each distinct p costs one cosine row.
+    Terms of weight exactly 0.0 are dropped.  ValueError names an empty list
+    of mixtures, a mixture whose totals and weights differ in length or that
+    has no term of non-zero weight, and a total of non-zero weight that is no
+    non-negative integer.  The kernel runs once over the distinct keys p of
+    all mixtures together, so in monte_carlo mode every mixture sees the same
+    draws and each distinct p costs one cosine row.
     With ``taus`` (analytic modes only) that one kernel call covers every
     tau, and the result has one row per tau and one column per mixture.
     """

@@ -2,7 +2,9 @@
 
 Identical configs produce byte-identical files: floats are written with 17
 significant digits, config metadata is emitted in sorted key order, and no
-timestamps or environment state enter the output.
+timestamps or environment state enter the output.  A CSV row of Python floats
+alone is written by one "%.16e,...,%.16e" template per table, which gives the
+bytes of the per-cell formatting that every other row keeps.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
@@ -58,7 +59,10 @@ def write_csv(result: SweepResult, stream: TextIO) -> None:
     for key in sorted(result.config):
         stream.write(f"# {key}={_format_cell(result.config[key])}\n")
     stream.write(",".join(result.columns) + "\n")
-    stream.writelines(",".join(map(_format_cell, row)) + "\n" for row in result.rows)
+    floats = (float,) * len(result.columns)
+    template = ",".join(["%.16e"] * len(result.columns)) + "\n"
+    stream.writelines(template % tuple(row) if tuple(map(type, row)) == floats
+                      else ",".join(map(_format_cell, row)) + "\n" for row in result.rows)
 
 
 def write_json(result: SweepResult, stream: TextIO) -> None:
@@ -99,6 +103,8 @@ def pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     head = list(itertools.islice(items, workers if workers > 1 else 0))
     if len(head) <= 1:
         return [fn(item) for item in itertools.chain(head, items)]
+    from concurrent.futures import ThreadPoolExecutor  # only a pool pays its import
+
     results = []
     with ThreadPoolExecutor(max_workers=len(head)) as pool:
         pending = collections.deque(pool.submit(fn, item) for item in head)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ionparity import cli, dynamics
+from ionparity import checks, cli, dynamics
 from ionparity.checks import CheckResult
 
 
@@ -198,7 +198,7 @@ def test_validate_rejects_bad_drive_before_any_check(flag, value, monkeypatch, c
     def no_battery(**kwargs):
         raise AssertionError("the battery ran on a bad drive")
 
-    monkeypatch.setattr(cli.checks, "run_all", no_battery)
+    monkeypatch.setattr(checks, "run_all", no_battery)
     assert run_cli("validate", flag, value) == 1
     name = flag.lstrip("-").replace("-", "_")
     assert f"error: {name} must" in capsys.readouterr().err
@@ -255,7 +255,7 @@ def test_non_finite_or_negative_input_exits_one(command, key, value, words, from
     def no_battery(**kwargs):
         raise AssertionError("the battery ran on a rejected setting")
 
-    monkeypatch.setattr(cli.checks, "run_all", no_battery)
+    monkeypatch.setattr(checks, "run_all", no_battery)
     if from_file:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({key: value}))
@@ -308,7 +308,7 @@ def test_a_bad_choice_in_a_config_file_exits_one_before_the_battery(monkeypatch,
     def no_battery(**kwargs):
         raise AssertionError("the battery ran with a bad format")
 
-    monkeypatch.setattr(cli.checks, "run_all", no_battery)
+    monkeypatch.setattr(checks, "run_all", no_battery)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"format": "xml"}))
     assert run_cli("validate", "--config", str(config)) == 1
@@ -335,7 +335,7 @@ def test_io_errors_exit_three(tmp_path):
 
 def test_validate_report_and_exit_codes(tmp_path, monkeypatch):
     passing = [CheckResult("alpha", 1e-12, 1e-8, True)]
-    monkeypatch.setattr(cli.checks, "run_all", lambda **kwargs: passing)
+    monkeypatch.setattr(checks, "run_all", lambda **kwargs: passing)
     out = tmp_path / "report.csv"
     assert run_cli("validate", "--out", str(out)) == 0
     rows = [l for l in read(out).splitlines() if not l.startswith("#")]
@@ -343,7 +343,7 @@ def test_validate_report_and_exit_codes(tmp_path, monkeypatch):
     assert rows[1].startswith("alpha,") and rows[1].endswith(",true")
 
     failing = passing + [CheckResult("beta", 0.5, 1e-8, False)]
-    monkeypatch.setattr(cli.checks, "run_all", lambda **kwargs: failing)
+    monkeypatch.setattr(checks, "run_all", lambda **kwargs: failing)
     assert run_cli("validate", "--out", str(out)) == 2
     assert "beta,5.0000000000000000e-01,1.0000000000000000e-08,false" in read(out)
 
@@ -394,7 +394,7 @@ def test_validate_json_report_of_a_failed_check_is_strict(tmp_path, monkeypatch,
     failing = [CheckResult("alpha", 1e-12, 1e-8, True),
                CheckResult("beta", math.inf, 1e-8, False, "norm drift 2e-08 exceeds 1e-08"),
                CheckResult("gamma", 0.5, 1e-8, False)]
-    monkeypatch.setattr(cli.checks, "run_all", lambda **kwargs: failing)
+    monkeypatch.setattr(checks, "run_all", lambda **kwargs: failing)
     out = tmp_path / "report.json"
     assert run_cli("validate", "--format", "json", "--out", str(out)) == 2
     records = json.loads(read(out), parse_constant=_reject_constant)["records"]
@@ -475,7 +475,7 @@ def test_validate_accepts_exactly_the_good_drives(drive, tmp_path_factory):
             return [CheckResult("alpha", 0.0, 1.0, True)]
 
         stdout, stderr = io.StringIO(), io.StringIO()
-        with mock.patch.object(cli.checks, "run_all", battery), \
+        with mock.patch.object(checks, "run_all", battery), \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run_cli("validate", *route)
         if bad is None:
@@ -698,6 +698,36 @@ def test_reused_parser_matches_fresh_processes(tmp_path):
         assert run_cli(*argv, "--out", str(here)) == 0
         assert _fresh_cli(*argv, "--out", str(fresh)).returncode == 0
         assert here.read_bytes() == fresh.read_bytes()
+
+
+# The paper's tables: the dynamics table, three tau-sweeps and two eta-sweeps.
+FIGURES = [["dynamics", "--n", "9"],
+           ["tau-sweep", "--mode", "gamma"],
+           ["tau-sweep", "--mode", "gaussian"],
+           ["tau-sweep", "--mode", "gaussian", "--eta-prep", "0.9"],
+           ["eta-sweep", "--mode", "gaussian", "--tau", "1e-9", "1e-8", "1e-7"],
+           ["eta-sweep", "--mode", "gamma"]]
+
+_FIGURES_CLI = """
+import json, sys
+from ionparity import cli
+
+out = sys.argv[1]
+for index, argv in enumerate(json.loads(sys.argv[2])):
+    assert cli.main([*argv, "--out", f"{out}/{index}.csv"]) == 0
+print(" ".join(name for name in ("numpy.ma", "ionparity.checks", "concurrent.futures")
+               if name in sys.modules))
+"""
+
+
+def test_the_figures_import_neither_the_battery_nor_a_thread_pool_nor_numpy_ma(tmp_path):
+    # the validation battery and the Monte-Carlo pool load where they run;
+    # numpy.ma is what a bare np.unique(x) would import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _FIGURES_CLI, str(tmp_path), json.dumps(FIGURES)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "\n")
+    assert len(list(tmp_path.glob("*.csv"))) == len(FIGURES)
 
 
 # 4 GiB of address space holds numpy and its BLAS threads, never a 7 TiB grid

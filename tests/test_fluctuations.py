@@ -15,7 +15,7 @@ from ionparity import (
     parity_delta_mixed,
     rabi_spectrum,
 )
-from ionparity import checks, fluctuations, preparation
+from ionparity import checks, cli, fluctuations, preparation
 from ionparity.fluctuations import sample_pulse_areas
 
 # frozen from independent brute-force evaluation at the comparison instant
@@ -404,6 +404,85 @@ def test_zero_weight_term_never_enters_the_cache():
     assert with_tail == pytest.approx(without, abs=1e-15)
     with pytest.raises(ValueError, match="non-zero weight"):
         mixture_ground_probabilities((((2001,), (0.0,)),), model, T_COMPARE)
+
+
+def per_term_mixture_matrix(mixtures):
+    """``_mixture_matrix`` as one Python step per (mixture, term): the loop
+    the gather over distinct totals replaced, kept as its oracle."""
+    parts = [(index, weight, fluctuations._area_terms(int(n)))
+             for index, (n_totals, weights) in enumerate(mixtures)
+             for n, weight in zip(n_totals, weights) if weight != 0.0]
+    owners, term_weights, terms = zip(*parts)
+    keys, first, inverse = np.unique(np.concatenate([term[0] for term in terms]),
+                                     return_index=True, return_inverse=True)
+    omegas = np.concatenate([term[1] for term in terms])[first]
+    sizes = [term[0].size for term in terms]
+    owners = np.repeat(owners, sizes)
+    term_weights = np.repeat(term_weights, sizes) * np.concatenate([term[2] for term in terms])
+    matrix = np.bincount(owners * keys.size + inverse, weights=term_weights,
+                         minlength=len(mixtures) * keys.size).reshape(len(mixtures), keys.size)
+    return omegas, matrix
+
+
+def assert_matrix_of_the_term_loop(mixtures):
+    omegas, matrix = fluctuations._mixture_matrix(mixtures)
+    expected_omegas, expected_matrix = per_term_mixture_matrix(mixtures)
+    assert np.array_equal(omegas, expected_omegas)
+    assert np.array_equal(matrix, expected_matrix)
+
+
+def test_mixture_matrix_of_the_eta_sweep_targets_equals_the_term_loop():
+    # every point of the default eta-sweep at n = 9, both targets of each
+    mixtures = [prep.terms() for eta in np.linspace(0.05, 1.0, 20).tolist()
+                for prep in cli._targets(9, "eta_min", eta)]
+    assert_matrix_of_the_term_loop(mixtures)
+    for pair in zip(mixtures[::2], mixtures[1::2]):
+        assert_matrix_of_the_term_loop(list(pair))
+
+
+@pytest.mark.parametrize("mixtures", [
+    # repeated and unsorted totals within one mixture
+    [((12, 3, 12, 0, 7, 3), (0.1, 0.2, 0.15, 0.05, 0.3, 0.2)), ((7, 12), (0.4, 0.6))],
+    # zero-weight terms, one of them the only term of its total
+    [((9, 2001, 10, 4), (0.5, 0.0, 0.5, 0.0)), ((4, 10), (1.0, 0.0))],
+    # N = 0 and N = 1, alone and together
+    [((0,), (1.0,)), ((1,), (1.0,)), ((0, 1), (0.5, 0.5))],
+    # numpy totals and weights, as a preparation's terms() gives them
+    [(np.arange(5), np.full(5, 0.2)), (np.array([9]), np.array([1.0]))],
+])
+def test_mixture_matrix_equals_the_term_loop(mixtures):
+    assert_matrix_of_the_term_loop(mixtures)
+
+
+def test_mixture_matrices_of_a_monte_carlo_sweep_equal_the_term_loop(monkeypatch):
+    # the pair matrices cli._parity_curves builds once per eta in mc mode
+    seen = []
+    original = fluctuations._mixture_matrix
+
+    def recording(mixtures):
+        seen.append(mixtures)
+        return original(mixtures)
+
+    monkeypatch.setattr(fluctuations, "_mixture_matrix", recording)
+    config = {**cli.DEFAULTS["eta-sweep"], "out": None, "mode": "mc", "mc_samples": 200,
+              "eta_steps": 5, "tau": [1e-8], "workers": 1}
+    cli.cmd_eta_sweep(config)
+    monkeypatch.undo()
+    assert len(seen) == 5
+    for mixtures in seen:
+        assert_matrix_of_the_term_loop(mixtures)
+
+
+@pytest.mark.parametrize("mixtures, message", [
+    ([((2.5,), (1.0,))], "non-negative integer, got 2.5"),
+    ([((9, -1), (0.5, 0.5))], "non-negative integer, got -1"),
+    ([], "no mixture given"),
+    ([((9, 10), (1.0,))], "one weight per total"),
+])
+def test_mixture_matrix_rejects_bad_totals(mixtures, message):
+    model = FluctuationModel(g_mean=1e5, tau=1e-8, mode="gamma_exact")
+    with pytest.raises(ValueError, match=message):
+        mixture_ground_probabilities(mixtures, model, T_COMPARE)
 
 
 def test_gamma_gaussian_agree_in_regime():

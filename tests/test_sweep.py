@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import os
 import threading
@@ -6,6 +7,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionparity import sweep
 from ionparity.sweep import SweepResult, write_csv
@@ -40,6 +42,60 @@ def test_csv_cells_of_numpy_and_python_scalars():
     )
 
 
+def per_cell_csv(result: SweepResult) -> str:
+    """``write_csv`` with ``_format_cell`` on every cell: the writer the row
+    template replaced, kept as its oracle."""
+    lines = [f"# {key}={sweep._format_cell(result.config[key])}\n"
+             for key in sorted(result.config)]
+    lines.append(",".join(result.columns) + "\n")
+    lines.extend(",".join(map(sweep._format_cell, row)) + "\n" for row in result.rows)
+    return "".join(lines)
+
+
+def assert_bytes_of_the_cell_writer(columns, rows):
+    result = SweepResult(columns, rows, {"seed": 3, "tau": 1e-8})
+    stream = io.StringIO()
+    write_csv(result, stream)
+    assert stream.getvalue() == per_cell_csv(result)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               float("inf"), float("-inf"), float("nan"), 1.0 / 3.0, -2.5e-300, 1e16]
+
+
+def test_float_rows_write_the_bytes_of_the_cell_writer():
+    rows = [tuple(EDGE_FLOATS[i:i + 4]) for i in range(len(EDGE_FLOATS) - 3)]
+    assert_bytes_of_the_cell_writer(("a", "b", "c", "d"), rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=20))
+def test_any_float_rows_write_the_bytes_of_the_cell_writer(rows):
+    assert_bytes_of_the_cell_writer(("a", "b", "c"), rows)
+
+
+def test_numpy_and_mixed_rows_write_the_bytes_of_the_cell_writer():
+    rows = [
+        tuple(np.float64(value) for value in EDGE_FLOATS[:4]),
+        (np.float64(0.1), 0.2, np.float64(-0.0), float("nan")),
+        (1.0, 2, 3.0, 4.0),  # an int in a float column keeps its text
+        (1.0, True, 3.0, 4.0),
+        (1.0, 2.0, 3.0),  # a short row
+        [0.5, -0.0, 5e-324, float("inf")],  # a row given as a list
+    ]
+    assert_bytes_of_the_cell_writer(("a", "b", "c", "d"), rows)
+
+
+def test_validate_rows_write_the_bytes_of_the_cell_writer():
+    # validate's rows: a check name, two floats and a flag
+    rows = [(name, measured, bound, bool(measured <= bound))
+            for name, measured, bound in [("closed_form_vs_propagator", 3.1e-15, 1e-10),
+                                          ("monte_carlo_vs_gamma", 3.294, 3.0),
+                                          ("lamb_dicke_unitarity", float("inf"), 1e-8),
+                                          ("norm_conservation", np.float64(0.0), 1e-12)]]
+    assert_bytes_of_the_cell_writer(("check", "measured", "bound", "passed"), rows)
+
+
 def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
     # a recorder in place of the thread pool: it maps serially and starts no thread
     recorded = []
@@ -59,7 +115,7 @@ def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
             future.set_result(fn(item))
             return future
 
-    monkeypatch.setattr(sweep, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     assert sweep.pool_map(lambda x: 2 * x, [1, 2, 3], 10**6) == [2, 4, 6]
     assert all(workers <= min(3, os.cpu_count() or 1) for workers in recorded)
     assert sweep.pool_map(lambda x: 2 * x, [5], 2) == [10]
