@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionparity import (
     FluctuationModel,
@@ -122,6 +124,36 @@ def test_monte_carlo_cosine_of_a_deterministic_area_has_no_error(tau):
 # Unit roundoff of float64.
 U = np.finfo(float).eps / 2.0
 
+# pi to 63 digits, far past float64, to measure the reduction's constants
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
+HIGH, LOW = fluctuations.REDUCE_HIGH, fluctuations.REDUCE_LOW
+LIMIT, FLOOR = fluctuations.REDUCTION_LIMIT, fluctuations.REDUCTION_FLOOR
+
+
+def reduction_error(arguments):
+    """The largest error, per draw, of a reduced base row against the exact
+    cosine of its argument x = fl(b A), for |x| up to ``LIMIT``.
+
+    The row is T_4(c), where c is libm's cosine of z' = fl(fl(z - h) - l),
+    z = x/4 exactly, k = rint(fl(z 2/pi)), h = k HIGH exactly, and
+    l = fl(h fl(LOW/HIGH)).  To first order in the unit roundoff u:
+    - z' = z - k pi/2 + e with |e| <= u |z - h| + u |z'|
+      + |k| (2u |LOW| + |HIGH + LOW - pi/2|): each subtraction rounds once,
+      l is within 2u |k LOW| of k LOW, and HIGH + LOW misses pi/2.  Up to
+      the limit |z - h| and |z'| stay under 1, and |k| <= |x|/(2 pi) + 1.
+    - T_4(cos z') = cos(4z') = cos(x - 2 pi k + 4e), which is within 4|e|
+      of cos x: 8u plus the constants' part.
+    - c is within 2u of cos z' (libm's cosine errs by under one ulp), and
+      |T_4'| <= 16 on [-1, 1]: 32u.
+    - The first doubling c1 = 2c^2 - 1 rounds c^2 by u, which the exact
+      doubling makes 2u, and its subtraction is exact, since 2c^2 >= 1/2
+      for |z'| <= pi/4 + 0.01.  The second doubling's slope 4 c1 <= 4 makes
+      that 8u, and it rounds c1^2 (2u again) and its subtraction (u): 11u.
+    So the row is within 51u + 4|k| (2u |LOW| + |HIGH + LOW - pi/2|)."""
+    constants = 2 * U * abs(LOW) + float(abs(Fraction(HIGH) + Fraction(LOW) - PI / 2))
+    return 51 * U + 4 * (np.abs(arguments) / (2 * np.pi) + 1) * constants
+
 
 def ladder_rungs(omegas, samples):
     """The rung from which the kernel forms each row of ``omegas``: a zero
@@ -137,53 +169,69 @@ def ladder_rungs(omegas, samples):
 
 def ladder_bound(rungs, omegas, draws):
     """The largest difference the error analysis below allows between the
-    kernel's mean at rung m >= 2 and libm's mean of cos(omega A) over the
-    same ``draws``, one block of them.
+    kernel's mean and libm's mean of cos(omega A) over the same ``draws``,
+    one block of them.
 
-    Rung m is T_m(c), where c = cos(x) is libm's cosine of x = fl(b A) at
-    the base b, and T_m runs y_k = 2 c y_(k-1) - y_(k-2) from y_0 = 1.  Per
-    draw, to first order in the unit roundoff u:
-    - c is within 2u of cos x (libm's cosine errs by under one ulp), and
-      |T_m'| <= m^2 on [-1, 1]: 2 m^2 u;
+    Row omega at rung m is T_m(c), where c is the row of its base b, and T_m
+    runs y_k = 2 c y_(k-1) - y_(k-2) from y_0 = 1.  Per draw, to first order
+    in the unit roundoff u:
+    - c is within ``reduction_error`` of cos x, x = fl(b A), where it was
+      reduced, and within libm's 2u, which is less, where it was not; b A
+      is at most |omega A|.  |T_m'| <= m^2 on [-1, 1] makes that m^2 times
+      as much.
     - a rung rounds c y_(k-1) by u, which the exact doubling makes 2u, and
       the subtraction, whose result is near |T_k| <= 1, by u: 3u a rung.
       An error made at rung k reaches rung m times U_(m-k), |U_j| <= j + 1:
       3u (1 + ... + (m - 1)) = 1.5 m (m - 1) u;
-    - m x and libm's argument fl(omega A) differ by at most 4u |omega A| (b,
-      omega and the two products round once each), which moves the cosine
-      by as much; libm's own cosine adds 2u.
+    - from rung 2 on, m x and libm's argument fl(omega A) differ by at most
+      4u |omega A| (b, omega and the two products round once each), which
+      moves the cosine by as much; libm's own cosine adds 2u.
     The two means sum n such terms in the same pairwise tree, which adds at
     most h <= 128 + log2 n roundings of the running sum to each term, so
     each sum is within h u n of its exact value, and each divides once.
-    Rows at rung 1 are libm's own products and cosines in the same tree:
-    equal bit for bit.
+    Rows that keep libm's product and cosine (``libm_rows``) are equal bit
+    for bit.
     """
     return climb_error(rungs, omegas, draws) + U * (2 * (128 + np.log2(draws.size)) + 2)
 
 
 def climb_error(rungs, omegas, draws):
-    """The per-draw part of ``ladder_bound``; 0 at rung 1."""
-    per_draw = U * (2 * rungs**2 + 1.5 * rungs * (rungs - 1)
-                    + 4 * np.abs(omegas) * np.max(draws) + 2)
-    return np.where(rungs > 1, per_draw, 0.0)
+    """The per-draw part of ``ladder_bound``."""
+    arguments = np.abs(omegas) * np.max(draws)
+    return rungs**2 * reduction_error(arguments) + U * (
+        1.5 * rungs * (rungs - 1) + np.where(rungs > 1, 4 * arguments, 0.0) + 2)
 
 
-def assert_ladder_rows(omegas, samples, seed=5):
+def libm_rows(omegas, samples, draws):
+    """The rows the kernel keeps bit for bit at libm's: every row of a call
+    whose blocks hold fewer than ``LADDER_MIN_DRAWS`` draws or whose largest
+    argument is at most ``FLOOR``, a zero frequency's row, and a rung-1 row
+    whose own largest argument passes ``LIMIT``, since its group's largest
+    does too."""
+    arguments = np.abs(omegas) * np.max(draws)
+    if (min(samples, fluctuations.MC_DRAW_BLOCK) < fluctuations.LADDER_MIN_DRAWS
+            or np.max(arguments) <= FLOOR):
+        return np.ones(omegas.size, dtype=bool)
+    alone = ladder_rungs(omegas, samples) == 1
+    return (omegas == 0.0) | (alone & ~(arguments <= LIMIT))
+
+
+def assert_ladder_rows(omegas, samples, seed=5, g=1.0, tau=1e-3, t=1.0):
     """The kernel's rows at ``omegas`` from one block of draws against
-    libm's outer product: rung-1 rows bit for bit, every other row within
-    ``ladder_bound``.  Returns the rungs and the differences."""
+    libm's outer product: the ``libm_rows`` bit for bit, every row within
+    ``ladder_bound``.  Returns the rungs, the differences and the draws."""
     assert samples <= fluctuations.MC_DRAW_BLOCK
-    model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples,
+    model = FluctuationModel(g_mean=g, tau=tau, mode="monte_carlo", mc_samples=samples,
                              seed=seed)
-    means = fluctuations._kernels(omegas, model, 1.0)
-    draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(seed), samples)
+    means = fluctuations._kernels(omegas, model, t)
+    draws = sample_pulse_areas(g, tau, t, np.random.default_rng(seed), samples)
     libm = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
     rungs = ladder_rungs(omegas, samples)
-    first = rungs == 1
-    assert np.array_equal(means[first], libm[first])
+    exact = libm_rows(omegas, samples, draws)
+    assert np.array_equal(means[exact], libm[exact])
     differences = np.abs(means - libm)
-    assert np.all(differences[~first] <= ladder_bound(rungs, omegas, draws)[~first])
-    return rungs, differences
+    assert np.all(differences <= ladder_bound(rungs, omegas, draws))
+    return rungs, differences, draws
 
 
 def test_monte_carlo_blocks_match_one_outer_product():
@@ -191,18 +239,20 @@ def test_monte_carlo_blocks_match_one_outer_product():
     # the tile cap, in six tiles of 5 rows and one of 1.  5e4 draws fit in one
     # draw block, so every row keeps the summation order of the full product.
     # Each root s of a key p = s m^2 of N = 62 holds that key alone, and a
-    # lone key takes its own libm cosine, so every row is at rung 1.
+    # lone key takes its own reduced cosine, so every row is at rung 1.
     samples = 50_000
     _, omegas, weights = fluctuations._area_terms(62)
     assert samples <= fluctuations.MC_DRAW_BLOCK
     assert (omegas.size - 1) * samples > fluctuations.MC_BLOCK_PAIRS
     assert (omegas.size - 1) % (fluctuations.MC_BLOCK_PAIRS // samples) != 0
-    rungs, differences = assert_ladder_rows(omegas, samples)
-    assert np.all(rungs == 1) and np.all(differences == 0.0)
+    rungs, _, draws = assert_ladder_rows(omegas, samples)
+    assert np.all(rungs == 1)
     model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples, seed=5)
-    draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(5), samples)
     full = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
-    assert averaged_ground_probability(62, model, 1.0) == float(0.5 * (1.0 + weights @ full))
+    # the weights sum to 1, and the weighted sums round at rounding level
+    assert averaged_ground_probability(62, model, 1.0) == pytest.approx(
+        float(0.5 * (1.0 + weights @ full)),
+        abs=float(0.5 * weights @ ladder_bound(rungs, omegas, draws)) + 8 * U)
 
 
 def test_ladder_of_the_tau_sweep_union_climbs_to_rung_five():
@@ -212,7 +262,7 @@ def test_ladder_of_the_tau_sweep_union_climbs_to_rung_five():
     # cosines, as 14 and 21 do: 6 cosines a draw instead of 9
     omegas = fluctuations._mixture_matrix([((9,), (1.0,)), ((10,), (1.0,))])[0]
     keys = np.round((omegas / 4.0) ** 2).astype(int)
-    rungs, differences = assert_ladder_rows(omegas, 1 << 14)
+    rungs, differences, _ = assert_ladder_rows(omegas, 1 << 14)
     assert dict(zip(keys.tolist(), rungs.tolist())) == {
         0: 1, 8: 2, 9: 3, 14: 1, 16: 4, 18: 3, 20: 1, 21: 1, 24: 1, 25: 5}
     ladder = fluctuations._ladder(omegas[omegas != 0.0], 1 << 14)
@@ -226,16 +276,19 @@ def test_ladder_of_a_wide_mixture_climbs_past_rung_seventeen():
     delta = preparation.delta_from_efficiency(0.05)
     omegas = fluctuations._mixture_matrix(
         [preparation.PreparationModel(n, delta).terms() for n in (9, 10)])[0]
-    rungs, _ = assert_ladder_rows(omegas, 1 << 12)
+    rungs, _, _ = assert_ladder_rows(omegas, 1 << 12)
     assert rungs.max() >= 17
     assert fluctuations._ladder(omegas[omegas != 0.0], 1 << 12).bases.size < omegas.size // 2
 
 
 def test_ladder_of_a_large_total_keeps_every_key_on_its_own_cosine():
     # the 2000 non-zero keys of N = 4001 lie on 2000 roots: no cosine is
-    # shared, and a recurrence would only add rungs
+    # shared, and a recurrence would only add rungs.  Below LADDER_MIN_DRAWS
+    # draws a block keeps libm's rows, bit for bit.
     _, omegas, _ = fluctuations._area_terms(4001)
-    rungs, differences = assert_ladder_rows(omegas, fluctuations.LADDER_MIN_DRAWS)
+    rungs, differences, _ = assert_ladder_rows(omegas, fluctuations.LADDER_MIN_DRAWS)
+    assert np.all(rungs == 1) and np.max(differences) > 0.0
+    rungs, differences, _ = assert_ladder_rows(omegas, fluctuations.LADDER_MIN_DRAWS - 1)
     assert np.all(rungs == 1) and np.all(differences == 0.0)
 
 
@@ -293,6 +346,105 @@ def test_a_faulted_recurrence_leaves_the_bound_and_fails_the_check(fault, monkey
         assert not result.passed and result.measured > 10.0 * result.bound
     finally:
         fluctuations._cached_ladder.cache_clear()
+
+
+def test_reduction_constants_split_half_pi():
+    # HIGH is float32(pi/2), 24 significant bits, so k HIGH is exact for
+    # |k| < 2^29; LOW is the float64 nearest pi/2 - HIGH; and up to the
+    # limit k stays under 2^18 and the constants' part of the error under u/10
+    assert HIGH == float(np.float32(np.pi / 2.0))
+    assert Fraction(HIGH).numerator.bit_length() == 24
+    assert LOW == float(PI / 2 - Fraction(HIGH))
+    assert abs(Fraction(HIGH) + Fraction(LOW) - PI / 2) <= Fraction(U) * abs(Fraction(LOW))
+    assert LIMIT / (2.0 * np.pi) + 1.0 < 2.0**18
+    assert reduction_error(LIMIT) - reduction_error(0.0) < U / 10.0
+
+
+def reduced_rows(frequencies, draws):
+    """The reduced ``_base_rows`` of ``frequencies`` over ``draws``, one row
+    at a time through a scratch of one row."""
+    cosines = np.empty((frequencies.size, draws.size))
+    fluctuations._base_rows(frequencies, draws, cosines, np.empty(draws.size), True)
+    return cosines
+
+
+def assert_reduced_row(base, draws):
+    """A reduced row within ``reduction_error`` of the exact cosine, so
+    within 2u more of libm's cosine of the same product."""
+    arguments = base * draws
+    differences = np.abs(reduced_rows(np.array([base]), draws)[0] - np.cos(arguments))
+    assert np.all(differences <= reduction_error(arguments) + 2 * U), arguments[
+        np.argmax(differences - reduction_error(arguments))]
+
+
+def test_reduced_rows_at_the_edges_of_the_reduction():
+    # x = 0; multiples of pi/2 and 2 pi (as floats), the first where the
+    # cosine is near 0; the quarter angle at +-pi/4 plus multiples of pi/2,
+    # where rint meets its ties, and the floats either side of them; and the
+    # limit itself
+    j = np.arange(0.0, 160_000.0, 997.0)
+    ties = np.concatenate([np.pi * (2.0 * j + 1.0), np.pi * (2.0 * j[1:] - 1.0)])
+    draws = np.concatenate([
+        [0.0, LIMIT, np.nextafter(LIMIT, 0.0)],
+        0.5 * np.pi * np.arange(1.0, 400.0), 2.0 * np.pi * np.arange(1.0, 400.0),
+        2.0 * np.pi * j, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    assert draws.max() <= LIMIT
+    assert_reduced_row(1.0, draws)
+    # the quarter angles of the ties themselves sit where rint rounds half
+    quarter = 0.25 * ties * (2.0 / np.pi)
+    assert np.any(np.abs(quarter - np.floor(quarter) - 0.5) < 1e-9)
+    assert reduced_rows(np.ones(1), np.zeros(3)).tolist() == [[1.0, 1.0, 1.0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.5, 64.0),
+       st.lists(st.floats(0.0, LIMIT / 64.0), min_size=1, max_size=50))
+def test_reduced_rows_hold_the_bound_up_to_the_limit(base, draws):
+    assert_reduced_row(base, np.array(draws))
+
+
+def libm_sums(frequencies, draws):
+    """libm's row sums of cos(frequency * draw), as the kernel sums a row."""
+    return np.cos(np.multiply.outer(frequencies, draws)).sum(axis=1)
+
+
+@pytest.mark.parametrize("edge", ["floor", "limit"])
+def test_a_group_outside_the_reduced_range_keeps_libm_rows(edge):
+    # Two lone bases in one group, whose largest argument decides for both.
+    # At the floor both rows are libm's, and one float past it both are
+    # reduced.  Up to the limit both are reduced; one float past it both are
+    # libm's, the row of base 1 too, whose own arguments stay at a quarter
+    # of the limit.
+    frequencies = np.array([1.0, 4.0])
+    ladder = fluctuations._ladder(frequencies, fluctuations.LADDER_MIN_DRAWS)
+    assert ladder.climb and ladder.tops.tolist() == [1, 1]
+    high = FLOOR if edge == "floor" else LIMIT
+    draws = np.random.default_rng(3).uniform(0.0, high / 4.0, fluctuations.LADDER_MIN_DRAWS)
+    for top in (high / 4.0, np.nextafter(high / 4.0, np.inf)):
+        draws[0] = top
+        reduced = FLOOR < 4.0 * top <= LIMIT
+        expected = (reduced_rows(frequencies, draws).sum(axis=1) if reduced
+                    else libm_sums(frequencies, draws))
+        assert np.array_equal(fluctuations._cosine_sums(ladder, draws), expected)
+    # the two routes differ on these draws, so the test tells them apart
+    assert not np.array_equal(reduced_rows(frequencies, draws).sum(axis=1),
+                              libm_sums(frequencies, draws))
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-2, 1e-1, 1.0])
+def test_heavy_tailed_draws_keep_libm_rows_past_the_reduction_limit(tau):
+    # The tau-sweep's keys and model at its comparison time: the Gamma shape
+    # t/tau falls from 0.067 and the scale g tau grows to 1e5, so the largest
+    # argument grows from about 1.4e4 (tau = 1e-3) to 4.2e6 (tau = 1).  There
+    # every key's own argument passes the limit, so the groups of the rung-1
+    # rows keep libm's rows bit for bit; root 1 (base 4), which rungs climb
+    # from, stays below it and is reduced
+    omegas = fluctuations._mixture_matrix([((9,), (1.0,)), ((10,), (1.0,))])[0]
+    rungs, _, draws = assert_ladder_rows(omegas, fluctuations.MC_DRAW_BLOCK, g=1e5, tau=tau,
+                                         t=T_COMPARE)
+    past = np.abs(omegas) * draws.max() > LIMIT
+    assert past.sum() == (omegas.size - 1 if tau == 1.0 else 0)
+    assert np.all(libm_rows(omegas, draws.size, draws)[past & (rungs == 1)])
 
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
@@ -353,6 +505,22 @@ def test_monte_carlo_memory_does_not_grow_with_the_sample_count():
     # still bound), plus 64 KiB for the per-row arrays
     limit = 8 * (fluctuations.MC_BLOCK_PAIRS + 2 * fluctuations.MC_DRAW_BLOCK) + (1 << 16)
     assert large <= limit
+    assert fluctuations.MC_BLOCK_PAIRS == 1 << 18  # the tile is 2 MiB
+    # Once the thread has its tile, summing a block allocates only the sum
+    # table and the row it returns, plus array headers: the reduction's
+    # scratch is part of the tile (one plane would be 512 KiB here)
+    ladder = fluctuations._ladder(omegas[1:], fluctuations.MC_DRAW_BLOCK)
+    draws = sample_pulse_areas(1e5, 1e-8, T_COMPARE, np.random.default_rng(1),
+                               fluctuations.MC_DRAW_BLOCK)
+    fluctuations._cosine_sums(ladder, draws)
+    tracemalloc.start()
+    try:
+        fluctuations._cosine_sums(ladder, draws)
+        one_call = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = ladder.offsets[-1] + ladder.depth[-1]
+    assert one_call <= 8 * (table + ladder.slots.size) + (1 << 12)
 
 
 @pytest.mark.parametrize("n_total", [1, 2, 9, 10, 30])
@@ -384,14 +552,44 @@ def test_joint_call_matches_separate_calls(mode):
         )
 
 
-def test_monte_carlo_merged_row_equals_unmerged_row():
-    # every k of N = 9 gets the row of its key p = (N-k)k, bit for bit
-    model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=5000, seed=8)
-    unmerged = fluctuations._kernels(2.0 * rabi_spectrum(9, 1.0).frequencies, model, 1.0, None)
+def ladder_bases(omegas, samples):
+    """The base each row of ``omegas`` climbs from, 0 for a zero frequency."""
+    nonzero = np.flatnonzero(omegas != 0.0)
+    ladder = fluctuations._ladder(omegas[nonzero], min(samples, fluctuations.MC_DRAW_BLOCK))
+    rungs = ladder_rungs(omegas, samples)[nonzero]
+    bases = np.zeros(omegas.size)
+    bases[nonzero] = ladder.bases[ladder.slots - np.array(ladder.offsets)[rungs]]
+    return bases
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_monte_carlo_merged_row_equals_unmerged_row(seed):
+    # Every k of N = 9 gets the row of its key p = (N-k)k.  The two calls
+    # place their keys on different ladders: unmerged, key 20 = 5*2^2 comes
+    # twice and climbs from root 5 as rung 2; merged, it takes its own
+    # cosine.  A row formed from the same base and rung in both is equal bit
+    # for bit (every group's largest argument, near 4 sqrt(p) >= 5.6, lies
+    # between the reduction's floor and limit, so every group is reduced in
+    # both); any other is held to ``ladder_bound``.
+    samples = 5000
+    model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples,
+                             seed=seed)
+    spread = 2.0 * rabi_spectrum(9, 1.0).frequencies
+    unmerged = fluctuations._kernels(spread, model, 1.0, None)
     keys, omegas, _ = fluctuations._area_terms(9)
     merged = fluctuations._kernels(omegas, model, 1.0, None)
     k = np.arange(10)
-    assert np.array_equal(merged[np.searchsorted(keys, (9 - k) * k)], unmerged)
+    row = np.searchsorted(keys, (9 - k) * k)
+    rungs = ladder_rungs(omegas, samples)[row]
+    same = ((ladder_bases(omegas, samples)[row] == ladder_bases(spread, samples))
+            & (rungs == ladder_rungs(spread, samples)))
+    assert not same.all() and same.sum() == 8
+    assert np.array_equal(merged[row][same], unmerged[same])
+    # each side is within ladder_bound of libm's row, at its own rung
+    draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(seed), samples)
+    bound = (ladder_bound(rungs, omegas[row], draws)
+             + ladder_bound(ladder_rungs(spread, samples), spread, draws))
+    assert np.all(np.abs(merged[row] - unmerged) <= bound)
 
 
 def test_zero_weight_term_never_enters_the_cache():

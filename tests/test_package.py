@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,24 @@ def test_the_unused_import_finder_sees_a_stale_import():
     source = ("from .states import TwoModeState, effective_coupling\n\n"
               "def f():\n    return effective_coupling\n")
     assert _unused_imports(source) == ["TwoModeState (line 1)"]
+
+
+def test_a_failing_hypothesis_test_reports_as_a_failure(tmp_path):
+    # Under the project's warning filters, a failing @given test must end as
+    # one failure and let the session go on, not as an INTERNALERROR raised
+    # while hypothesis prints the failing example's patch
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(value):\n"
+        "    assert value < 5\n\n\n"
+        "def test_runs_after_it():\n"
+        "    pass\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(TESTS.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1
