@@ -10,22 +10,22 @@ against each other over their whole grid in one broadcast, a mixture
 against its pure runs.
 
 ``run_all`` spreads the 25 cells of ``monte_carlo_vs_gamma``, its slowest
-row (90-160 ms CPU alone on the 2-core machine), over both cores.  The
-cells are one work list: a worker thread starts on it at once, and the
-calling thread takes the cells still open once its other rows are done.
-Each cell draws from its own seed into its own slot, so the row reads the
-same bits whichever thread took which cell, and every row reads the same
-bits as when the checks are called one by one.  The cells make no BLAS
-call, and their gamma draws and cosine blocks release the GIL.  The two
-drive rows read one build of the suite's drives (``_suite_drives``): each
-drive of ``RWA_SUITES[full]`` is propagated once per battery, and
+row (90-160 ms CPU alone on the 2-core machine), over both cores.  Every
+cell is queued on one worker thread at once; once its other rows are done,
+the calling thread runs each cell whose future still cancels (the worker
+has not started it) and takes the rest from their futures.  The other rows
+stay on the calling thread, where perfbench's tracer finds their parent
+span.  Each cell draws from its own seed, so the row reads the same bits
+whichever thread ran which cell, and every row reads the same bits as when
+the checks are called one by one.  The cells make no BLAS call, and their
+gamma draws and cosine blocks release the GIL.  The two drive rows read one
+build of the suite's drives (``_suite_drives``): each drive of
+``RWA_SUITES[full]`` is propagated once per battery, and
 ``lamb_dicke_unitarity`` reads its norms and period maps from those builds.
-In-process, these two changes took ``run_all`` from 150 to 115 ms (medians
-of 56 runs each, in 8 alternated rounds of 7).  The battery runs on one OpenBLAS thread, restored
-afterwards: on two, the drive checks took 109-137 ms wall for 217-273 ms
-CPU, and on one 89-132 ms for 109-132 ms (in-process, best of 5), so the
-second thread bought no time, and on a 2-core machine it would compete with
-the Monte-Carlo cells.
+The battery runs on one OpenBLAS thread, restored afterwards: on two, the
+drive checks took 109-137 ms wall for 217-273 ms CPU, and on one 89-132 ms
+for 109-132 ms (in-process, best of 5), so the second thread bought no
+time, and on a 2-core machine it would compete with the Monte-Carlo cells.
 
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:
@@ -48,8 +48,8 @@ tests/test_checks.py that injects that fault and sees the row fail:
 - monte_carlo_vs_gamma: a gamma kernel with its decay sign flipped, and a
   sampler biased by 6 standard errors; test_monte_carlo_check_detects_wrong_kernel,
   test_monte_carlo_check_runs_the_sweeps_sampler; one cell biased by 6
-  standard errors in ``run_all``, the first (taken by the worker) or the
-  last (taken by the calling thread);
+  standard errors in ``run_all``, the first (run by the worker) or the
+  last (run by the calling thread);
   test_one_cell_biased_by_six_standard_errors_fails_the_battery_row; a cosine recurrence with a
   flipped sign or one rung off, at the key omega = 8 (tests/test_fluctuations.py::
   test_a_faulted_recurrence_leaves_the_bound_and_fails_the_check)
@@ -79,7 +79,6 @@ import ctypes
 import functools
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -245,60 +244,28 @@ MC_TAUS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 MC_SAMPLES = 100_000
 
 
-class _MonteCarloCells:
-    """The (omega, tau) cells of ``monte_carlo_vs_gamma`` as one work list
-    that any thread may drain.  Each cell draws from its own child of
-    ``SeedSequence(seed)`` and keeps its (mean, standard error) in its own
-    slot, so the estimates do not depend on which thread took which cell.
-    Given ``pool``, one worker thread starts on the cells at once."""
-
-    def __init__(self, seed: int, pool: ThreadPoolExecutor | None = None) -> None:
-        self.grid = list(itertools.product(MC_OMEGAS, MC_TAUS))
-        children = np.random.SeedSequence(seed).spawn(len(self.grid))
-        self._open = enumerate(zip(self.grid, children))
-        self._lock = threading.Lock()
-        self.estimates = np.full((len(self.grid), 2), math.nan)
-        self._helper = None if pool is None else pool.submit(self._drain)
-
-    def _take(self) -> tuple | None:
-        with self._lock:
-            return next(self._open, None)
-
-    def _drain(self) -> None:
-        try:
-            while (cell := self._take()) is not None:
-                index, ((omega, tau), child) = cell
-                model = fluctuations.FluctuationModel(
-                    g_mean=1.0, tau=tau, mode="monte_carlo", mc_samples=MC_SAMPLES
-                )
-                self.estimates[index] = fluctuations.monte_carlo_cosine(
-                    omega, 1.0, model, rng=np.random.default_rng(child)
-                )
-        except BaseException:
-            self.close()  # the other thread stops after its current cell
-            raise
-
-    def close(self) -> None:
-        """Leave no cell open: a thread draining stops after its current one."""
-        with self._lock:
-            self._open = iter(())
-
-    def result(self) -> np.ndarray:
-        """Every cell's (mean, standard error): drain the open cells on this
-        thread, then wait for the worker's, raising its error."""
-        try:
-            self._drain()
-        finally:
-            fluctuations._release_tile()
-        if self._helper is not None:
-            self._helper.result()
-        return self.estimates
+def _monte_carlo_cells(seed: int) -> list[Callable[[], tuple[float, float]]]:
+    """The (omega, tau) cells of ``monte_carlo_vs_gamma``, (omega, tau)-major,
+    as calls giving each cell's (mean, standard error).  Each cell draws from
+    its own child of ``SeedSequence(seed)``, so its estimate does not depend
+    on which thread runs it, nor when."""
+    grid = list(itertools.product(MC_OMEGAS, MC_TAUS))
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    return [
+        functools.partial(
+            fluctuations.monte_carlo_cosine, omega, 1.0,
+            fluctuations.FluctuationModel(g_mean=1.0, tau=tau, mode="monte_carlo",
+                                          mc_samples=MC_SAMPLES),
+            np.random.default_rng(child),
+        )
+        for (omega, tau), child in zip(grid, children)
+    ]
 
 
 def monte_carlo_vs_gamma(
     seed: int = 0,
     kernel: Callable[[float, float, float, float], float] = fluctuations.gamma_kernel,
-    cells: _MonteCarloCells | None = None,
+    estimates: Sequence[tuple[float, float]] | None = None,
 ) -> CheckResult:
     """Seeded Monte-Carlo kernel against the closed kernel on a 5x5
     (omega, tau) grid of 1e5 draws a point, in Monte-Carlo standard errors.
@@ -309,13 +276,18 @@ def monte_carlo_vs_gamma(
     pulls to 3, so working code fails it with probability about
     1 - 0.9973^25 = 6.5%: program seeds 2 and 14 do (3.29 and 3.02).
     ``kernel`` is injectable so a deliberately wrong closed form is
-    detected by this check.  ``cells``, the work list of ``seed``'s cells,
-    is given where a worker thread already takes part of it (``run_all``).
+    detected by this check.  ``estimates``, the (mean, standard error) of
+    each of ``seed``'s cells in grid order, is given where the cells were
+    drawn on two threads (``run_all``); otherwise they are drawn here.
     """
-    cells = _MonteCarloCells(seed) if cells is None else cells
+    if estimates is None:
+        try:
+            estimates = [cell() for cell in _monte_carlo_cells(seed)]
+        finally:
+            fluctuations._release_tile()
     pulls = [
         abs(mean - kernel(omega, 1.0, tau, 1.0)) / stderr
-        for (omega, tau), (mean, stderr) in zip(cells.grid, cells.result())
+        for (omega, tau), (mean, stderr) in zip(itertools.product(MC_OMEGAS, MC_TAUS), estimates)
     ]
     return _result("monte_carlo_vs_gamma", max(pulls), 3.0)
 
@@ -508,30 +480,40 @@ def run_all(
     drive_eta_ld: float = 0.05,
 ) -> list[CheckResult]:
     """Full battery; ``full`` picks the drive-vs-pair-exchange configuration
-    from ``RWA_SUITES``.  The Monte-Carlo cells are one work list that a
-    worker thread starts on at once and this thread joins once its other
-    rows are done; the two drive rows read one build of the suite's drives;
-    everything runs on one OpenBLAS thread (see the module docstring).  The
-    worker has ended, and the thread count is restored, when this returns
-    or raises."""
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool, \
-            contextlib.closing(_MonteCarloCells(seed, pool)) as cells:
-        # the checks are looked up at call time, so a traced or monkeypatched one runs
-        before = [
-            *closed_form_vs_propagator(seed),
-            norm_conservation(seed),
-            entropy_matches_reduced_density(seed),
-            rabi_frequency_symmetry(),
-            fluctuation_free_limit(),
-            gamma_vs_gaussian(),
-        ]
-        drives = _suite_drives(drive_omega, drive_eta_ld, full)
-        after = [
-            mixture_linearity(),
-            mixture_truncation(),
-            exact_preparation_limit(),
-            static_drive_limit(),
-            lamb_dicke_unitarity(drive_omega, drive_eta_ld, full, drives),
-            rwa_deviation_decreases(drive_omega, drive_eta_ld, full, drives),
-        ]
-        return [*before, monte_carlo_vs_gamma(seed, cells=cells), *after]
+    from ``RWA_SUITES``.  The Monte-Carlo cells are queued on a worker
+    thread at once, and this thread runs every cell the worker has not
+    started once its other rows are done; the two drive rows read one build
+    of the suite's drives; everything runs on one OpenBLAS thread (see the
+    module docstring).  The worker has ended, and the thread count is
+    restored, when this returns or raises."""
+    cells = _monte_carlo_cells(seed)
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            futures = [pool.submit(cell) for cell in cells]
+            # the checks are looked up at call time, so a traced or monkeypatched one runs
+            before = [
+                *closed_form_vs_propagator(seed),
+                norm_conservation(seed),
+                entropy_matches_reduced_density(seed),
+                rabi_frequency_symmetry(),
+                fluctuation_free_limit(),
+                gamma_vs_gaussian(),
+            ]
+            drives = _suite_drives(drive_omega, drive_eta_ld, full)
+            after = [
+                mixture_linearity(),
+                mixture_truncation(),
+                exact_preparation_limit(),
+                static_drive_limit(),
+                lamb_dicke_unitarity(drive_omega, drive_eta_ld, full, drives),
+                rwa_deviation_decreases(drive_omega, drive_eta_ld, full, drives),
+            ]
+            # a cell whose future cancels has not been started by the worker
+            inline = [cell() if future.cancel() else None for cell, future in zip(cells, futures)]
+            estimates = [mine if future.cancelled() else future.result()
+                         for mine, future in zip(inline, futures)]
+        finally:
+            pool.shutdown(cancel_futures=True)  # a failing row stops the cells not started
+            fluctuations._release_tile()
+        return [*before, monte_carlo_vs_gamma(seed, estimates=estimates), *after]

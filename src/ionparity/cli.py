@@ -249,8 +249,7 @@ def _echo_config(config: dict, command: str) -> dict:
 
 
 def _point_seeds(base_seed: int, count: int) -> list[int]:
-    state = np.random.SeedSequence(base_seed).generate_state(count, dtype=np.uint64)
-    return [int(word) for word in state]
+    return np.random.SeedSequence(base_seed).generate_state(count, dtype=np.uint64).tolist()
 
 
 def _resolve_coupling(config: dict) -> None:

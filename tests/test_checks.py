@@ -1,5 +1,5 @@
+import itertools
 import math
-import sys
 import threading
 import time
 
@@ -345,10 +345,15 @@ def _rows(results: list[checks.CheckResult]) -> list[tuple]:
 
 # seeds 2 and 14 fail the Monte-Carlo row, 3 passes every row
 @pytest.mark.parametrize("seed", [2, 3, 14])
-def test_concurrent_battery_gives_what_the_serial_one_gives(seed):
+def test_concurrent_battery_gives_what_the_serial_one_gives(monkeypatch, seed):
+    ran = []
+    _sampler_on_threads(monkeypatch, lambda omega, tau, calling: ran.append((omega, tau)))
     for full in (False, True):
         serial = _rows(_serial_battery(seed, full))
+        ran.clear()
         assert _rows(checks.run_all(seed=seed, full=full)) == serial
+        # every cell ran once, on one thread or the other
+        assert sorted(ran) == sorted(itertools.product(checks.MC_OMEGAS, checks.MC_TAUS))
     assert dict((name, ok) for name, _, _, ok, _ in serial)["monte_carlo_vs_gamma"] == (seed == 3)
 
 
@@ -368,7 +373,7 @@ def test_battery_raises_the_monte_carlo_error_and_leaves_no_thread(monkeypatch):
 
     error = RuntimeError("sampler broke")
 
-    def broken(seed, cells=None):
+    def broken(seed, estimates=None):
         raise error
 
     monkeypatch.setattr(checks, "monte_carlo_vs_gamma", broken)
@@ -409,8 +414,31 @@ def test_battery_raises_a_cell_error_from_either_thread(monkeypatch, on_calling_
     assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
 
 
-# the worker starts on the first cell at once; the last is held for the
-# calling thread by keeping the worker on its first cell until it is done
+def test_a_failing_row_stops_the_cells_not_started(monkeypatch):
+    threads_before, blas_before = threading.active_count(), _blas_threads()
+    error = RuntimeError("row broke")
+    failed = threading.Event()
+    ran = []
+
+    def on_cell(omega, tau, calling):
+        ran.append((omega, tau))
+        assert failed.wait(timeout=30.0)  # the worker is on its first cell when the row fails
+
+    def broken():
+        failed.set()
+        raise error
+
+    _sampler_on_threads(monkeypatch, on_cell)
+    monkeypatch.setattr(checks, "fluctuation_free_limit", broken)
+    with pytest.raises(RuntimeError) as raised:
+        checks.run_all(seed=0)
+    assert raised.value is error
+    assert ran == [(checks.MC_OMEGAS[0], checks.MC_TAUS[0])]
+    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+
+
+# the worker starts on the first cell at once; the calling thread cancels the
+# last and runs it, the worker being held on its first cell until that is done
 @pytest.mark.parametrize("biased", [(0.5, 1e-4), (8.0, 1e-2)])
 def test_one_cell_biased_by_six_standard_errors_fails_the_battery_row(monkeypatch, biased):
     last_done = threading.Event()
@@ -439,29 +467,6 @@ def test_one_cell_biased_by_six_standard_errors_fails_the_battery_row(monkeypatc
     assert taken_by == [biased == (8.0, 1e-2)]
     assert not rows["monte_carlo_vs_gamma"].passed
     assert rows["monte_carlo_vs_gamma"].measured > 4.0
-
-
-def test_three_threads_draining_the_cells_take_each_once(monkeypatch):
-    # more drainers than cores, switching often: every cell is taken once
-    # and its estimate is the one a single thread gives
-    taken = []
-    _sampler_on_threads(monkeypatch, lambda omega, tau, calling: taken.append((omega, tau)))
-    serial = checks._MonteCarloCells(seed=5).result().copy()
-    taken.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        shared = checks._MonteCarloCells(seed=5)
-        drainers = [threading.Thread(target=shared._drain) for _ in range(3)]
-        for drainer in drainers:
-            drainer.start()
-        for drainer in drainers:
-            drainer.join(timeout=60.0)
-            assert not drainer.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(taken) == sorted(shared.grid)
-    assert np.array_equal(shared.estimates, serial)
 
 
 def test_each_battery_builds_each_suite_drive_once(monkeypatch):

@@ -73,6 +73,52 @@ def test_the_unused_import_finder_sees_a_stale_import():
     assert _unused_imports(source) == ["TwoModeState (line 1)"]
 
 
+def _defined(statement: ast.stmt) -> list[str]:
+    """Names one module-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)]
+    if isinstance(statement, ast.Import) or (
+            isinstance(statement, ast.ImportFrom) and statement.module != "__future__"):
+        return [alias.asname or alias.name.split(".")[0] for alias in statement.names]
+    return []
+
+
+def _dead_names(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Module-level names the sources define that none of them reads, by name
+    or as an attribute, and that ``exported`` does not list; dunders are the
+    interpreter's."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}: {name} (line {statement.lineno})"
+                  for module, tree in trees.items() for statement in tree.body
+                  for name in _defined(statement)
+                  if name not in read | exported and not name.startswith("__"))
+
+
+def test_every_module_level_name_in_the_package_is_read_or_exported():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _dead_names(sources, set(ionparity.__all__)) == []
+
+
+def test_the_dead_name_finder_sees_a_name_kept_only_for_tests():
+    sources = {
+        "checks.py": ("import itertools\n\nGRID = 5\n\nclass _Cells:\n    pass\n\n"
+                      "def run_all():\n    return itertools.repeat(GRID)\n"),
+        "cli.py": "from . import checks\n\ndef main():\n    return checks.run_all()\n",
+    }
+    assert _dead_names(sources, {"main"}) == ["checks.py: _Cells (line 5)"]
+
+
 def test_a_failing_hypothesis_test_reports_as_a_failure(tmp_path):
     # Under the project's warning filters, a failing @given test must end as
     # one failure and let the session go on, not as an INTERNALERROR raised
