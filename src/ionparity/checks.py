@@ -17,15 +17,17 @@ has not started it) and takes the rest from their futures.  The other rows
 stay on the calling thread, where perfbench's tracer finds their parent
 span.  Each cell draws from its own seed, so the row reads the same bits
 whichever thread ran which cell, and every row reads the same bits as when
-the checks are called one by one.  The cells make no BLAS call, and their
-gamma draws and cosine blocks release the GIL.  The two drive rows read one
-build of the suite's drives (``_suite_drives``): each drive of
-``RWA_SUITES[full]`` is propagated once per battery, and
+the checks are called one by one.  The cells make no BLAS call, and run
+beside the other lane only while it does not hold the GIL through long runs
+of tiny numpy calls: beside ``_suite_drives`` looping they took 176-180 ms
+(99-169 ms alone; 142-335 ms while each time's whole steps were stepped on
+its vector), and beside ``fluctuation_free_limit`` looping 34-60 s.  The
+two drive rows read one build of the suite's drives (``_suite_drives``):
+each drive of ``RWA_SUITES[full]`` is propagated once per battery, and
 ``lamb_dicke_unitarity`` reads its norms and period maps from those builds.
 The battery runs on one OpenBLAS thread, restored afterwards: on two, the
-drive checks took 109-137 ms wall for 217-273 ms CPU, and on one 89-132 ms
-for 109-132 ms (in-process, best of 5), so the second thread bought no
-time, and on a 2-core machine it would compete with the Monte-Carlo cells.
+drive checks took the same 25 ms wall (37-38 ms with --full; in-process,
+best of 5), and on a 2-core machine they would compete with the cells.
 
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:

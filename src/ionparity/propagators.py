@@ -12,10 +12,10 @@ its coupling block W alone, with H = [[0, W], [W^dag, 0]]:
 * the time-dependent drive Hamiltonian of two counter-phased beams along
   the diagonal mode directions, expanded to a configurable total power of
   the Lamb-Dicke parameter and integrated with a fixed-step RK4 scheme
-  over one drive period, whose evolution map is then raised to the number
-  of whole periods elapsed, for each time on its own.  One ``Drive`` value
-  fixes it: omega, nu, eta_ld and the expansion order, each required and
-  checked once, with the RK4 period grid they give.
+  over one drive period.  That map's squarings advance each time by its
+  whole periods, and the sweep's own prefixes by its whole steps.  One
+  ``Drive`` value fixes it: omega, nu, eta_ld and the expansion order, each
+  required and checked once, with the RK4 period grid they give.
 
 The drive's minus-to-plus block is W(t) = sum_m e^{i m nu t} W_m over its
 few harmonics m (seven at expansion order 3).  The drive Hamiltonian stores
@@ -23,8 +23,8 @@ the W_m once, and reads them as a coupling table, one flattened row per
 harmonic, beside the angular rates m nu, so W at any array of times is one
 matrix product of their phases with that table.  A drive evaluates W once,
 at the 2 steps + 1 half-step points of its period grid, and every RK4 step
-of the period map and of the remainders reads it there; W(t)^dag is taken
-from W per step, not stored.
+of the period map, and each partial step's start, reads it there; W(t)^dag
+is taken from W per step, not stored.
 
 Both propagators map an initial |-> grid, a ``TwoModeState`` (the ion
 starts in its ground level, so the |+> grid starts empty), and a 1-D array
@@ -259,18 +259,24 @@ def _period_grid(h_ld: LambDickeHamiltonian, steps: int) -> np.ndarray:
     return h_ld._couplings(np.arange(2 * steps + 1) * half_step)
 
 
-def one_period_map(h_ld: LambDickeHamiltonian, grid: np.ndarray | None = None) -> np.ndarray:
+def one_period_map(h_ld: LambDickeHamiltonian, grid: np.ndarray | None = None,
+                   prefixes: dict[int, np.ndarray | None] | None = None) -> np.ndarray:
     """RK4 evolution matrix over one drive period [0, 2 pi / nu], stepped
     along ``grid`` (by default ``_period_grid`` at the drive's ``steps``).
 
     Every harmonic of the drive is an integer multiple of nu, so this map
     M advances any state by a whole period from any multiple of the period
-    (Shirley, Phys. Rev. 138, B979, 1965).
+    (Shirley, Phys. Rev. 138, B979, 1965).  Each key d of ``prefixes`` is
+    given the map of the first d steps, where a segment of the sweep ends.
     """
     if grid is None:
         grid = _period_grid(h_ld, h_ld.drive.steps)
-    identity = np.eye(2 * h_ld.grid_size, dtype=np.complex128)
-    return _rk4_span(identity, h_ld.drive.period / (len(grid) // 2), grid)
+    h = h_ld.drive.period / (len(grid) // 2)
+    y, done = np.eye(2 * h_ld.grid_size, dtype=np.complex128), 0
+    for stop in sorted(prefixes or ()):
+        y = prefixes[stop] = _rk4_span(y, h, grid[2 * done : 2 * stop + 1])
+        done = stop
+    return _rk4_span(y, h, grid[2 * done :])
 
 
 NORM_DRIFT_TOL = 1e-8
@@ -284,19 +290,26 @@ def _stepped_states(
     h_ld: LambDickeHamiltonian, y0: np.ndarray, times: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state U(r) M^n y0 at each t = n T + r of ``times``, one row per
-    time, and M, all at ``steps`` RK4 steps per period T.  U(r) takes the
-    whole grid steps below r and one partial step to r, each time's vector
-    stepped on its own, so no time's bits depend on the other times."""
+    time, and M, all at ``steps`` RK4 steps per period T.  M^n is M^(2^k) per
+    set bit k of n; U(r) is the prefix of the sweep that built M at the whole
+    steps below r, then one partial step to r.  No time's bits depend on the
+    other times: the matrices applied are shared by all."""
     period = h_ld.drive.period
     h = period / steps
     grid = _period_grid(h_ld, steps)
-    period_map = one_period_map(h_ld, grid)
+    splits = [(int(n), r, min(int(r / h), steps))
+              for n, r in (divmod(float(t), period) for t in times)]
+    prefixes = dict.fromkeys(done for *_, done in splits)
+    period_map = one_period_map(h_ld, grid, prefixes)
+    powers = [period_map]  # M^(2^k), up to the largest n
+    while 1 << len(powers) <= max(whole for whole, *_ in splits):
+        powers.append(powers[-1] @ powers[-1])
     states = np.empty((len(times), len(y0)), dtype=np.complex128)
-    for i, t in enumerate(times):
-        whole, rest = divmod(float(t), period)
-        y = np.linalg.matrix_power(period_map, int(whole)) @ y0
-        done = min(int(rest / h), steps)
-        y = _rk4_span(y, h, grid[: 2 * done + 1])
+    for i, (whole, rest, done) in enumerate(splits):
+        y = y0
+        for power in (power for bit, power in enumerate(powers) if whole >> bit & 1):
+            y = power @ y
+        y = prefixes[done] @ y
         partial = rest - done * h
         if partial > 0.0:
             ends = h_ld._couplings(done * h + np.array([0.5, 1.0]) * partial)
@@ -335,9 +348,9 @@ def propagate_lamb_dicke(
 
     The drive repeats with period T = 2 pi / nu, so the state at
     t = n T + r is U(r) M^n applied to ``initial``: M is the RK4 map over
-    one period, raised to the n-th power by ``np.linalg.matrix_power``, and
-    U(r) the remainder integrated from phase 0 along the same grid: whole
-    steps, then one partial step to r.  The step is T / ceil(T / dt)
+    one period, applied through its squarings M, M^2, M^4, ..., and U(r)
+    the map of the sweep's first int(r / h) steps, kept as that sweep built
+    M, then one partial step to r.  The step h = T / ceil(T / dt)
     with dt = 2 pi / (20 nu max|k - j - 2|), the drive's ``period``
     over its ``steps``, so it divides T.  Norm drift beyond 1e-8 at any time
     redoes the drive at 2, 4 and 8 times the steps, and raises if it stays.

@@ -72,8 +72,8 @@ def test_unitarity_check_reads_the_maps_its_propagation_built(monkeypatch):
     maps, builds = [], []
     build_map, build_hamiltonian = propagators.one_period_map, propagators.LambDickeHamiltonian
 
-    def counted_map(h_ld, grid=None):
-        maps.append(build_map(h_ld, grid))
+    def counted_map(h_ld, grid=None, prefixes=None):
+        maps.append(build_map(h_ld, grid, prefixes))
         return maps[-1]
 
     def counted_hamiltonian(*args, **kwargs):

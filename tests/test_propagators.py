@@ -16,7 +16,7 @@ from ionparity import (
     symmetric_binomial_amplitudes,
     vibrational_entropy,
 )
-from ionparity import propagators
+from ionparity import checks, propagators
 from ionparity.propagators import _period_grid, _rk4_span, _squared_norms, one_period_map
 
 
@@ -311,9 +311,9 @@ def test_each_drive_call_builds_one_hamiltonian_and_one_period_map(monkeypatch):
         builds.append(args)
         build(self, *args, **kwargs)
 
-    def counted_map(h_ld, grid=None):
+    def counted_map(h_ld, grid=None, prefixes=None):
         maps.append(h_ld)
-        return build_map(h_ld, grid)
+        return build_map(h_ld, grid, prefixes)
 
     monkeypatch.setattr(LambDickeHamiltonian, "__init__", counted)
     monkeypatch.setattr(propagators, "one_period_map", counted_map)
@@ -385,6 +385,95 @@ def test_a_drifting_drive_is_redone_at_doubled_steps(monkeypatch):
     states, doubled_map = original(h, _vector(state), times, 202)
     assert np.array_equal(np.concatenate([minus, plus], axis=1).reshape(2, -1), states)
     assert np.array_equal(period_map, doubled_map)
+
+
+def _matrix_power_states(h_ld, y0, times, steps):
+    """Oracle for ``_stepped_states``: M^n by ``np.linalg.matrix_power`` for
+    each time, the whole steps below r stepped on the vector, then the same
+    partial step to r."""
+    period = h_ld.drive.period
+    h = period / steps
+    grid = _period_grid(h_ld, steps)
+    period_map = one_period_map(h_ld, grid)
+    states = []
+    for t in times:
+        whole, rest = divmod(float(t), period)
+        y = np.linalg.matrix_power(period_map, int(whole)) @ y0
+        done = min(int(rest / h), steps)
+        y = _rk4_span(y, h, grid[: 2 * done + 1])
+        partial = rest - done * h
+        if partial > 0.0:
+            ends = h_ld._couplings(done * h + np.array([0.5, 1.0]) * partial)
+            y = _rk4_span(y, partial, np.concatenate([grid[2 * done : 2 * done + 1], ends]))
+        states.append(y)
+    return np.array(states), period_map
+
+
+def _assert_stepped_states_match_the_oracle(h_ld, y0, times, steps):
+    states, period_map = propagators._stepped_states(h_ld, y0, times, steps)
+    expected, expected_map = _matrix_power_states(h_ld, y0, times, steps)
+    assert np.array_equal(period_map, expected_map)
+    assert np.max(np.abs(states - expected)) <= 1e-12
+
+
+# eta_ld 0.99 redoes one drive of each suite at twice its steps
+@pytest.mark.parametrize("full, eta_ld", [(False, 0.05), (True, 0.05), (False, 0.99), (True, 0.99)])
+def test_suite_states_match_the_matrix_power_route(monkeypatch, full, eta_ld):
+    calls = []
+    stepped = propagators._stepped_states
+
+    def recorded(*args):
+        calls.append(args)
+        return stepped(*args)
+
+    monkeypatch.setattr(propagators, "_stepped_states", recorded)
+    checks._suite_drives(1.0, eta_ld, full)
+    monkeypatch.undo()
+    ratios = checks.RWA_SUITES[full][0]
+    assert len(calls) > len(ratios) if eta_ld == 0.99 else len(calls) == len(ratios)
+    for args in calls:
+        _assert_stepped_states_match_the_oracle(*args)
+
+
+@pytest.mark.parametrize("nu", [16.0 * np.pi, 55.0])
+def test_edge_times_match_the_matrix_power_route(nu):
+    drive = Drive(omega=5.0, nu=nu, eta_ld=0.05, expansion_order=3)
+    h = LambDickeHamiltonian(drive, 4, 4)
+    period, steps = drive.period, drive.steps
+    # at nu = 55 the float just below the period has rest / h == steps
+    below = np.nextafter(period, 0.0)
+    assert (nu != 55.0) or int(below / (period / steps)) == steps
+    # t = 0, an exact multiple of the period at nu = 16 pi, and repeated,
+    # unsorted times within the first period and past it
+    times = np.array([4.3 * period, 0.0, below, 3.0 * period, 0.4 * period, 0.0, 4.3 * period,
+                      2.0 * period + below])
+    _assert_stepped_states_match_the_oracle(h, _vector(_initial_binomial(2, 4)), times, steps)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_the_drive_lane_steps_the_identity_once_and_each_time_by_one_partial_step(
+    monkeypatch, full
+):
+    # the ndim of each state _rhs is called on, one list per drive
+    calls = []
+    rhs, drive_states = propagators._rhs, propagators._drive_states
+
+    def counted_rhs(couplings, y, out):
+        calls[-1].append(y.ndim)
+        return rhs(couplings, y, out)
+
+    def counted_drive_states(*args):
+        calls.append([])
+        return drive_states(*args)
+
+    monkeypatch.setattr(propagators, "_rhs", counted_rhs)
+    monkeypatch.setattr(propagators, "_drive_states", counted_drive_states)
+    drives = checks._suite_drives(1.0, 0.05, full)
+    assert len(calls) == len(drives) == len(checks.RWA_SUITES[full][0])
+    for (drive, times, *_), ndims in zip(drives, calls):
+        assert ndims.count(2) == 4 * drive.steps
+        assert 0 < ndims.count(1) <= 4 * len(times)
+        assert len(ndims) == ndims.count(1) + ndims.count(2)
 
 
 def _equal_steps(h, y, t0, t1, steps):
