@@ -19,9 +19,9 @@ span.  Each cell draws from its own seed, so the row reads the same bits
 whichever thread ran which cell, and every row reads the same bits as when
 the checks are called one by one.  The cells make no BLAS call, and run
 beside the other lane only while it does not hold the GIL through long runs
-of tiny numpy calls: beside ``_suite_drives`` looping they took 176-180 ms
-(99-169 ms alone; 142-335 ms while each time's whole steps were stepped on
-its vector), and beside ``fluctuation_free_limit`` looping 34-60 s.  The
+of tiny numpy calls: beside ``_suite_drives`` looping they took a median
+152 ms, 135 ms alone (204 and 115 ms while each time's whole steps were
+stepped on its vector), and beside ``fluctuation_free_limit`` 34-60 s.  The
 two drive rows read one build of the suite's drives (``_suite_drives``):
 each drive of ``RWA_SUITES[full]`` is propagated once per battery, and
 ``lamb_dicke_unitarity`` reads its norms and period maps from those builds.
