@@ -16,12 +16,13 @@ angular rate in rad/s throughout.
 
 In the analytic modes a parity sweep is one kernel call: both targets of
 every point go into one weight matrix, evaluated at all taus at once.  In
-Monte-Carlo mode every point keeps its own seed, draws and keys; the calling
-thread draws each point's areas block by block, and a pool of --workers
-threads sums the cosines of one draw block per task, so a sweep of a few
-large points still fills every worker.  The analytic modes accept and echo
---workers too.  Each setting is one row of ``SETTINGS``, which the parser
-(built once per process), ``DEFAULTS`` and the config-file check all read.
+Monte-Carlo mode every point keeps its own seed, draws and keys; each task
+of a pool of --workers threads draws the next block of one point's areas and
+sums its cosines, so a sweep of a few large points still fills every worker,
+and the point adds its block sums in draw order.  The analytic modes accept
+and echo --workers too.  Each setting is one row of ``SETTINGS``, which the
+parser (built once per process), ``DEFAULTS`` and the config-file check all
+read.
 A row also names its range, an entry of ``RANGES`` whose words the flag's help
 and error give; one pass, in row order, holds each merged value to it.
 """
@@ -34,8 +35,9 @@ import itertools
 import json
 import math
 import sys
+import threading
 
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,8 +84,8 @@ _SAMPLING = {
     "mode": (tuple(MODE_FLAGS), "gaussian", None, "averaging kernel"),
     "mc_samples": (int, 100_000, "finite and positive", "draws per Monte-Carlo point"),
     "seed": (int, 0, "a non-negative integer", "base seed for Monte-Carlo mode"),
-    "workers": (int, 4, "finite and positive", "worker threads that sum Monte-Carlo draw "
-                "blocks; the analytic modes evaluate a sweep in one call, but accept and "
+    "workers": (int, 4, "finite and positive", "worker threads that draw and sum Monte-Carlo "
+                "draw blocks; the analytic modes evaluate a sweep in one call, but accept and "
                 "echo it too"),
 }
 _OUTPUT = {
@@ -315,16 +317,27 @@ def _parity_sweep(config: dict) -> tuple[int, float, Callable]:
     return n, t_compare, model
 
 
+class _Stream(NamedTuple):
+    """The draws of one Monte-Carlo point, shared by the tasks that take its
+    blocks: ``blocks`` is its ``_draw_blocks`` and ``taken`` counts the
+    blocks taken, both read under ``lock``."""
+
+    lock: threading.Lock
+    taken: Iterator[int]
+    blocks: Iterator[tuple]
+
+
 def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: list[float],
                    pairs: list[tuple]) -> np.ndarray:
     """(p_odd, p_even) of every pair of target preparations at every tau,
     shape (taus, pairs, 2).  The analytic modes evaluate the whole grid in one
     kernel call over the union of the pairs' keys.  In Monte-Carlo mode each
     (tau, pair) point, tau-major, keeps its own seed and draws and only its
-    own keys, whose weight matrix its pair shares at every tau.  The worker
-    pool sums the cosines of one draw block at a time, while the calling
-    thread draws the blocks point by point, so a few large points fill every
-    worker; each point adds its block sums in draw order."""
+    own keys, whose weight matrix its pair shares at every tau.  Each task of
+    the worker pool draws one block of one point and sums its cosines, so a
+    few large points fill every worker.  A point's draws are one stream: a
+    task takes the next block under the point's lock and notes its place in
+    the stream, and the point adds its block sums in that draw order."""
     model = sweep_model(tau=taus[0])  # the analytic modes read no seed
     if model.mode != "monte_carlo":
         mixtures = [prep.terms() for pair in pairs for prep in pair]
@@ -341,22 +354,31 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
             return omegas, matrix, sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
 
         def blocks():
+            # one task per draw block; a point's stream is made when the walk
+            # reaches it and dropped with the task that takes its last block
             for index in range(len(seeds)):
                 omegas, _, point_model = point(index)
-                for ladder, draws in fluctuations._draw_blocks(omegas, point_model, t_compare):
-                    yield index, ladder, draws
+                starts = fluctuations._block_starts(point_model, t_compare)
+                if starts:
+                    stream = _Stream(threading.Lock(), itertools.count(),
+                                     fluctuations._draw_blocks(omegas, point_model, t_compare))
+                    yield from itertools.repeat((index, stream), len(starts))
 
-        def summed(block: tuple) -> tuple:
-            index, ladder, draws = block
-            return index, fluctuations._cosine_sums(ladder, draws)
+        def summed(task: tuple) -> tuple:
+            index, stream = task
+            with stream.lock:
+                ladder, draws = next(stream.blocks)
+                place = next(stream.taken)
+            return index, place, fluctuations._cosine_sums(ladder, draws)
 
         block_sums = pool_map(summed, blocks(), config["workers"])
-        # finish each point from its blocks as the walk reaches them; a set
-        # point draws nothing and has no blocks
+        # finish each point from its blocks, in draw order, as the walk
+        # reaches them; a set point draws nothing and has no blocks
         probabilities, drawn = np.empty((len(seeds), 2)), np.zeros(len(seeds), dtype=bool)
-        for index, group in itertools.groupby(block_sums, key=lambda pair: pair[0]):
+        for index, group in itertools.groupby(block_sums, key=lambda task: task[0]):
+            parts = sorted(group, key=lambda task: task[1])
             probabilities[index] = fluctuations._ground_probabilities(
-                *point(index), t_compare, sums=sum(part for _, part in group))
+                *point(index), t_compare, sums=sum(part for _, _, part in parts))
             drawn[index] = True
         for index in np.flatnonzero(~drawn).tolist():
             probabilities[index] = fluctuations._ground_probabilities(*point(index), t_compare)

@@ -43,29 +43,27 @@ cos x by the recurrence cos(m x) = 2 cos x cos((m-1) x) - cos((m-2) x).  So
 root whose keys are dense enough among its rungs (``_rungs``, which weighs
 ``RUNG_COST``) takes one cosine row per draw block and climbs to its
 highest such key, and every other frequency is its own base at rung 1.
-``_base_rows`` forms a base row without libm's slow argument reduction: the
-quarter angle fl(b A)/4, less its nearest multiple of pi/2, lies in
-[-pi/4, pi/4], where libm's cosine is fast, and two doublings
-c <- 2c^2 - 1 make its cosine the row.  That row is within about 51 unit
-roundoffs of the exact cosine of libm's argument fl(b A); a higher rung
-differs from libm's row by about m^2 times that plus the argument's
-rounding.  A group of bases keeps libm's own product and cosine, bit for
-bit, where its largest argument is at most ``REDUCTION_FLOOR`` (libm is as
-fast there), exceeds ``REDUCTION_LIMIT`` or is no number, and calls whose
-blocks hold fewer than ``LADDER_MIN_DRAWS`` draws keep every frequency at
-rung 1 on libm's rows.  ``_cosine_sums`` sums one block's rows per
-frequency, formed in one tile of ``MC_BLOCK_PAIRS`` (base, draw) pairs per
-thread, and takes from the tile only the rows its rungs need, the
-reduction's scratch included; the block sums are added in draw order and
+``_base_rows`` forms every base row from numpy's vectorized tangent of the
+half angle h = fl(b A)/2, as cos(2h) = 2 / (1 + tan^2 h) - 1, without libm's
+cosine and its slow argument reduction.  For a tangent within 2 ulps that
+row is within 9.5 unit roundoffs of the exact cosine of fl(b A) at any
+argument (the tests derive the bound), and -1 where tan^2 h overflows; a
+higher rung differs from libm's row by about m^2 times that plus the
+argument's rounding.  A row's bits depend only on its base and draw, not
+on its place in a block.  Calls whose blocks hold fewer than
+``LADDER_MIN_DRAWS`` draws keep every frequency at rung 1.
+``_cosine_sums`` sums one block's rows per frequency, formed in one tile of
+``MC_BLOCK_PAIRS`` (base, draw) pairs per thread, and takes from the tile
+only the rows its rungs need; the block sums are added in draw order and
 divided by the sample count once at the end.  The two halves may run on
-different threads: a Monte-Carlo sweep draws on its calling thread, sums
-the blocks on a pool, and hands each point's sums with its
+different threads: each task of a Monte-Carlo sweep's pool takes the next
+block of one point's ``_draw_blocks`` (``_block_starts`` counts them) and
+sums it, and the sweep hands each point's sums, in draw order, with its
 ``_mixture_matrix`` to ``_ground_probabilities``, the second half of
-``mixture_ground_probabilities``.  Memory is one tile per summing thread
-plus the draw blocks not yet summed, whatever ``mc_samples`` is, and time
-stays linear in it.  The key p = 0 has frequency 0, so its row is exactly 1
-and is set, not sampled.  ``_sampled`` is the one test of
-whether an area is drawn or set.
+``mixture_ground_probabilities``.  Memory is one tile and one draw block per
+summing thread, whatever ``mc_samples`` is, and time stays linear in it.
+The key p = 0 has frequency 0, so its row is exactly 1 and is set, not
+sampled.  ``_sampled`` is the one test of whether an area is drawn or set.
 
 ``monte_carlo_cosine``, the estimate the validation battery checks against
 gamma_exact, runs that same sampler at the frequencies (omega, 2 omega) and
@@ -95,26 +93,9 @@ MC_DRAW_BLOCK = 1 << 16
 # core's L2 cache on the 2-core machine the block sizes were measured on
 MC_BLOCK_PAIRS = 1 << 18
 
-# Draws per block below which every frequency takes its own libm cosine: the
-# recurrence's few numpy calls per rung then cost more than the cosines saved
+# Draws per block below which every frequency takes its own cosine row: the
+# recurrence's few numpy calls per rung then cost more than the rows saved
 LADDER_MIN_DRAWS = 1 << 8
-
-# pi/2 in two parts for reducing a quarter angle z: float32(pi/2), whose 24
-# significant bits make k * REDUCE_HIGH exact for |k| < 2^29, and the float64
-# nearest pi/2 - REDUCE_HIGH; the two sum to pi/2 within 2.7e-24
-REDUCE_HIGH = 1.5707963705062866
-REDUCE_LOW = -4.3711390001862426e-08
-
-# Largest argument b*A of a group of base rows that is reduced.  Up to it the
-# multiple k = round(2z/pi) of the quarter angle stays under 2^18, so the
-# constants' error, 4|k| (2u |REDUCE_LOW| + 2.7e-24), stays under a tenth of
-# the unit roundoff u in the row
-REDUCTION_LIMIT = 2.0**20
-
-# A group whose largest argument is at most this keeps libm's rows: below
-# about 3 libm reduces cheaply or not at all, and its cosine of clustered
-# arguments took 5-7 ns against the reduced row's 8 on the 2-core machine
-REDUCTION_FLOOR = 4.0
 
 # One recurrence rung per draw costs about a sixteenth of a libm cosine (1.5
 # against 24 ns on the 2-core machine), which sets how high a ladder climbs
@@ -245,15 +226,23 @@ def _draw_blocks(
     when None) in blocks of at most ``MC_DRAW_BLOCK``, each paired with the
     ``_ladder`` of the non-zero frequencies it is summed at.  Nothing where
     the area is set."""
-    if not _sampled(model, t):
+    starts = _block_starts(model, t)
+    if not starts:
         return
     rng = np.random.default_rng(model.seed) if rng is None else rng
-    block = min(MC_DRAW_BLOCK, model.mc_samples)
     # cos(0 A) = 1 for every draw: set, not sampled
-    ladder = _ladder(omegas[omegas != 0.0], block)
-    for start in range(0, model.mc_samples, block):
+    ladder = _ladder(omegas[omegas != 0.0], starts.step)
+    for start in starts:
         yield ladder, sample_pulse_areas(model.g_mean, model.tau, t, rng,
-                                         min(block, model.mc_samples - start))
+                                         min(starts.step, model.mc_samples - start))
+
+
+def _block_starts(model: FluctuationModel, t: float) -> range:
+    """The first draw of each of ``_draw_blocks``' blocks, whose step is the
+    block size: empty where the area is set."""
+    if not _sampled(model, t):
+        return range(0)
+    return range(0, model.mc_samples, min(MC_DRAW_BLOCK, model.mc_samples))
 
 
 class _Ladder(NamedTuple):
@@ -262,9 +251,7 @@ class _Ladder(NamedTuple):
     ``tops``, the rung each climbs to, so the ``depth[m]`` bases that reach
     rung m come first.  Their rung-m sums fill rows ``offsets[m]`` on of one
     rung-major table, whose row ``slots[i]`` frequency i reads; only the
-    rungs in ``needed`` are read.  ``climb`` says whether the ladder was
-    placed for blocks of at least ``LADDER_MIN_DRAWS`` draws; only then are
-    base rows reduced."""
+    rungs in ``needed`` are read."""
 
     bases: np.ndarray
     tops: np.ndarray
@@ -272,14 +259,13 @@ class _Ladder(NamedTuple):
     offsets: tuple[int, ...]
     needed: frozenset[int]
     slots: np.ndarray
-    climb: bool
 
 
 def _ladder(frequencies: np.ndarray, block: int) -> _Ladder:
     """The ladder of ``frequencies`` for draw blocks of ``block`` draws,
     cached by their bytes, read-only: below ``LADDER_MIN_DRAWS`` draws every
-    frequency is its own base at rung 1 on libm's row; from there on
-    ``_rungs`` places them."""
+    frequency is its own base at rung 1; from there on ``_rungs`` places
+    them."""
     return _cached_ladder(frequencies.tobytes(), block >= LADDER_MIN_DRAWS)
 
 
@@ -301,7 +287,7 @@ def _cached_ladder(raw: bytes, climb: bool) -> _Ladder:
     ladder = _Ladder(bases[order], tops[order], tuple(depth.tolist()),
                      tuple(offsets.tolist()),
                      frozenset(np.flatnonzero(np.bincount(rungs)).tolist()),
-                     offsets[rungs] + place[owners], climb)
+                     offsets[rungs] + place[owners])
     for array in (ladder.bases, ladder.tops, ladder.slots):
         array.flags.writeable = False
     return ladder
@@ -376,72 +362,43 @@ def _climb(cosines: np.ndarray, previous: np.ndarray, before: np.ndarray | None,
     np.subtract(out, 1.0 if before is None else before, out=out)
 
 
-def _base_rows(bases: np.ndarray, draws: np.ndarray, cosines: np.ndarray,
-               scratch: np.ndarray, reduce: bool) -> None:
+def _base_rows(bases: np.ndarray, draws: np.ndarray, cosines: np.ndarray) -> None:
     """cos(b A) for every base b and draw A into ``cosines``, one row per
-    base.  Without ``reduce`` the rows are libm's cosines of the products
-    fl(b A).  With it, the quarter angle z = fl(b/4 A), which is fl(b A)/4
-    exactly, is reduced by its nearest multiple k of pi/2 (k * REDUCE_HIGH is
-    exact, and the low part is formed from it) into [-pi/4, pi/4], libm's
-    fast range, and two doublings c <- 2c^2 - 1 turn cos(z - k pi/2) into
-    cos(4z - 2 pi k) = cos(fl(b A)).  The rows are reduced as many at a time
-    as ``scratch``, of at least one row's size, holds.  The reduction needs
-    |k| < 2^29: ``_cosine_sums`` reduces only arguments up to
-    ``REDUCTION_LIMIT``."""
-    if not reduce:
-        np.multiply.outer(bases, draws, out=cosines)
-        np.cos(cosines, out=cosines)
-        return
-    np.multiply.outer(bases * 0.25, draws, out=cosines)
-    step, flat = scratch.size // draws.size, scratch.reshape(-1)
-    for start in range(0, bases.size, step):
-        quarter = cosines[start:start + step]
-        multiple = flat[:quarter.size].reshape(quarter.shape)
-        np.multiply(quarter, 2.0 / math.pi, out=multiple)
-        np.rint(multiple, out=multiple)
-        np.multiply(multiple, REDUCE_HIGH, out=multiple)
-        np.subtract(quarter, multiple, out=quarter)
-        np.multiply(multiple, REDUCE_LOW / REDUCE_HIGH, out=multiple)
-        np.subtract(quarter, multiple, out=quarter)
-    np.cos(cosines, out=cosines)
-    for _ in range(2):
-        _climb(cosines, cosines, None, cosines)
+    base, through the tangent of the half angle h = fl(b/2 A), which is
+    fl(b A)/2 exactly: with t = tan h, cos(2h) = 2 / (1 + t^2) - 1.  Six
+    passes in place, one of them numpy's vectorized tangent.  Near a pole of
+    the tangent t^2 may overflow to inf, and the row is then the exact -1."""
+    np.multiply.outer(bases * 0.5, draws, out=cosines)
+    np.tan(cosines, out=cosines)
+    with np.errstate(over="ignore"):
+        np.multiply(cosines, cosines, out=cosines)
+    np.add(cosines, 1.0, out=cosines)
+    np.divide(2.0, cosines, out=cosines)
+    np.subtract(cosines, 1.0, out=cosines)
 
 
 def _cosine_sums(ladder: _Ladder, draws: np.ndarray) -> np.ndarray:
     """Sum over ``draws`` (at most ``MC_DRAW_BLOCK`` non-negative areas) of
     cos(frequency * draw), per frequency of ``ladder``, formed in the
     calling thread's one tile of ``MC_BLOCK_PAIRS`` pairs.  One
-    ``_base_rows`` row per base, reduced where the ladder climbs and the
-    group's largest argument lies above ``REDUCTION_FLOOR`` and at most at
-    ``REDUCTION_LIMIT``; its higher rungs come from the recurrence, in rows
-    of the same tile.  A group of bases climbing to rung m takes
+    ``_base_rows`` row per base; its higher rungs come from the recurrence,
+    in rows of the same tile.  A group of bases climbing to rung m takes
     min(max(m - 1, 1), 4) rows each, as the top rung overwrites the rung
-    below it, and as many bases as the tile holds.  The reduction's scratch
-    is the group's second plane of rows, or, in a group of one plane, one
-    draw block of the tile after its rows, so the tile is spanned no further
-    than the rungs need it."""
+    below it, and as many bases as the tile holds, so the tile is spanned no
+    further than the rungs need it."""
     tile = getattr(_tiles, "tile", None)
     if tile is None:
         tile = _tiles.tile = np.empty(MC_BLOCK_PAIRS)
     table = np.empty(ladder.offsets[-1] + ladder.depth[-1])
-    longest = draws.max()
     first = 0
     while first < ladder.bases.size:
         top = int(ladder.tops[first])
         planes = min(max(top - 1, 1), 4)
-        # a group of one plane keeps one draw block after it for the reduction
-        room = MC_BLOCK_PAIRS - (MC_DRAW_BLOCK if planes == 1 else 0)
-        count = min(max(1, room // (planes * draws.size)), ladder.bases.size - first)
+        count = min(max(1, MC_BLOCK_PAIRS // (planes * draws.size)), ladder.bases.size - first)
         rows = [tile[plane * count * draws.size:(plane + 1) * count * draws.size]
                 .reshape(count, draws.size) for plane in range(planes)]
         cosines = previous = rows.pop(0)
-        scratch = rows[0] if rows else tile[count * draws.size:][:MC_DRAW_BLOCK]
-        bases = ladder.bases[first:first + count]
-        # a NaN argument fails the comparisons, so its group keeps libm's rows
-        largest = max(bases.max(), -bases.min()) * longest
-        _base_rows(bases, draws, cosines, scratch,
-                   ladder.climb and REDUCTION_FLOOR < largest <= REDUCTION_LIMIT)
+        _base_rows(ladder.bases[first:first + count], draws, cosines)
         spare, before = rows, None
         for rung in range(1, top + 1):
             active = min(ladder.depth[rung], first + count) - first

@@ -97,8 +97,8 @@ def pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     items are submitted but not yet collected, so a generator of large items
     holds only that window of them at once.  The first exception, in input
     order, propagates.  The pool starts at most one thread per item and per
-    CPU, whatever ``workers`` asks for."""
-    workers = min(workers, os.cpu_count() or 1)
+    CPU this process may run on, whatever ``workers`` asks for."""
+    workers = min(workers, _usable_cpus())
     items = iter(items)
     head = list(itertools.islice(items, workers if workers > 1 else 0))
     if len(head) <= 1:
@@ -115,3 +115,11 @@ def pool_map(fn: Callable, items: Iterable, workers: int) -> list:
                 results.append(pending.popleft().result())
         results.extend(future.result() for future in pending)
     return results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a ``taskset`` narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

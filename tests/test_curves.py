@@ -1,18 +1,20 @@
 """The parity sweeps against point-by-point evaluation.
 
 The analytic modes evaluate a whole sweep in one kernel call; Monte-Carlo
-points keep their own seeds and draws, which the worker pool sums one draw
-block at a time.  Each sweep is checked against the per-point route, one
+points keep their own seeds and draws, which the worker pool draws and sums
+one block at a time.  Each sweep is checked against the per-point route, one
 ``FluctuationModel`` and one call per point.
 """
 
+import itertools
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionparity import cli, fluctuations, preparation
+from ionparity import cli, fluctuations, preparation, sweep
 from ionparity.dynamics import comparison_time
 from ionparity.fluctuations import FluctuationModel
 
@@ -198,10 +200,11 @@ def test_monte_carlo_sweeps_equal_the_serial_route_bit_for_bit(samples, monkeypa
 
 
 def test_monte_carlo_sweep_memory_does_not_grow_with_the_sample_count():
-    # each worker thread holds one tile, and at most 2 * workers draw blocks
-    # are submitted but not yet summed.  The slack is one more block per
-    # worker, which an executor thread still holds for a moment after it has
-    # set the block's result, plus 256 KiB for the rows, seeds and mixtures.
+    # each worker thread holds one tile and the one draw block it sums: a
+    # task draws its own block, so the tasks submitted but not yet run hold
+    # none.  The bound keeps two more blocks per worker of slack (the peak
+    # read 5.0 MiB here, and 6.0 MiB when the calling thread drew the blocks
+    # of the window), plus 256 KiB for the rows, seeds and mixtures.
     workers = 2
     tile, block = 8 * fluctuations.MC_BLOCK_PAIRS, 8 * fluctuations.MC_DRAW_BLOCK
 
@@ -242,3 +245,55 @@ def test_monte_carlo_sweep_holds_one_row_of_sums_per_point():
 
     peak(3)
     assert peak(2000) - peak(500) <= 1500 * (row + 512)
+
+
+MC_SETTINGS = dict(mode="mc", mc_samples=8 * 512 - 100, tau_min=1e-9, tau_max=1e-8,
+                   tau_steps=2, eta_prep=0.9, seed=7)
+
+
+def test_monte_carlo_sweep_blocks_may_finish_in_any_order(monkeypatch):
+    # Two points of 8 blocks each on two workers.  Every fourth block to
+    # start is held back while the other worker sums the blocks after it, so
+    # blocks finish out of draw order; each point adds its sums in draw
+    # order, so the rows are those of one worker.
+    monkeypatch.setattr(fluctuations, "MC_DRAW_BLOCK", 512)
+    original, finished = fluctuations._cosine_sums, []
+
+    def recorded(ladder, draws):
+        sums = original(ladder, draws)
+        finished.append(float(draws[0]))
+        return sums
+
+    monkeypatch.setattr(fluctuations, "_cosine_sums", recorded)
+    serial = tau_sweep(**MC_SETTINGS, workers=1)
+    in_draw_order, started = finished[:], itertools.count()
+    assert len(in_draw_order) == 16
+
+    def held_back(ladder, draws):
+        if next(started) % 4 == 0:
+            time.sleep(0.05)
+        return recorded(ladder, draws)
+
+    monkeypatch.setattr(fluctuations, "_cosine_sums", held_back)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    finished.clear()
+    assert tau_sweep(**MC_SETTINGS, workers=2) == serial
+    assert finished != in_draw_order and sorted(finished) == sorted(in_draw_order)
+
+
+def test_monte_carlo_sweep_sums_in_draw_order_whatever_task_draws_first(monkeypatch):
+    # A pool that runs its tasks last to first: the last task of a point then
+    # takes the point's first block.  The point still adds its sums in draw
+    # order, not in task order, so the rows are those of the ordered pool.
+    monkeypatch.setattr(fluctuations, "MC_DRAW_BLOCK", 512)
+    serial = tau_sweep(**MC_SETTINGS, workers=1)
+
+    def last_to_first(fn, items, workers):
+        items = list(items)
+        results = [None] * len(items)
+        for index in reversed(range(len(items))):
+            results[index] = fn(items[index])
+        return results
+
+    monkeypatch.setattr(cli, "pool_map", last_to_first)
+    assert tau_sweep(**MC_SETTINGS, workers=1) == serial

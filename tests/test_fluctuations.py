@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,35 +123,29 @@ def test_monte_carlo_cosine_of_a_deterministic_area_has_no_error(tau):
 # Unit roundoff of float64.
 U = np.finfo(float).eps / 2.0
 
-# pi to 63 digits, far past float64, to measure the reduction's constants
-PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
-
-HIGH, LOW = fluctuations.REDUCE_HIGH, fluctuations.REDUCE_LOW
-LIMIT, FLOOR = fluctuations.REDUCTION_LIMIT, fluctuations.REDUCTION_FLOOR
+# ulps within which np.tan meets the exact tangent: one against libm's tan
+# (``test_numpy_tangent_is_within_one_ulp_of_libm``), and libm's own one
+TAN_ULPS = 2
 
 
-def reduction_error(arguments):
-    """The largest error, per draw, of a reduced base row against the exact
-    cosine of its argument x = fl(b A), for |x| up to ``LIMIT``.
+def tangent_error(k=TAN_ULPS):
+    """The largest error, per draw, of a base row against the exact cosine
+    of its argument x = fl(b A), for np.tan within k ulps.
 
-    The row is T_4(c), where c is libm's cosine of z' = fl(fl(z - h) - l),
-    z = x/4 exactly, k = rint(fl(z 2/pi)), h = k HIGH exactly, and
-    l = fl(h fl(LOW/HIGH)).  To first order in the unit roundoff u:
-    - z' = z - k pi/2 + e with |e| <= u |z - h| + u |z'|
-      + |k| (2u |LOW| + |HIGH + LOW - pi/2|): each subtraction rounds once,
-      l is within 2u |k LOW| of k LOW, and HIGH + LOW misses pi/2.  Up to
-      the limit |z - h| and |z'| stay under 1, and |k| <= |x|/(2 pi) + 1.
-    - T_4(cos z') = cos(4z') = cos(x - 2 pi k + 4e), which is within 4|e|
-      of cos x: 8u plus the constants' part.
-    - c is within 2u of cos z' (libm's cosine errs by under one ulp), and
-      |T_4'| <= 16 on [-1, 1]: 32u.
-    - The first doubling c1 = 2c^2 - 1 rounds c^2 by u, which the exact
-      doubling makes 2u, and its subtraction is exact, since 2c^2 >= 1/2
-      for |z'| <= pi/4 + 0.01.  The second doubling's slope 4 c1 <= 4 makes
-      that 8u, and it rounds c1^2 (2u again) and its subtraction (u): 11u.
-    So the row is within 51u + 4|k| (2u |LOW| + |HIGH + LOW - pi/2|)."""
-    constants = 2 * U * abs(LOW) + float(abs(Fraction(HIGH) + Fraction(LOW) - PI / 2))
-    return 51 * U + 4 * (np.abs(arguments) / (2 * np.pi) + 1) * constants
+    The row is fl(fl(2 / fl(1 + s)) - 1), where s = fl(t t), t is np.tan of
+    h = fl(b/2 A), which is x/2 exactly, and with T = tan h the exact cosine
+    is cos x = 2 / (1 + T^2) - 1.  To first order in the unit roundoff u:
+    - t = T (1 + d) with |d| <= 2ku, since one ulp of t is at most 2u |t|, so
+      s = T^2 (1 + 2d + e) with |e| <= u;
+    - 2 / (1 + s) then moves by 2 T^2 / (1 + T^2)^2 (2|d| + u), and
+      2 T^2 / (1 + T^2)^2 <= 1/2: (2k + 1/2) u;
+    - rounding 1 + s and the quotient each moves the quotient, at most 2,
+      by u relative: 4u;
+    - the final subtraction is exact (Sterbenz) where the quotient lies in
+      [1/2, 2], and elsewhere rounds a result of magnitude at most 1: u.
+    So the row is within (2k + 5.5) u of cos x.  Where t^2 overflows, the
+    exact row is -1 within far less than u, and the row is -1."""
+    return (2 * k + 5.5) * U
 
 
 def ladder_rungs(omegas, samples):
@@ -175,10 +168,9 @@ def ladder_bound(rungs, omegas, draws):
     Row omega at rung m is T_m(c), where c is the row of its base b, and T_m
     runs y_k = 2 c y_(k-1) - y_(k-2) from y_0 = 1.  Per draw, to first order
     in the unit roundoff u:
-    - c is within ``reduction_error`` of cos x, x = fl(b A), where it was
-      reduced, and within libm's 2u, which is less, where it was not; b A
-      is at most |omega A|.  |T_m'| <= m^2 on [-1, 1] makes that m^2 times
-      as much.
+    - c is within ``tangent_error`` of cos x, x = fl(b A), and b A is at
+      most |omega A|.  |T_m'| <= m^2 on [-1, 1] makes that m^2 times as
+      much.
     - a rung rounds c y_(k-1) by u, which the exact doubling makes 2u, and
       the subtraction, whose result is near |T_k| <= 1, by u: 3u a rung.
       An error made at rung k reaches rung m times U_(m-k), |U_j| <= j + 1:
@@ -189,8 +181,7 @@ def ladder_bound(rungs, omegas, draws):
     The two means sum n such terms in the same pairwise tree, which adds at
     most h <= 128 + log2 n roundings of the running sum to each term, so
     each sum is within h u n of its exact value, and each divides once.
-    Rows that keep libm's product and cosine (``libm_rows``) are equal bit
-    for bit.
+    A zero frequency's row is set to 1, which is libm's cos(0) as well.
     """
     return climb_error(rungs, omegas, draws) + U * (2 * (128 + np.log2(draws.size)) + 2)
 
@@ -198,28 +189,15 @@ def ladder_bound(rungs, omegas, draws):
 def climb_error(rungs, omegas, draws):
     """The per-draw part of ``ladder_bound``."""
     arguments = np.abs(omegas) * np.max(draws)
-    return rungs**2 * reduction_error(arguments) + U * (
+    return rungs**2 * tangent_error() + U * (
         1.5 * rungs * (rungs - 1) + np.where(rungs > 1, 4 * arguments, 0.0) + 2)
-
-
-def libm_rows(omegas, samples, draws):
-    """The rows the kernel keeps bit for bit at libm's: every row of a call
-    whose blocks hold fewer than ``LADDER_MIN_DRAWS`` draws or whose largest
-    argument is at most ``FLOOR``, a zero frequency's row, and a rung-1 row
-    whose own largest argument passes ``LIMIT``, since its group's largest
-    does too."""
-    arguments = np.abs(omegas) * np.max(draws)
-    if (min(samples, fluctuations.MC_DRAW_BLOCK) < fluctuations.LADDER_MIN_DRAWS
-            or np.max(arguments) <= FLOOR):
-        return np.ones(omegas.size, dtype=bool)
-    alone = ladder_rungs(omegas, samples) == 1
-    return (omegas == 0.0) | (alone & ~(arguments <= LIMIT))
 
 
 def assert_ladder_rows(omegas, samples, seed=5, g=1.0, tau=1e-3, t=1.0):
     """The kernel's rows at ``omegas`` from one block of draws against
-    libm's outer product: the ``libm_rows`` bit for bit, every row within
-    ``ladder_bound``.  Returns the rungs, the differences and the draws."""
+    libm's outer product: a zero frequency's row bit for bit, every row
+    within ``ladder_bound``.  Returns the rungs, the differences and the
+    draws."""
     assert samples <= fluctuations.MC_DRAW_BLOCK
     model = FluctuationModel(g_mean=g, tau=tau, mode="monte_carlo", mc_samples=samples,
                              seed=seed)
@@ -227,8 +205,7 @@ def assert_ladder_rows(omegas, samples, seed=5, g=1.0, tau=1e-3, t=1.0):
     draws = sample_pulse_areas(g, tau, t, np.random.default_rng(seed), samples)
     libm = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
     rungs = ladder_rungs(omegas, samples)
-    exact = libm_rows(omegas, samples, draws)
-    assert np.array_equal(means[exact], libm[exact])
+    assert np.array_equal(means[omegas == 0.0], libm[omegas == 0.0])
     differences = np.abs(means - libm)
     assert np.all(differences <= ladder_bound(rungs, omegas, draws))
     return rungs, differences, draws
@@ -239,7 +216,7 @@ def test_monte_carlo_blocks_match_one_outer_product():
     # the tile cap, in six tiles of 5 rows and one of 1.  5e4 draws fit in one
     # draw block, so every row keeps the summation order of the full product.
     # Each root s of a key p = s m^2 of N = 62 holds that key alone, and a
-    # lone key takes its own reduced cosine, so every row is at rung 1.
+    # lone key takes its own tangent row, so every row is at rung 1.
     samples = 50_000
     _, omegas, weights = fluctuations._area_terms(62)
     assert samples <= fluctuations.MC_DRAW_BLOCK
@@ -284,12 +261,11 @@ def test_ladder_of_a_wide_mixture_climbs_past_rung_seventeen():
 def test_ladder_of_a_large_total_keeps_every_key_on_its_own_cosine():
     # the 2000 non-zero keys of N = 4001 lie on 2000 roots: no cosine is
     # shared, and a recurrence would only add rungs.  Below LADDER_MIN_DRAWS
-    # draws a block keeps libm's rows, bit for bit.
+    # draws a block places no ladder, and every row is its own base as well.
     _, omegas, _ = fluctuations._area_terms(4001)
-    rungs, differences, _ = assert_ladder_rows(omegas, fluctuations.LADDER_MIN_DRAWS)
-    assert np.all(rungs == 1) and np.max(differences) > 0.0
-    rungs, differences, _ = assert_ladder_rows(omegas, fluctuations.LADDER_MIN_DRAWS - 1)
-    assert np.all(rungs == 1) and np.all(differences == 0.0)
+    for samples in (fluctuations.LADDER_MIN_DRAWS, fluctuations.LADDER_MIN_DRAWS - 1):
+        rungs, differences, _ = assert_ladder_rows(omegas, samples)
+        assert np.all(rungs == 1) and np.max(differences) > 0.0
 
 
 def test_ladder_places_key_frequencies_on_their_roots_and_the_rest_alone():
@@ -348,103 +324,104 @@ def test_a_faulted_recurrence_leaves_the_bound_and_fails_the_check(fault, monkey
         fluctuations._cached_ladder.cache_clear()
 
 
-def test_reduction_constants_split_half_pi():
-    # HIGH is float32(pi/2), 24 significant bits, so k HIGH is exact for
-    # |k| < 2^29; LOW is the float64 nearest pi/2 - HIGH; and up to the
-    # limit k stays under 2^18 and the constants' part of the error under u/10
-    assert HIGH == float(np.float32(np.pi / 2.0))
-    assert Fraction(HIGH).numerator.bit_length() == 24
-    assert LOW == float(PI / 2 - Fraction(HIGH))
-    assert abs(Fraction(HIGH) + Fraction(LOW) - PI / 2) <= Fraction(U) * abs(Fraction(LOW))
-    assert LIMIT / (2.0 * np.pi) + 1.0 < 2.0**18
-    assert reduction_error(LIMIT) - reduction_error(0.0) < U / 10.0
-
-
-def reduced_rows(frequencies, draws):
-    """The reduced ``_base_rows`` of ``frequencies`` over ``draws``, one row
-    at a time through a scratch of one row."""
+def tangent_rows(frequencies, draws):
+    """``_base_rows`` of ``frequencies`` over ``draws``."""
     cosines = np.empty((frequencies.size, draws.size))
-    fluctuations._base_rows(frequencies, draws, cosines, np.empty(draws.size), True)
+    fluctuations._base_rows(frequencies, draws, cosines)
     return cosines
 
 
-def assert_reduced_row(base, draws):
-    """A reduced row within ``reduction_error`` of the exact cosine, so
-    within 2u more of libm's cosine of the same product."""
+def assert_tangent_row(base, draws):
+    """A base row within ``tangent_error`` of the exact cosine, so within 2u
+    more of libm's cosine of the same product."""
     arguments = base * draws
-    differences = np.abs(reduced_rows(np.array([base]), draws)[0] - np.cos(arguments))
-    assert np.all(differences <= reduction_error(arguments) + 2 * U), arguments[
-        np.argmax(differences - reduction_error(arguments))]
+    differences = np.abs(tangent_rows(np.array([base]), draws)[0] - np.cos(arguments))
+    assert np.all(differences <= tangent_error() + 2 * U), arguments[np.argmax(differences)]
 
 
-def test_reduced_rows_at_the_edges_of_the_reduction():
-    # x = 0; multiples of pi/2 and 2 pi (as floats), the first where the
-    # cosine is near 0; the quarter angle at +-pi/4 plus multiples of pi/2,
-    # where rint meets its ties, and the floats either side of them; and the
-    # limit itself
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(-1e15, 1e15),
+                 st.integers(-10**6, 10**6).map(lambda j: (j + 0.5) * math.pi)))
+def test_numpy_tangent_is_within_one_ulp_of_libm(x):
+    # the assumption under tangent_error, at arguments of every size and at
+    # the floats nearest the poles (j + 1/2) pi, where the tangent is largest
+    mine, libm = float(np.tan(np.array([x]))[0]), math.tan(x)
+    assert abs(mine - libm) <= np.spacing(max(abs(mine), abs(libm)))
+
+
+def test_tangent_rows_at_their_edges():
+    # x = 0; the odd multiples (2j + 1) pi (as floats), whose half angles sit
+    # next to poles of the tangent, and the floats either side of them; 2^30
+    # and 1e15 and their neighbours
     j = np.arange(0.0, 160_000.0, 997.0)
-    ties = np.concatenate([np.pi * (2.0 * j + 1.0), np.pi * (2.0 * j[1:] - 1.0)])
-    draws = np.concatenate([
-        [0.0, LIMIT, np.nextafter(LIMIT, 0.0)],
-        0.5 * np.pi * np.arange(1.0, 400.0), 2.0 * np.pi * np.arange(1.0, 400.0),
-        2.0 * np.pi * j, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
-    assert draws.max() <= LIMIT
-    assert_reduced_row(1.0, draws)
-    # the quarter angles of the ties themselves sit where rint rounds half
-    quarter = 0.25 * ties * (2.0 / np.pi)
-    assert np.any(np.abs(quarter - np.floor(quarter) - 0.5) < 1e-9)
-    assert reduced_rows(np.ones(1), np.zeros(3)).tolist() == [[1.0, 1.0, 1.0]]
+    poles = np.pi * (2.0 * j + 1.0)
+    large = np.array([2.0**30, 1e15])
+    draws = np.concatenate([[0.0], poles, np.nextafter(poles, 0.0), np.nextafter(poles, np.inf),
+                            large, np.nextafter(large, 0.0), np.nextafter(large, np.inf)])
+    assert_tangent_row(1.0, draws)
+    assert tangent_rows(np.ones(1), np.zeros(3)).tolist() == [[1.0, 1.0, 1.0]]
+    # next to a pole the tangent is large, and the row is -1 to rounding
+    assert np.min(np.abs(np.tan(0.5 * poles))) > 1e4
+    assert np.all(np.abs(tangent_rows(np.ones(1), poles)[0] + 1.0) <= tangent_error())
+
+
+def test_a_tangent_whose_square_overflows_gives_minus_one(monkeypatch):
+    # No float half angle comes near enough to a pole for t^2 to overflow,
+    # so the tangent is replaced by one that returns +-1e200: the row is the
+    # exact -1 of the half-angle form, and no warning is raised
+    def huge(angles, out):
+        out[...] = np.where(np.arange(angles.size).reshape(angles.shape) % 2 == 0, 1e200, -1e200)
+        return out
+
+    monkeypatch.setattr(np, "tan", huge)
+    assert tangent_rows(np.array([1.0, 2.0]), np.array([3.0, 5.0, 7.0])).tolist() == [
+        [-1.0] * 3, [-1.0] * 3]
+
+
+def test_tangent_rows_of_nan_and_inf_are_nan_as_libm_rows_are():
+    frequencies, draws = np.array([1.0, np.nan, np.inf]), np.array([np.nan, np.inf, 1.0])
+    with np.errstate(invalid="ignore"):
+        rows = tangent_rows(frequencies, draws)
+        libm = np.cos(np.multiply.outer(frequencies, draws))
+    assert np.array_equal(np.isnan(rows), np.isnan(libm))
+    assert np.isnan(libm).sum() == 8
+    assert abs(rows[0, 2] - libm[0, 2]) <= tangent_error() + 2 * U
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0.5, 64.0),
-       st.lists(st.floats(0.0, LIMIT / 64.0), min_size=1, max_size=50))
-def test_reduced_rows_hold_the_bound_up_to_the_limit(base, draws):
-    assert_reduced_row(base, np.array(draws))
+@given(st.floats(0.5, 64.0), st.lists(st.floats(0.0, 1e15 / 64.0), min_size=1, max_size=50))
+def test_tangent_rows_hold_the_bound(base, draws):
+    assert_tangent_row(base, np.array(draws))
 
 
-def libm_sums(frequencies, draws):
-    """libm's row sums of cos(frequency * draw), as the kernel sums a row."""
-    return np.cos(np.multiply.outer(frequencies, draws)).sum(axis=1)
-
-
-@pytest.mark.parametrize("edge", ["floor", "limit"])
-def test_a_group_outside_the_reduced_range_keeps_libm_rows(edge):
-    # Two lone bases in one group, whose largest argument decides for both.
-    # At the floor both rows are libm's, and one float past it both are
-    # reduced.  Up to the limit both are reduced; one float past it both are
-    # libm's, the row of base 1 too, whose own arguments stay at a quarter
-    # of the limit.
-    frequencies = np.array([1.0, 4.0])
-    ladder = fluctuations._ladder(frequencies, fluctuations.LADDER_MIN_DRAWS)
-    assert ladder.climb and ladder.tops.tolist() == [1, 1]
-    high = FLOOR if edge == "floor" else LIMIT
-    draws = np.random.default_rng(3).uniform(0.0, high / 4.0, fluctuations.LADDER_MIN_DRAWS)
-    for top in (high / 4.0, np.nextafter(high / 4.0, np.inf)):
-        draws[0] = top
-        reduced = FLOOR < 4.0 * top <= LIMIT
-        expected = (reduced_rows(frequencies, draws).sum(axis=1) if reduced
-                    else libm_sums(frequencies, draws))
-        assert np.array_equal(fluctuations._cosine_sums(ladder, draws), expected)
-    # the two routes differ on these draws, so the test tells them apart
-    assert not np.array_equal(reduced_rows(frequencies, draws).sum(axis=1),
-                              libm_sums(frequencies, draws))
+def test_tangent_rows_keep_their_bits_wherever_a_draw_sits():
+    # numpy's vectorized tangent works in SIMD lanes with a masked tail: a
+    # draw's row may not depend on its place in a block, on the block's
+    # length or alignment, or on the row being formed in place
+    bases = np.array([4.0, 4.0 * np.sqrt(2.0), 4.0 * np.sqrt(21.0)])
+    draws = sample_pulse_areas(1e5, 1e-8, T_COMPARE, np.random.default_rng(8),
+                               fluctuations.MC_DRAW_BLOCK + 16)
+    whole = tangent_rows(bases, draws)
+    halves = np.tan(np.multiply.outer(bases * 0.5, draws))
+    assert np.array_equal(whole, 2.0 / (1.0 + halves * halves) - 1.0)
+    for offset in range(17):
+        for length in [*range(1, 18), fluctuations.MC_DRAW_BLOCK]:
+            # written at an offset into a larger buffer, as a tile's rows are
+            buffer = np.empty(offset + bases.size * length)
+            rows = buffer[offset:].reshape(bases.size, length)
+            fluctuations._base_rows(bases, draws[offset:offset + length], rows)
+            assert np.array_equal(rows, whole[:, offset:offset + length]), (offset, length)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-2, 1e-1, 1.0])
-def test_heavy_tailed_draws_keep_libm_rows_past_the_reduction_limit(tau):
+def test_heavy_tailed_draws_hold_the_ladder_bound(tau):
     # The tau-sweep's keys and model at its comparison time: the Gamma shape
     # t/tau falls from 0.067 and the scale g tau grows to 1e5, so the largest
-    # argument grows from about 1.4e4 (tau = 1e-3) to 4.2e6 (tau = 1).  There
-    # every key's own argument passes the limit, so the groups of the rung-1
-    # rows keep libm's rows bit for bit; root 1 (base 4), which rungs climb
-    # from, stays below it and is reduced
+    # argument grows from about 1.4e4 (tau = 1e-3) to 4.2e6 (tau = 1)
     omegas = fluctuations._mixture_matrix([((9,), (1.0,)), ((10,), (1.0,))])[0]
-    rungs, _, draws = assert_ladder_rows(omegas, fluctuations.MC_DRAW_BLOCK, g=1e5, tau=tau,
-                                         t=T_COMPARE)
-    past = np.abs(omegas) * draws.max() > LIMIT
-    assert past.sum() == (omegas.size - 1 if tau == 1.0 else 0)
-    assert np.all(libm_rows(omegas, draws.size, draws)[past & (rungs == 1)])
+    _, _, draws = assert_ladder_rows(omegas, fluctuations.MC_DRAW_BLOCK, g=1e5, tau=tau,
+                                     t=T_COMPARE)
+    assert (np.max(omegas) * draws.max() > 1e6) == (tau == 1.0)
 
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
@@ -507,8 +484,8 @@ def test_monte_carlo_memory_does_not_grow_with_the_sample_count():
     assert large <= limit
     assert fluctuations.MC_BLOCK_PAIRS == 1 << 18  # the tile is 2 MiB
     # Once the thread has its tile, summing a block allocates only the sum
-    # table and the row it returns, plus array headers: the reduction's
-    # scratch is part of the tile (one plane would be 512 KiB here)
+    # table and the row it returns, plus array headers: every row is formed
+    # in the tile (one plane of rows would be 512 KiB here)
     ladder = fluctuations._ladder(omegas[1:], fluctuations.MC_DRAW_BLOCK)
     draws = sample_pulse_areas(1e5, 1e-8, T_COMPARE, np.random.default_rng(1),
                                fluctuations.MC_DRAW_BLOCK)
@@ -568,9 +545,8 @@ def test_monte_carlo_merged_row_equals_unmerged_row(seed):
     # place their keys on different ladders: unmerged, key 20 = 5*2^2 comes
     # twice and climbs from root 5 as rung 2; merged, it takes its own
     # cosine.  A row formed from the same base and rung in both is equal bit
-    # for bit (every group's largest argument, near 4 sqrt(p) >= 5.6, lies
-    # between the reduction's floor and limit, so every group is reduced in
-    # both); any other is held to ``ladder_bound``.
+    # for bit, since a base row's bits depend only on its base and draw; any
+    # other is held to ``ladder_bound``.
     samples = 5000
     model = FluctuationModel(g_mean=1.0, tau=1e-3, mode="monte_carlo", mc_samples=samples,
                              seed=seed)

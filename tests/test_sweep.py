@@ -96,8 +96,14 @@ def test_validate_rows_write_the_bytes_of_the_cell_writer():
     assert_bytes_of_the_cell_writer(("check", "measured", "bound", "passed"), rows)
 
 
-def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
-    # a recorder in place of the thread pool: it maps serially and starts no thread
+def usable_cpus():
+    """The CPUs this process may run on, as pool_map should count them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def recording_pool(monkeypatch):
+    """A recorder in place of the thread pool, which maps serially and starts
+    no thread; returns the list of the max_workers it was built with."""
     recorded = []
 
     class Recorder:
@@ -116,10 +122,30 @@ def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    return recorded
+
+
+def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
+    recorded = recording_pool(monkeypatch)
     assert sweep.pool_map(lambda x: 2 * x, [1, 2, 3], 10**6) == [2, 4, 6]
-    assert all(workers <= min(3, os.cpu_count() or 1) for workers in recorded)
+    assert all(workers <= min(3, usable_cpus()) for workers in recorded)
     assert sweep.pool_map(lambda x: 2 * x, [5], 2) == [10]
-    assert len(recorded) == (1 if (os.cpu_count() or 1) > 1 else 0)
+    assert len(recorded) == (1 if usable_cpus() > 1 else 0)
+
+
+@pytest.mark.parametrize("allowed", [1, 2, 3, None])
+def test_pool_map_counts_the_cpus_this_process_may_run_on(allowed, monkeypatch):
+    # Under taskset the affinity mask holds fewer CPUs than the machine has;
+    # where the platform has no mask (None), the machine's count stands
+    recorded = recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if allowed is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
+    assert sweep.pool_map(lambda x: 2 * x, range(10), 4) == list(range(0, 20, 2))
+    threads = min(4, 8 if allowed is None else allowed)
+    assert recorded == ([threads] if threads > 1 else [])
 
 
 def drawing(count, drawn):
@@ -151,7 +177,7 @@ def test_pool_map_draws_at_most_one_window_ahead():
         return index
 
     assert sweep.pool_map(work, drawing(40, drawn), 2) == list(range(40))
-    workers = min(2, os.cpu_count() or 1)
+    workers = min(2, usable_cpus())
     assert seen[0] <= 2 * workers
 
 
@@ -165,5 +191,5 @@ def test_pool_map_raises_the_first_failure_and_stops_drawing():
 
     with pytest.raises(ValueError, match="^item 5$"):
         sweep.pool_map(work, drawing(100, drawn), 2)
-    assert max(drawn) < 5 + 2 * min(2, os.cpu_count() or 1)
+    assert max(drawn) < 5 + 2 * min(2, usable_cpus())
     assert threading.active_count() == before
