@@ -37,7 +37,7 @@ import math
 import sys
 import threading
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -317,16 +317,6 @@ def _parity_sweep(config: dict) -> tuple[int, float, Callable]:
     return n, t_compare, model
 
 
-class _Stream(NamedTuple):
-    """The draws of one Monte-Carlo point, shared by the tasks that take its
-    blocks: ``blocks`` is its ``_draw_blocks`` and ``taken`` counts the
-    blocks taken, both read under ``lock``."""
-
-    lock: threading.Lock
-    taken: Iterator[int]
-    blocks: Iterator[tuple]
-
-
 def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: list[float],
                    pairs: list[tuple]) -> np.ndarray:
     """(p_odd, p_even) of every pair of target preparations at every tau,
@@ -354,21 +344,19 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
             return omegas, matrix, sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
 
         def blocks():
-            # one task per draw block; a point's stream is made when the walk
-            # reaches it and dropped with the task that takes its last block
+            # one task per draw block, each holding its point's lock and its
+            # stream of numbered blocks; the stream is made when the walk
+            # reaches the point and dropped with the task that takes its last
             for index in range(len(seeds)):
                 omegas, _, point_model = point(index)
                 starts = fluctuations._block_starts(point_model, t_compare)
-                if starts:
-                    stream = _Stream(threading.Lock(), itertools.count(),
-                                     fluctuations._draw_blocks(omegas, point_model, t_compare))
-                    yield from itertools.repeat((index, stream), len(starts))
+                stream = enumerate(fluctuations._draw_blocks(omegas, point_model, t_compare))
+                yield from itertools.repeat((index, threading.Lock(), stream), len(starts))
 
         def summed(task: tuple) -> tuple:
-            index, stream = task
-            with stream.lock:
-                ladder, draws = next(stream.blocks)
-                place = next(stream.taken)
+            index, lock, stream = task
+            with lock:
+                place, (ladder, draws) = next(stream)
             return index, place, fluctuations._cosine_sums(ladder, draws)
 
         block_sums = pool_map(summed, blocks(), config["workers"])
