@@ -19,14 +19,17 @@ span.  Each cell draws from its own seed, so the row reads the same bits
 whichever thread ran which cell, and every row reads the same bits as when
 the checks are called one by one.  The cells make no BLAS call, and run
 beside the other lane only while it does not hold the GIL through long runs
-of tiny numpy calls: beside ``_suite_drives`` looping they took a median
-152 ms, 135 ms alone (204 and 115 ms while each time's whole steps were
-stepped on its vector), and beside ``fluctuation_free_limit`` 34-60 s.  The
-two drive rows read one build of the suite's drives (``_suite_drives``):
-each drive of ``RWA_SUITES[full]`` is propagated once per battery, and
+of tiny numpy calls.  In-process, one BLAS thread, 10 alternated runs: the
+cells took a median 112 ms alone, 141 ms beside ``_suite_drives`` looping
+and 0.43 s (0.25-8.5 s) beside ``fluctuation_free_limit`` looping, which
+averages each mode over all its times in one array call (31 s while it
+made 75 scalar calls).  The two drive rows read one build of the suite's
+drives (``_suite_drives``, 12-15 ms in-process, best of 5, since RK4 steps
+the two parity sectors as one stack; 21-23 ms before): each drive of
+``RWA_SUITES[full]`` is propagated once per battery, and
 ``lamb_dicke_unitarity`` reads its norms and period maps from those builds.
 The battery runs on one OpenBLAS thread, restored afterwards: on two, the
-drive checks took the same 25 ms wall (37-38 ms with --full; in-process,
+drive checks took the same 13-14 ms wall (21-22 ms with --full; in-process,
 best of 5), and on a 2-core machine they would compete with the cells.
 
 Each row of ``run_all``, the fault it catches, and the test in
@@ -207,15 +210,17 @@ def rabi_frequency_symmetry() -> CheckResult:
 
 def fluctuation_free_limit() -> CheckResult:
     """tau = 0 averaging must reproduce the deterministic probability, at the
-    sweeps' g = 1e5, where a kernel phase that drops g cannot pass as at g = 1."""
+    sweeps' g = 1e5, where a kernel phase that drops g cannot pass as at g = 1.
+    Each mode averages N = 9 over all 25 times in one array call."""
     g = 1e5
     times = np.linspace(0.1, 9.7, 25) / g
     deterministic = dynamics.ground_probability(9, g, times)
+    omegas, matrix = fluctuations._mixture_matrix([((9,), (1.0,))])
     worst = 0.0
     for mode in fluctuations.MODES:
         model = fluctuations.FluctuationModel(g_mean=g, tau=0.0, mode=mode)
-        averaged = [fluctuations.averaged_ground_probability(9, model, float(t)) for t in times]
-        worst = max(worst, float(np.max(np.abs(np.subtract(averaged, deterministic)))))
+        averaged = fluctuations._ground_probabilities(omegas, matrix, model, times)[:, 0]
+        worst = max(worst, float(np.max(np.abs(averaged - deterministic))))
     return _result("fluctuation_free_limit", worst, 1e-12)
 
 

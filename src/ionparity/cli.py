@@ -373,15 +373,19 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
     return np.reshape(probabilities, (len(taus), len(pairs), 2))
 
 
+def _check_targets(n: int) -> None:
+    """Reject an n whose exact state, or that of its partner n + 1, is over
+    the key limit, under n.  Every width holds the keys of the exact state,
+    so a sweep checks this once, before any width."""
+    preparation._check_exact_state(n)
+    preparation._check_exact_state(n + 1, f"n = {n}: its partner n + 1 = {n + 1}")
+
+
 def _targets(n: int, key: str, value: float | None) -> tuple:
     """The preparations of n and n + 1, both of the width that config[key]
     gives: the width itself (key "delta") or an efficiency, where None and 1
-    mean the exact state.  Every width holds the keys of the exact state, so
-    an n whose exact state, or that of its partner n + 1, is over the limit
-    is rejected first, under n; past that, a rejected width derived from an
-    efficiency is reported under key."""
-    preparation._check_exact_state(n)
-    preparation._check_exact_state(n + 1, f"n = {n}: its partner n + 1 = {n + 1}")
+    mean the exact state.  ``_check_targets(n)`` has passed; a rejected width
+    derived from an efficiency is reported under key."""
     exact = key != "delta" and value in (None, 1.0)
     try:
         delta = (value if key == "delta" else None if exact
@@ -399,6 +403,7 @@ def cmd_tau_sweep(config: dict) -> SweepResult:
     eta, delta = config["eta_prep"], config["delta"]
     if eta is not None and delta is not None:
         raise ValueError("give either --eta-prep or --delta, not both")
+    _check_targets(n)
     targets = _targets(n, "delta", delta) if eta is None else _targets(n, "eta_prep", eta)
     with np.errstate(over="ignore"):
         taus = np.logspace(np.log10(tau_min), np.log10(tau_max), config["tau_steps"])
@@ -419,6 +424,7 @@ def cmd_eta_sweep(config: dict) -> SweepResult:
     if eta_max < eta_min:
         raise ValueError(f"eta_max must be at least eta_min, got {eta_max} < {eta_min}")
     etas = np.linspace(eta_min, eta_max, config["eta_steps"]).tolist()
+    _check_targets(n)
     # the widest mixture is the one at eta_min, so it is the one a width check rejects
     pairs = [_targets(n, "eta_min", eta) for eta in etas]
     curves = _parity_curves(config, sweep_model, t_compare, taus, pairs)

@@ -31,7 +31,9 @@ into one weight row per mixture.  The call then runs ``_kernels`` once over
 the distinct frequencies and returns one weighted sum per mixture, so the odd
 and even targets of a parity comparison share one call.  Given a column of
 taus, the analytic kernels broadcast over (tau, p) in that same call, so a
-whole sweep curve is one matrix product of kernel rows and weight rows.  In
+whole sweep curve is one matrix product of kernel rows and weight rows; the
+private ``_ground_probabilities`` takes an axis of times the same way, in
+the analytic modes or where the area is set at every time.  In
 monte_carlo mode all frequencies of a call share one set of draws, which
 ``_draw_blocks`` streams from the call's one generator in blocks of
 ``MC_DRAW_BLOCK`` draws (the same stream, bit for bit, as one call for all
@@ -436,7 +438,7 @@ def _monte_carlo(
 def _kernels(
     omegas: np.ndarray,
     model: FluctuationModel,
-    t: float,
+    t: float | np.ndarray,
     rng: np.random.Generator | None = None,
     taus: Sequence[float] | None = None,
     sums: np.ndarray | None = None,
@@ -447,35 +449,50 @@ def _kernels(
     ``taus``, positive fluctuation strengths checked as ``FluctuationModel``
     checks its own, replace ``model.tau`` in the analytic modes: the result
     then has one row per tau, so a whole sweep curve is one broadcast.
-    Without them ``model.tau`` is a column of one row, and the result is that
-    row.  Where t/tau overflows, the row is the tau -> 0 limit cos(omega g t).
-    Where the scale g tau overflows, gamma_kernel itself gives the exact law's
-    tau -> inf limit 1.0, and monte_carlo, whose draws would be inf, returns
-    that limit without drawing.  ``sums``, where given, are the monte_carlo
-    cosine sums that ``_monte_carlo`` would otherwise draw and form.
+    ``t`` may instead be a 1-D array of times, in the analytic modes or where
+    the area is set at every time: the result then has one row per time.
+    Without either, ``model.tau`` at t is a column of one row, and the result
+    is that row.  Where t/tau overflows, the row is the tau -> 0 limit
+    cos(omega g t).  Where the scale g tau overflows, gamma_kernel itself
+    gives the exact law's tau -> inf limit 1.0, and monte_carlo, whose draws
+    would be inf, returns that limit without drawing.  ``sums``, where given,
+    are the monte_carlo cosine sums that ``_monte_carlo`` would otherwise
+    draw and form.
     """
-    if not 0.0 < t < math.inf:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not all(0.0 < value < math.inf for value in times.ravel().tolist()):
         raise ValueError(f"t must be finite and positive, got {t}")
     if taus is not None:
         taus = [_check_tau(float(value)) for value in taus]
         if model.mode == "monte_carlo" or not all(value > 0.0 for value in taus):
             raise ValueError("a column of taus needs an analytic mode and positive taus")
+        if times.ndim:
+            raise ValueError("give a column of taus or an axis of times, not both")
+    sampled = model.mode == "monte_carlo" and any(
+        _sampled(model, value) for value in times.ravel().tolist())
+    if sampled and times.ndim:
+        raise ValueError("an axis of times in monte_carlo mode needs an area set at every time")
     g = model.g_mean
-    column = np.array([model.tau] if taus is None else taus)
+    # one row per tau or per time, each with its own tau and time
+    if times.ndim:
+        column = np.full(times.size, model.tau)
+    else:
+        column = np.array([model.tau] if taus is None else taus)
+        times = np.full(column.size, float(t))
     with np.errstate(divide="ignore", over="ignore"):
         # tau = 0, or a tau so small that the shape t/tau overflows: the area is g t
-        fixed = t / column == math.inf
+        fixed = times / column == math.inf
     rows = np.empty((column.size, omegas.size))
     if fixed.any():
-        rows[fixed] = np.cos(omegas * g * t)
+        rows[fixed] = np.cos(omegas * g * times[fixed, np.newaxis])
     if model.mode != "monte_carlo":
         kernel = gamma_kernel if model.mode == "gamma_exact" else gaussian_kernel
-        rows[~fixed] = kernel(omegas, g, column[~fixed, np.newaxis], t)
-    elif _sampled(model, t):
+        rows[~fixed] = kernel(omegas, g, column[~fixed, np.newaxis], times[~fixed, np.newaxis])
+    elif sampled:
         rows[0] = _monte_carlo(omegas, model, t, rng, sums)
-    elif not fixed[0]:
-        rows[0] = 1.0  # draws at an infinite scale would be inf: the limit is set
-    return rows[0] if taus is None else rows
+    else:
+        rows[~fixed] = 1.0  # draws at an infinite scale would be inf: the limit is set
+    return rows[0] if taus is None and np.ndim(t) == 0 else rows
 
 
 @functools.lru_cache(maxsize=AREA_CACHE_SIZE)
@@ -564,15 +581,16 @@ def _ground_probabilities(
     omegas: np.ndarray,
     matrix: np.ndarray,
     model: FluctuationModel,
-    t: float,
+    t: float | np.ndarray,
     rng: np.random.Generator | None = None,
     taus: Sequence[float] | None = None,
     sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """``mixture_ground_probabilities`` of the mixtures whose
-    ``_mixture_matrix`` is (omegas, matrix).  In monte_carlo mode ``sums`` may
-    stand for the draws: the ordered sum of ``_cosine_sums`` over the
-    ``_draw_blocks`` of omegas."""
+    ``_mixture_matrix`` is (omegas, matrix).  ``t`` may be a 1-D array of
+    times where ``_kernels`` takes one: the result then has one row per
+    time.  In monte_carlo mode ``sums`` may stand for the draws: the ordered
+    sum of ``_cosine_sums`` over the ``_draw_blocks`` of omegas."""
     return 0.5 * (1.0 + _kernels(omegas, model, t, rng, taus, sums) @ matrix.T)
 
 

@@ -18,13 +18,25 @@ its coupling block W alone, with H = [[0, W], [W^dag, 0]]:
   required and checked once, with the RK4 period grid they give.
 
 The drive's minus-to-plus block is W(t) = sum_m e^{i m nu t} W_m over its
-few harmonics m (seven at expansion order 3).  The drive Hamiltonian stores
-the W_m once, and reads them as a coupling table, one flattened row per
-harmonic, beside the angular rates m nu, so W at any array of times is one
-matrix product of their phases with that table.  A drive evaluates W once,
-at the 2 steps + 1 half-step points of its period grid, and every RK4 step
-of the period map, and each partial step's start, reads it there; W(t)^dag
-is taken from W per step, not stored.
+few harmonics m (seven at expansion order 3), and the drive Hamiltonian
+stores the W_m once.  Each term of W is y^k^dag y^j - x^k^dag x^j in the
+diagonal modes x, y.  The parity P = (-1)^{n_a} maps a to -a and so swaps x
+and y: P W_m P = -W_m, so P (x) sigma_z commutes with H, and W couples a |->
+state of n_a parity q only to |+> states of parity 1 - q (its other entries
+are exactly 0).  RK4 steps the drive in these two parity sectors, each
+ordered as its even-n_a half, then its odd half: (|-> even; |+> odd) and
+(|+> even; |-> odd).  Both hold (cutoff_a + 1)(cutoff_b + 1) states, so a
+state or a map is stepped as one stack over the two.  A sector's even half
+couples only to its odd half, through -i H[even, odd] and -i H[odd, even].
+One coupling table holds these blocks of every sector, sliced once from the
+W_m with the -i in place, one row per angular rate: m nu for an entry of W,
+-m nu for an entry of W^dag.  So the blocks at any array of times are one
+product of their phases with that table.  A drive whose blocks break the
+symmetry (a non-zero entry between equal parities) runs as one sector,
+(|->; |+>), through the same code.  A drive evaluates its blocks once, at
+the 2 steps + 1 half-step points of its period grid, and every RK4 step of
+the period map reads them there; the grid is dropped with the map built,
+and each time's partial step evaluates its own three points.
 
 Both propagators map an initial |-> grid, a ``TwoModeState`` (the ion
 starts in its ground level, so the |+> grid starts empty), and a 1-D array
@@ -40,8 +52,10 @@ pair-exchange propagator at that same coupling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +165,15 @@ def _annihilation_matrix(dim: int) -> np.ndarray:
     return mat
 
 
+class _Sectors(NamedTuple):
+    """The sectors a drive is stepped in, and their coupling table."""
+
+    order: np.ndarray  # (sectors, size): each sector's indices into the full state vector
+    even: int  # the size of each sector's even half
+    rates: np.ndarray  # the table's angular rates: m nu per harmonic m, then -m nu
+    table: np.ndarray  # (rates, sectors, 2, even * odd): -i H[even, odd], -i H[odd, even]
+
+
 class LambDickeHamiltonian:
     """Drive Hamiltonian of the two counter-phased beams, expanded in eta.
 
@@ -193,56 +216,88 @@ class LambDickeHamiltonian:
 
         self.harmonics = np.array(sorted(terms), dtype=float)
         self.blocks = np.stack([terms[int(m)] for m in self.harmonics])
-        # the coupling table (see the module docstring), a view of the blocks
-        self._rates = self.harmonics * drive.nu
-        self._flat_blocks = self.blocks.reshape(len(self.harmonics), -1)
+        self._odd_cells = np.arange(self.grid_size) // (cutoff_b + 1) % 2 == 1
 
-    def _couplings(self, t: np.ndarray) -> np.ndarray:
-        # W(t) = sum_m e^{i m nu t} W_m, the minus-to-plus block of H(t), at
-        # each time of the 1-D array t: shape (len(t), grid_size, grid_size)
-        phases = np.exp(1j * np.multiply.outer(t, self._rates))
-        return (phases @ self._flat_blocks).reshape(len(t), self.grid_size, self.grid_size)
+    @functools.cached_property
+    def _sectors(self) -> _Sectors:
+        """The sectors RK4 steps and their coupling table (see the module
+        docstring): two parity sectors, or the whole vector as one where a
+        block couples equal n_a parities.  Read from the blocks at first use."""
+        odd, size = self._odd_cells, self.grid_size
+        if np.any(self.blocks[:, odd[:, np.newaxis] == odd]):
+            order, even = np.arange(2 * size)[np.newaxis], size
+        else:
+            evens, odds = np.flatnonzero(~odd), np.flatnonzero(odd)
+            order = np.array([np.concatenate([evens, size + odds]),
+                              np.concatenate([size + evens, odds])])
+            even = evens.size
+        # cells[s, i, j]: the flat index into W of the entry that couples even
+        # entry i of sector s to its odd entry j; where the even half is |+>
+        # (flipped), H there is W^dag, whose rows take the rates -m nu
+        head, tail = order[:, :even, np.newaxis], order[:, np.newaxis, even:]
+        cells = np.where(head < size, head * size + tail - size, tail * size + head - size)
+        flipped = order[:, 0] >= size
+        flat = self.blocks.reshape(len(self.harmonics), -1)
+        count = len(self.harmonics)
+        table = np.zeros((2 * count, len(order), 2, cells[0].size), dtype=np.complex128)
+        for half, (index, dagger) in enumerate([(cells, flipped),
+                                                (cells.swapaxes(1, 2), ~flipped)]):
+            index = index.reshape(len(order), -1)
+            table[:count, ~dagger, half] = -1j * flat[:, index[~dagger]]
+            table[count:, dagger, half] = -1j * flat[:, index[dagger]].conj()
+        rates = self.harmonics * self.drive.nu
+        return _Sectors(order, even, np.concatenate([rates, -rates]), table)
+
+    def _sector_couplings(self, t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The pair (-i H[even, odd], -i H[odd, even]) of every sector, stacked
+        over ``_sectors``, at each time of the 1-D array t: the phases of the
+        table's rates summed over its rows."""
+        order, even, rates, table = self._sectors
+        blocks = np.tensordot(np.exp(1j * np.multiply.outer(t, rates)), table, axes=1)
+        odd = order.shape[1] - even
+        return list(zip(blocks[:, :, 0].reshape(len(t), len(order), even, odd),
+                        blocks[:, :, 1].reshape(len(t), len(order), odd, even)))
 
 
-def _rhs(couplings: tuple[np.ndarray, np.ndarray], y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # d/dt [minus; plus] = -i H(t) [minus; plus] with the block structure
-    # H = [[0, W(t)], [W(t)^dag, 0]] and couplings = (W(t), W(t)^dag);
-    # y is one state or a matrix of states.
-    coupling_block, coupling_dag = couplings
-    dim = len(coupling_block)
-    np.matmul(coupling_block, y[dim:], out=out[:dim])
-    np.matmul(coupling_dag, y[:dim], out=out[dim:])
-    out *= -1j
-    return out
+def _rhs(couplings: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray],
+         out: tuple[np.ndarray, np.ndarray]) -> None:
+    # d/dt y = -i H(t) y in each sector of a stack, whose even half couples
+    # only to its odd half: couplings = (-i H[even, odd], -i H[odd, even])
+    # from ``_sector_couplings``, y and out the (even, odd) halves of stacks
+    upper, lower = couplings
+    np.matmul(upper, y[1], out=out[0])
+    np.matmul(lower, y[0], out=out[1])
 
 
-def _rk4_span(y: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
+def _rk4_span(y: np.ndarray, h: float, grid: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Advance y by (len(grid) - 1) // 2 RK4 steps of size h, step i reading
-    W at its start, midpoint and end from ``grid[2 i]``, ``grid[2 i + 1]``
-    and ``grid[2 i + 2]``.
+    the sector couplings at its start, midpoint and end from ``grid[2 i]``,
+    ``grid[2 i + 1]`` and ``grid[2 i + 2]``.
 
-    y is one flattened state or a matrix whose columns are states; both are
-    stepped by the same arithmetic.
+    y is a stack over the sectors of one state each, shape (sectors, size,
+    1), or of one matrix each whose columns are states; both are stepped by
+    the same arithmetic.
     """
     y = y.copy()
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     stage = np.empty_like(y)
-    # (W, W^dag) at each grid point; a step's end is the next step's start
-    end = (grid[0], grid[0].conj().T)
+    # each array's (even, odd) halves, the views every step reads and writes
+    even = grid[0][0].shape[-2]
+    y_, k1_, k2_, k3_, k4_, stage_ = ((a[:, :even], a[:, even:])
+                                      for a in (y, k1, k2, k3, k4, stage))
+    end = grid[0]  # a step's end is the next step's start
     for i in range(len(grid) // 2):
-        start = end
-        mid = (grid[2 * i + 1], grid[2 * i + 1].conj().T)
-        end = (grid[2 * i + 2], grid[2 * i + 2].conj().T)
-        _rhs(start, y, out=k1)
+        start, mid, end = end, grid[2 * i + 1], grid[2 * i + 2]
+        _rhs(start, y_, out=k1_)
         np.multiply(k1, 0.5 * h, out=stage)
         stage += y
-        _rhs(mid, stage, out=k2)
+        _rhs(mid, stage_, out=k2_)
         np.multiply(k2, 0.5 * h, out=stage)
         stage += y
-        _rhs(mid, stage, out=k3)
+        _rhs(mid, stage_, out=k3_)
         np.multiply(k3, h, out=stage)
         stage += y
-        _rhs(end, stage, out=k4)
+        _rhs(end, stage_, out=k4_)
         k2 += k3
         k2 *= 2.0
         k1 += k4
@@ -252,17 +307,21 @@ def _rk4_span(y: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
     return y
 
 
-def _period_grid(h_ld: LambDickeHamiltonian, steps: int) -> np.ndarray:
-    """W at the 2 steps + 1 points j h / 2 of the period [0, 2 pi / nu] cut
-    into ``steps`` RK4 steps of h: the drive's couplings, evaluated once."""
+def _period_grid(h_ld: LambDickeHamiltonian, steps: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sector couplings at the 2 steps + 1 points j h / 2 of the period
+    [0, 2 pi / nu] cut into ``steps`` RK4 steps of h, one pair per point:
+    the drive's couplings, evaluated once."""
     half_step = 0.5 * h_ld.drive.period / steps
-    return h_ld._couplings(np.arange(2 * steps + 1) * half_step)
+    return h_ld._sector_couplings(np.arange(2 * steps + 1) * half_step)
 
 
-def one_period_map(h_ld: LambDickeHamiltonian, grid: np.ndarray | None = None,
+def one_period_map(h_ld: LambDickeHamiltonian,
+                   grid: list[tuple[np.ndarray, np.ndarray]] | None = None,
                    prefixes: dict[int, np.ndarray | None] | None = None) -> np.ndarray:
-    """RK4 evolution matrix over one drive period [0, 2 pi / nu], stepped
-    along ``grid`` (by default ``_period_grid`` at the drive's ``steps``).
+    """RK4 evolution matrix over one drive period [0, 2 pi / nu] of each
+    sector of ``h_ld``, stacked, stepped along ``grid`` (by default
+    ``_period_grid`` at the drive's ``steps``); ``_unsplit`` lays it out
+    over the full state vector.
 
     Every harmonic of the drive is an integer multiple of nu, so this map
     M advances any state by a whole period from any multiple of the period
@@ -272,11 +331,21 @@ def one_period_map(h_ld: LambDickeHamiltonian, grid: np.ndarray | None = None,
     if grid is None:
         grid = _period_grid(h_ld, h_ld.drive.steps)
     h = h_ld.drive.period / (len(grid) // 2)
-    y, done = np.eye(2 * h_ld.grid_size, dtype=np.complex128), 0
+    order = h_ld._sectors.order
+    y, done = np.tile(np.eye(order.shape[1], dtype=np.complex128), (len(order), 1, 1)), 0
     for stop in sorted(prefixes or ()):
         y = prefixes[stop] = _rk4_span(y, h, grid[2 * done : 2 * stop + 1])
         done = stop
     return _rk4_span(y, h, grid[2 * done :])
+
+
+def _unsplit(order: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The matrix over the full state vector of a stack of sector maps, whose
+    rows and columns index the full vector as the rows of ``order`` do: zero
+    between sectors."""
+    full = np.zeros((order.size, order.size), dtype=np.complex128)
+    full[order[:, :, np.newaxis], order[:, np.newaxis]] = maps
+    return full
 
 
 NORM_DRIFT_TOL = 1e-8
@@ -290,32 +359,34 @@ def _stepped_states(
     h_ld: LambDickeHamiltonian, y0: np.ndarray, times: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state U(r) M^n y0 at each t = n T + r of ``times``, one row per
-    time, and M, all at ``steps`` RK4 steps per period T.  M^n is M^(2^k) per
-    set bit k of n; U(r) is the prefix of the sweep that built M at the whole
-    steps below r, then one partial step to r.  No time's bits depend on the
-    other times: the matrices applied are shared by all."""
+    time, and M over the full state vector, all at ``steps`` RK4 steps per
+    period T.  M^n is M^(2^k) per set bit k of n; U(r) is the prefix of the
+    sweep that built M at the whole steps below r, then one partial step to
+    r.  Each is applied to y0's sectors as one stack.  No time's bits depend
+    on the other times: the matrices applied are shared by all."""
     period = h_ld.drive.period
     h = period / steps
-    grid = _period_grid(h_ld, steps)
     splits = [(int(n), r, min(int(r / h), steps))
               for n, r in (divmod(float(t), period) for t in times)]
     prefixes = dict.fromkeys(done for *_, done in splits)
-    period_map = one_period_map(h_ld, grid, prefixes)
+    period_map = one_period_map(h_ld, _period_grid(h_ld, steps), prefixes)
     powers = [period_map]  # M^(2^k), up to the largest n
     while 1 << len(powers) <= max(whole for whole, *_ in splits):
         powers.append(powers[-1] @ powers[-1])
+    order = h_ld._sectors.order
+    start = y0[order][..., np.newaxis]
     states = np.empty((len(times), len(y0)), dtype=np.complex128)
     for i, (whole, rest, done) in enumerate(splits):
-        y = y0
+        y = start
         for power in (power for bit, power in enumerate(powers) if whole >> bit & 1):
             y = power @ y
         y = prefixes[done] @ y
         partial = rest - done * h
         if partial > 0.0:
-            ends = h_ld._couplings(done * h + np.array([0.5, 1.0]) * partial)
-            y = _rk4_span(y, partial, np.concatenate([grid[2 * done : 2 * done + 1], ends]))
-        states[i] = y
-    return states, period_map
+            grid = h_ld._sector_couplings(done * h + np.array([0.0, 0.5, 1.0]) * partial)
+            y = _rk4_span(y, partial, grid)
+        states[i, order] = y[..., 0]
+    return states, _unsplit(order, period_map)
 
 
 def _drive_states(

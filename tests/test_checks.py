@@ -90,9 +90,11 @@ def test_unitarity_check_reads_the_maps_its_propagation_built(monkeypatch):
     defects = []
     for ratio, period_map in zip(ratios, maps):
         drive = propagators.Drive(1.0, ratio, 0.05, checks.RWA_ORDER)
-        independent = propagators.one_period_map(propagators.LambDickeHamiltonian(drive, 4, 4))
+        h_ld = propagators.LambDickeHamiltonian(drive, 4, 4)
+        independent = propagators.one_period_map(h_ld)
         assert np.array_equal(period_map, independent)
-        defects.append(np.max(np.abs(independent.conj().T @ independent - np.eye(len(independent)))))
+        full = propagators._unsplit(h_ld._sectors.order, independent)
+        defects.append(np.max(np.abs(full.conj().T @ full - np.eye(len(full)))))
     assert result.detail == f"one-period map max|M^dag M - I| = {max(defects):.3e}"
 
 
@@ -137,13 +139,13 @@ def test_drive_rows_pass_up_to_eta_ld_0_99(eta_ld, full):
 def test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand(monkeypatch):
     # W(t) scaled by 1 + 1e-3 keeps the map unitary, so the norm-based rows
     # pass; only the deviation from the pair-exchange model shows it
-    original = propagators.LambDickeHamiltonian._couplings
+    original = propagators.LambDickeHamiltonian._sector_couplings
 
     def scaled(self, t):
-        return original(self, t) * (1.0 + 1e-3)
+        return [(upper * (1.0 + 1e-3), lower * (1.0 + 1e-3)) for upper, lower in original(self, t)]
 
     assert checks.rwa_deviation_decreases().passed
-    monkeypatch.setattr(propagators.LambDickeHamiltonian, "_couplings", scaled)
+    monkeypatch.setattr(propagators.LambDickeHamiltonian, "_sector_couplings", scaled)
     assert checks.lamb_dicke_unitarity().passed
     assert checks.static_drive_limit().passed
     result = checks.rwa_deviation_decreases()
@@ -286,13 +288,32 @@ def test_fluctuation_free_limit_sees_a_wrong_area_frequency(monkeypatch):
 
 
 def test_fluctuation_free_limit_sees_a_kernel_phase_without_g(monkeypatch):
-    # cos(omega t) for cos(omega g t): at g = 1 the two would be the same
+    # cos(omega t) for cos(omega g t), one row per time of the check's axis:
+    # at g = 1 the two would be the same
     def without_g(omegas, model, t, rng=None, taus=None, sums=None):
-        return np.cos(omegas * t)
+        return np.cos(np.multiply.outer(t, omegas))
 
     monkeypatch.setattr(fluctuations, "_kernels", without_g)
     result = checks.fluctuation_free_limit()
     assert not result.passed and result.measured > 0.5
+
+
+def test_fluctuation_free_limit_makes_one_kernel_call_per_mode(monkeypatch):
+    # every time of one mode in one array call, and no scalar average
+    calls = []
+    kernels = fluctuations._kernels
+
+    def counted(omegas, model, t, rng=None, taus=None, sums=None):
+        calls.append((model.mode, np.shape(t)))
+        return kernels(omegas, model, t, rng, taus, sums)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("a scalar averaged_ground_probability call was made")
+
+    monkeypatch.setattr(fluctuations, "_kernels", counted)
+    monkeypatch.setattr(fluctuations, "averaged_ground_probability", scalar)
+    assert checks.fluctuation_free_limit().passed
+    assert calls == [(mode, (25,)) for mode in fluctuations.MODES]
 
 
 def test_mixture_truncation_sees_a_cut_at_n_plus_ceil_delta(monkeypatch):

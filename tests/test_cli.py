@@ -956,6 +956,26 @@ def test_an_exact_state_rejected_through_its_partner_names_the_given_n(argv, cap
         "state, above the limit of 1048576\n")
 
 
+@pytest.mark.parametrize("argv", ["eta-sweep --eta-steps 20 --eta-max 0.9",
+                                  "eta-sweep --eta-steps 3 --eta-max 1",
+                                  "tau-sweep --tau-steps 2 --eta-prep 0.5"])
+def test_a_sweep_checks_the_exact_states_of_n_and_its_partner_once(argv, monkeypatch, capsys):
+    # not once per efficiency: an exact target's own model checks itself
+    # apart, under its own n
+    seen = []
+    check = cli.preparation._check_exact_state
+
+    def counted(n_target, name=None):
+        seen.append((n_target, name))
+        check(n_target, name)
+
+    monkeypatch.setattr(cli.preparation, "_check_exact_state", counted)
+    assert run_cli(*argv.split()) == 0
+    capsys.readouterr()
+    assert seen[:2] == [(9, None), (10, "n = 9: its partner n + 1 = 10")]
+    assert seen[2:] == ([(9, None), (10, None)] if "--eta-max 1" in argv else [])
+
+
 def test_only_a_width_the_efficiency_sets_is_reported_under_eta_min(capsys):
     # n is rejected before the width that an efficiency sets
     assert run_cli("eta-sweep", "--n", "99999999999999999999", "--eta-steps", "2") == 1

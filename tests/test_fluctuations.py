@@ -784,6 +784,39 @@ def test_tau_column_rows_equal_scalar_calls(mode):
         assert np.array_equal(row, scalar)
 
 
+# tau = 0 and a shape that overflows set the area in every mode; the
+# analytic modes also take an axis of times at a resolved tau
+@pytest.mark.parametrize("mode, tau", [(mode, tau) for mode in fluctuations.MODES
+                                       for tau in (0.0, 5e-324)]
+                         + [("gamma_exact", 1e-8), ("gaussian_approx", 1e-8)])
+def test_time_axis_rows_equal_scalar_calls(mode, tau):
+    _, omegas, weights = fluctuations._area_terms(30)
+    times = np.linspace(0.1, 9.7, 7) / 1e5
+    model = FluctuationModel(g_mean=1e5, tau=tau, mode=mode, mc_samples=100)
+    rows = fluctuations._kernels(omegas, model, times)
+    assert rows.shape == (len(times), omegas.size)
+    for t, row in zip(times, rows):
+        assert np.array_equal(row, fluctuations._kernels(omegas, model, float(t)))
+    probabilities = fluctuations._ground_probabilities(omegas, weights[np.newaxis], model, times)
+    assert probabilities.shape == (len(times), 1)
+    scalar = [averaged_ground_probability(30, model, float(t)) for t in times]
+    assert np.max(np.abs(probabilities[:, 0] - scalar)) <= 1e-15
+
+
+def test_time_axis_is_refused_where_it_would_be_drawn():
+    _, omegas, _ = fluctuations._area_terms(9)
+    times = np.array([1e-5, 2e-5])
+    sampled = FluctuationModel(g_mean=1e5, tau=1e-8, mode="monte_carlo", mc_samples=10)
+    with pytest.raises(ValueError, match="needs an area set at every time"):
+        fluctuations._kernels(omegas, sampled, times)
+    analytic = FluctuationModel(g_mean=1e5, tau=1e-8, mode="gamma_exact")
+    with pytest.raises(ValueError, match="column of taus or an axis of times, not both"):
+        fluctuations._kernels(omegas, analytic, times, taus=[1e-8])
+    for bad in (np.array([1e-5, 0.0]), np.array([[1e-5]]), np.array([np.nan])):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            fluctuations._kernels(omegas, analytic, bad)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", fluctuations.MODES)
 def test_a_tau_whose_shape_overflows_is_the_fluctuation_free_limit(mode):

@@ -56,6 +56,29 @@ def _grid_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[int, int]]:
     return [(na, nb) for na in range(cutoff_a + 1) for nb in range(cutoff_b + 1)]
 
 
+def _full_hamiltonian(h: LambDickeHamiltonian, t: np.ndarray) -> np.ndarray:
+    """H(t) = [[0, W(t)], [W(t)^dag, 0]] over the full state vector at each
+    time of t, with W(t) = sum_m e^{i m nu t} W_m summed from the blocks."""
+    phases = np.exp(1j * np.multiply.outer(t, h.harmonics * h.drive.nu))
+    couplings = np.einsum("tm,mij->tij", phases, h.blocks)
+    zeros = np.zeros_like(couplings)
+    return np.block([[zeros, couplings], [couplings.conj().swapaxes(1, 2), zeros]])
+
+
+def _rk4_reference(y, h_ld, t0, h, steps):
+    """The unsplit route: classic RK4 over the full state vector, ``steps``
+    steps of h from t0, with H formed afresh for each of the four stages."""
+    y = y.copy()
+    for i in range(steps):
+        start, mid, end = _full_hamiltonian(h_ld, t0 + np.array([i, i + 0.5, i + 1.0]) * h)
+        k1 = -1j * (start @ y)
+        k2 = -1j * (mid @ (y + 0.5 * h * k1))
+        k3 = -1j * (mid @ (y + 0.5 * h * k2))
+        k4 = -1j * (end @ (y + h * k3))
+        y = y + (h / 6.0) * ((k1 + k4) + 2.0 * (k2 + k3))
+    return y
+
+
 def _assert_pair_exchange_block(block, coupling, cutoff_a, cutoff_b, atol):
     # only |n_a, n_b>|-> and |n_a - 1, n_b - 1>|+> are coupled, at coupling sqrt(n_a n_b)
     labels = _grid_labels(cutoff_a, cutoff_b)
@@ -234,30 +257,78 @@ def test_drive_static_block_follows_the_documented_basis_order():
     # row-major and carried through one period map gives the same state
     state = _fock_state(2, 1, 2, 3)
     (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([drive.period]))
-    stepped = one_period_map(h) @ _vector(state)
+    _, period_map = propagators._stepped_states(h, _vector(state), np.array([0.0]), drive.steps)
+    stepped = period_map @ _vector(state)
     assert not np.array_equal(stepped, _vector(state))
-    assert np.array_equal(np.concatenate([minus.ravel(), plus.ravel()]), stepped)
+    assert np.max(np.abs(np.concatenate([minus.ravel(), plus.ravel()]) - stepped)) <= 1e-15
 
 
 def test_drive_couplings_are_the_phased_sum_of_the_harmonic_blocks():
-    # W(t) = sum_m e^{i m nu t} W_m, summed here term by term from the blocks
+    # each sector's blocks are -i H(t) between its even and odd halves, with
+    # W(t) = sum_m e^{i m nu t} W_m summed here term by term from the blocks
     h = LambDickeHamiltonian(_DRIVE, 2, 3)
     dim = h.grid_size
     assert np.array_equal(h.harmonics, np.arange(-5.0, 2.0))
     assert h.blocks.shape == (7, dim, dim)
+    order = h._sectors.order
+    even = 8  # n_a = 0 and 2, four cells each
+    assert order.shape == (2, dim)
     times = np.array([0.0, 0.123, 0.77, 29.9])
-    for t, coupling_block in zip(times, h._couplings(times), strict=True):
+    for t, (upper, lower) in zip(times, h._sector_couplings(times), strict=True):
         expected = np.zeros((dim, dim), dtype=np.complex128)
         for m, block in zip(h.harmonics, h.blocks):
             expected += np.exp(1j * m * _DRIVE.nu * t) * block
-        assert np.max(np.abs(coupling_block - expected)) <= 1e-15
-    # a drive's grid holds W at the 2 steps + 1 half steps of its period
+        full = np.block([[np.zeros_like(expected), expected],
+                         [expected.conj().T, np.zeros_like(expected)]])
+        assert upper.shape == (2, even, dim - even) and lower.shape == (2, dim - even, even)
+        for s, row in enumerate(order):
+            assert np.max(np.abs(upper[s] + 1j * full[np.ix_(row[:even], row[even:])])) <= 1e-15
+            assert np.max(np.abs(lower[s] + 1j * full[np.ix_(row[even:], row[:even])])) <= 1e-15
+    # a drive's grid holds them at the 2 steps + 1 half steps of its period
     grid = _period_grid(h, 7)
-    assert grid.shape == (15, dim, dim)
+    assert len(grid) == 15
     half_step = _DRIVE.period / 14
     for j in (0, 1, 7, 14):
-        (expected,) = h._couplings(np.array([j * half_step]))
-        assert np.max(np.abs(grid[j] - expected)) <= 1e-15
+        ((upper, lower),) = h._sector_couplings(np.array([j * half_step]))
+        assert np.array_equal(grid[j][0], upper) and np.array_equal(grid[j][1], lower)
+
+
+@pytest.mark.parametrize("expansion_order", [2, 3, 4, 5])
+@pytest.mark.parametrize("cutoff_a, cutoff_b",
+                         [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 5), (6, 3), (4, 2)])
+def test_every_block_couples_only_opposite_n_a_parities(expansion_order, cutoff_a, cutoff_b):
+    # a -> -a swaps the diagonal modes, so P W_m P = -W_m for P = (-1)^{n_a}:
+    # every entry between a |-> and a |+> state of equal n_a parity is 0.0
+    drive = Drive(omega=1.3, nu=40.0, eta_ld=0.3, expansion_order=expansion_order)
+    h = LambDickeHamiltonian(drive, cutoff_a, cutoff_b)
+    labels = _grid_labels(cutoff_a, cutoff_b)
+    parity = np.array([na % 2 for na, _ in labels])
+    equal = parity[:, np.newaxis] == parity
+    assert not np.any(h.blocks[:, equal])
+    assert np.any(h.blocks[:, ~equal])
+    # so the drive steps two sectors, each of every n_a parity's cells once
+    order = h._sectors.order
+    assert order.shape == (2, len(labels))
+    assert sorted(np.concatenate(order).tolist()) == list(range(2 * len(labels)))
+
+
+def test_a_drive_with_a_cross_sector_coupling_runs_as_one_sector():
+    # one static entry between |0, 2>|-> and |0, 0>|+>, both of even n_a,
+    # breaks the symmetry; the drive then steps the whole vector as one
+    # sector, and matches the unsplit route
+    h = LambDickeHamiltonian(_DRIVE, 2, 2)
+    assert h.harmonics[5] == 0.0
+    h.blocks[5, 2, 0] = 0.2 + 0.1j
+    assert h._sectors.order.shape == (1, 2 * h.grid_size)
+    assert np.array_equal(h._sectors.order[0], np.arange(2 * h.grid_size))
+    y0 = _vector(_initial_binomial(2, 2))
+    times = np.array([0.3, 0.05, 2.0 * _DRIVE.period])
+    _assert_stepped_states_match_the_oracle(h, y0, times, _DRIVE.steps)
+    # and that coupling moves the state: a symmetric drive gives another one
+    states, _ = propagators._stepped_states(h, y0, times, _DRIVE.steps)
+    symmetric, _ = propagators._stepped_states(LambDickeHamiltonian(_DRIVE, 2, 2), y0, times,
+                                               _DRIVE.steps)
+    assert np.max(np.abs(states - symmetric)) > 1e-3
 
 
 def test_drive_static_part_equals_pair_exchange():
@@ -388,23 +459,22 @@ def test_a_drifting_drive_is_redone_at_doubled_steps(monkeypatch):
 
 
 def _matrix_power_states(h_ld, y0, times, steps):
-    """Oracle for ``_stepped_states``: M^n by ``np.linalg.matrix_power`` for
-    each time, the whole steps below r stepped on the vector, then the same
-    partial step to r."""
+    """Oracle for ``_stepped_states`` on the unsplit route: the full-vector
+    RK4 map M of one period, M^n by ``np.linalg.matrix_power`` for each time,
+    then the whole steps below r and one partial step to r, stepped on the
+    vector."""
     period = h_ld.drive.period
     h = period / steps
-    grid = _period_grid(h_ld, steps)
-    period_map = one_period_map(h_ld, grid)
+    period_map = _rk4_reference(np.eye(len(y0), dtype=np.complex128), h_ld, 0.0, h, steps)
     states = []
     for t in times:
         whole, rest = divmod(float(t), period)
         y = np.linalg.matrix_power(period_map, int(whole)) @ y0
         done = min(int(rest / h), steps)
-        y = _rk4_span(y, h, grid[: 2 * done + 1])
+        y = _rk4_reference(y, h_ld, 0.0, h, done)
         partial = rest - done * h
         if partial > 0.0:
-            ends = h_ld._couplings(done * h + np.array([0.5, 1.0]) * partial)
-            y = _rk4_span(y, partial, np.concatenate([grid[2 * done : 2 * done + 1], ends]))
+            y = _rk4_reference(y, h_ld, done * h, partial, 1)
         states.append(y)
     return np.array(states), period_map
 
@@ -412,7 +482,7 @@ def _matrix_power_states(h_ld, y0, times, steps):
 def _assert_stepped_states_match_the_oracle(h_ld, y0, times, steps):
     states, period_map = propagators._stepped_states(h_ld, y0, times, steps)
     expected, expected_map = _matrix_power_states(h_ld, y0, times, steps)
-    assert np.array_equal(period_map, expected_map)
+    assert np.max(np.abs(period_map - expected_map)) <= 1e-15
     assert np.max(np.abs(states - expected)) <= 1e-12
 
 
@@ -454,12 +524,13 @@ def test_edge_times_match_the_matrix_power_route(nu):
 def test_the_drive_lane_steps_the_identity_once_and_each_time_by_one_partial_step(
     monkeypatch, full
 ):
-    # the ndim of each state _rhs is called on, one list per drive
+    # whether _rhs is called on the halves of a stack of maps (2) or of
+    # states (1), one list per drive
     calls = []
     rhs, drive_states = propagators._rhs, propagators._drive_states
 
     def counted_rhs(couplings, y, out):
-        calls[-1].append(y.ndim)
+        calls[-1].append(2 if y[0].shape[-1] > 1 else 1)
         return rhs(couplings, y, out)
 
     def counted_drive_states(*args):
@@ -474,14 +545,6 @@ def test_the_drive_lane_steps_the_identity_once_and_each_time_by_one_partial_ste
         assert ndims.count(2) == 4 * drive.steps
         assert 0 < ndims.count(1) <= 4 * len(times)
         assert len(ndims) == ndims.count(1) + ndims.count(2)
-
-
-def _equal_steps(h, y, t0, t1, steps):
-    """y stepped from t0 to t1 in ``steps`` equal RK4 steps, W read afresh at
-    each step's start, midpoint and end."""
-    half_step = (t1 - t0) / (2 * steps)
-    grid = h._couplings(t0 + np.arange(2 * steps + 1) * half_step)
-    return _rk4_span(y, 2.0 * half_step, grid)
 
 
 # remainder differences at RK4 truncation level stay below this, fixed before
@@ -510,7 +573,7 @@ def test_grid_stepped_remainders_match_four_times_the_steps(ratio):
 
 def _stepped_ground_populations(state, drive, times):
     """Reference for the period map: one state vector stepped through every
-    drive period in turn, on the same aligned RK4 grid."""
+    drive period in turn, on the same aligned RK4 grid, by the unsplit route."""
     h = LambDickeHamiltonian(drive, state.cutoff_a, state.cutoff_b)
     period, steps = drive.period, drive.steps
     y = _vector(state)
@@ -519,9 +582,10 @@ def _stepped_ground_populations(state, drive, times):
     for t in times:
         whole, rest = divmod(float(t), period)
         while done < whole:
-            y = _equal_steps(h, y, done * period, (done + 1) * period, steps)
+            y = _rk4_reference(y, h, done * period, period / steps, steps)
             done += 1
-        final = _equal_steps(h, y, whole * period, t, max(1, math.ceil(rest * steps / period)))
+        remainder_steps = max(1, math.ceil(rest * steps / period))
+        final = _rk4_reference(y, h, whole * period, rest / remainder_steps, remainder_steps)
         populations.append(float(np.sum(np.abs(final[: h.grid_size]) ** 2)))
     return np.array(populations)
 
@@ -545,8 +609,9 @@ def test_period_map_matches_vector_stepping(nu):
 
 def test_period_map_is_unitary_to_integration_error():
     h = LambDickeHamiltonian(_DRIVE, 4, 4)
-    period_map = one_period_map(h)
-    defect = np.max(np.abs(period_map.conj().T @ period_map - np.eye(len(period_map))))
+    maps = one_period_map(h)
+    assert maps.shape == (2, h.grid_size, h.grid_size)
+    defect = np.max(np.abs(maps.conj().swapaxes(1, 2) @ maps - np.eye(h.grid_size)))
     assert defect <= 1e-10
 
 
@@ -564,30 +629,20 @@ def test_drive_period_takes_101_steps_at_nu_50():
     assert (drive.period, drive.steps) == (0.12566370614359174, 101)
 
 
-def _rk4_reference(y, h, grid):
-    """Classic RK4 with (W, W^dag) formed afresh for each of the four stages
-    of every step, W read from the grid."""
-    y = y.copy()
-    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
-    pair = lambda w: (w, w.conj().T)  # noqa: E731
-    for i in range(len(grid) // 2):
-        propagators._rhs(pair(grid[2 * i]), y, out=k1)
-        propagators._rhs(pair(grid[2 * i + 1]), y + 0.5 * h * k1, out=k2)
-        propagators._rhs(pair(grid[2 * i + 1]), y + 0.5 * h * k2, out=k3)
-        propagators._rhs(pair(grid[2 * i + 2]), y + h * k3, out=k4)
-        y += (h / 6.0) * ((k1 + k4) + 2.0 * (k2 + k3))
-    return y
-
-
 @pytest.mark.parametrize("steps", [0, 1, 101])
 @pytest.mark.parametrize("as_matrix", [False, True])
 def test_rk4_span_is_classic_rk4_along_its_grid(steps, as_matrix):
+    # the sector stack stepped along its grid is the unsplit route's RK4
     h = LambDickeHamiltonian(_DRIVE, 3, 3)
     rng = np.random.default_rng(steps)
     shape = (2 * h.grid_size, 5) if as_matrix else (2 * h.grid_size,)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    step = _DRIVE.period / max(steps, 1)
     grid = _period_grid(h, max(steps, 1))[: 2 * steps + 1]
-    got = _rk4_span(y, _DRIVE.period / max(steps, 1), grid)
-    expected = _rk4_reference(y, _DRIVE.period / max(steps, 1), grid)
-    assert np.array_equal(got, expected)
+    order = h._sectors.order
+    stack = y[order].reshape(*order.shape, -1)  # a state is one column
+    got = np.empty_like(y)
+    got[order] = _rk4_span(stack, step, grid).reshape(y[order].shape)
+    expected = _rk4_reference(y, h, 0.0, step, steps)
+    assert np.max(np.abs(got - expected)) <= 1e-12
     assert not steps or not np.array_equal(got, y)
