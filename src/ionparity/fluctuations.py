@@ -52,8 +52,7 @@ row is within 9.5 unit roundoffs of the exact cosine of fl(b A) at any
 argument (the tests derive the bound), and -1 where tan^2 h overflows; a
 higher rung differs from libm's row by about m^2 times that plus the
 argument's rounding.  A row's bits depend only on its base and draw, not
-on its place in a block.  Calls whose blocks hold fewer than
-``LADDER_MIN_DRAWS`` draws keep every frequency at rung 1.
+on its place in a block.
 ``_cosine_sums`` sums one block's rows per frequency, formed in one tile of
 ``MC_BLOCK_PAIRS`` (base, draw) pairs per thread, and takes from the tile
 only the rows its rungs need; the block sums are added in draw order and
@@ -95,12 +94,11 @@ MC_DRAW_BLOCK = 1 << 16
 # core's L2 cache on the 2-core machine the block sizes were measured on
 MC_BLOCK_PAIRS = 1 << 18
 
-# Draws per block below which every frequency takes its own cosine row: the
-# recurrence's few numpy calls per rung then cost more than the rows saved
-LADDER_MIN_DRAWS = 1 << 8
-
-# One recurrence rung per draw costs about a sixteenth of a libm cosine (1.5
-# against 24 ns on the 2-core machine), which sets how high a ladder climbs
+# A recurrence rung's cost per draw as a share of a base row's, which sets
+# how high a ladder climbs.  1/16 was measured against libm's 24 ns cosine;
+# a base row is now a tangent row, about 4.1 ns a draw against 1.43 ns a
+# rung on the 2-core machine, so a third would price it.  Re-pricing it moves
+# ladder placements and so table bits, which waits for their re-recording.
 RUNG_COST = 1.0 / 16.0
 
 # Keys are reduced to roots by the squares of q = 2 .. ROOT_DIVISORS - 1; the
@@ -233,7 +231,7 @@ def _draw_blocks(
         return
     rng = np.random.default_rng(model.seed) if rng is None else rng
     # cos(0 A) = 1 for every draw: set, not sampled
-    ladder = _ladder(omegas[omegas != 0.0], starts.step)
+    ladder = _ladder(omegas[omegas != 0.0])
     for start in starts:
         yield ladder, sample_pulse_areas(model.g_mean, model.tau, t, rng,
                                          min(starts.step, model.mc_samples - start))
@@ -263,22 +261,15 @@ class _Ladder(NamedTuple):
     slots: np.ndarray
 
 
-def _ladder(frequencies: np.ndarray, block: int) -> _Ladder:
-    """The ladder of ``frequencies`` for draw blocks of ``block`` draws,
-    cached by their bytes, read-only: below ``LADDER_MIN_DRAWS`` draws every
-    frequency is its own base at rung 1; from there on ``_rungs`` places
-    them."""
-    return _cached_ladder(frequencies.tobytes(), block >= LADDER_MIN_DRAWS)
+def _ladder(frequencies: np.ndarray) -> _Ladder:
+    """The ladder on which ``_rungs`` places ``frequencies``, cached by their
+    bytes, read-only."""
+    return _cached_ladder(frequencies.tobytes())
 
 
 @functools.lru_cache(maxsize=AREA_CACHE_SIZE)
-def _cached_ladder(raw: bytes, climb: bool) -> _Ladder:
-    frequencies = np.frombuffer(raw)
-    size = frequencies.size
-    bases, tops = frequencies, np.ones(size, dtype=np.int64)
-    owners, rungs = np.arange(size), np.ones(size, dtype=np.int64)
-    if climb:
-        bases, tops, owners, rungs = _rungs(frequencies)
+def _cached_ladder(raw: bytes) -> _Ladder:
+    bases, tops, owners, rungs = _rungs(np.frombuffer(raw))
     order = np.argsort(-tops, kind="stable")
     place = np.empty_like(order)
     place[order] = np.arange(order.size)

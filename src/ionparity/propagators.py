@@ -28,15 +28,16 @@ ordered as its even-n_a half, then its odd half: (|-> even; |+> odd) and
 (|+> even; |-> odd).  Both hold (cutoff_a + 1)(cutoff_b + 1) states, so a
 state or a map is stepped as one stack over the two.  A sector's even half
 couples only to its odd half, through -i H[even, odd] and -i H[odd, even].
-One coupling table holds these blocks of every sector, sliced once from the
+One coupling table holds these blocks of both sectors, sliced once from the
 W_m with the -i in place, one row per angular rate: m nu for an entry of W,
 -m nu for an entry of W^dag.  So the blocks at any array of times are one
-product of their phases with that table.  A drive whose blocks break the
-symmetry (a non-zero entry between equal parities) runs as one sector,
-(|->; |+>), through the same code.  A drive evaluates its blocks once, at
-the 2 steps + 1 half-step points of its period grid, and every RK4 step of
-the period map reads them there; the grid is dropped with the map built,
-and each time's partial step evaluates its own three points.
+product of their phases with that table.  The swap P x P = y of the
+diagonal modes is exact in floating point, so the entries between equal
+parities are 0.0 at any order and cutoff, and every drive steps in these
+two sectors.  A drive evaluates its blocks once, at the 2 steps + 1
+half-step points of its period grid, and every RK4 step of the period map
+reads them there; the grid is dropped with the map built, and each time's
+partial step evaluates its own three points.
 
 Both propagators map an initial |-> grid, a ``TwoModeState`` (the ion
 starts in its ground level, so the |+> grid starts empty), and a 1-D array
@@ -168,10 +169,10 @@ def _annihilation_matrix(dim: int) -> np.ndarray:
 class _Sectors(NamedTuple):
     """The sectors a drive is stepped in, and their coupling table."""
 
-    order: np.ndarray  # (sectors, size): each sector's indices into the full state vector
+    order: np.ndarray  # (2, size): each sector's indices into the full state vector
     even: int  # the size of each sector's even half
     rates: np.ndarray  # the table's angular rates: m nu per harmonic m, then -m nu
-    table: np.ndarray  # (rates, sectors, 2, even * odd): -i H[even, odd], -i H[odd, even]
+    table: np.ndarray  # (rates, 2, 2, even * odd): -i H[even, odd], -i H[odd, even]
 
 
 class LambDickeHamiltonian:
@@ -188,6 +189,7 @@ class LambDickeHamiltonian:
 
     def __init__(self, drive: Drive, cutoff_a: int, cutoff_b: int) -> None:
         self.drive = drive
+        self.cutoff_b = cutoff_b
         self.grid_size = (cutoff_a + 1) * (cutoff_b + 1)
 
         a_full = np.kron(_annihilation_matrix(cutoff_a + 1), np.eye(cutoff_b + 1))
@@ -216,47 +218,37 @@ class LambDickeHamiltonian:
 
         self.harmonics = np.array(sorted(terms), dtype=float)
         self.blocks = np.stack([terms[int(m)] for m in self.harmonics])
-        self._odd_cells = np.arange(self.grid_size) // (cutoff_b + 1) % 2 == 1
 
     @functools.cached_property
     def _sectors(self) -> _Sectors:
-        """The sectors RK4 steps and their coupling table (see the module
-        docstring): two parity sectors, or the whole vector as one where a
-        block couples equal n_a parities.  Read from the blocks at first use."""
-        odd, size = self._odd_cells, self.grid_size
-        if np.any(self.blocks[:, odd[:, np.newaxis] == odd]):
-            order, even = np.arange(2 * size)[np.newaxis], size
-        else:
-            evens, odds = np.flatnonzero(~odd), np.flatnonzero(odd)
-            order = np.array([np.concatenate([evens, size + odds]),
-                              np.concatenate([size + evens, odds])])
-            even = evens.size
-        # cells[s, i, j]: the flat index into W of the entry that couples even
-        # entry i of sector s to its odd entry j; where the even half is |+>
-        # (flipped), H there is W^dag, whose rows take the rates -m nu
-        head, tail = order[:, :even, np.newaxis], order[:, np.newaxis, even:]
-        cells = np.where(head < size, head * size + tail - size, tail * size + head - size)
-        flipped = order[:, 0] >= size
-        flat = self.blocks.reshape(len(self.harmonics), -1)
+        """The two parity sectors RK4 steps and their coupling table (see the
+        module docstring), read from the blocks at first use."""
+        size = self.grid_size
+        odd = np.arange(size) // (self.cutoff_b + 1) % 2 == 1
+        evens, odds = np.flatnonzero(~odd), np.flatnonzero(odd)
+        order = np.array([np.concatenate([evens, size + odds]),
+                          np.concatenate([size + evens, odds])])
+        # sector s couples its halves through W_m[even, odd] (s = 0) or
+        # W_m[odd, even] (s = 1) one way, at the rates m nu, and through
+        # that slice's conjugate transpose the other way, at -m nu
         count = len(self.harmonics)
-        table = np.zeros((2 * count, len(order), 2, cells[0].size), dtype=np.complex128)
-        for half, (index, dagger) in enumerate([(cells, flipped),
-                                                (cells.swapaxes(1, 2), ~flipped)]):
-            index = index.reshape(len(order), -1)
-            table[:count, ~dagger, half] = -1j * flat[:, index[~dagger]]
-            table[count:, dagger, half] = -1j * flat[:, index[dagger]].conj()
+        table = np.zeros((2 * count, 2, 2, evens.size * odds.size), dtype=np.complex128)
+        for s, block in enumerate([self.blocks[:, evens][:, :, odds],
+                                   self.blocks[:, odds][:, :, evens]]):
+            table[:count, s, s] = (-1j * block).reshape(count, -1)
+            table[count:, s, 1 - s] = (-1j * block.conj().swapaxes(1, 2)).reshape(count, -1)
         rates = self.harmonics * self.drive.nu
-        return _Sectors(order, even, np.concatenate([rates, -rates]), table)
+        return _Sectors(order, evens.size, np.concatenate([rates, -rates]), table)
 
     def _sector_couplings(self, t: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The pair (-i H[even, odd], -i H[odd, even]) of every sector, stacked
+        """The pair (-i H[even, odd], -i H[odd, even]) of both sectors, stacked
         over ``_sectors``, at each time of the 1-D array t: the phases of the
         table's rates summed over its rows."""
         order, even, rates, table = self._sectors
         blocks = np.tensordot(np.exp(1j * np.multiply.outer(t, rates)), table, axes=1)
         odd = order.shape[1] - even
-        return list(zip(blocks[:, :, 0].reshape(len(t), len(order), even, odd),
-                        blocks[:, :, 1].reshape(len(t), len(order), odd, even)))
+        return list(zip(blocks[:, :, 0].reshape(len(t), 2, even, odd),
+                        blocks[:, :, 1].reshape(len(t), 2, odd, even)))
 
 
 def _rhs(couplings: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray],
@@ -274,7 +266,7 @@ def _rk4_span(y: np.ndarray, h: float, grid: list[tuple[np.ndarray, np.ndarray]]
     the sector couplings at its start, midpoint and end from ``grid[2 i]``,
     ``grid[2 i + 1]`` and ``grid[2 i + 2]``.
 
-    y is a stack over the sectors of one state each, shape (sectors, size,
+    y is a stack over the two sectors of one state each, shape (2, size,
     1), or of one matrix each whose columns are states; both are stepped by
     the same arithmetic.
     """
@@ -319,9 +311,9 @@ def one_period_map(h_ld: LambDickeHamiltonian,
                    grid: list[tuple[np.ndarray, np.ndarray]] | None = None,
                    prefixes: dict[int, np.ndarray | None] | None = None) -> np.ndarray:
     """RK4 evolution matrix over one drive period [0, 2 pi / nu] of each
-    sector of ``h_ld``, stacked, stepped along ``grid`` (by default
-    ``_period_grid`` at the drive's ``steps``); ``_unsplit`` lays it out
-    over the full state vector.
+    sector of ``h_ld``, a (2, size, size) stack indexed as the rows of
+    ``_sectors.order``, stepped along ``grid`` (by default ``_period_grid``
+    at the drive's ``steps``).
 
     Every harmonic of the drive is an integer multiple of nu, so this map
     M advances any state by a whole period from any multiple of the period
@@ -331,21 +323,11 @@ def one_period_map(h_ld: LambDickeHamiltonian,
     if grid is None:
         grid = _period_grid(h_ld, h_ld.drive.steps)
     h = h_ld.drive.period / (len(grid) // 2)
-    order = h_ld._sectors.order
-    y, done = np.tile(np.eye(order.shape[1], dtype=np.complex128), (len(order), 1, 1)), 0
+    y, done = np.tile(np.eye(h_ld.grid_size, dtype=np.complex128), (2, 1, 1)), 0
     for stop in sorted(prefixes or ()):
         y = prefixes[stop] = _rk4_span(y, h, grid[2 * done : 2 * stop + 1])
         done = stop
     return _rk4_span(y, h, grid[2 * done :])
-
-
-def _unsplit(order: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """The matrix over the full state vector of a stack of sector maps, whose
-    rows and columns index the full vector as the rows of ``order`` do: zero
-    between sectors."""
-    full = np.zeros((order.size, order.size), dtype=np.complex128)
-    full[order[:, :, np.newaxis], order[:, np.newaxis]] = maps
-    return full
 
 
 NORM_DRIFT_TOL = 1e-8
@@ -359,7 +341,7 @@ def _stepped_states(
     h_ld: LambDickeHamiltonian, y0: np.ndarray, times: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state U(r) M^n y0 at each t = n T + r of ``times``, one row per
-    time, and M over the full state vector, all at ``steps`` RK4 steps per
+    time, and the stack of M's sector maps, all at ``steps`` RK4 steps per
     period T.  M^n is M^(2^k) per set bit k of n; U(r) is the prefix of the
     sweep that built M at the whole steps below r, then one partial step to
     r.  Each is applied to y0's sectors as one stack.  No time's bits depend
@@ -386,14 +368,15 @@ def _stepped_states(
             grid = h_ld._sector_couplings(done * h + np.array([0.0, 0.5, 1.0]) * partial)
             y = _rk4_span(y, partial, grid)
         states[i, order] = y[..., 0]
-    return states, _unsplit(order, period_map)
+    return states, period_map
 
 
 def _drive_states(
     initial: TwoModeState, drive: Drive, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """``propagate_lamb_dicke``'s stacks at non-empty ``times``, and the
-    one-period map M.  Each state is U(r) M^n y0 from the initial vector y0
+    unitarity defect max|M_s^dag M_s - I| of the one-period map's sector
+    maps M_s.  Each state is U(r) M^n y0 from the initial vector y0
     alone (the |-> grid, then the empty |+> grid, each row-major over
     (n_a, n_b), the order of the coupling blocks' rows and columns); all
     times share one build of the drive Hamiltonian.  Where the norm drifts
@@ -402,11 +385,12 @@ def _drive_states(
     h_ld = LambDickeHamiltonian(drive, initial.cutoff_a, initial.cutoff_b)
     y0 = np.concatenate([initial.amplitudes.ravel(), np.zeros(initial.amplitudes.size)])
     for doubling in range(REFINEMENTS + 1):
-        states, period_map = _stepped_states(h_ld, y0, times, drive.steps << doubling)
+        states, maps = _stepped_states(h_ld, y0, times, drive.steps << doubling)
         drift = np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - initial.squared_norm()))
         if drift <= NORM_DRIFT_TOL:
             grids = states.reshape(len(times), 2, initial.cutoff_a + 1, initial.cutoff_b + 1)
-            return grids[:, 0], grids[:, 1], period_map
+            defect = np.max(np.abs(maps.conj().swapaxes(1, 2) @ maps - np.eye(maps.shape[1])))
+            return grids[:, 0], grids[:, 1], float(defect)
     raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
 
 

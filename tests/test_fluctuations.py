@@ -148,11 +148,11 @@ def tangent_error(k=TAN_ULPS):
     return (2 * k + 5.5) * U
 
 
-def ladder_rungs(omegas, samples):
+def ladder_rungs(omegas):
     """The rung from which the kernel forms each row of ``omegas``: a zero
     frequency's row is set to 1, which is libm's cos(0) as well."""
     nonzero = np.flatnonzero(omegas != 0.0)
-    ladder = fluctuations._ladder(omegas[nonzero], min(samples, fluctuations.MC_DRAW_BLOCK))
+    ladder = fluctuations._ladder(omegas[nonzero])
     sought = np.ones(omegas.size, dtype=np.int64)
     for rung in ladder.needed:
         row = np.arange(ladder.offsets[rung], ladder.offsets[rung] + ladder.depth[rung])
@@ -204,7 +204,7 @@ def assert_ladder_rows(omegas, samples, seed=5, g=1.0, tau=1e-3, t=1.0):
     means = fluctuations._kernels(omegas, model, t)
     draws = sample_pulse_areas(g, tau, t, np.random.default_rng(seed), samples)
     libm = np.cos(np.multiply.outer(omegas, draws)).mean(axis=1)
-    rungs = ladder_rungs(omegas, samples)
+    rungs = ladder_rungs(omegas)
     assert np.array_equal(means[omegas == 0.0], libm[omegas == 0.0])
     differences = np.abs(means - libm)
     assert np.all(differences <= ladder_bound(rungs, omegas, draws))
@@ -242,7 +242,7 @@ def test_ladder_of_the_tau_sweep_union_climbs_to_rung_five():
     rungs, differences, _ = assert_ladder_rows(omegas, 1 << 14)
     assert dict(zip(keys.tolist(), rungs.tolist())) == {
         0: 1, 8: 2, 9: 3, 14: 1, 16: 4, 18: 3, 20: 1, 21: 1, 24: 1, 25: 5}
-    ladder = fluctuations._ladder(omegas[omegas != 0.0], 1 << 14)
+    ladder = fluctuations._ladder(omegas[omegas != 0.0])
     assert ladder.bases.size == 6 and ladder.tops.tolist() == [5, 3, 1, 1, 1, 1]
     assert np.max(differences) > 0.0  # rung >= 2 rows are the recurrence's own
 
@@ -255,17 +255,15 @@ def test_ladder_of_a_wide_mixture_climbs_past_rung_seventeen():
         [preparation.PreparationModel(n, delta).terms() for n in (9, 10)])[0]
     rungs, _, _ = assert_ladder_rows(omegas, 1 << 12)
     assert rungs.max() >= 17
-    assert fluctuations._ladder(omegas[omegas != 0.0], 1 << 12).bases.size < omegas.size // 2
+    assert fluctuations._ladder(omegas[omegas != 0.0]).bases.size < omegas.size // 2
 
 
 def test_ladder_of_a_large_total_keeps_every_key_on_its_own_cosine():
     # the 2000 non-zero keys of N = 4001 lie on 2000 roots: no cosine is
-    # shared, and a recurrence would only add rungs.  Below LADDER_MIN_DRAWS
-    # draws a block places no ladder, and every row is its own base as well.
+    # shared, and a recurrence would only add rungs
     _, omegas, _ = fluctuations._area_terms(4001)
-    for samples in (fluctuations.LADDER_MIN_DRAWS, fluctuations.LADDER_MIN_DRAWS - 1):
-        rungs, differences, _ = assert_ladder_rows(omegas, samples)
-        assert np.all(rungs == 1) and np.max(differences) > 0.0
+    rungs, differences, _ = assert_ladder_rows(omegas, 256)
+    assert np.all(rungs == 1) and np.max(differences) > 0.0
 
 
 def test_ladder_places_key_frequencies_on_their_roots_and_the_rest_alone():
@@ -275,16 +273,12 @@ def test_ladder_places_key_frequencies_on_their_roots_and_the_rest_alone():
     # repeated key shares its row.
     frequencies = np.array([1.3, 4.0, 8.0, 12.0, 3.0 * (2.0 * (2.0 * np.sqrt(2.0))), -4.0,
                             4.0 * 2.0**27, np.inf, np.nan, 8.0])
-    ladder = fluctuations._ladder(frequencies, fluctuations.LADDER_MIN_DRAWS)
+    ladder = fluctuations._ladder(frequencies)
     assert ladder.bases[0] == 4.0 and ladder.tops.tolist() == [3] + [1] * 6
-    assert ladder_rungs(frequencies, fluctuations.LADDER_MIN_DRAWS).tolist() == [
-        1, 1, 2, 3, 1, 1, 1, 1, 1, 2]
+    assert ladder_rungs(frequencies).tolist() == [1, 1, 2, 3, 1, 1, 1, 1, 1, 2]
     assert ladder.slots[2] == ladder.slots[9]
-    small = fluctuations._ladder(frequencies, fluctuations.LADDER_MIN_DRAWS - 1)
-    assert np.array_equal(small.bases, frequencies, equal_nan=True)
-    assert set(small.needed) == {1}
     finite = frequencies[np.isfinite(frequencies)]
-    assert_ladder_rows(finite, fluctuations.LADDER_MIN_DRAWS)
+    assert_ladder_rows(finite, 256)
 
 
 def flipped_climb(cosines, previous, before, out):
@@ -455,7 +449,7 @@ def test_streamed_kernel_matches_one_outer_product_to_rounding():
     # (root 1) and 56 and 224 (root 14) climb the recurrence, whose rows
     # differ from libm's by at most ``climb_error`` a draw.
     bound = U * (2 * 128 + np.log2(samples) + np.log2(fluctuations.MC_DRAW_BLOCK) + 4 + 2)
-    rungs = ladder_rungs(omegas, samples)
+    rungs = ladder_rungs(omegas)
     assert rungs.max() == 15
     assert np.all(np.abs(streamed - full) <= bound + climb_error(rungs, omegas, draws))
     assert omegas[0] == 0.0 and streamed[0] == 1.0
@@ -486,7 +480,7 @@ def test_monte_carlo_memory_does_not_grow_with_the_sample_count():
     # Once the thread has its tile, summing a block allocates only the sum
     # table and the row it returns, plus array headers: every row is formed
     # in the tile (one plane of rows would be 512 KiB here)
-    ladder = fluctuations._ladder(omegas[1:], fluctuations.MC_DRAW_BLOCK)
+    ladder = fluctuations._ladder(omegas[1:])
     draws = sample_pulse_areas(1e5, 1e-8, T_COMPARE, np.random.default_rng(1),
                                fluctuations.MC_DRAW_BLOCK)
     fluctuations._cosine_sums(ladder, draws)
@@ -529,11 +523,11 @@ def test_joint_call_matches_separate_calls(mode):
         )
 
 
-def ladder_bases(omegas, samples):
+def ladder_bases(omegas):
     """The base each row of ``omegas`` climbs from, 0 for a zero frequency."""
     nonzero = np.flatnonzero(omegas != 0.0)
-    ladder = fluctuations._ladder(omegas[nonzero], min(samples, fluctuations.MC_DRAW_BLOCK))
-    rungs = ladder_rungs(omegas, samples)[nonzero]
+    ladder = fluctuations._ladder(omegas[nonzero])
+    rungs = ladder_rungs(omegas)[nonzero]
     bases = np.zeros(omegas.size)
     bases[nonzero] = ladder.bases[ladder.slots - np.array(ladder.offsets)[rungs]]
     return bases
@@ -556,15 +550,15 @@ def test_monte_carlo_merged_row_equals_unmerged_row(seed):
     merged = fluctuations._kernels(omegas, model, 1.0, None)
     k = np.arange(10)
     row = np.searchsorted(keys, (9 - k) * k)
-    rungs = ladder_rungs(omegas, samples)[row]
-    same = ((ladder_bases(omegas, samples)[row] == ladder_bases(spread, samples))
-            & (rungs == ladder_rungs(spread, samples)))
+    rungs = ladder_rungs(omegas)[row]
+    same = ((ladder_bases(omegas)[row] == ladder_bases(spread))
+            & (rungs == ladder_rungs(spread)))
     assert not same.all() and same.sum() == 8
     assert np.array_equal(merged[row][same], unmerged[same])
     # each side is within ladder_bound of libm's row, at its own rung
     draws = sample_pulse_areas(1.0, 1e-3, 1.0, np.random.default_rng(seed), samples)
     bound = (ladder_bound(rungs, omegas[row], draws)
-             + ladder_bound(ladder_rungs(spread, samples), spread, draws))
+             + ladder_bound(ladder_rungs(spread), spread, draws))
     assert np.all(np.abs(merged[row] - unmerged) <= bound)
 
 
