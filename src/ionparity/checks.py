@@ -24,14 +24,15 @@ cells took a median 112 ms alone, 141 ms beside ``_suite_drives`` looping
 and 0.43 s (0.25-8.5 s) beside ``fluctuation_free_limit`` looping, which
 averages each mode over all its times in one array call (31 s while it
 made 75 scalar calls).  The two drive rows read one build of the suite's
-drives (``_suite_drives``, 12-15 ms in-process, best of 5, since RK4 steps
-the two parity sectors as one stack; 21-23 ms before): each drive of
-``RWA_SUITES[full]`` is propagated once per battery, and
-``lamb_dicke_unitarity`` reads its norms and period-map defects from those
+drives (``_suite_drives``, about 2 ms in-process, best of 7, since each
+drive is solved exactly in its rotating frame; 12-13 ms while RK4 stepped
+it): each drive of ``RWA_SUITES[full]`` is solved once per battery, and
+``lamb_dicke_unitarity`` reads its norms and frame identity from those
 builds.
-The battery runs on one OpenBLAS thread, restored afterwards: on two, the
-drive checks took the same 13-14 ms wall (21-22 ms with --full; in-process,
-best of 5), and on a 2-core machine they would compete with the cells.
+The battery runs on one OpenBLAS thread, restored afterwards: without that,
+a ``validate --seed 1`` pass took a median 67.9 ms wall and 123.8 ms CPU
+against 62.2 and 115.0 ms (16 alternated processes of 20 passes each), and
+on a 2-core machine the second thread would compete with the cells.
 
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:
@@ -67,19 +68,18 @@ tests/test_checks.py that injects that fault and sees the row fail:
   test_exact_preparation_limit_sees_a_mixture_off_its_target
 - static_drive_limit: the drive's static block off by 1e-6 relative;
   test_static_drive_limit_sees_a_static_term_off_by_one_part_in_a_million
-- lamb_dicke_unitarity, rwa_deviation_decreases: a propagator that gives up,
-  its norm drift persisting through three doublings of the RK4 steps;
-  test_drive_checks_fail_when_the_propagator_gives_up.  lamb_dicke_unitarity
-  reads the norm at every time of the suite's drives, and the defect of each
-  drive's period map, from the builds it shares with rwa_deviation_decreases.
-  Its norm is the quantity ``propagators._drive_states`` already holds to the
-  same 1e-8, so the row either passes or reads inf with the propagator's
-  message; the defect enters only its detail
+- lamb_dicke_unitarity: a drive whose phases have the wrong sign,
+  W(t) = sum_m e^{-i m nu t} W_m, and a frame K of the wrong sign, which
+  rwa_deviation_decreases passes at about 0.27 against its bound 1;
+  test_unitarity_check_sees_a_drive_whose_phases_have_the_wrong_sign,
+  test_unitarity_check_sees_a_frame_of_the_wrong_sign.  A block entry that
+  breaks the m + 2 grading of the harmonics;
+  test_unitarity_check_sees_a_block_that_breaks_the_grading.  The row
+  reads the norm at every time of the suite's drives and the frame
+  identity, from the builds it shares with rwa_deviation_decreases
 - rwa_deviation_decreases: a drive coupling W(t) off by 1e-3 relative, which
-  keeps the norm (so lamb_dicke_unitarity and static_drive_limit pass it);
-  test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand.
-  Blind spot: a drive whose phases e^{i m nu t} have the wrong sign fails no
-  row (rwa_deviation_decreases reads 0.27 against its bound 1)."""
+  keeps the norm and the frame identity (so lamb_dicke_unitarity passes it);
+  test_rwa_check_sees_a_drive_coupling_off_by_one_part_in_a_thousand"""
 
 from __future__ import annotations
 
@@ -103,9 +103,16 @@ from .states import TwoModeState, effective_coupling
 CLOSED_FORM_COUPLING_FACTOR = 2.0
 
 # validate's drive-vs-pair-exchange suites, keyed by --full: the ratios nu/omega, the
-# span in units of 1/g and the sample count; each drive has order RWA_ORDER and N = 2.
+# span in units of 1/g and the sample count; each drive has order RWA_ORDER and N = 2,
+# on the grid of both cutoffs RWA_CUTOFF.
 RWA_SUITES = {False: ((25.0, 50.0), 0.3, 6), True: ((50.0, 100.0, 200.0), 1.0, 10)}
 RWA_ORDER = 3
+RWA_CUTOFF = 4
+# The largest frame phase nu (2 RWA_CUTOFF + 2) t_max that a suite may reach.  The
+# exact route resolves each level's shifts to about eps^2 times the frame's span, so
+# its states move with the phase: by at most 3.2e-12 up to 7.5e23, and by 1.9e-9 to
+# 1.4e-7 from 2e25 on (populations of the suite's drives against eta_ld -> 0).
+RWA_MAX_PHASE = 1e24
 
 
 @dataclass(frozen=True)
@@ -357,48 +364,50 @@ def static_drive_limit() -> CheckResult:
     return _result("static_drive_limit", difference, 1e-12)
 
 
-def _suite_drives(omega: float, eta_ld: float, full: bool) -> list[tuple] | str:
+def _suite_drives(omega: float, eta_ld: float, full: bool) -> list[tuple]:
     """Each drive of the ``RWA_SUITES[full]`` suite, built once for both
-    drive rows: per ratio, the drive, its sample times and the
-    ``_drive_states`` of the N = 2 binomial state at cutoff 4, as
-    (drive, times, minus, plus, one-period map's unitarity defect).  Where
-    a drive's propagator gives up, its message instead."""
+    drive rows: per ratio, (drive, sample times, minus, plus, Hamiltonian),
+    where minus and plus stack the exact states of the N = 2 binomial state
+    at cutoff RWA_CUTOFF."""
     ratios, t_max_over_g, n_points = RWA_SUITES[full]
-    initial = _initial_state(2, cutoff=4)
+    initial = _initial_state(2, cutoff=RWA_CUTOFF)
     drives = []
     for ratio in ratios:
         drive = Drive(omega, ratio * omega, eta_ld, RWA_ORDER)
         times = np.linspace(0.0, t_max_over_g / drive.coupling, n_points + 1)[1:]
-        try:
-            drives.append((drive, times, *propagators._drive_states(initial, drive, times)))
-        except RuntimeError as exc:  # norm drift: the drive rows fail, the run goes on
-            return str(exc)
+        h_ld = propagators.LambDickeHamiltonian(drive, RWA_CUTOFF, RWA_CUTOFF)
+        drives.append((drive, times, *propagators._drive_states(h_ld, initial, times), h_ld))
     return drives
 
 
 def lamb_dicke_unitarity(
     omega: float = 1.0, eta_ld: float = 0.05, full: bool = False,
-    drives: list[tuple] | str | None = None,
+    drives: list[tuple] | None = None,
 ) -> CheckResult:
-    """Largest norm defect |norm - 1| of the drive-propagated states over
-    every time of the ``RWA_SUITES[full]`` suite, with the largest unitarity
-    defect of the one-period maps that propagation built as its detail.
-    ``drives`` is the suite's ``_suite_drives``, built here when None.  The
-    propagator raises past the same 1e-8 drift, so this row passes or reads
-    inf."""
+    """The larger of two defects over every time of the ``RWA_SUITES[full]``
+    suite: the exact drive states' |norm^2 - 1|, and the frame identity's
+    max|W(t) - (e^{iKt} H_c e^{-iKt})_{-+}| / omega, the drive's own phased
+    sum of harmonic blocks against the frame that its exact route solves
+    (``LambDickeHamiltonian.coupling`` and ``frame_coupling``).  The second
+    reads 0.0 on the suite's drives, 0.28 for a drive whose phases or frame
+    have the wrong sign, and the size of any block entry that breaks the
+    m + 2 grading.  ``drives`` is the suite's ``_suite_drives``, built here
+    when None.  The row keeps the name it had when it read an RK4 map's
+    unitarity until the reference reports are next re-recorded: they compare
+    every cell of a report but ``measured``, and a new name would move its
+    ``check`` cell."""
     drives = _suite_drives(omega, eta_ld, full) if drives is None else drives
-    if isinstance(drives, str):
-        return CheckResult("lamb_dicke_unitarity", math.inf, 1e-8, False, drives)
-    worst_norm = worst_defect = 0.0
-    for _, _, minus, plus, defect in drives:
+    worst_norm = worst_frame = 0.0
+    for drive, times, minus, plus, h_ld in drives:
         norms = _squared_norms(minus) + _squared_norms(plus)
         worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
-        worst_defect = max(worst_defect, defect)
+        defect = np.abs(h_ld.coupling(times) - h_ld.frame_coupling(times))
+        worst_frame = max(worst_frame, float(np.max(defect)) / drive.omega)
     return _result(
         "lamb_dicke_unitarity",
-        worst_norm,
+        max(worst_norm, worst_frame),
         1e-8,
-        f"one-period map max|M^dag M - I| = {worst_defect:.3e}",
+        f"max|norm^2 - 1| = {worst_norm:.3e}, frame identity defect = {worst_frame:.3e}",
     )
 
 
@@ -406,26 +415,32 @@ def check_rwa_drive(omega: float, eta_ld: float, full: bool = False) -> None:
     """Raise ValueError, naming omega or eta_ld, unless every drive of the
     ``RWA_SUITES[full]`` suite can run.  The inputs are expected to meet
     validate's rows of ``cli.SETTINGS`` already: omega finite and positive,
-    eta_ld strictly between 0 and 1.  Past those, each ``Drive`` at
-    nu = ratio * omega needs a finite positive RK4 step, and the coupling
-    omega eta_ld^2 exp(-eta_ld^2/2) must put the last sample time at a
-    finite positive time."""
+    eta_ld strictly between 0 and 1.  Past those, the frame K = nu (N + sigma_z)
+    of the fastest drive must span a finite range of rates: its extremes
+    differ by nu (2 RWA_CUTOFF + 2) at nu = ratio * omega.  The coupling
+    omega eta_ld^2 exp(-eta_ld^2/2) must put the last sample time t_max at a
+    finite positive time, and the largest frame phase, that span times t_max,
+    must stay within RWA_MAX_PHASE; omega cancels from that phase, so it
+    names eta_ld."""
     ratios, t_max_over_g, _ = RWA_SUITES[full]
-    for ratio in ratios:
-        try:
-            Drive(omega, ratio * omega, eta_ld, RWA_ORDER)
-        except ValueError as exc:
-            raise ValueError(f"omega must give the drive at nu/omega = {ratio:g} a finite "
-                             f"positive RK4 step, got {omega}: {exc}") from None
+    span = max(ratios) * omega * (2 * RWA_CUTOFF + 2)
+    if not span < math.inf:
+        raise ValueError(f"omega must keep the frame rates nu (N + sigma_z) of the drive at "
+                         f"nu/omega = {max(ratios):g} finite, got {omega} (span {span})")
     g = effective_coupling(omega, eta_ld)
     if not (g > 0.0 and t_max_over_g / g < math.inf):
         raise ValueError(f"omega and eta_ld must give a coupling g whose last sample time "
                          f"{t_max_over_g:g} / g is finite, got {omega} and {eta_ld} (g = {g})")
+    t_max = t_max_over_g / g
+    if not span * t_max <= RWA_MAX_PHASE:
+        raise ValueError(f"eta_ld must keep the drive's largest frame phase at the last "
+                         f"sample time {t_max} within {RWA_MAX_PHASE:g}, got {eta_ld} "
+                         f"(phase {span * t_max:g})")
 
 
 def rwa_deviation_decreases(
     omega: float = 1.0, eta_ld: float = 0.05, full: bool = False,
-    drives: list[tuple] | str | None = None,
+    drives: list[tuple] | None = None,
 ) -> CheckResult:
     """Ground-population deviation between the drive expansion and the
     pair-exchange model must shrink as nu/omega grows (``RWA_SUITES[full]``).
@@ -435,9 +450,7 @@ def rwa_deviation_decreases(
     means strictly decreasing.
     """
     drives = _suite_drives(omega, eta_ld, full) if drives is None else drives
-    if isinstance(drives, str):
-        return CheckResult("rwa_deviation_decreases", math.inf, 1.0, False, drives)
-    initial = _initial_state(2, cutoff=4)
+    initial = _initial_state(2, cutoff=RWA_CUTOFF)
     deviations = []
     for drive, times, minus, _, _ in drives:
         paired = propagators.propagate_effective(initial, drive.coupling, times)[0]

@@ -322,12 +322,15 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
     """(p_odd, p_even) of every pair of target preparations at every tau,
     shape (taus, pairs, 2).  The analytic modes evaluate the whole grid in one
     kernel call over the union of the pairs' keys.  In Monte-Carlo mode each
-    (tau, pair) point, tau-major, keeps its own seed and draws and only its
-    own keys, whose weight matrix its pair shares at every tau.  Each task of
-    the worker pool draws one block of one point and sums its cosines, so a
-    few large points fill every worker.  A point's draws are one stream: a
-    task takes the next block under the point's lock and notes its place in
-    the stream, and the point adds its block sums in that draw order."""
+    (tau, pair) point keeps its own seed (numbered tau-major) and draws and
+    only its own keys, whose weight matrix its pair shares at every tau.
+    Each task of the worker pool draws one block of one point and sums its
+    cosines, so a few large points fill every worker.  A point's draws are
+    one stream: a task takes the next block under the point's lock and notes
+    its place in the stream, and the point adds its block sums in that draw
+    order.  The pool yields its results in task order, and each point is
+    finished as its blocks arrive, so the sweep holds a window of blocks and
+    one pair's weights, not a row per point and key."""
     model = sweep_model(tau=taus[0])  # the analytic modes read no seed
     if model.mode != "monte_carlo":
         mixtures = [prep.terms() for pair in pairs for prep in pair]
@@ -335,41 +338,38 @@ def _parity_curves(config: dict, sweep_model: Callable, t_compare: float, taus: 
                                                                   taus=taus)
     else:
         seeds = _point_seeds(config["seed"], len(taus) * len(pairs))
-        # a pair's keys and weights are the same at every tau
-        matrices = [fluctuations._mixture_matrix([prep.terms() for prep in pair])
-                    for pair in pairs]
-
-        def point(index: int) -> tuple:
-            omegas, matrix = matrices[index % len(pairs)]
-            return omegas, matrix, sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
 
         def blocks():
-            # one task per draw block, each holding its point's lock and its
-            # stream of numbered blocks; the stream is made when the walk
-            # reaches the point and dropped with the task that takes its last
-            for index in range(len(seeds)):
-                omegas, _, point_model = point(index)
-                starts = fluctuations._block_starts(point_model, t_compare)
-                stream = enumerate(fluctuations._draw_blocks(omegas, point_model, t_compare))
-                yield from itertools.repeat((index, threading.Lock(), stream), len(starts))
+            # one task per draw block, each holding its point, the point's
+            # lock and its stream of numbered blocks; a set point, which
+            # draws nothing, takes one task with an empty stream.  The walk
+            # goes pair by pair: a pair's keys and weights are the same at
+            # every tau, so they are built once and dropped with the pair's
+            # last task, and a point's stream with its last block's task
+            for first, pair in enumerate(pairs):
+                omegas, matrix = fluctuations._mixture_matrix([prep.terms() for prep in pair])
+                for index in range(first, len(seeds), len(pairs)):
+                    point_model = sweep_model(tau=taus[index // len(pairs)], seed=seeds[index])
+                    count = len(fluctuations._block_starts(point_model, t_compare))
+                    stream = enumerate(fluctuations._draw_blocks(omegas, point_model, t_compare))
+                    yield from itertools.repeat(
+                        (index, (omegas, matrix, point_model), threading.Lock(), stream),
+                        max(count, 1))
 
         def summed(task: tuple) -> tuple:
-            index, lock, stream = task
+            index, point, lock, stream = task
             with lock:
-                place, (ladder, draws) = next(stream)
-            return index, place, fluctuations._cosine_sums(ladder, draws)
+                place, block = next(stream, (0, None))
+            return index, point, place, None if block is None else fluctuations._cosine_sums(*block)
 
-        block_sums = pool_map(summed, blocks(), config["workers"])
-        # finish each point from its blocks, in draw order, as the walk
-        # reaches them; a set point draws nothing and has no blocks
-        probabilities, drawn = np.empty((len(seeds), 2)), np.zeros(len(seeds), dtype=bool)
-        for index, group in itertools.groupby(block_sums, key=lambda task: task[0]):
-            parts = sorted(group, key=lambda task: task[1])
+        # finish each point from its blocks, in draw order, as they arrive
+        probabilities = np.empty((len(seeds), 2))
+        for index, group in itertools.groupby(pool_map(summed, blocks(), config["workers"]),
+                                              key=lambda task: task[0]):
+            parts = sorted(group, key=lambda task: task[2])
+            sums = None if parts[0][3] is None else sum(part for *_, part in parts)
             probabilities[index] = fluctuations._ground_probabilities(
-                *point(index), t_compare, sums=sum(part for _, _, part in parts))
-            drawn[index] = True
-        for index in np.flatnonzero(~drawn).tolist():
-            probabilities[index] = fluctuations._ground_probabilities(*point(index), t_compare)
+                *parts[0][1], t_compare, sums=sums)
     return np.reshape(probabilities, (len(taus), len(pairs), 2))
 
 

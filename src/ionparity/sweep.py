@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,32 @@ def write_result(result: SweepResult, path: str | None, fmt: str) -> None:
         writer(result, stream)
 
 
-def pool_map(fn: Callable, items: Iterable, workers: int) -> list:
-    """Evaluate ``fn`` over ``items`` on a worker pool, output ordered by
-    input index regardless of completion order.  ``items`` is consumed
-    lazily, on the calling thread and in order, and at most ``2 * workers``
-    items are submitted but not yet collected, so a generator of large items
-    holds only that window of them at once.  The first exception, in input
-    order, propagates.  The pool starts at most one thread per item and per
-    CPU this process may run on, whatever ``workers`` asks for."""
+def pool_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """Yield ``fn`` of each of ``items``, evaluated on a worker pool, in input
+    order regardless of completion order.  ``items`` is consumed lazily, on
+    the calling thread and in order, and at most ``2 * workers`` items are
+    submitted but not yet yielded: a generator of large items holds only
+    that window of them at once, and a caller that finishes with each result
+    as it comes holds only that window of results.  The first exception, in
+    input order, propagates.  The pool starts at most one thread per item and
+    per CPU this process may run on, whatever ``workers`` asks for."""
     workers = min(workers, _usable_cpus())
     items = iter(items)
     head = list(itertools.islice(items, workers if workers > 1 else 0))
     if len(head) <= 1:
-        return [fn(item) for item in itertools.chain(head, items)]
+        yield from map(fn, itertools.chain(head, items))
+        return
     from concurrent.futures import ThreadPoolExecutor  # only a pool pays its import
 
-    results = []
     with ThreadPoolExecutor(max_workers=len(head)) as pool:
         pending = collections.deque(pool.submit(fn, item) for item in head)
         del head  # from here only the window holds items
         for item in items:
             pending.append(pool.submit(fn, item))
             if len(pending) == 2 * workers:
-                results.append(pending.popleft().result())
-        results.extend(future.result() for future in pending)
-    return results
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _usable_cpus() -> int:

@@ -348,40 +348,34 @@ def test_validate_report_and_exit_codes(tmp_path, monkeypatch):
     assert "beta,5.0000000000000000e-01,1.0000000000000000e-08,false" in read(out)
 
 
-# cli.main in a fresh process whose drive propagator drifts by 2e-7 at its
-# first time, at every step count, so that no refinement mends it
-_DRIFTING_CLI = """
+# cli.main in a fresh process whose drive phases have the wrong sign,
+# W(t) = sum_m e^{-i m nu t} W_m
+_WRONG_SIGN_CLI = """
 import sys
 from ionparity import cli, propagators
 
-stepped = propagators._stepped_states
-
-def drifting(h_ld, y0, times, steps):
-    states, period_map = stepped(h_ld, y0, times, steps)
-    states[0] *= 1.0 + 1e-7
-    return states, period_map
-
-propagators._stepped_states = drifting
+coupling = propagators.LambDickeHamiltonian.coupling
+propagators.LambDickeHamiltonian.coupling = lambda self, t: coupling(self, -t)
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_validate_with_a_drifting_drive_reports_and_exits_two(tmp_path):
-    # a drive whose norm drift persists fails both drive checks, not the run
+def test_validate_with_a_wrong_sign_drive_reports_and_exits_two(tmp_path):
+    # the populations keep their ratio row passing; the unitarity row fails
     out = tmp_path / "report.csv"
     src = str(Path(cli.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", _DRIFTING_CLI, "validate", "--out", str(out)],
+    run = subprocess.run([sys.executable, "-c", _WRONG_SIGN_CLI, "validate", "--out", str(out)],
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 2
-    assert run.stderr == ("lamb_dicke_unitarity: norm drift 2.000e-07 exceeds 1e-08\n"
-                          "rwa_deviation_decreases: norm drift 2.000e-07 exceeds 1e-08\n"
-                          "validation failed; see report\n")
-    assert "lamb_dicke_unitarity,inf,1.0000000000000000e-08,false" in read(out)
-    assert "rwa_deviation_decreases,inf,1.0000000000000000e+00,false" in read(out)
+    lines = run.stderr.splitlines()
+    assert len(lines) == 2 and lines[1] == "validation failed; see report"
+    assert lines[0].startswith("lamb_dicke_unitarity: max|norm^2 - 1| = ")
+    assert "lamb_dicke_unitarity," in read(out) and ",1.0000000000000000e-08,false" in read(out)
+    assert "rwa_deviation_decreases," in read(out)
+    assert ",1.0000000000000000e+00,true" in read(out)
 
 
 def test_validate_at_eta_ld_0_99_passes(tmp_path):
-    # past eta_ld 0.59 (0.30 with --full) a drive drifts at its own steps and is redone
     for full in ([], ["--full"]):
         assert run_cli("validate", "--eta-ld", "0.99", *full, "--seed", "3") == 0
 
@@ -404,21 +398,25 @@ def test_validate_json_report_of_a_failed_check_is_strict(tmp_path, monkeypatch,
                                        "validation failed; see report\n")
 
 
-# Each drive the real battery cannot run, and the key its message starts with.
-# Unchecked, they end after 12 checks in a ZeroDivisionError traceback (eta_ld
-# 1e-300, omega 5e-324 and >= 4e304), a numpy RuntimeWarning (eta_ld 1e-160,
-# omega 1e-318), or a message naming nu, which validate has no flag for (1e308).
+# Each drive the real battery cannot run, and the key its message starts with:
+# a coupling g that underflows, so that the last time span / g overflows,
+# names omega and eta_ld; a frame K = nu (N + sigma_z) whose rates overflow
+# names omega; a largest frame phase above checks.RWA_MAX_PHASE names eta_ld.
 @pytest.mark.parametrize(
     "argv, key",
     [
         ("--eta-ld 1e-300", "omega and eta_ld"),
         ("--eta-ld 1e-160", "omega and eta_ld"),
-        ("--omega 5e-324", "omega"),
-        ("--omega 1e-318", "omega"),
-        ("--omega 4e304", "omega"),
-        ("--omega 1e305", "omega"),
+        ("--omega 5e-324", "omega and eta_ld"),
+        ("--omega 1e-318", "omega and eta_ld"),
+        ("--omega 4e305", "omega"),
+        ("--full --omega 9e304", "omega"),
         ("--full --omega 1e306", "omega"),
         ("--omega 1e308", "omega"),
+        ("--eta-ld 5e-154", "eta_ld"),
+        ("--full --eta-ld 1e-153", "eta_ld"),
+        ("--eta-ld 1e-12", "eta_ld"),
+        ("--full --eta-ld 4e-11", "eta_ld"),
     ],
 )
 def test_validate_rejects_a_drive_the_battery_cannot_run(argv, key, capsys):
@@ -428,23 +426,41 @@ def test_validate_rejects_a_drive_the_battery_cannot_run(argv, key, capsys):
     assert err.startswith(f"error: {key} must ") and err.count("\n") == 1
 
 
+# validate runs a huge omega that RK4 could not step, and an omega of 1e-300:
+# every drive rate and sample time scales with omega, so the report reads as
+# at omega = 1 in every cell but measured
+@pytest.mark.parametrize("argv", ["--omega 4e304", "--omega 3e305", "--full --omega 8e304",
+                                  "--omega 1e-300"])
+def test_validate_runs_a_drive_at_an_extreme_omega(argv, tmp_path):
+    full = argv.split()[:-2]
+    reports = []
+    for args in (argv.split(), full):
+        out = tmp_path / "report.csv"
+        assert run_cli("validate", "--out", str(out), *args) == 0
+        rows = [line.split(",") for line in read(out).splitlines() if not line.startswith("#")]
+        reports.append([(check, bound, passed) for check, _, bound, passed in rows])
+    assert reports[0] == reports[1]
+
+
 def _bad_drive(omega: float, eta_ld: float) -> str | None:
     """The key a drive of validate's default RWA suite is rejected under, or
-    None.  Each nu = ratio * omega (ratios 25 and 50) needs a finite period
-    2 pi / nu and a positive RK4 step bound 2 pi / (20 * (5 nu)) (order 3), and
-    the coupling g = omega eta^2 exp(-eta^2/2) a finite last time 0.3 / g."""
+    None.  The frame rates of the fastest drive span nu (2 * 4 + 2) at
+    nu = 50 omega, which must be finite; the coupling
+    g = omega eta^2 exp(-eta^2/2) needs a finite last time 0.3 / g; and the
+    largest phase, that span times 0.3 / g, must be at most 1e24."""
     if not 0.0 < omega < math.inf:
         return "omega"
     if not 0.0 < eta_ld < 1.0:
         return "eta_ld"
-    for ratio in (25.0, 50.0):
-        nu = ratio * omega
-        if not (2.0 * math.pi / nu < math.inf and 2.0 * math.pi / (20 * (5 * nu)) > 0.0):
-            return "omega"
+    span = 50.0 * omega * 10
+    if not span < math.inf:
+        return "omega"
     eta2 = eta_ld**2
     g = omega * eta2 * float(np.exp(-eta2 / 2.0))
     if not (g > 0.0 and 0.3 / g < math.inf):
         return "omega and eta_ld"
+    if not span * (0.3 / g) <= 1e24:
+        return "eta_ld"
     return None
 
 
@@ -452,14 +468,18 @@ def _bad_drive(omega: float, eta_ld: float) -> str | None:
 @given(drive=st.fixed_dictionaries({}, optional={"omega": st.floats(), "eta_ld": st.floats()}))
 # the edges of each range, on both sides
 @example(drive={"omega": 0.0})
-@example(drive={"omega": 3e304})
+@example(drive={"omega": 3.5e305})
+@example(drive={"omega": 3.6e305})
 @example(drive={"eta_ld": 0.0})
 @example(drive={"eta_ld": 1.0})
-# in range, yet with no finite RK4 step (period 2 pi / nu, or step bound)
-@example(drive={"omega": 5e-324, "eta_ld": 5e-324})
+# in range, yet with frame rates of inf, or a coupling of 0.0
 @example(drive={"omega": 1.7976931348623157e308, "eta_ld": 0.9999999999999999})
-# in range, yet with a last sample time 0.3 / g of inf
+@example(drive={"omega": 5e-324, "eta_ld": 5e-324})
+# in range, yet with a last sample time 0.3 / g of inf, or a largest phase
+# above 1e24 (eta_ld 1.2e-11 is about the edge)
 @example(drive={"eta_ld": 1e-160})
+@example(drive={"eta_ld": 1.3e-11})
+@example(drive={"eta_ld": 1.2e-11})
 def test_validate_accepts_exactly_the_good_drives(drive, tmp_path_factory):
     # a good drive reaches the battery; a bad one exits 1 naming its key
     omega, eta_ld = drive.get("omega", 1.0), drive.get("eta_ld", 0.05)

@@ -224,17 +224,13 @@ def test_monte_carlo_sweep_memory_does_not_grow_with_the_sample_count():
     assert max(small, large) <= workers * tile + 3 * workers * block + (1 << 18)
 
 
-def test_monte_carlo_sweep_holds_one_row_of_sums_per_point():
-    # A sweep of 1-draw points holds, until the pool has summed them all, one
-    # row of cosine sums per point: 8 bytes per non-zero key, in a tuple with
-    # the point's index.  Each point is finished as the walk over those rows
-    # reaches it, so no second row per point is kept.  512 bytes a point
-    # cover the row's array and tuple headers, its index, its list slot, the
-    # point's seed and probabilities and its row of the table.  On one worker
-    # the tile is the calling thread's, made by the first call.
-    omegas, _ = fluctuations._mixture_matrix([prep.terms() for prep in point_targets(9, 0.5)])
-    row = 8 * np.count_nonzero(omegas)
-
+def test_monte_carlo_sweep_holds_no_row_of_sums_per_point():
+    # A sweep of 1-draw points finishes each point as its block's row of
+    # cosine sums arrives from the pool, so it holds a window of such rows,
+    # not one per point.  256 bytes a point cover the point's seed and
+    # probabilities and its row of the table (about 210 in all); holding a
+    # row of sums per point took about 680.  On one worker the tile is the
+    # calling thread's, made by the first call.
     def peak(points):
         tracemalloc.start()
         try:
@@ -244,7 +240,29 @@ def test_monte_carlo_sweep_holds_one_row_of_sums_per_point():
             tracemalloc.stop()
 
     peak(3)
-    assert peak(2000) - peak(500) <= 1500 * (row + 512)
+    assert peak(2000) - peak(500) <= 1500 * 256
+
+
+def test_monte_carlo_eta_sweep_curves_stay_flat_as_their_points_double(monkeypatch):
+    # The curves of an --mc-samples 1 eta-sweep hold a window of block sums
+    # and one pair's keys and weights at a time, so doubling the points, 300
+    # to 600, adds only each point's seed and probabilities: 128 bytes a
+    # point bound the 56 they take.  Holding every block's sums and every
+    # pair's weights took about 1350 bytes a point.
+    peaks, curves = [], cli._parity_curves
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return curves(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_parity_curves", traced)
+    for steps in (10, 100, 200):  # the first run makes the calling thread's tile
+        eta_sweep(mode="mc", mc_samples=1, eta_steps=steps, workers=1)
+    assert peaks[2] - peaks[1] <= 300 * 128
 
 
 MC_SETTINGS = dict(mode="mc", mc_samples=8 * 512 - 100, tau_min=1e-9, tau_max=1e-8,

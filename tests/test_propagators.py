@@ -16,8 +16,7 @@ from ionparity import (
     symmetric_binomial_amplitudes,
     vibrational_entropy,
 )
-from ionparity import checks, propagators
-from ionparity.propagators import _period_grid, _rk4_span, _squared_norms, one_period_map
+from ionparity.propagators import _squared_norms
 
 
 # the drive of the validate battery's unitarity row
@@ -56,21 +55,23 @@ def _grid_labels(cutoff_a: int, cutoff_b: int) -> list[tuple[int, int]]:
     return [(na, nb) for na in range(cutoff_a + 1) for nb in range(cutoff_b + 1)]
 
 
-def _full_hamiltonian(h: LambDickeHamiltonian, t: np.ndarray) -> np.ndarray:
+def _full_hamiltonian(h: LambDickeHamiltonian, t: np.ndarray, sign: float = 1.0) -> np.ndarray:
     """H(t) = [[0, W(t)], [W(t)^dag, 0]] over the full state vector at each
-    time of t, with W(t) = sum_m e^{i m nu t} W_m summed from the blocks."""
-    phases = np.exp(1j * np.multiply.outer(t, h.harmonics * h.drive.nu))
+    time of t, with W(t) = sum_m e^{i m nu t} W_m summed from the blocks
+    (e^{-i m nu t} W_m, the wrong-sign drive, at sign -1)."""
+    phases = np.exp(sign * 1j * np.multiply.outer(t, h.harmonics * h.drive.nu))
     couplings = np.einsum("tm,mij->tij", phases, h.blocks)
     zeros = np.zeros_like(couplings)
     return np.block([[zeros, couplings], [couplings.conj().swapaxes(1, 2), zeros]])
 
 
-def _rk4_reference(y, h_ld, t0, h, steps):
-    """The unsplit route: classic RK4 over the full state vector, ``steps``
-    steps of h from t0, with H formed afresh for each of the four stages."""
+def _rk4_reference(y, h_ld, t0, h, steps, sign=1.0):
+    """The oracle: classic RK4 over the full state vector, ``steps`` steps
+    of h from t0, with H (of the phase ``sign``) formed afresh for each of
+    the four stages."""
     y = y.copy()
     for i in range(steps):
-        start, mid, end = _full_hamiltonian(h_ld, t0 + np.array([i, i + 0.5, i + 1.0]) * h)
+        start, mid, end = _full_hamiltonian(h_ld, t0 + np.array([i, i + 0.5, i + 1.0]) * h, sign)
         k1 = -1j * (start @ y)
         k2 = -1j * (mid @ (y + 0.5 * h * k1))
         k3 = -1j * (mid @ (y + 0.5 * h * k2))
@@ -246,6 +247,12 @@ def test_drive_validation():
         propagate_lamb_dicke(_initial_binomial(2, 3), _DRIVE, np.array([math.inf]))
 
 
+@pytest.mark.parametrize("nu", [math.inf, math.nan, 0.0, -1.0])
+def test_a_drive_rejects_a_nu_that_is_not_finite_and_positive(nu):
+    with pytest.raises(ValueError, match=f"^nu must be finite and positive, got {nu}$"):
+        Drive(omega=1.0, nu=nu, eta_ld=0.05, expansion_order=3)
+
+
 def test_drive_static_block_follows_the_documented_basis_order():
     # on a non-square grid the static order-2 block couples only
     # |n_a, n_b>|-> and |n_a - 1, n_b - 1>|+>, at the labelled positions
@@ -254,46 +261,43 @@ def test_drive_static_block_follows_the_documented_basis_order():
     assert np.array_equal(h.harmonics, np.arange(-4.0, 1.0))
     _assert_pair_exchange_block(h.blocks[-1], drive.coupling, 2, 3, atol=1e-15)
     # the drive lays its states out in the same order: |2, 1>|-> flattened
-    # row-major and carried through the unsplit route's period map gives the
-    # same state, whose sector restrictions are the drive's sector maps
+    # row-major and stepped by the unsplit route gives the same state
     state = _fock_state(2, 1, 2, 3)
-    (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([drive.period]))
-    full = _rk4_reference(np.eye(2 * h.grid_size, dtype=np.complex128), h, 0.0,
-                          drive.period / drive.steps, drive.steps)
-    _assert_sector_maps_restrict(one_period_map(h), full, h._sectors.order)
-    stepped = full @ _vector(state)
-    assert not np.array_equal(stepped, _vector(state))
-    assert np.max(np.abs(np.concatenate([minus.ravel(), plus.ravel()]) - stepped)) <= 1e-15
+    t = 0.37
+    (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([t]))
+    stepped = _rk4_reference(_vector(state), h, 0.0, t / 400, 400)
+    assert not np.allclose(stepped, _vector(state), atol=1e-3)
+    assert np.max(np.abs(np.concatenate([minus.ravel(), plus.ravel()]) - stepped)) <= 1e-10
 
 
 def test_drive_couplings_are_the_phased_sum_of_the_harmonic_blocks():
-    # each sector's blocks are -i H(t) between its even and odd halves, with
-    # W(t) = sum_m e^{i m nu t} W_m summed here term by term from the blocks
+    # W(t) = sum_m e^{i m nu t} W_m, summed here term by term from the
+    # blocks, and the frame's e^{iKt} H_c e^{-iKt} gives the same block
     h = LambDickeHamiltonian(_DRIVE, 2, 3)
     dim = h.grid_size
     assert np.array_equal(h.harmonics, np.arange(-5.0, 2.0))
     assert h.blocks.shape == (7, dim, dim)
-    order = h._sectors.order
-    even = 8  # n_a = 0 and 2, four cells each
-    assert order.shape == (2, dim)
     times = np.array([0.0, 0.123, 0.77, 29.9])
-    for t, (upper, lower) in zip(times, h._sector_couplings(times), strict=True):
+    couplings, framed = h.coupling(times), h.frame_coupling(times)
+    assert couplings.shape == framed.shape == (len(times), dim, dim)
+    static = h.blocks.sum(axis=0)
+    lab = np.block([[np.zeros_like(static), static], [static.conj().T, np.zeros_like(static)]])
+    for t, coupling, rotated in zip(times, couplings, framed, strict=True):
         expected = np.zeros((dim, dim), dtype=np.complex128)
         for m, block in zip(h.harmonics, h.blocks):
             expected += np.exp(1j * m * _DRIVE.nu * t) * block
-        full = np.block([[np.zeros_like(expected), expected],
-                         [expected.conj().T, np.zeros_like(expected)]])
-        assert upper.shape == (2, even, dim - even) and lower.shape == (2, dim - even, even)
-        for s, row in enumerate(order):
-            assert np.max(np.abs(upper[s] + 1j * full[np.ix_(row[:even], row[even:])])) <= 1e-15
-            assert np.max(np.abs(lower[s] + 1j * full[np.ix_(row[even:], row[:even])])) <= 1e-15
-    # a drive's grid holds them at the 2 steps + 1 half steps of its period
-    grid = _period_grid(h, 7)
-    assert len(grid) == 15
-    half_step = _DRIVE.period / 14
-    for j in (0, 1, 7, 14):
-        ((upper, lower),) = h._sector_couplings(np.array([j * half_step]))
-        assert np.array_equal(grid[j][0], upper) and np.array_equal(grid[j][1], lower)
+        assert np.max(np.abs(coupling - expected)) <= 1e-15
+        turn = np.diag(np.exp(1j * _DRIVE.nu * h.levels * t))
+        turned = turn @ lab @ turn.conj()
+        assert np.max(np.abs(turned[:dim, dim:] - expected)) <= 1e-14
+        assert np.max(np.abs(rotated - expected)) <= 1e-15
+
+
+# the frame K = nu (N + sigma_z), sigma_z = -1 on |->, over the documented order
+def test_levels_are_the_total_quanta_plus_sigma_z():
+    h = LambDickeHamiltonian(_DRIVE, 2, 3)
+    quanta = [na + nb for na, nb in _grid_labels(2, 3)]
+    assert np.array_equal(h.levels, np.array([n - 1.0 for n in quanta] + [n + 1.0 for n in quanta]))
 
 
 @pytest.mark.parametrize("expansion_order", [2, 3, 4, 5, 6, 7])
@@ -302,7 +306,7 @@ def test_drive_couplings_are_the_phased_sum_of_the_harmonic_blocks():
 def test_every_block_couples_only_opposite_n_a_parities(expansion_order, cutoff_a, cutoff_b):
     # a -> -a swaps the diagonal modes, so P W_m P = -W_m for P = (-1)^{n_a}:
     # every entry between a |-> and a |+> state of equal n_a parity is 0.0,
-    # which is all that lets every drive step in the two parity sectors
+    # which is all that lets every drive split into the two parity sectors
     drive = Drive(omega=1.3, nu=40.0, eta_ld=0.3, expansion_order=expansion_order)
     h = LambDickeHamiltonian(drive, cutoff_a, cutoff_b)
     labels = _grid_labels(cutoff_a, cutoff_b)
@@ -310,10 +314,26 @@ def test_every_block_couples_only_opposite_n_a_parities(expansion_order, cutoff_
     equal = parity[:, np.newaxis] == parity
     assert not np.any(h.blocks[:, equal])
     assert np.any(h.blocks[:, ~equal])
-    # so the drive steps two sectors, each of every n_a parity's cells once
+    # so the drive takes two sectors, each of every n_a parity's cells once
     order = h._sectors.order
     assert order.shape == (2, len(labels))
     assert sorted(np.concatenate(order).tolist()) == list(range(2 * len(labels)))
+
+
+@pytest.mark.parametrize("expansion_order", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("cutoff_a, cutoff_b", [(4, 4), (6, 6), (2, 5), (6, 3)])
+def test_every_block_changes_the_total_quanta_by_its_harmonic_plus_two(
+    expansion_order, cutoff_a, cutoff_b
+):
+    # W_m[r, c] couples |+> state c to |-> state r only where N_r - N_c = m + 2,
+    # which is all that makes H(t) = e^{iKt} H_c e^{-iKt} and the route exact
+    drive = Drive(omega=1.3, nu=40.0, eta_ld=0.3, expansion_order=expansion_order)
+    h = LambDickeHamiltonian(drive, cutoff_a, cutoff_b)
+    quanta = np.array([na + nb for na, nb in _grid_labels(cutoff_a, cutoff_b)])
+    change = quanta[:, np.newaxis] - quanta
+    assert len(h.harmonics) == 2 * expansion_order + 1 and np.any(h.blocks)
+    for m, block in zip(h.harmonics, h.blocks, strict=True):
+        assert not np.any(block[change != m + 2])
 
 
 def test_drive_static_part_equals_pair_exchange():
@@ -354,33 +374,29 @@ def test_trajectory_consistent_with_single_run():
     times = np.array([3.0, 7.0, 12.0])
     traj = ground_population_trajectory(state, _DRIVE, times)
     minus, plus = propagate_lamb_dicke(state, _DRIVE, times[-1:])
-    assert abs(traj[-1] - _squared_norms(minus)[0]) <= 1e-9
-    assert abs(_squared_norms(minus)[0] + _squared_norms(plus)[0] - 1.0) <= 1e-8
+    assert abs(traj[-1] - _squared_norms(minus)[0]) <= 1e-12
+    assert abs(_squared_norms(minus)[0] + _squared_norms(plus)[0] - 1.0) <= 1e-12
 
 
-def test_each_drive_call_builds_one_hamiltonian_and_one_period_map(monkeypatch):
+def test_each_drive_call_builds_one_hamiltonian_and_one_eigensystem(monkeypatch):
     state = _initial_binomial(2, 3)
-    builds, maps = [], []
-    build, build_map = LambDickeHamiltonian.__init__, one_period_map
+    builds, solves = [], []
+    build, eigh = LambDickeHamiltonian.__init__, np.linalg.eigh
 
     def counted(self, *args, **kwargs):
         builds.append(args)
         build(self, *args, **kwargs)
 
-    def counted_map(h_ld, grid=None, prefixes=None):
-        maps.append(h_ld)
-        return build_map(h_ld, grid, prefixes)
+    def counted_eigh(matrices):
+        solves.append(matrices.shape)
+        return eigh(matrices)
 
     monkeypatch.setattr(LambDickeHamiltonian, "__init__", counted)
-    monkeypatch.setattr(propagators, "one_period_map", counted_map)
-    propagate_lamb_dicke(state, _DRIVE, np.array([1.0]))
-    assert (len(builds), len(maps)) == (1, 1)
-    # three times of 1, 3 and 7 whole periods share the one map
-    ground_population_trajectory(state, _DRIVE, np.array([0.2, 0.5, 1.0]))
-    assert (len(builds), len(maps)) == (2, 2)
-    # times within the first period build it too, and raise it to the power 0
-    propagate_lamb_dicke(state, _DRIVE, np.array([0.1, 0.0]))
-    assert (len(builds), len(maps)) == (3, 3)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    ground_population_trajectory(state, _DRIVE, np.array([0.2, 0.5, 1.0, 40.0]))
+    # one stack of the two sectors' half-size matrices, and one more that
+    # solves each level's eigenvectors again, for every time
+    assert (len(builds), solves) == (1, [(2, 16, 16), (2, 16, 16)])
 
 
 def test_drive_states_do_not_depend_on_the_other_times():
@@ -398,255 +414,49 @@ def test_drive_states_do_not_depend_on_the_other_times():
         assert np.array_equal(alone_plus, grid_plus)
 
 
-def test_norm_drift_at_a_time_below_the_largest_raises(monkeypatch):
-    # the state leaks norm only at the earlier of the two times, at every
-    # step count, so the doubled steps do not mend it
-    state = _initial_binomial(2, 4)
-    times = np.array([0.3, 0.5])
-    original = propagators._stepped_states
-    seen_steps = []
-
-    def leaky(h_ld, y0, times, steps):
-        seen_steps.append(steps)
-        states, period_map = original(h_ld, y0, times, steps)
-        states[0] *= 1.0 + 1e-7
-        return states, period_map
-
-    propagate_lamb_dicke(state, _DRIVE, times)
-    monkeypatch.setattr(propagators, "_stepped_states", leaky)
-    with pytest.raises(RuntimeError, match="^norm drift 2.000e-07 exceeds 1e-08$"):
-        propagate_lamb_dicke(state, _DRIVE, times)
-    assert seen_steps == [101, 202, 404, 808]
-
-
-def test_a_drifting_drive_is_redone_at_doubled_steps(monkeypatch):
-    # the first pass leaks past the guard; the second, at twice the steps,
-    # is kept, and gives what those steps give
-    state = _initial_binomial(2, 4)
-    times = np.array([0.3, 0.5])
-    original = propagators._stepped_states
-    seen_steps = []
-
-    def leaky_once(h_ld, y0, times, steps):
-        seen_steps.append(steps)
-        states, period_map = original(h_ld, y0, times, steps)
-        if len(seen_steps) == 1:
-            states[0] *= 1.0 + 1e-7
-        return states, period_map
-
-    monkeypatch.setattr(propagators, "_stepped_states", leaky_once)
-    minus, plus, defect = propagators._drive_states(state, _DRIVE, times)
-    assert seen_steps == [101, 202]
-    h = LambDickeHamiltonian(_DRIVE, 4, 4)
-    states, doubled_maps = original(h, _vector(state), times, 202)
-    assert np.array_equal(np.concatenate([minus, plus], axis=1).reshape(2, -1), states)
-    # the defect is the doubled map's, far below the first pass's (RK4's
-    # error falls as h^4)
-    assert defect == pytest.approx(_unitarity_defect(doubled_maps), rel=1e-6)
-    assert defect < 0.1 * _unitarity_defect(original(h, _vector(state), times, 101)[1])
-
-
-def _matrix_power_states(h_ld, y0, times, steps):
-    """Oracle for ``_stepped_states`` on the unsplit route: the full-vector
-    RK4 map M of one period, M^n by ``np.linalg.matrix_power`` for each time,
-    then the whole steps below r and one partial step to r, stepped on the
-    vector."""
-    period = h_ld.drive.period
-    h = period / steps
-    period_map = _rk4_reference(np.eye(len(y0), dtype=np.complex128), h_ld, 0.0, h, steps)
-    states = []
-    for t in times:
-        whole, rest = divmod(float(t), period)
-        y = np.linalg.matrix_power(period_map, int(whole)) @ y0
-        done = min(int(rest / h), steps)
-        y = _rk4_reference(y, h_ld, 0.0, h, done)
-        partial = rest - done * h
-        if partial > 0.0:
-            y = _rk4_reference(y, h_ld, done * h, partial, 1)
-        states.append(y)
-    return np.array(states), period_map
-
-
-def _unitarity_defect(maps):
-    """max|M^dag M - I| over the sector maps of a stack, one map at a time."""
-    return max(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) for m in maps)
-
-
-def _assert_sector_maps_restrict(maps, full, order):
-    """Each map of the (2, size, size) stack is the unsplit route's map
-    ``full`` restricted to its sector's rows and columns, and ``full`` holds
-    nothing between the sectors, so a map that leaks fails."""
-    assert maps.shape == (2, order.shape[1], order.shape[1])
-    for sector_map, row in zip(maps, order, strict=True):
-        assert np.max(np.abs(sector_map - full[np.ix_(row, row)])) <= 1e-15
-    assert np.max(np.abs(full[np.ix_(order[0], order[1])])) <= 1e-15
-    assert np.max(np.abs(full[np.ix_(order[1], order[0])])) <= 1e-15
-
-
-def _assert_stepped_states_match_the_oracle(h_ld, y0, times, steps):
-    states, maps = propagators._stepped_states(h_ld, y0, times, steps)
-    expected, expected_map = _matrix_power_states(h_ld, y0, times, steps)
-    _assert_sector_maps_restrict(maps, expected_map, h_ld._sectors.order)
-    assert np.max(np.abs(states - expected)) <= 1e-12
-
-
-# eta_ld 0.99 redoes one drive of each suite at twice its steps
-@pytest.mark.parametrize("full, eta_ld", [(False, 0.05), (True, 0.05), (False, 0.99), (True, 0.99)])
-def test_suite_states_match_the_matrix_power_route(monkeypatch, full, eta_ld):
-    calls = []
-    stepped = propagators._stepped_states
-
-    def recorded(*args):
-        calls.append(args)
-        return stepped(*args)
-
-    monkeypatch.setattr(propagators, "_stepped_states", recorded)
-    checks._suite_drives(1.0, eta_ld, full)
-    monkeypatch.undo()
-    ratios = checks.RWA_SUITES[full][0]
-    assert len(calls) > len(ratios) if eta_ld == 0.99 else len(calls) == len(ratios)
-    for args in calls:
-        _assert_stepped_states_match_the_oracle(*args)
-
-
-@pytest.mark.parametrize("nu", [16.0 * np.pi, 55.0])
-def test_edge_times_match_the_matrix_power_route(nu):
-    drive = Drive(omega=5.0, nu=nu, eta_ld=0.05, expansion_order=3)
+# nu = 25 and eta_ld 0.05 are the default validate suite's first drive; at a
+# whole number of periods and off them
+@pytest.mark.parametrize("periods", [2.0, 1.37])
+def test_rk4_oracle_converges_to_the_exact_route_at_fourth_order(periods):
+    drive = Drive(omega=1.0, nu=25.0, eta_ld=0.05, expansion_order=3)
     h = LambDickeHamiltonian(drive, 4, 4)
-    period, steps = drive.period, drive.steps
-    # at nu = 55 the float just below the period has rest / h == steps
-    below = np.nextafter(period, 0.0)
-    assert (nu != 55.0) or int(below / (period / steps)) == steps
-    # t = 0, an exact multiple of the period at nu = 16 pi, and repeated,
-    # unsorted times within the first period and past it
-    times = np.array([4.3 * period, 0.0, below, 3.0 * period, 0.4 * period, 0.0, 4.3 * period,
-                      2.0 * period + below])
-    _assert_stepped_states_match_the_oracle(h, _vector(_initial_binomial(2, 4)), times, steps)
-
-
-@pytest.mark.parametrize("full", [False, True])
-def test_the_drive_lane_steps_the_identity_once_and_each_time_by_one_partial_step(
-    monkeypatch, full
-):
-    # whether _rhs is called on the halves of a stack of maps (2) or of
-    # states (1), one list per drive
-    calls = []
-    rhs, drive_states = propagators._rhs, propagators._drive_states
-
-    def counted_rhs(couplings, y, out):
-        calls[-1].append(2 if y[0].shape[-1] > 1 else 1)
-        return rhs(couplings, y, out)
-
-    def counted_drive_states(*args):
-        calls.append([])
-        return drive_states(*args)
-
-    monkeypatch.setattr(propagators, "_rhs", counted_rhs)
-    monkeypatch.setattr(propagators, "_drive_states", counted_drive_states)
-    drives = checks._suite_drives(1.0, 0.05, full)
-    assert len(calls) == len(drives) == len(checks.RWA_SUITES[full][0])
-    for (drive, times, *_), ndims in zip(drives, calls):
-        assert ndims.count(2) == 4 * drive.steps
-        assert 0 < ndims.count(1) <= 4 * len(times)
-        assert len(ndims) == ndims.count(1) + ndims.count(2)
-
-
-# remainder differences at RK4 truncation level stay below this, fixed before
-# the comparison was first run: the largest seen between two remainder routes
-# on this grid was 1.3e-10
-FOUR_TIMES_THE_STEPS_TOL = 1e-9
-
-
-@pytest.mark.parametrize("ratio", [25.0, 50.0])
-def test_grid_stepped_remainders_match_four_times_the_steps(ratio):
-    # the remainders r of the default validate suite's times, and three more,
-    # each taken as a time within the first period, so that U(r) alone is
-    # compared: the period map's own error, which grows with the number of
-    # whole periods, is left out
-    drive = Drive(omega=1.0, nu=ratio, eta_ld=0.05, expansion_order=3)
     state = _initial_binomial(2, 4)
-    suite_times = np.linspace(0.0, 0.3 / drive.coupling, 7)[1:]
-    times = np.concatenate([np.mod(suite_times, drive.period),
-                            np.array([0.13, 0.5, 0.999]) * drive.period])
-    minus, plus = propagate_lamb_dicke(state, drive, times)
+    t = periods * 2.0 * np.pi / drive.nu
+    (minus,), (plus,) = propagate_lamb_dicke(state, drive, np.array([t]))
+    exact = np.concatenate([minus.ravel(), plus.ravel()])
+    errors = [np.max(np.abs(_rk4_reference(_vector(state), h, 0.0, t / steps, steps) - exact))
+              for steps in (20, 40, 80, 160)]
+    # each doubling of the steps divides RK4's error by 2^4, down to 3e-10
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(14.0 < ratio < 17.0 for ratio in ratios), errors
+    assert errors[-1] < 1e-9
+
+
+def test_a_frame_of_the_wrong_sign_solves_the_wrong_sign_drive(monkeypatch):
+    # -K turns H_c into sum_m e^{-i m nu t} W_m: the route then gives that
+    # drive's states, far from the right drive's
+    drive = Drive(omega=1.0, nu=10.0, eta_ld=0.3, expansion_order=3)
     h = LambDickeHamiltonian(drive, 4, 4)
-    finer, _ = propagators._stepped_states(h, _vector(state), times, 4 * drive.steps)
-    got = np.concatenate([minus.reshape(len(times), -1), plus.reshape(len(times), -1)], axis=1)
-    assert np.max(np.abs(got - finer)) <= FOUR_TIMES_THE_STEPS_TOL
+    state = _initial_binomial(2, 4)
+    t = np.array([0.83])
+    right = np.concatenate([grids.ravel() for grids in propagate_lamb_dicke(state, drive, t)])
+    stepped = _rk4_reference(_vector(state), h, 0.0, t[0] / 400, 400, sign=-1.0)
+    levels = LambDickeHamiltonian.levels
+    monkeypatch.setattr(LambDickeHamiltonian, "levels", property(lambda self: -levels.func(self)))
+    wrong = np.concatenate([grids.ravel() for grids in propagate_lamb_dicke(state, drive, t)])
+    assert np.max(np.abs(wrong - stepped)) <= 1e-8
+    assert np.max(np.abs(wrong - right)) > 1e-3
 
 
-def _stepped_ground_populations(state, drive, times):
-    """Reference for the period map: one state vector stepped through every
-    drive period in turn, on the same aligned RK4 grid, by the unsplit route."""
-    h = LambDickeHamiltonian(drive, state.cutoff_a, state.cutoff_b)
-    period, steps = drive.period, drive.steps
-    y = _vector(state)
-    done = 0
+def test_the_drive_keeps_its_slow_exchange_over_the_times_of_a_weak_coupling():
+    # as eta_ld -> 0 the populations at the times x / g tend to one limit,
+    # while nu t grows as 1 / eta_ld^2 (1.9e17 at eta_ld 1e-8): eigenvalues
+    # resolved only to eps |K| would move them by O(1) there
+    state = _initial_binomial(2, 4)
+    x = np.linspace(0.0, 0.3, 7)[1:]
     populations = []
-    for t in times:
-        whole, rest = divmod(float(t), period)
-        while done < whole:
-            y = _rk4_reference(y, h, done * period, period / steps, steps)
-            done += 1
-        remainder_steps = max(1, math.ceil(rest * steps / period))
-        final = _rk4_reference(y, h, whole * period, rest / remainder_steps, remainder_steps)
-        populations.append(float(np.sum(np.abs(final[: h.grid_size]) ** 2)))
-    return np.array(populations)
-
-
-# nu = 16 pi makes the period exactly 0.125, so 3 periods leave no remainder
-@pytest.mark.parametrize("nu", [16.0 * np.pi, 50.0])
-def test_period_map_matches_vector_stepping(nu):
-    drive = Drive(omega=5.0, nu=nu, eta_ld=0.05, expansion_order=3)
-    state = _initial_binomial(2, 4)
-    period = 2.0 * np.pi / nu
-    # below one period, an exact multiple, and whole periods plus a remainder
-    times = np.array([0.4, 3.0, 4.3, 9.7]) * period
-    expected = _stepped_ground_populations(state, drive, times)
-    assert np.ptp(expected) > 1e-4  # the drive moves population over the span
-    traj = ground_population_trajectory(state, drive, times)
-    assert np.max(np.abs(traj - expected)) <= 1e-9
-    for t, reference in zip(times, expected):
-        (minus,), _ = propagate_lamb_dicke(state, drive, np.array([t]))
-        assert np.sum(np.abs(minus) ** 2) == pytest.approx(reference, abs=1e-9)
-
-
-def test_period_map_is_unitary_to_integration_error():
-    h = LambDickeHamiltonian(_DRIVE, 4, 4)
-    maps = one_period_map(h)
-    assert maps.shape == (2, h.grid_size, h.grid_size)
-    defect = np.max(np.abs(maps.conj().swapaxes(1, 2) @ maps - np.eye(h.grid_size)))
-    assert defect <= 1e-10
-
-
-# 20 * 5 nu overflows at nu = 1e307; 2 pi / nu overflows below about 3.5e-308
-@pytest.mark.parametrize("nu", [1e307, 1.7976931348623157e308, 1e-309, 5e-324])
-def test_a_drive_without_a_finite_step_count_raises_value_error(nu):
-    with pytest.raises(ValueError, match="^nu = .* leaves the drive period "):
-        Drive(omega=1.0, nu=nu, eta_ld=0.05, expansion_order=3)
-
-
-def test_drive_period_takes_101_steps_at_nu_50():
-    # T / dt is 100.00000000000001 here; the validate battery's numbers rest
-    # on this grid, so a change to it must be deliberate
-    drive = Drive(omega=1.0, nu=50.0, eta_ld=0.05, expansion_order=3)
-    assert (drive.period, drive.steps) == (0.12566370614359174, 101)
-
-
-@pytest.mark.parametrize("steps", [0, 1, 101])
-@pytest.mark.parametrize("as_matrix", [False, True])
-def test_rk4_span_is_classic_rk4_along_its_grid(steps, as_matrix):
-    # the sector stack stepped along its grid is the unsplit route's RK4
-    h = LambDickeHamiltonian(_DRIVE, 3, 3)
-    rng = np.random.default_rng(steps)
-    shape = (2 * h.grid_size, 5) if as_matrix else (2 * h.grid_size,)
-    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    step = _DRIVE.period / max(steps, 1)
-    grid = _period_grid(h, max(steps, 1))[: 2 * steps + 1]
-    order = h._sectors.order
-    stack = y[order].reshape(*order.shape, -1)  # a state is one column
-    got = np.empty_like(y)
-    got[order] = _rk4_span(stack, step, grid).reshape(y[order].shape)
-    expected = _rk4_reference(y, h, 0.0, step, steps)
-    assert np.max(np.abs(got - expected)) <= 1e-12
-    assert not steps or not np.array_equal(got, y)
+    for eta_ld in (1e-5, 1e-8):
+        drive = Drive(omega=1.0, nu=25.0, eta_ld=eta_ld, expansion_order=3)
+        minus, plus = propagate_lamb_dicke(state, drive, x / drive.coupling)
+        populations.append(np.abs(np.concatenate([minus, plus], axis=1)) ** 2)
+    assert np.max(np.abs(populations[0] - populations[1])) <= 1e-11

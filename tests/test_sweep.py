@@ -127,9 +127,9 @@ def recording_pool(monkeypatch):
 
 def test_pool_map_starts_no_more_threads_than_items_and_cpus(monkeypatch):
     recorded = recording_pool(monkeypatch)
-    assert sweep.pool_map(lambda x: 2 * x, [1, 2, 3], 10**6) == [2, 4, 6]
+    assert list(sweep.pool_map(lambda x: 2 * x, [1, 2, 3], 10**6)) == [2, 4, 6]
     assert all(workers <= min(3, usable_cpus()) for workers in recorded)
-    assert sweep.pool_map(lambda x: 2 * x, [5], 2) == [10]
+    assert list(sweep.pool_map(lambda x: 2 * x, [5], 2)) == [10]
     assert len(recorded) == (1 if usable_cpus() > 1 else 0)
 
 
@@ -143,7 +143,7 @@ def test_pool_map_counts_the_cpus_this_process_may_run_on(allowed, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
-    assert sweep.pool_map(lambda x: 2 * x, range(10), 4) == list(range(0, 20, 2))
+    assert list(sweep.pool_map(lambda x: 2 * x, range(10), 4)) == list(range(0, 20, 2))
     threads = min(4, 8 if allowed is None else allowed)
     assert recorded == ([threads] if threads > 1 else [])
 
@@ -160,7 +160,7 @@ def test_pool_map_keeps_input_order_whatever_finishes_first():
         time.sleep(0.002 * (8 - index))
         return index
 
-    assert sweep.pool_map(slow_first, drawing(8, []), 2) == list(range(8))
+    assert list(sweep.pool_map(slow_first, drawing(8, []), 2)) == list(range(8))
 
 
 def test_pool_map_draws_at_most_one_window_ahead():
@@ -176,9 +176,18 @@ def test_pool_map_draws_at_most_one_window_ahead():
             release.set()
         return index
 
-    assert sweep.pool_map(work, drawing(40, drawn), 2) == list(range(40))
+    assert list(sweep.pool_map(work, drawing(40, drawn), 2)) == list(range(40))
     workers = min(2, usable_cpus())
     assert seen[0] <= 2 * workers
+
+
+def test_pool_map_yields_each_result_before_drawing_the_rest():
+    # the caller can finish with a result while the pool works on the window
+    drawn = []
+    results = sweep.pool_map(lambda x: 2 * x, drawing(100, drawn), 2)
+    assert next(results) == 0
+    assert len(drawn) <= 2 * min(2, usable_cpus())
+    assert list(results) == list(range(2, 200, 2)) and len(drawn) == 100
 
 
 def test_pool_map_raises_the_first_failure_and_stops_drawing():
@@ -190,6 +199,6 @@ def test_pool_map_raises_the_first_failure_and_stops_drawing():
         return index
 
     with pytest.raises(ValueError, match="^item 5$"):
-        sweep.pool_map(work, drawing(100, drawn), 2)
+        list(sweep.pool_map(work, drawing(100, drawn), 2))
     assert max(drawn) < 5 + 2 * min(2, usable_cpus())
     assert threading.active_count() == before
