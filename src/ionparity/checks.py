@@ -9,8 +9,8 @@ read against one pair-exchange coupling block, the two analytic kernels
 against each other over their whole grid in one broadcast, a mixture
 against its pure runs.
 
-``run_all`` spreads the 25 cells of ``monte_carlo_vs_gamma``, its slowest
-row (90-160 ms CPU alone on the 2-core machine), over both cores.  Every
+``run_all`` runs the 25 cells of ``monte_carlo_vs_gamma``, about 70 ms of
+CPU against 12-13 ms for its other rows together, beside those rows.  Every
 cell is queued on one worker thread at once; once its other rows are done,
 the calling thread runs each cell whose future still cancels (the worker
 has not started it) and takes the rest from their futures.  The other rows
@@ -19,20 +19,12 @@ span.  Each cell draws from its own seed, so the row reads the same bits
 whichever thread ran which cell, and every row reads the same bits as when
 the checks are called one by one.  The cells make no BLAS call, and run
 beside the other lane only while it does not hold the GIL through long runs
-of tiny numpy calls.  In-process, one BLAS thread, 10 alternated runs: the
-cells took a median 112 ms alone, 141 ms beside ``_suite_drives`` looping
-and 0.43 s (0.25-8.5 s) beside ``fluctuation_free_limit`` looping, which
-averages each mode over all its times in one array call (31 s while it
-made 75 scalar calls).  The two drive rows read one build of the suite's
-drives (``_suite_drives``, about 2 ms in-process, best of 7, since each
-drive is solved exactly in its rotating frame; 12-13 ms while RK4 stepped
-it): each drive of ``RWA_SUITES[full]`` is solved once per battery, and
+of tiny numpy calls.  The two drive rows read one build of the suite's
+drives (``_suite_drives``, each drive solved exactly in its rotating frame):
+each drive of ``RWA_SUITES[full]`` is solved once per battery, and
 ``lamb_dicke_unitarity`` reads its norms and frame identity from those
-builds.
-The battery runs on one OpenBLAS thread, restored afterwards: without that,
-a ``validate --seed 1`` pass took a median 67.9 ms wall and 123.8 ms CPU
-against 62.2 and 115.0 ms (16 alternated processes of 20 passes each), and
-on a 2-core machine the second thread would compete with the cells.
+builds.  The battery leaves the process's BLAS thread count as it finds it,
+and its report depends neither on that count nor on the CPUs it may use.
 
 Each row of ``run_all``, the fault it catches, and the test in
 tests/test_checks.py that injects that fault and sees the row fail:
@@ -83,14 +75,12 @@ tests/test_checks.py that injects that fault and sees the row fail:
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -464,40 +454,6 @@ def rwa_deviation_decreases(
     )
 
 
-@functools.cache
-def _openblas_threads() -> tuple[Callable, Callable] | None:
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    where numpy carries no such library."""
-    try:
-        from numpy._core import _multiarray_umath
-        library = ctypes.CDLL(_multiarray_umath.__file__)
-        get = library.scipy_openblas_get_num_threads64_
-        set_ = library.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the body on one OpenBLAS thread and restore the previous count;
-    a no-op where numpy's bundled OpenBLAS is absent.  The count is
-    process-wide: bodies that overlap in two threads share it."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
-
-
 def run_all(
     seed: int = 0,
     full: bool = False,
@@ -508,37 +464,35 @@ def run_all(
     from ``RWA_SUITES``.  The Monte-Carlo cells are queued on a worker
     thread at once, and this thread runs every cell the worker has not
     started once its other rows are done; the two drive rows read one build
-    of the suite's drives; everything runs on one OpenBLAS thread (see the
-    module docstring).  The worker has ended, and the thread count is
-    restored, when this returns or raises."""
+    of the suite's drives (see the module docstring).  The worker has ended
+    when this returns or raises."""
     cells = _monte_carlo_cells(seed)
-    with _one_blas_thread():
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            futures = [pool.submit(cell) for cell in cells]
-            # the checks are looked up at call time, so a traced or monkeypatched one runs
-            before = [
-                *closed_form_vs_propagator(seed),
-                norm_conservation(seed),
-                entropy_matches_reduced_density(seed),
-                rabi_frequency_symmetry(),
-                fluctuation_free_limit(),
-                gamma_vs_gaussian(),
-            ]
-            drives = _suite_drives(drive_omega, drive_eta_ld, full)
-            after = [
-                mixture_linearity(),
-                mixture_truncation(),
-                exact_preparation_limit(),
-                static_drive_limit(),
-                lamb_dicke_unitarity(drive_omega, drive_eta_ld, full, drives),
-                rwa_deviation_decreases(drive_omega, drive_eta_ld, full, drives),
-            ]
-            # a cell whose future cancels has not been started by the worker
-            inline = [cell() if future.cancel() else None for cell, future in zip(cells, futures)]
-            estimates = [mine if future.cancelled() else future.result()
-                         for mine, future in zip(inline, futures)]
-        finally:
-            pool.shutdown(cancel_futures=True)  # a failing row stops the cells not started
-            fluctuations._release_tile()
-        return [*before, monte_carlo_vs_gamma(seed, estimates=estimates), *after]
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        futures = [pool.submit(cell) for cell in cells]
+        # the checks are looked up at call time, so a traced or monkeypatched one runs
+        before = [
+            *closed_form_vs_propagator(seed),
+            norm_conservation(seed),
+            entropy_matches_reduced_density(seed),
+            rabi_frequency_symmetry(),
+            fluctuation_free_limit(),
+            gamma_vs_gaussian(),
+        ]
+        drives = _suite_drives(drive_omega, drive_eta_ld, full)
+        after = [
+            mixture_linearity(),
+            mixture_truncation(),
+            exact_preparation_limit(),
+            static_drive_limit(),
+            lamb_dicke_unitarity(drive_omega, drive_eta_ld, full, drives),
+            rwa_deviation_decreases(drive_omega, drive_eta_ld, full, drives),
+        ]
+        # a cell whose future cancels has not been started by the worker
+        inline = [cell() if future.cancel() else None for cell, future in zip(cells, futures)]
+        estimates = [mine if future.cancelled() else future.result()
+                     for mine, future in zip(inline, futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failing row stops the cells not started
+        fluctuations._release_tile()
+    return [*before, monte_carlo_vs_gamma(seed, estimates=estimates), *after]

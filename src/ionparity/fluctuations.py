@@ -95,10 +95,15 @@ MC_DRAW_BLOCK = 1 << 16
 MC_BLOCK_PAIRS = 1 << 18
 
 # A recurrence rung's cost per draw as a share of a base row's, which sets
-# how high a ladder climbs.  1/16 was measured against libm's 24 ns cosine;
-# a base row is now a tangent row, about 4.1 ns a draw against 1.43 ns a
-# rung on the 2-core machine, so a third would price it.  Re-pricing it moves
-# ladder placements and so table bits, which waits for their re-recording.
+# how high a ladder climbs.  1/16 was measured against libm's 24 ns cosine.
+# A base row is now a tangent row, about 4.1 ns a draw against 1.43 ns a rung
+# on the 2-core machine, yet that ratio understates what the ladders save.
+# The benchmark's Monte-Carlo jobs on one worker, in-process, six alternated
+# processes a side: eta-mc took a median 9.9-16.0 ms of CPU with ladders
+# against 13.5-17.6 ms with none (RUNG_COST = 1e9), lower in 6 of 6, and
+# tau-mc 139-185 ms against 147-195 ms, lower in 5 of 6; a RUNG_COST of 1/3
+# read the same as 1/16 in three more.  Re-pricing it moves ladder placements
+# and so table bits, which waits for their re-recording.
 RUNG_COST = 1.0 / 16.0
 
 # Keys are reduced to roots by the squares of q = 2 .. ROOT_DIVISORS - 1; the

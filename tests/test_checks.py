@@ -422,17 +422,12 @@ def test_concurrent_battery_gives_what_the_serial_one_gives(monkeypatch, seed):
     assert dict((name, ok) for name, _, _, ok, _ in serial)["monte_carlo_vs_gamma"] == (seed == 3)
 
 
-def _blas_threads() -> int | None:
-    threads = checks._openblas_threads()
-    return None if threads is None else threads[0]()
-
-
 def test_battery_raises_the_monte_carlo_error_and_leaves_no_thread(monkeypatch):
-    threads_before, blas_before = threading.active_count(), _blas_threads()
+    threads_before = threading.active_count()
     # as a cell summed on this thread would leave it
     fluctuations._tiles.tile = np.empty(fluctuations.MC_BLOCK_PAIRS)
     checks.run_all(seed=0)
-    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+    assert threading.active_count() == threads_before
     # nor a Monte-Carlo tile resident on the calling thread
     assert not hasattr(fluctuations._tiles, "tile")
 
@@ -445,7 +440,7 @@ def test_battery_raises_the_monte_carlo_error_and_leaves_no_thread(monkeypatch):
     with pytest.raises(RuntimeError) as raised:
         checks.run_all(seed=0)
     assert raised.value is error
-    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+    assert threading.active_count() == threads_before
 
 
 def _sampler_on_threads(monkeypatch, on_cell):
@@ -463,7 +458,7 @@ def _sampler_on_threads(monkeypatch, on_cell):
 
 @pytest.mark.parametrize("on_calling_thread", [False, True])
 def test_battery_raises_a_cell_error_from_either_thread(monkeypatch, on_calling_thread):
-    threads_before, blas_before = threading.active_count(), _blas_threads()
+    threads_before = threading.active_count()
     error = RuntimeError("cell broke")
 
     def on_cell(omega, tau, calling):
@@ -476,11 +471,11 @@ def test_battery_raises_a_cell_error_from_either_thread(monkeypatch, on_calling_
     with pytest.raises(RuntimeError) as raised:
         checks.run_all(seed=0)
     assert raised.value is error
-    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+    assert threading.active_count() == threads_before
 
 
 def test_a_failing_row_stops_the_cells_not_started(monkeypatch):
-    threads_before, blas_before = threading.active_count(), _blas_threads()
+    threads_before = threading.active_count()
     error = RuntimeError("row broke")
     failed = threading.Event()
     ran = []
@@ -499,7 +494,7 @@ def test_a_failing_row_stops_the_cells_not_started(monkeypatch):
         checks.run_all(seed=0)
     assert raised.value is error
     assert ran == [(checks.MC_OMEGAS[0], checks.MC_TAUS[0])]
-    assert (threading.active_count(), _blas_threads()) == (threads_before, blas_before)
+    assert threading.active_count() == threads_before
 
 
 # the worker starts on the first cell at once; the calling thread cancels the
@@ -547,33 +542,3 @@ def test_each_battery_builds_each_suite_drive_once(monkeypatch):
         built.clear()
         checks.run_all(seed=3, full=full)
         assert built == list(checks.RWA_SUITES[full][0])
-
-
-def test_drive_checks_run_on_one_blas_thread(monkeypatch):
-    threads = checks._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy carries no bundled OpenBLAS")
-    get, set_ = threads
-    seen = []
-    original = checks.lamb_dicke_unitarity
-
-    def counted(*args):
-        seen.append(get())
-        return original(*args)
-
-    monkeypatch.setattr(checks, "lamb_dicke_unitarity", counted)
-    previous = get()
-    set_(2)  # so that a battery which left the count alone would read 2
-    try:
-        checks.run_all(seed=0)
-        assert seen == [1] and get() == 2
-    finally:
-        set_(previous)
-
-
-def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
-    monkeypatch.setattr(checks, "_openblas_threads", lambda: None)
-    ran = []
-    with checks._one_blas_thread():
-        ran.append(True)
-    assert ran == [True]

@@ -767,11 +767,21 @@ def test_a_grid_that_cannot_be_allocated_exits_one_without_a_traceback(argv):
     assert "Traceback" not in run.stderr and run.stdout == ""
 
 
-# validate --seed 2 fails its Monte-Carlo row, so the failing report is pinned too
+def _one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+# validate --seed 2 fails its Monte-Carlo row, so the failing report is pinned too.  Which
+# Monte-Carlo cells the battery's worker thread takes depends on the CPUs the process may
+# use, so --seed 3 is also run pinned to one CPU where the platform can pin it
 @pytest.mark.parametrize("argv", ["validate --seed 3", "validate --full", "validate --seed 2"])
 def test_validate_output_does_not_depend_on_the_blas_thread_count(argv):
     one, two = (_fresh_cli(*argv.split(), OPENBLAS_NUM_THREADS=count) for count in ("1", "2"))
     assert (one.returncode, one.stderr, one.stdout) == (two.returncode, two.stderr, two.stdout)
+    if argv == "validate --seed 3" and hasattr(os, "sched_setaffinity"):
+        pinned, default = _fresh_cli(*argv.split(), preexec_fn=_one_cpu), _fresh_cli(*argv.split())
+        assert ((pinned.returncode, pinned.stderr, pinned.stdout)
+                == (default.returncode, default.stderr, default.stdout))
     if argv == "validate --seed 2":
         assert one.returncode == 2
         assert one.stderr.startswith("monte_carlo_vs_gamma: measured 3.29")

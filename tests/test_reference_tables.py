@@ -1,6 +1,7 @@
 """The benchmark's tables against their recorded references: every
 ``figures`` table, the Monte-Carlo tables and the validate reports nearest
-their bound; and the benchmark's span tracer against the package it wraps.
+their bound; a Monte-Carlo table run on two numpy dispatch targets against
+each other; and the benchmark's span tracer against the package it wraps.
 
 ``perfbench/gate.py`` compares every numeric cell with the table recorded
 when the benchmark was defined, at rounding level (rel 1e-9, abs 1e-12), so
@@ -14,6 +15,10 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +72,28 @@ def test_monte_carlo_table_matches_its_reference(job, seed, tmp_path):
 @pytest.mark.parametrize("seed", [2, 12, 14])
 def test_validate_report_matches_its_reference(seed, tmp_path, capsys):
     _matches_its_reference("validate", "validate", seed, tmp_path)
+
+
+# numpy's float64 tangent, from which every Monte-Carlo base row is formed, gives other
+# bits under its AVX512 dispatch than under X86_V3, so reruns on two dispatch targets
+# agree to the gate's rounding, not byte for byte; the variable acts on one child only
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the disabled features are x86 dispatch targets")
+def test_a_monte_carlo_table_agrees_across_numpy_dispatch_targets():
+    argv = ["eta-sweep", "--mode", "mc", "--mc-samples", "20000", "--seed", "3", "--workers", "1"]
+    env = {name: value for name, value in os.environ.items() if name not in NO_AVX512}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    default, no_avx512 = (
+        subprocess.run([sys.executable, "-m", "ionparity.cli", *argv], capture_output=True,
+                       text=True, env={**env, **extra})
+        for extra in ({}, NO_AVX512))
+    assert (default.returncode, no_avx512.returncode) == (0, 0)
+    assert gate.parse_csv(default.stdout)[2]
+    assert gate.compare({"exit": 0, "csv": default.stdout}, no_avx512.returncode,
+                        *gate.parse_csv(no_avx512.stdout)) == []
 
 
 def _bindings():
