@@ -771,17 +771,23 @@ def _one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
+ON_ONE_CPU = " on one CPU"
+
+
 # validate --seed 2 fails its Monte-Carlo row, so the failing report is pinned too.  Which
 # Monte-Carlo cells the battery's worker thread takes depends on the CPUs the process may
-# use, so --seed 3 is also run pinned to one CPU where the platform can pin it
-@pytest.mark.parametrize("argv", ["validate --seed 3", "validate --full", "validate --seed 2"])
+# use, so the last input runs --seed 3 pinned to one CPU against a child left unpinned
+@pytest.mark.parametrize("argv", ["validate --seed 3", "validate --full", "validate --seed 2",
+                                  "validate --seed 3" + ON_ONE_CPU])
 def test_validate_output_does_not_depend_on_the_blas_thread_count(argv):
-    one, two = (_fresh_cli(*argv.split(), OPENBLAS_NUM_THREADS=count) for count in ("1", "2"))
+    if argv.endswith(ON_ONE_CPU):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("the platform cannot pin a process to one CPU")
+        argv = argv.removesuffix(ON_ONE_CPU)
+        one, two = _fresh_cli(*argv.split(), preexec_fn=_one_cpu), _fresh_cli(*argv.split())
+    else:
+        one, two = (_fresh_cli(*argv.split(), OPENBLAS_NUM_THREADS=count) for count in ("1", "2"))
     assert (one.returncode, one.stderr, one.stdout) == (two.returncode, two.stderr, two.stdout)
-    if argv == "validate --seed 3" and hasattr(os, "sched_setaffinity"):
-        pinned, default = _fresh_cli(*argv.split(), preexec_fn=_one_cpu), _fresh_cli(*argv.split())
-        assert ((pinned.returncode, pinned.stderr, pinned.stdout)
-                == (default.returncode, default.stderr, default.stdout))
     if argv == "validate --seed 2":
         assert one.returncode == 2
         assert one.stderr.startswith("monte_carlo_vs_gamma: measured 3.29")
